@@ -1,23 +1,39 @@
 """Discrete-time Monte Carlo SIR with one diffusion rate per edge color.
 
-Dynamics are synchronous: at every step each infected node independently
+The model is synchronous: at every step each infected node independently
 attempts to infect each susceptible neighbor with the rate of the connecting
-edge's color. A node infected at step t transmits during steps t .. t+tau-1
-and is recovered at t+tau, so each edge out of an infected node sees exactly
-tau Bernoulli trials and the per-edge transmissibility is 1 - (1-beta)^tau.
+edge's color. A node infected at step t transmits during steps t .. t+tau-1,
+its targets counting as infected from the following step, and is recovered
+at t+tau, so each edge out of an infected node sees exactly tau Bernoulli
+trials and the per-edge transmissibility is 1 - (1-beta)^tau.
+
+It is sampled without stepping, as first passage over edge delays (Newman
+2002, PRE 66; Kenah & Robins 2007, PRE 76). Each directed edge u -> v gets
+the step G_uv of the first success among u's tau trials on it, a geometric
+delay, and is dropped when none of the trials succeeds. The trials on
+distinct edges are independent and do not depend on when u was infected,
+so they can all be drawn up front: a susceptible v is infected at
+t_v = min over u of (t_u + G_uv), the shortest-path distance from the seeds
+over the kept edges. Trials on an edge after its target was infected are
+drawn but never looked at, where a stepped simulation would not make them,
+so both have the same law. The ever-infected set is the set
+the seeds reach, and the per-step series follow from the times t_v alone.
 
 Randomness is counter-based: realization r of cell c under master seed s
-draws from the stream (s, c, r), so sweeps are reproducible bit-for-bit no
-matter how cells are scheduled or parallelized.
+draws from the stream (s, c, r), seeds first and then one uniform per
+directed adjacency entry, so sweeps are reproducible bit-for-bit no matter
+how cells are scheduled or parallelized.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import NotTwoLayers, ZeroGcc
 from .graph import LayeredGraph, giant_component, layer_gcc_size
@@ -133,7 +149,42 @@ def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator)
     raise ValueError(f"unknown seed policy kind {policy.kind!r}")
 
 
-_EMPTY = np.empty(0, dtype=np.int64)
+def _transmission_graph(
+    g: LayeredGraph, cfg: SirConfig, realization_index: int, cell_index: int
+) -> csr_matrix:
+    """The edges that transmit in one realization, weighted by their delays.
+
+    Draws the seeds, then one uniform per directed adjacency entry, from the
+    stream (master_seed, cell, realization). Entry u -> v is kept when u's
+    tau trials on it contain a success, with weight the step of the first
+    one. Node n is a super-source with zero-weight edges to the seeds.
+    """
+    if len(cfg.rates) != g.num_colors:
+        raise ValueError(
+            f"{g.num_colors} colors need {g.num_colors} rates, got {len(cfg.rates)}"
+        )
+    rng = _stream(cfg.master_seed, cell_index, realization_index)
+    seeds = _choose_seeds(g, cfg.seeds, rng)
+    indptr, adj, adj_color = g.adjacency()
+    rate = np.asarray(cfg.rates, dtype=float)
+    u = rng.random(adj.size)
+    transmits = u < (1.0 - (1.0 - rate) ** cfg.tau)[adj_color]
+    kept = np.flatnonzero(transmits)
+    # first success: the least k with (1 - rate)^k < 1 - u, which is <= tau
+    # exactly for the kept entries (the clip only absorbs rounding); 1 - u is
+    # exact for the generator's multiples of 2^-53
+    log_miss = np.log(1.0 - rate, out=np.full_like(rate, -np.inf), where=rate < 1.0)
+    delay = np.floor(np.log(1.0 - u[kept]) / log_miss[adj_color[kept]]) + 1.0
+    np.minimum(delay, cfg.tau, out=delay)
+
+    kept_before = np.zeros(adj.size + 1, dtype=np.int32)
+    np.cumsum(transmits, out=kept_before[1:])
+    ptr = np.empty(g.n + 2, dtype=np.int32)
+    ptr[:-1] = kept_before[indptr]
+    ptr[-1] = len(kept) + len(seeds)
+    targets = np.concatenate([adj[kept], seeds], dtype=np.int32)
+    weights = np.concatenate([delay, np.zeros(len(seeds))])
+    return csr_matrix((weights, targets, ptr), shape=(g.n + 1, g.n + 1))
 
 
 def run_sir(
@@ -143,107 +194,43 @@ def run_sir(
     cell_index: int = 0,
 ) -> SimSummary:
     """One realization, fully determined by (graph, config, indices)."""
-    if len(cfg.rates) != g.num_colors:
-        raise ValueError(
-            f"{g.num_colors} colors need {g.num_colors} rates, got {len(cfg.rates)}"
-        )
-    rng = _stream(cfg.master_seed, cell_index, realization_index)
-    indptr, adj, adj_color = g.adjacency()
-    rate = np.asarray(cfg.rates, dtype=float)
-    layer_of = g.node_layer
+    graph = _transmission_graph(g, cfg, realization_index, cell_index)
+    limit = np.inf if cfg.max_steps is None else cfg.max_steps
+    dist = dijkstra(graph, indices=g.n, limit=limit)[: g.n]
+    reached = np.flatnonzero(dist < np.inf)
+    t = dist[reached].astype(np.int64)
+    steps = int(t.max()) + cfg.tau
+    if cfg.max_steps is not None:
+        steps = min(steps, cfg.max_steps)
+
     num_layers = g.num_layers
-
-    state = np.zeros(g.n, dtype=np.int8)  # 0=S 1=I 2=R
-    timer = np.zeros(g.n, dtype=np.int32)
-    seeds = _choose_seeds(g, cfg.seeds, rng)
-    state[seeds] = 1
-    timer[seeds] = cfg.tau
-    active = seeds.copy()
-
-    cur = np.bincount(layer_of[active], minlength=num_layers)
-    ever = cur
-    ever_total = int(cur.sum())
-    infected_steps = [cur]
-    ever_steps = [ever]
-
-    steps = 0
-    while active.size and (cfg.max_steps is None or steps < cfg.max_steps):
-        if ever_total == g.n:
-            break  # no susceptibles anywhere: timers decay deterministically below
-        if active.size == 1:
-            lo, hi = indptr[active[0]], indptr[active[0] + 1]
-            targets = adj[lo:hi]
-            pcol = adj_color[lo:hi]
-        elif active.size <= 4:
-            spans = [slice(indptr[a], indptr[a + 1]) for a in active.tolist()]
-            targets = np.concatenate([adj[s] for s in spans])
-            pcol = np.concatenate([adj_color[s] for s in spans])
-        else:
-            counts = indptr[active + 1] - indptr[active]
-            total = int(counts.sum())
-            starts = np.repeat(indptr[active], counts)
-            pos = starts + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
-            targets = adj[pos]
-            pcol = adj_color[pos]
-        new = _EMPTY
-        if targets.size:
-            hits = targets[
-                (rng.random(targets.size) < rate[pcol]) & (state[targets] == 0)
-            ]
-            if hits.size:
-                new = np.unique(hits)
-        timer[active] -= 1
-        still = timer[active] > 0
-        done = active[~still]
-        survivors = active[still]
-        if done.size:
-            state[done] = 2
-            cur = cur - np.bincount(layer_of[done], minlength=num_layers)
-        if new.size:
-            state[new] = 1
-            timer[new] = cfg.tau
-            gained = np.bincount(layer_of[new], minlength=num_layers)
-            cur = cur + gained
-            ever = ever + gained
-            ever_total += new.size
-            active = np.concatenate([survivors, new])
-        else:
-            active = survivors
-        steps += 1
-        infected_steps.append(cur)
-        ever_steps.append(ever)
-
-    if active.size and ever_total == g.n and (
-        cfg.max_steps is None or steps < cfg.max_steps
-    ):
-        # fully saturated: play out the remaining recovery steps without draws
-        act_timer = timer[active].copy()
-        act_layer = layer_of[active]
-        for k in range(1, int(act_timer.max()) + 1):
-            if cfg.max_steps is not None and steps >= cfg.max_steps:
-                break
-            alive = act_timer > k
-            cur = np.bincount(act_layer[alive], minlength=num_layers)
-            steps += 1
-            infected_steps.append(cur)
-            ever_steps.append(ever)
-        state[active] = 2
-
-    per_step = np.vstack(infected_steps)
-    per_ever = np.vstack(ever_steps)
-    flat_ever = np.flatnonzero(state != 0)
-    per_layer_sets = tuple(
-        (flat_ever[layer_of[flat_ever] == l] - int(g.offsets[l])).astype(np.int64)
-        for l in range(num_layers)
-    )
+    new = np.bincount(
+        t * num_layers + g.node_layer[reached], minlength=(steps + 1) * num_layers
+    ).reshape(steps + 1, num_layers)
+    ever = np.cumsum(new, axis=0)
+    infected = ever.copy()
+    infected[cfg.tau :] -= ever[: -cfg.tau]
+    bounds = np.searchsorted(reached, g.offsets)
     return SimSummary(
-        per_step_infected=per_step,
-        per_step_infected_total=per_step.sum(axis=1),
-        per_step_ever=per_ever,
-        per_step_ever_total=per_ever.sum(axis=1),
-        ever_infected=per_layer_sets,
+        per_step_infected=infected,
+        per_step_infected_total=infected.sum(axis=1),
+        per_step_ever=ever,
+        per_step_ever_total=ever.sum(axis=1),
+        ever_infected=tuple(
+            reached[bounds[l] : bounds[l + 1]] - g.offsets[l] for l in range(num_layers)
+        ),
         steps_run=steps,
     )
+
+
+def _final_counts(
+    g: LayeredGraph, cfg: SirConfig, realization_index: int, cell_index: int
+) -> tuple[int, ...]:
+    """Per-layer ever-infected counts of an uncapped realization: the nodes
+    the super-source reaches, which is the set :func:`run_sir` returns."""
+    graph = _transmission_graph(g, cfg, realization_index, cell_index)
+    order = breadth_first_order(graph, g.n, return_predecessors=False)
+    return tuple(np.bincount(g.node_layer[order[1:]], minlength=g.num_layers).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +262,19 @@ def infection_density(
     g: LayeredGraph,
     gcc_sizes: Optional[tuple[int, tuple[int, ...]]] = None,
 ) -> DensityResult:
-    whole_gcc, layer_gcc = gcc_sizes if gcc_sizes is not None else structural_gcc_sizes(g)
+    if gcc_sizes is None:
+        gcc_sizes = structural_gcc_sizes(g)
+    return _density(summary.ever_counts, gcc_sizes)
+
+
+def _density(counts: Sequence[int], gcc_sizes: tuple[int, tuple[int, ...]]) -> DensityResult:
+    whole_gcc, layer_gcc = gcc_sizes
     per_layer = []
-    for layer, count in enumerate(summary.ever_counts):
+    for layer, count in enumerate(counts):
         if layer_gcc[layer] == 0:
             raise ZeroGcc(f"layer {layer} has no edges; density undefined")
         per_layer.append(count / layer_gcc[layer])
-    whole = summary.ever_total / whole_gcc
+    whole = sum(counts) / whole_gcc
     return DensityResult(
         per_layer=tuple(per_layer),
         whole=whole,
@@ -305,8 +298,11 @@ def mean_cell_densities(
     acc_layers = np.zeros(g.num_layers)
     acc_whole = 0.0
     for r in range(cfg.realizations):
-        summary = run_sir(g, cfg, realization_index=r, cell_index=cell_index)
-        dens = infection_density(summary, g, gcc_sizes)
+        if cfg.max_steps is None:
+            counts = _final_counts(g, cfg, r, cell_index)
+        else:
+            counts = run_sir(g, cfg, realization_index=r, cell_index=cell_index).ever_counts
+        dens = _density(counts, gcc_sizes)
         acc_layers += np.asarray(dens.per_layer)
         acc_whole += dens.whole
     return acc_layers / cfg.realizations, acc_whole / cfg.realizations
@@ -324,18 +320,23 @@ class SweepResult:
     density_whole: np.ndarray  # (len(betas), len(alphas))
 
 
-def _sweep_cell(task):
-    g, cfg, cell_index, beta, alpha, gcc_sizes = task
-    cell_cfg = SirConfig(
-        rates=_two_layer_rates(g, beta, alpha),
-        tau=cfg.tau,
-        seeds=cfg.seeds,
-        max_steps=cfg.max_steps,
-        realizations=cfg.realizations,
-        master_seed=cfg.master_seed,
-    )
+def _sweep_cell(g, cfg, gcc_sizes, cell_index, beta, alpha):
+    cell_cfg = replace(cfg, rates=_two_layer_rates(g, beta, alpha))
     layers, whole = mean_cell_densities(g, cell_cfg, cell_index, gcc_sizes)
     return cell_index, layers, whole
+
+
+_worker_context: tuple = ()
+
+
+def _init_worker(g, cfg, gcc_sizes):
+    # the graph crosses the process boundary once per worker, not per cell
+    global _worker_context
+    _worker_context = (g, cfg, gcc_sizes)
+
+
+def _worker_cell(task):
+    return _sweep_cell(*_worker_context, *task)
 
 
 def sweep_heatmap(
@@ -359,17 +360,19 @@ def sweep_heatmap(
         raise ValueError("grid rates must lie in [0, 1]")
     gcc_sizes = structural_gcc_sizes(g)
     tasks = [
-        (g, cfg, i * len(alphas) + j, beta, alpha, gcc_sizes)
+        (i * len(alphas) + j, beta, alpha)
         for i, beta in enumerate(betas)
         for j, alpha in enumerate(alphas)
     ]
     density_layers = np.zeros((len(betas), len(alphas), g.num_layers))
     density_whole = np.zeros((len(betas), len(alphas)))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(g, cfg, gcc_sizes)
+        ) as pool:
+            results = list(pool.map(_worker_cell, tasks))
     else:
-        results = [_sweep_cell(t) for t in tasks]
+        results = [_sweep_cell(g, cfg, gcc_sizes, *t) for t in tasks]
     for cell_index, layers, whole in results:
         i, j = divmod(cell_index, len(alphas))
         density_layers[i, j] = layers
@@ -410,14 +413,7 @@ def dynamics(
     infected_out = []
     ever_out = []
     for s_idx, (beta, alpha) in enumerate(settings):
-        run_cfg = SirConfig(
-            rates=_two_layer_rates(g, beta, alpha),
-            tau=cfg.tau,
-            seeds=cfg.seeds,
-            max_steps=cfg.max_steps,
-            realizations=cfg.realizations,
-            master_seed=cfg.master_seed,
-        )
+        run_cfg = replace(cfg, rates=_two_layer_rates(g, beta, alpha))
         runs = [
             run_sir(g, run_cfg, realization_index=r, cell_index=s_idx)
             for r in range(cfg.realizations)

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from interepi import (
+    DuplicateEdge,
     ErLayerSpec,
     MeanDegreeTooLarge,
     PowerLawSpec,
@@ -13,6 +16,7 @@ from interepi import (
     gen_er_layer,
     gen_powerlaw_layer,
     graphs_equal,
+    parse_config,
     powerlaw_moments,
     sample_powerlaw_degrees,
 )
@@ -130,6 +134,26 @@ class TestPowerLawSampling:
         assert all(a != b for a, b in pairs.tolist())
         keys = {a * spec.n + b for a, b in pairs.tolist()}
         assert len(keys) == len(pairs)
+
+    # _wire_simple accepts as swap partner any edge whose key is in `seen`,
+    # including a duplicate, whose swap evicts the good edge it duplicates.
+    # The fix (`seen.get(edge_key(j)) != j`) makes sf-desk seed 1 build, and
+    # perfbench's run-sf-desk test relies on that seed failing, so both
+    # change together with the benchmark.
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="duplicate-edge wiring defect")
+    def test_wiring_simple_at_scale(self):
+        spec = PowerLawSpec(gamma=2.1, y_min=1, n=20000)
+        for seed in range(3):
+            pairs = gen_powerlaw_layer(spec, seed)
+            assert (pairs[:, 0] < pairs[:, 1]).all()
+            assert len(np.unique(pairs[:, 0] * spec.n + pairs[:, 1])) == len(pairs)
+
+    @pytest.mark.xfail(strict=True, raises=DuplicateEdge, reason="duplicate-edge wiring defect")
+    def test_sf_desk_builds_are_simple(self):
+        # build_graph raises DuplicateEdge on a non-simple layer
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "sf-desk.cfg")
+        for seed in range(20):
+            build_interdependent(cfg.layers, cfg.inter_means, master_seed=seed)
 
     def test_reproducible(self):
         spec = PowerLawSpec(gamma=2.9, y_min=1, n=800)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from interepi import (
+    ErLayerSpec,
     NotTwoLayers,
     SeedPolicy,
     SirConfig,
     ZeroGcc,
+    build_interdependent,
     dynamics,
     infection_density,
     run_sir,
@@ -13,6 +16,7 @@ from interepi import (
     sweep_heatmap,
     transmissibility,
 )
+from interepi.sir import _final_counts
 from oracles import (
     chain_plus_layer2,
     percolation_ever_infected,
@@ -106,6 +110,94 @@ class TestRunSir:
             SirConfig(rates=(1.5,), tau=5)
         with pytest.raises(ValueError):
             SirConfig(rates=(0.5,), tau=5, realizations=0)
+
+
+class TestFirstPassageSampler:
+    def test_two_node_infection_step_law(self):
+        # the target's infection step is the first success of tau Bernoulli
+        # trials: P(k) = (1 - beta)^(k-1) beta for k = 1..tau, and
+        # (1 - beta)^tau for never. Error budget: chi-square with tau degrees
+        # of freedom at p < 0.001, a 0.1% false-alarm rate; 5000 runs put
+        # at least 328 expected counts in every bin.
+        g = single_layer_graph(2, [(0, 1)])
+        beta, tau, runs = 0.2, 5, 5000
+        cfg = SirConfig(rates=(beta,), tau=tau, seeds=SeedPolicy.explicit([(0, 0)]), master_seed=41)
+        observed = np.zeros(tau + 1)
+        for r in range(runs):
+            ever = run_sir(g, cfg, r).per_step_ever_total
+            hit = np.flatnonzero(ever == 2)
+            observed[hit[0] - 1 if hit.size else tau] += 1
+        law = [(1 - beta) ** (k - 1) * beta for k in range(1, tau + 1)] + [(1 - beta) ** tau]
+        assert chisquare(observed, runs * np.asarray(law)).pvalue > 1e-3
+
+    def test_final_counts_match_run_sir(self):
+        # one sampler, two readouts: the reachable set and the first-passage
+        # times must give the same ever-infected counts for the same stream
+        g = build_interdependent(
+            [ErLayerSpec(300, 1.5), ErLayerSpec(300, 4.0)], {(0, 1): 1.0}, master_seed=2
+        )
+        for rates in ((0.1, 0.1, 0.05), (0.3, 0.3, 0.2), (1.0, 0.0, 1.0)):
+            cfg = SirConfig(rates=rates, tau=5, seeds=SeedPolicy.in_layers([1, 1]), master_seed=17)
+            for cell in (0, 3):
+                for r in range(25):
+                    assert _final_counts(g, cfg, r, cell) == run_sir(g, cfg, r, cell).ever_counts
+
+    def test_sweep_equals_mean_of_run_sir_densities(self):
+        g = build_interdependent(
+            [ErLayerSpec(200, 1.5), ErLayerSpec(200, 5.0)], {(0, 1): 1.0}, master_seed=5
+        )
+        gcc = structural_gcc_sizes(g)
+        betas, alphas = [0.05, 0.3], [0.1, 0.6]
+        cfg = SirConfig(
+            rates=(0.0, 0.0, 0.0), tau=5, seeds=SeedPolicy.in_layers([1, 1]),
+            realizations=15, master_seed=8,
+        )
+        sweep = sweep_heatmap(g, betas, alphas, cfg)
+        for i, beta in enumerate(betas):
+            for j, alpha in enumerate(alphas):
+                cell_cfg = SirConfig(
+                    rates=(beta, beta, alpha), tau=5, seeds=cfg.seeds, master_seed=8
+                )
+                layers, whole = np.zeros(2), 0.0
+                for r in range(cfg.realizations):
+                    d = infection_density(run_sir(g, cell_cfg, r, i * len(alphas) + j), g, gcc)
+                    layers += np.asarray(d.per_layer)
+                    whole += d.whole
+                assert np.array_equal(sweep.density_per_layer[i, j], layers / cfg.realizations)
+                assert sweep.density_whole[i, j] == whole / cfg.realizations
+
+    def test_cap_keeps_nodes_infected_by_the_cap(self):
+        # certain transmission along a path infects node i at step i
+        g = single_layer_graph(10, [(i, i + 1) for i in range(9)])
+        cap = 3
+        cfg = SirConfig(
+            rates=(1.0,), tau=2, seeds=SeedPolicy.explicit([(0, 0)]), max_steps=cap
+        )
+        s = run_sir(g, cfg, 0)
+        assert s.ever_infected[0].tolist() == [0, 1, 2, 3]
+        assert s.steps_run == cap
+        assert s.per_step_ever_total.tolist() == [1, 2, 3, 4]
+        assert s.per_step_infected_total.tolist() == [1, 2, 2, 2]
+
+    def test_capped_run_is_prefix_of_uncapped(self):
+        g = chain_plus_layer2()
+        base = dict(rates=(0.5, 0.5, 0.5), tau=3, seeds=SeedPolicy.uniform(1), master_seed=12)
+        checked = 0
+        for r in range(40):
+            full = run_sir(g, SirConfig(**base), r)
+            cap = full.steps_run // 2
+            if full.per_step_ever_total[cap] == full.ever_total:
+                continue  # not a partial outbreak at this cap
+            capped = run_sir(g, SirConfig(**base, max_steps=cap), r)
+            checked += 1
+            assert capped.steps_run == cap
+            assert capped.per_step_infected.shape == (cap + 1, 2)
+            assert np.array_equal(capped.per_step_infected, full.per_step_infected[: cap + 1])
+            assert np.array_equal(capped.per_step_ever, full.per_step_ever[: cap + 1])
+            assert capped.ever_total == full.per_step_ever_total[cap] < full.ever_total
+            for a, b in zip(capped.ever_infected, full.ever_infected):
+                assert set(a.tolist()) <= set(b.tolist())
+        assert checked >= 5
 
 
 class TestSeedPolicies:
