@@ -11,8 +11,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ConfigError,
@@ -351,9 +349,6 @@ def main(argv=None) -> int:
     except InterepiError as exc:
         print(_error_record(exc), file=sys.stderr)
         return EXIT_DATA
-    except np.linalg.LinAlgError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

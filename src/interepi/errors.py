@@ -62,7 +62,7 @@ class ExponentSingularity(InterepiError):
 
 
 class NonConvergence(InterepiError):
-    """Spectral iteration exceeded its cap and no fallback applies."""
+    """The eigenvalue computation behind a Perron root did not converge."""
 
 
 class EmptyColor(InterepiError):

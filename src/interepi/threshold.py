@@ -12,13 +12,24 @@ matrix built from per-layer degree moments under the assumption that colored
 degrees are independent; ``jacobian_empirical`` instead measures the colored
 degree cross-moments on a concrete graph (any layer count) and so quantifies
 the gap that the independence assumption opens.
+
+Both routes are linear in the transmissibilities, column by column:
+J(R) = B diag(R), where B is the Jacobian at R = 1. This holds exactly.
+Thinning keeps each color-c edge independently with probability R_c, so a
+thinned moment gains one factor R per degree it involves:
+<x'_i> = R_i <x_i>, <x'_i x'_j> = R_i R_j <x_i x_j> for i != j, and
+<x'_i (x'_i - 1)> = R_i^2 <x_i (x_i - 1)>. Entry (i, j) divides such a
+second moment by <x'_i>, which cancels R_i and leaves R_j times the
+unthinned entry. The closed form puts R_c in column c by construction. An
+edgeless color is known from the unthinned moments, so its zero row and
+column belong to B. The frontier search therefore builds B once and takes
+the Perron roots of whole stacks B * R with one batched eigenvalue call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -195,6 +206,26 @@ def thin_moments(m: MomentSet, t: Transmissibilities) -> MomentSet:
 # Jacobians
 # ---------------------------------------------------------------------------
 
+def _closed_form_base(m: MomentSet, layer_sizes: Sequence[int]) -> np.ndarray:
+    """The closed-form Jacobian at R = 1; see ``jacobian_closed_form``.
+
+    An edgeless color's column is zero already (its mean and ratio are 0);
+    its row is zeroed here.
+    """
+    if len(layer_sizes) != 2 or m.num_colors != 3:
+        raise NotTwoLayers("closed-form Jacobian requires two layers / three colors")
+    n = sum(layer_sizes)
+    return np.array([
+        [
+            (cj.population_restricted / n)
+            * (cj.ratio_restricted() if i == j else cj.mean_restricted)
+            if ci.mean_restricted != 0 else 0.0
+            for j, cj in enumerate(m.per_color)
+        ]
+        for i, ci in enumerate(m.per_color)
+    ])
+
+
 def jacobian_closed_form(
     m: MomentSet, layer_sizes: Sequence[int], t: Transmissibilities
 ) -> np.ndarray:
@@ -206,24 +237,10 @@ def jacobian_closed_form(
     mean. Colors with zero mean degree cannot propagate, so their row and
     column are dropped (zeroed).
     """
-    if len(layer_sizes) != 2 or m.num_colors != 3:
-        raise NotTwoLayers("closed-form Jacobian requires two layers / three colors")
+    base = _closed_form_base(m, layer_sizes)
     if len(t.values) != 3:
         raise LengthMismatch("need three transmissibilities")
-    n = sum(layer_sizes)
-    col_diag = np.zeros(3)
-    col_off = np.zeros(3)
-    for c, cm in enumerate(m.per_color):
-        factor = (cm.population_restricted / n) * t.values[c]
-        col_off[c] = factor * cm.mean_restricted
-        col_diag[c] = factor * cm.ratio_restricted()
-    jac = np.tile(col_off, (3, 1))
-    np.fill_diagonal(jac, col_diag)
-    for c, cm in enumerate(m.per_color):
-        if cm.mean_restricted == 0:
-            jac[c, :] = 0.0
-            jac[:, c] = 0.0
-    return jac
+    return base * np.asarray(t.values)
 
 
 @dataclass(frozen=True)
@@ -245,6 +262,18 @@ def colored_cross_moments(g: LayeredGraph) -> ColorCrossMoments:
     )
 
 
+def _cross_moment_base(stats: ColorCrossMoments) -> np.ndarray:
+    """The cross-moment Jacobian at R = 1; see ``jacobian_from_cross_moments``.
+
+    An edgeless color has zero cross moments with every color, so dividing
+    its row by 1 instead of its zero mean leaves its row and column zero.
+    """
+    mean = np.where(stats.mean != 0, stats.mean, 1.0)
+    base = stats.cross / mean[:, None]
+    np.fill_diagonal(base, stats.factorial / mean)
+    return base
+
+
 def jacobian_from_cross_moments(
     stats: ColorCrossMoments, t: Transmissibilities
 ) -> np.ndarray:
@@ -252,24 +281,9 @@ def jacobian_from_cross_moments(
     (i, j) is R_j <x_i x_j> / <x_i> off the diagonal and R_i <x_i^2 - x_i> / <x_i>
     on it (the 1/R_i of T cancels one thinning factor). Edgeless colors are
     dropped (zero row and column)."""
-    c = len(stats.mean)
-    if len(t.values) != c:
+    if len(t.values) != len(stats.mean):
         raise LengthMismatch("one transmissibility per color required")
-    r = np.asarray(t.values)
-    jac = np.zeros((c, c))
-    for i in range(c):
-        if stats.mean[i] == 0:
-            continue
-        for j in range(c):
-            if i == j:
-                jac[i, i] = r[i] * stats.factorial[i] / stats.mean[i]
-            else:
-                jac[i, j] = r[j] * stats.cross[i, j] / stats.mean[i]
-    for i in range(c):
-        if stats.mean[i] == 0:
-            jac[i, :] = 0.0
-            jac[:, i] = 0.0
-    return jac
+    return _cross_moment_base(stats) * np.asarray(t.values)
 
 
 def jacobian_empirical(g: LayeredGraph, t: Transmissibilities) -> np.ndarray:
@@ -287,56 +301,35 @@ def jacobian_empirical(g: LayeredGraph, t: Transmissibilities) -> np.ndarray:
 # Perron root
 # ---------------------------------------------------------------------------
 
-def _char_poly_radius(a: np.ndarray) -> float:
-    # Faddeev-LeVerrier coefficients of det(lambda I - A), roots via numpy
-    n = a.shape[0]
-    coeffs = [1.0]
-    m = np.eye(n)
-    for k in range(1, n + 1):
-        am = a @ m
-        ck = -np.trace(am) / k
-        coeffs.append(ck)
-        m = am + ck * np.eye(n)
-    roots = np.roots(coeffs)
-    return float(np.max(np.abs(roots)))
+def perron_roots(jacs: np.ndarray) -> np.ndarray:
+    """Perron roots of a stack of non-negative matrices, shape (N, C, C) -> (N,).
 
-
-def spectral_radius(jac: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Perron root of a non-negative matrix by shifted power iteration.
-
-    The +I shift makes the dominant eigenvalue of the iterated matrix strictly
-    largest in modulus for any non-negative input; the residual test
-    ||Bx - lambda x|| <= tol decides convergence. On a stall the root is
-    recovered from the characteristic polynomial (only for C <= 4).
+    Each root is the largest eigenvalue modulus from ``np.linalg.eigvals``. A
+    triangular matrix (every 1x1 and zero matrix among them) gets the maximum
+    of its diagonal instead, which is its spectrum exactly, so a rate tuple
+    lying exactly on theta = 1 there stays epidemic. Raises NonConvergence
+    when the eigenvalue iteration fails.
     """
-    a = np.asarray(jac, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = np.asarray(jacs, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("matrix must be square; a stack has shape (N, C, C)")
     if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
     if (a < 0).any():
         raise ValueError("matrix must be non-negative")
-    c = a.shape[0]
-    if c == 1:
-        return float(a[0, 0])
-    if not a.any():
-        return 0.0
-    if not np.tril(a, -1).any() or not np.triu(a, 1).any():
-        # triangular: the spectrum is the diagonal, exactly
-        return float(np.diagonal(a).max())
+    try:
+        roots = np.abs(np.linalg.eigvals(a)).max(axis=-1, initial=0.0)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalues did not converge: {exc}") from exc
+    below = np.arange(a.shape[1])[:, None] > np.arange(a.shape[1])
+    triangular = ~a[:, below].any(axis=1) | ~a[:, below.T].any(axis=1)
+    diag = np.diagonal(a, axis1=1, axis2=2).max(axis=-1, initial=0.0)
+    return np.where(triangular, diag, roots)
 
-    b = a + np.eye(c)
-    x = np.full(c, 1.0 / math.sqrt(c))
-    z = b @ x
-    for _ in range(max_iter):
-        lam = float(x @ z)
-        if np.linalg.norm(z - lam * x) <= tol:
-            return lam - 1.0
-        x = z / np.linalg.norm(z)
-        z = b @ x
-    if c <= 4:
-        return _char_poly_radius(a)
-    raise NonConvergence(f"power iteration stalled after {max_iter} iterations")
+
+def spectral_radius(jac: np.ndarray) -> float:
+    """Perron root of one non-negative square matrix (see ``perron_roots``)."""
+    return float(perron_roots(np.asarray(jac, dtype=float)[None])[0])
 
 
 def epidemic_indicator(
@@ -369,13 +362,15 @@ class FrontierSet:
     ``points`` is a Pareto antichain of full-length rate tuples with
     theta >= 1; reducing any searched component of a member by one grid step
     drops theta below 1 or leaves [0, 1]^C. Empty when no grid tuple is
-    epidemic.
+    epidemic. ``evaluations`` counts the Perron roots the search computed; it
+    is a diagnostic and takes no part in equality.
     """
 
     points: tuple[RateTuple, ...]
     thetas: tuple[float, ...]
     grid_step: float
     num_colors: int
+    evaluations: int = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -400,8 +395,42 @@ def _tie_groups(num_colors: int, num_layers: int, tie_intra: bool) -> tuple[tupl
     return (intra,) + inter
 
 
+def _rates_at(
+    prefixes: np.ndarray,
+    last: np.ndarray,
+    groups: tuple[tuple[int, ...], ...],
+    vals: np.ndarray,
+    num_colors: int,
+) -> np.ndarray:
+    """Rate rows: the leading group axes at their grid values, the last group at ``last``."""
+    rates = np.zeros((len(last), num_colors))
+    for axis, colors in enumerate(groups[:-1]):
+        rates[:, colors] = vals[prefixes[:, axis], None]
+    rates[:, groups[-1]] = last[:, None]
+    return rates
+
+
+def _undominated(prefixes: np.ndarray, last: np.ndarray, tol: float, size: int) -> np.ndarray:
+    """Mask of the crossings that no immediate predecessor prefix dominates.
+
+    The prefix one step down on a leading axis dominates when it is a
+    crossing too, at ``last`` <= this one's + ``tol``. Theta is monotone, so a
+    predecessor never crosses lower; the local test is therefore equivalent
+    to full pairwise non-domination.
+    """
+    strides = size ** np.arange(prefixes.shape[1])[::-1]
+    flat = prefixes @ strides
+    crossing = np.full(size ** prefixes.shape[1], np.inf)
+    crossing[flat] = last
+    keep = np.ones(len(last), dtype=bool)
+    for axis, stride in enumerate(strides):
+        has_pred = prefixes[:, axis] > 0
+        keep[has_pred] &= crossing[flat[has_pred] - stride] > last[has_pred] + tol
+    return keep
+
+
 def _frontier_search(
-    theta_fn: Callable[[RateTuple], float],
+    theta_fn: Callable[[np.ndarray], np.ndarray],
     num_colors: int,
     grid_step: float,
     groups: tuple[tuple[int, ...], ...],
@@ -409,116 +438,79 @@ def _frontier_search(
 ) -> FrontierSet:
     """Monotone grid search for the Pareto-minimal epidemic tuples.
 
-    For every grid point of the leading group axes, the crossing along the
-    last axis is located by binary search (theta is non-decreasing in every
-    rate, so each line crosses at most once). A crossing is kept iff no
-    immediate predecessor prefix crosses at the same height; by monotonicity
-    that check is equivalent to full pairwise non-domination.
+    ``theta_fn`` maps rate rows, shape (N, C), to their thetas. Every grid
+    point of the leading group axes (a prefix) spans a line along the last
+    axis; theta is non-decreasing in every rate, so each line crosses 1 at
+    most once. All lines are bisected together, one ``theta_fn`` call per
+    round, and ``refine_tol`` bisects the kept crossings the same way. Only
+    the lines are held, never the full rate grid.
     """
-    vals = _grid_values(grid_step)
-    top = len(vals) - 1
+    vals = np.asarray(_grid_values(grid_step))
+    size = len(vals)
     dims = len(groups)
+    evaluations = 0
 
-    def rates_at(prefix: tuple[int, ...], last: int) -> RateTuple:
-        full = [0.0] * num_colors
-        for axis, idx in enumerate((*prefix, last)):
-            for color in groups[axis]:
-                full[color] = vals[idx]
-        return tuple(full)
+    def theta_at(prefixes: np.ndarray, last: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += len(last)
+        return theta_fn(_rates_at(prefixes, last, groups, vals, num_colors))
 
-    candidates: dict[tuple[int, ...], tuple[int, float]] = {}
-    for prefix in itertools.product(range(top + 1), repeat=dims - 1):
-        theta_hi = theta_fn(rates_at(prefix, top))
-        if theta_hi < 1.0:
-            continue
-        theta_lo = theta_fn(rates_at(prefix, 0))
-        if theta_lo >= 1.0:
-            candidates[prefix] = (0, theta_lo)
-            continue
-        lo, hi = 0, top  # theta(lo) < 1 <= theta(hi)
-        theta_at_hi = theta_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            theta_mid = theta_fn(rates_at(prefix, mid))
-            if theta_mid >= 1.0:
-                hi, theta_at_hi = mid, theta_mid
-            else:
-                lo = mid
-        candidates[prefix] = (hi, theta_at_hi)
+    prefixes = np.indices((size,) * (dims - 1)).reshape(dims - 1, size ** (dims - 1)).T
+    theta = theta_at(prefixes, np.full(len(prefixes), vals[-1]))
+    prefixes, theta = prefixes[theta >= 1.0], theta[theta >= 1.0]
+    theta_origin = theta_at(prefixes, np.full(len(prefixes), vals[0]))
+    at_origin = theta_origin >= 1.0
+    theta = np.where(at_origin, theta_origin, theta)
+    # on open lines theta(vals[lo]) < 1 <= theta(vals[hi])
+    lo = np.zeros(len(prefixes), dtype=int)
+    hi = np.where(at_origin, 0, size - 1)
+    while (live := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[live] + hi[live]) // 2
+        theta_mid = theta_at(prefixes[live], vals[mid])
+        up = theta_mid >= 1.0
+        hi[live[up]], theta[live[up]] = mid[up], theta_mid[up]
+        lo[live[~up]] = mid[~up]
 
-    kept: list[tuple[tuple[int, ...], int, float]] = []
-    for prefix, (cross, theta) in candidates.items():
-        dominated = False
-        for axis in range(dims - 1):
-            if prefix[axis] == 0:
-                continue
-            pred = prefix[:axis] + (prefix[axis] - 1,) + prefix[axis + 1:]
-            hit = candidates.get(pred)
-            if hit is not None and hit[0] == cross:
-                dominated = True
-                break
-        if not dominated:
-            kept.append((prefix, cross, theta))
-
+    keep = _undominated(prefixes, hi.astype(float), 0.0, size)
+    prefixes, hi, theta = prefixes[keep], hi[keep], theta[keep]
+    last = vals[hi]
     if refine_tol:
-        refined: list[tuple[tuple[int, ...], float, float]] = []
-        for prefix, cross, theta in kept:
-            if cross == 0:
-                refined.append((prefix, vals[0], theta))
-                continue
-            lo_v, hi_v = vals[cross - 1], vals[cross]
-            while hi_v - lo_v > refine_tol:
-                mid_v = 0.5 * (lo_v + hi_v)
-                rates = _rates_at_value(prefix, mid_v, groups, vals, num_colors)
-                if theta_fn(rates) >= 1.0:
-                    hi_v = mid_v
-                else:
-                    lo_v = mid_v
-            rates = _rates_at_value(prefix, hi_v, groups, vals, num_colors)
-            refined.append((prefix, hi_v, theta_fn(rates)))
-        # re-filter: predecessor crossings within refine_tol count as equal
-        final = []
-        values = {p: b for p, b, _ in refined}
-        for prefix, b, theta in refined:
-            dominated = False
-            for axis in range(dims - 1):
-                if prefix[axis] == 0:
-                    continue
-                pred = prefix[:axis] + (prefix[axis] - 1,) + prefix[axis + 1:]
-                if pred in values and values[pred] <= b + refine_tol:
-                    dominated = True
-                    break
-            if not dominated:
-                final.append(
-                    (_rates_at_value(prefix, b, groups, vals, num_colors), theta)
-                )
-        points = final
-    else:
-        points = [(rates_at(prefix, cross), theta) for prefix, cross, theta in kept]
+        below = vals[np.maximum(hi - 1, 0)]
+        while (live := np.flatnonzero(last - below > refine_tol)).size:
+            mid = 0.5 * (below[live] + last[live])
+            up = theta_at(prefixes[live], mid) >= 1.0
+            last[live[up]] = mid[up]
+            below[live[~up]] = mid[~up]
+        refined = hi > 0
+        theta[refined] = theta_at(prefixes[refined], last[refined])
+        keep = _undominated(prefixes, last, refine_tol, size)
+        prefixes, last, theta = prefixes[keep], last[keep], theta[keep]
 
-    points.sort(key=lambda item: item[0])
+    rates = _rates_at(prefixes, last, groups, vals, num_colors)
+    order = np.lexsort(rates.T[::-1])
     return FrontierSet(
-        points=tuple(p for p, _ in points),
-        thetas=tuple(t for _, t in points),
+        points=tuple(map(tuple, rates[order].tolist())),
+        thetas=tuple(theta[order].tolist()),
         grid_step=grid_step,
         num_colors=num_colors,
+        evaluations=evaluations,
     )
 
 
-def _rates_at_value(
-    prefix: tuple[int, ...],
-    last_value: float,
-    groups: tuple[tuple[int, ...], ...],
-    vals: list[float],
-    num_colors: int,
-) -> RateTuple:
-    full = [0.0] * num_colors
-    for axis, idx in enumerate(prefix):
-        for color in groups[axis]:
-            full[color] = vals[idx]
-    for color in groups[-1]:
-        full[color] = last_value
-    return tuple(full)
+def _thetas_of_rates(base: np.ndarray, tau: int) -> Callable[[np.ndarray], np.ndarray]:
+    """theta over rate rows: the Perron roots of J(R) = base * diag(R(rates)).
+
+    Each distinct rate is mapped once by ``transmissibility``, so the rows get
+    the scalar route's values bit for bit (numpy's vectorized power may
+    differ from it in the last place).
+    """
+
+    def thetas(rates: np.ndarray) -> np.ndarray:
+        distinct, where = np.unique(rates, return_inverse=True)
+        r = np.array([transmissibility(b, tau) for b in distinct.tolist()])
+        return perron_roots(base * r[where].reshape(rates.shape)[:, None, :])
+
+    return thetas
 
 
 def multi_threshold(
@@ -540,12 +532,8 @@ def multi_threshold(
     if not 0.0 < grid_step <= 0.5:
         raise DomainError("grid step must be in (0, 0.5]")
     groups = _tie_groups(m.num_colors, len(layer_sizes), tie_intra)
-
-    def theta_fn(rates: RateTuple) -> float:
-        t = Transmissibilities.from_rates(rates, tau)
-        return spectral_radius(jacobian_closed_form(m, layer_sizes, t))
-
-    return _frontier_search(theta_fn, m.num_colors, grid_step, groups, refine_tol)
+    thetas = _thetas_of_rates(_closed_form_base(m, layer_sizes), tau)
+    return _frontier_search(thetas, m.num_colors, grid_step, groups, refine_tol)
 
 
 def multi_threshold_empirical(
@@ -563,12 +551,8 @@ def multi_threshold_empirical(
     if not stats.mean.any():
         raise EmptyColor("graph has no edges on any color")
     groups = _tie_groups(g.num_colors, g.num_layers, tie_intra)
-
-    def theta_fn(rates: RateTuple) -> float:
-        t = Transmissibilities.from_rates(rates, tau)
-        return spectral_radius(jacobian_from_cross_moments(stats, t))
-
-    return _frontier_search(theta_fn, g.num_colors, grid_step, groups, refine_tol)
+    thetas = _thetas_of_rates(_cross_moment_base(stats), tau)
+    return _frontier_search(thetas, g.num_colors, grid_step, groups, refine_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,18 @@ def exhaustive_frontier(theta_fn, num_colors: int, grid_step: float) -> set:
             epidemic.append(idx)
     if not epidemic:
         return set()
-    e = np.asarray(epidemic)
+    cols = np.asarray(epidemic).T  # one row of grid indices per color
     keep = []
-    for i in range(len(e)):
-        others_le = (e <= e[i]).all(axis=1)
-        others_lt = (e < e[i]).any(axis=1)
-        if not (others_le & others_lt).any():
-            keep.append(tuple(vals[j] for j in e[i]))
+    for start in range(0, cols.shape[1], 512):
+        chunk = cols[:, start:start + 512, None]
+        # (i, j): epidemic tuple j is <= chunk tuple i everywhere, < somewhere
+        le = np.ones((chunk.shape[1], cols.shape[1]), dtype=bool)
+        lt = np.zeros_like(le)
+        for axis in range(num_colors):
+            le &= cols[axis] <= chunk[axis]
+            lt |= cols[axis] < chunk[axis]
+        undominated = ~(le & lt).any(axis=1)
+        keep += [tuple(vals[j] for j in idx) for idx in chunk[:, undominated, 0].T]
     return set(keep)
 
 

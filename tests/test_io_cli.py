@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from interepi import (
@@ -325,6 +326,19 @@ class TestCli:
         assert rc == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert "error" in record
+
+    def test_eigenvalue_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        rc = main(["threshold", "--config", str(cfg_path), "--out", str(tmp_path / "f.csv")])
+        assert rc == 4
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NonConvergence"
+        assert "did not converge" in record["message"]
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"

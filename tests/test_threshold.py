@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,16 @@ from scipy.integrate import quad
 from interepi import (
     DomainError,
     EmptyColor,
+    ErLayerSpec,
     ExponentSingularity,
     KappaAtMostOne,
     LengthMismatch,
     NetworkState,
+    NonConvergence,
     NotTwoLayers,
     PowerLawSpec,
     Transmissibilities,
+    build_interdependent,
     classify_state,
     dominates,
     epidemic_indicator,
@@ -23,6 +27,7 @@ from interepi import (
     jacobian_empirical,
     multi_threshold,
     multi_threshold_empirical,
+    perron_roots,
     powerlaw_moments,
     single_layer_threshold,
     spectral_radius,
@@ -32,7 +37,12 @@ from interepi import (
 )
 from interepi.graph import ColorMoments, MomentSet
 from interepi.threshold import _frontier_search, _grid_values
-from oracles import cardano_radius_3x3, chain_plus_layer2, exhaustive_frontier, two_layer_graph
+from oracles import (
+    cardano_radius_3x3,
+    chain_plus_layer2,
+    exhaustive_frontier,
+    two_layer_graph,
+)
 
 
 def er_set(m1, m2, m3, n1=5000, n2=5000):
@@ -313,6 +323,47 @@ class TestSpectralRadius:
         assert spectral_radius(a) == pytest.approx(2.0, abs=1e-9)
 
 
+class TestPerronRoots:
+    def test_stack_against_cardano(self):
+        a = np.random.default_rng(202).random((1000, 3, 3))
+        theta = perron_roots(a)
+        assert theta.shape == (1000,)
+        worst = max(abs(t - cardano_radius_3x3(m)) for t, m in zip(theta, a))
+        assert worst < 1e-8
+
+    def test_rows_equal_single_calls(self):
+        a = np.random.default_rng(7).random((50, 3, 3))
+        a[::5, 2, :2] = 0.0  # some triangular rows
+        assert perron_roots(a).tolist() == [spectral_radius(m) for m in a]
+
+    def test_triangular_is_exact_diagonal_max(self):
+        # unit diagonal entry with off-diagonal mass on one side only
+        upper = np.array([[0.3, 5.0, 2.0], [0.0, 1.0, 7.0], [0.0, 0.0, 0.2]])
+        stack = np.stack([upper, upper.T, np.zeros((3, 3))])
+        assert perron_roots(stack).tolist() == [1.0, 1.0, 0.0]
+
+    def test_empty_stack(self):
+        assert perron_roots(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            perron_roots(np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            perron_roots(np.ones((2, 3, 4)))
+        with pytest.raises(ValueError):
+            perron_roots(np.full((1, 2, 2), np.nan))
+        with pytest.raises(ValueError):
+            perron_roots(-np.ones((1, 2, 2)))
+
+    def test_eigvals_failure_is_nonconvergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NonConvergence):
+            perron_roots(np.ones((2, 3, 3)))
+
+
 class TestEpidemicIndicator:
     def test_zero_rates(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
@@ -368,8 +419,26 @@ class TestMultiThreshold:
     def test_origin_frontier_degenerate_search(self):
         # unreachable through rates (R(0)=0) but the search must handle a
         # theta function that is already supercritical at the origin
-        front = _frontier_search(lambda r: 2.0, 3, 0.5, ((0,), (1,), (2,)), None)
+        front = _frontier_search(
+            lambda rates: np.full(len(rates), 2.0), 3, 0.5, ((0,), (1,), (2,)), None
+        )
         assert front.points == ((0.0, 0.0, 0.0),)
+        assert front.thetas == (2.0,)
+
+    def test_refinement_merges_crossings_within_tol(self):
+        # the r0 = 0 line crosses at 0.50001 and the r0 = 0.5 line at 0.49999:
+        # different grid cells, one refined point once refine_tol = 1e-4
+        def theta_fn(rates):
+            return 1.0 + rates[:, 1] - (0.50001 - 4e-5 * rates[:, 0])
+
+        groups = ((0,), (1,))
+        grid = _frontier_search(theta_fn, 2, 0.5, groups, None)
+        assert grid.points == ((0.0, 1.0), (0.5, 0.5))
+        front = _frontier_search(theta_fn, 2, 0.5, groups, 1e-4)
+        assert len(front) == 1
+        assert front.points[0][0] == 0.0
+        assert front.points[0][1] == pytest.approx(0.50001, abs=1e-4)
+        assert front.thetas[0] >= 1.0
 
     def test_invalid_grid_step(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
@@ -428,6 +497,50 @@ class TestMultiThreshold:
                 down = (point[0], point[1], alpha - 2 * tol)
                 _, epidemic = epidemic_indicator(m, sizes, down, 5)
                 assert not epidemic
+
+    def test_refinement_untied_one_step_down(self):
+        m, sizes = er_set(1.5, 6.0, 1.5)
+        step, tol = 0.05, 1e-4
+        front = multi_threshold(m, sizes, tau=5, grid_step=step, refine_tol=tol)
+        assert len(front) > 5
+        for point, theta in zip(front.points, front.thetas):
+            assert theta >= 1.0
+            assert epidemic_indicator(m, sizes, point, 5)[0] == theta
+            downs = [(point[0], point[1], point[2] - tol)]
+            downs += [
+                tuple(round(x - step, 12) if k == axis else x for k, x in enumerate(point))
+                for axis in (0, 1)
+            ]
+            for down in downs:
+                if min(down) >= 0.0:
+                    assert not epidemic_indicator(m, sizes, down, 5)[1], (point, down)
+
+    def test_evaluations_counted_and_bounded(self):
+        m, sizes = er_set(1.5, 6.0, 1.5)
+        step, tol = 0.05, 1e-4
+        k = len(_grid_values(step))
+        lines = k * k  # untied: one line per grid point of the two leading axes
+        front = multi_threshold(m, sizes, tau=5, grid_step=step)
+        assert lines <= front.evaluations <= lines * (math.ceil(math.log2(k)) + 2)
+        refined = multi_threshold(m, sizes, tau=5, grid_step=step, refine_tol=tol)
+        rounds = math.ceil(math.log2(step / tol)) + 1  # bisection, then theta at the end
+        assert front.evaluations < refined.evaluations
+        assert refined.evaluations <= front.evaluations + len(front) * rounds
+        # a diagnostic only: equality ignores it
+        assert dataclasses.replace(front, evaluations=0) == front
+
+    def test_empirical_untied_matches_exhaustive(self):
+        layers = [ErLayerSpec(60, 0.8), ErLayerSpec(60, 1.6)]
+        g = build_interdependent(layers, {(0, 1): 1.0}, master_seed=31)
+        step = 0.05
+
+        def theta_fn(rates):
+            return spectral_radius(jacobian_empirical(g, Transmissibilities.from_rates(rates, 5)))
+
+        front = multi_threshold_empirical(g, tau=5, grid_step=step)
+        assert len(front) >= 20
+        assert set(front.points) == exhaustive_frontier(theta_fn, 3, step)
+        assert front.thetas == tuple(theta_fn(p) for p in front.points)
 
     def test_empirical_route_on_graph(self):
         g = chain_plus_layer2()
