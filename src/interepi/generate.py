@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import MeanDegreeTooLarge, WiringFailed
-from .graph import LayeredGraph, build_graph
+from .graph import LayeredGraph, build_graph_array
 
 RngLike = Union[int, np.random.Generator]
 
@@ -37,6 +37,27 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
 # Erdos-Renyi pieces (fixed edge count variant)
 # ---------------------------------------------------------------------------
 
+def _distinct_pairs(
+    m: int, n_u: int, n_v: int, rng: np.random.Generator, same_layer: bool
+) -> np.ndarray:
+    """The first m distinct pairs, in draw order, among uniform draws of
+    (a, b) in [0, n_u) x [0, n_v), taken in batches of 2 * (m - accepted) + 64.
+    With ``same_layer`` self-loops are skipped and pairs kept as (min, max)."""
+    out = np.empty((0, 2), dtype=np.int64)
+    while len(out) < m:
+        batch = 2 * (m - len(out)) + 64
+        a = rng.integers(0, n_u, size=batch)
+        b = rng.integers(0, n_v, size=batch)
+        if same_layer:
+            keep = a != b
+            a, b = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+        keys = a * n_v + b
+        _, first = np.unique(keys, return_index=True)
+        first = np.sort(first[~np.isin(keys[first], out[:, 0] * n_v + out[:, 1])])[: m - len(out)]
+        out = np.concatenate([out, np.column_stack([a[first], b[first]])])
+    return out
+
+
 def gen_er_layer(n: int, mean_degree: float, rng: RngLike) -> np.ndarray:
     """m = round(n * mean_degree / 2) distinct random pairs on n nodes.
 
@@ -50,26 +71,7 @@ def gen_er_layer(n: int, mean_degree: float, rng: RngLike) -> np.ndarray:
     max_pairs = n * (n - 1) // 2
     if m > max_pairs:
         raise MeanDegreeTooLarge(f"{m} edges requested, only {max_pairs} pairs exist")
-    rng = as_rng(rng)
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    while len(pairs) < m:
-        batch = 2 * (m - len(pairs)) + 64
-        us = rng.integers(0, n, size=batch).tolist()
-        vs = rng.integers(0, n, size=batch).tolist()
-        for a, b in zip(us, vs):
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            key = a * n + b
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append((a, b))
-            if len(pairs) == m:
-                break
-    return np.asarray(pairs, dtype=np.int64).reshape(m, 2)
+    return _distinct_pairs(m, n, n, as_rng(rng), same_layer=True)
 
 
 def gen_er_interlayer(n1: int, n2: int, mean_degree: float, rng: RngLike) -> np.ndarray:
@@ -85,22 +87,7 @@ def gen_er_interlayer(n1: int, n2: int, mean_degree: float, rng: RngLike) -> np.
     m = round(mean_degree * (n1 + n2) / 2)
     if m > n1 * n2:
         raise MeanDegreeTooLarge(f"{m} cross edges requested, only {n1 * n2} pairs exist")
-    rng = as_rng(rng)
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    while len(pairs) < m:
-        batch = 2 * (m - len(pairs)) + 64
-        us = rng.integers(0, n1, size=batch).tolist()
-        vs = rng.integers(0, n2, size=batch).tolist()
-        for a, b in zip(us, vs):
-            key = a * n2 + b
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append((a, b))
-            if len(pairs) == m:
-                break
-    return np.asarray(pairs, dtype=np.int64).reshape(m, 2)
+    return _distinct_pairs(m, n1, n2, as_rng(rng), same_layer=False)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +249,14 @@ def build_interdependent(
     pair (i, j) from (master_seed, 1, i, j). Missing pairs get no edges.
     """
     sizes = [spec.n for spec in layers]
-    triples = []
+    parts = []  # (layer_u, a, layer_v, b, color) rows per layer and layer pair
     for i, spec in enumerate(layers):
         rng = child_rng(master_seed, 0, i)
         if isinstance(spec, ErLayerSpec):
             pairs = gen_er_layer(spec.n, spec.mean_degree, rng)
         else:
             pairs = gen_powerlaw_layer(spec, rng)
-        color = i
-        triples.extend(
-            ((i, int(a)), (i, int(b)), color) for a, b in pairs.tolist()
-        )
+        parts.append(np.insert(pairs, [0, 1, 2], (i, i, i), axis=1))
     table_pairs = [
         (i, j) for i in range(len(layers)) for j in range(i + 1, len(layers))
     ]
@@ -282,8 +266,5 @@ def build_interdependent(
             continue
         rng = child_rng(master_seed, 1, i, j)
         pairs = gen_er_interlayer(sizes[i], sizes[j], mean, rng)
-        color = len(layers) + color_offset
-        triples.extend(
-            ((i, int(a)), (j, int(b)), color) for a, b in pairs.tolist()
-        )
-    return build_graph(sizes, triples)
+        parts.append(np.insert(pairs, [0, 1, 2], (i, j, len(layers) + color_offset), axis=1))
+    return build_graph_array(sizes, np.concatenate(parts or [np.empty((0, 5))]))

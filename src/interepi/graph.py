@@ -17,6 +17,8 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     CrossLayerColorMismatch,
@@ -77,6 +79,11 @@ class ColorTable:
             return self.intra(layer_u)
         return self.inter(layer_u, layer_v)
 
+    def color_matrix(self) -> np.ndarray:
+        """(L, L) array of ``color_of(i, j)``."""
+        return np.array([[self.color_of(i, j) for j in range(self.num_layers)]
+                         for i in range(self.num_layers)])
+
     def members(self, color: int) -> tuple[int, ...]:
         """Layers whose nodes can be incident to this color."""
         if not 0 <= color < self.num_colors:
@@ -126,16 +133,8 @@ class LayeredGraph:
         self._adj = dst[order]
         self._adj_color = col[order]
 
-        for arr in (
-            self.edges_u,
-            self.edges_v,
-            self.edge_colors,
-            self.node_layer,
-            self.offsets,
-            self._indptr,
-            self._adj,
-            self._adj_color,
-        ):
+        for arr in (self.edges_u, self.edges_v, self.edge_colors, self.node_layer,
+                    self.offsets, self._indptr, self._adj, self._adj_color):
             arr.setflags(write=False)
 
     # -- identity ---------------------------------------------------------
@@ -167,27 +166,23 @@ class LayeredGraph:
 
     def color_degrees(self) -> np.ndarray:
         """Per-color degree of every node, shape (num_colors, n)."""
-        out = np.zeros((self.num_colors, self.n), dtype=np.int64)
-        for c in range(self.num_colors):
-            mask = self.edge_colors == c
-            if mask.any():
-                ends = np.concatenate([self.edges_u[mask], self.edges_v[mask]])
-                out[c] = np.bincount(ends, minlength=self.n)
-        return out
+        c, n = self.num_colors, self.n
+        slot = np.tile(self.edge_colors, 2) * n + np.concatenate([self.edges_u, self.edges_v])
+        return np.bincount(slot, minlength=c * n).reshape(c, n)
 
     def edge_count_by_color(self) -> np.ndarray:
         return np.bincount(self.edge_colors, minlength=self.num_colors)
 
+    def local_edges(self) -> np.ndarray:
+        """Canonical edges as (m, 4) rows (layer_u, index_u, layer_v, index_v)."""
+        ends = np.column_stack([self.edges_u, self.edges_v])
+        layer = self.node_layer[ends]
+        return np.stack([layer, ends - self.offsets[layer]], axis=2).reshape(-1, 4)
+
     def edge_list(self) -> list[EdgeRef]:
         """Canonical ((layer, idx), (layer, idx), color) triples."""
-        out = []
-        for u, v, c in zip(
-            self.edges_u.tolist(), self.edges_v.tolist(), self.edge_colors.tolist()
-        ):
-            lu = int(self.node_layer[u])
-            lv = int(self.node_layer[v])
-            out.append(((lu, u - int(self.offsets[lu])), (lv, v - int(self.offsets[lv])), c))
-        return out
+        lu, iu, lv, iv = self.local_edges().T.tolist()
+        return list(zip(zip(lu, iu), zip(lv, iv), self.edge_colors.tolist()))
 
     def __repr__(self) -> str:
         return (
@@ -197,60 +192,75 @@ class LayeredGraph:
 
 
 def build_graph(layer_sizes: Sequence[int], edges: Iterable[EdgeRef]) -> LayeredGraph:
-    """Validate an edge list and assemble a :class:`LayeredGraph`.
+    """Validate ((layer, idx), (layer, idx), color) triples and assemble a
+    :class:`LayeredGraph`, with the checks and errors of :func:`build_graph_array`."""
+    rows = [(lu, iu, lv, iv, c) for (lu, iu), (lv, iv), c in edges]
+    return build_graph_array(layer_sizes, int64_array(rows))
 
-    Raises UnknownNode, SelfLoop, CrossLayerColorMismatch or DuplicateEdge
-    when the corresponding invariant fails. Duplicate detection ignores
-    endpoint order.
+
+def int64_array(values: Sequence) -> np.ndarray:
+    """Python integers as int64. A value beyond int64, which no layer count or
+    size reaches, is clamped to the int64 limits; an error message shows that."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.clip(np.array(values, dtype=object), -(2**63), 2**63 - 1).astype(np.int64)
+
+
+def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredGraph:
+    """Validate (m, 5) integer rows (layer_u, index_u, layer_v, index_v, color)
+    and assemble a :class:`LayeredGraph`.
+
+    The checks are vectorized, and the first offending row in input order
+    raises. Within a row they run as UnknownNode (u's layer and index, then
+    v's), SelfLoop, CrossLayerColorMismatch, then DuplicateEdge (an earlier
+    row has the same pair in either orientation). Messages name the row.
     """
     sizes = [int(s) for s in layer_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("layer sizes must be positive")
-    table = ColorTable(len(sizes))
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    n = int(offsets[-1])
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 5)
+    layer, idx, color = edges[:, [0, 2]], edges[:, [1, 3]], edges[:, 4]
+    bad_layer = (layer < 0) | (layer >= len(sizes))
+    layer = np.where(bad_layer, 0, layer)
+    bad_idx = ~bad_layer & ((idx < 0) | (idx >= np.asarray(sizes)[layer]))
+    unknown = (bad_layer | bad_idx).any(axis=1)
+    loop = (edges[:, 0] == edges[:, 2]) & (edges[:, 1] == edges[:, 3])
+    expected = ColorTable(len(sizes)).color_matrix()[layer[:, 0], layer[:, 1]]
+    mismatch = color != expected
+    # a row with an unknown endpoint, or an earlier row, raises before its
+    # key is read
+    flat = offsets[layer] + np.where(unknown[:, None], 0, idx)
+    lo, hi = flat.min(axis=1), flat.max(axis=1)
+    _, first = np.unique(lo * offsets[-1] + hi, return_index=True)
+    repeat = np.ones(len(edges), dtype=bool)
+    repeat[first] = False
 
-    us, vs, cs = [], [], []
-    seen: set[int] = set()
-    for (lu, iu), (lv, iv), color in edges:
-        for layer, idx in ((lu, iu), (lv, iv)):
-            if not 0 <= layer < len(sizes):
-                raise UnknownNode(f"layer {layer} not declared")
-            if not 0 <= idx < sizes[layer]:
-                raise UnknownNode(f"node ({layer}, {idx}) outside layer of size {sizes[layer]}")
-        if (lu, iu) == (lv, iv):
+    bad = unknown | loop | mismatch | repeat
+    if bad.any():
+        i = int(np.argmax(bad))
+        lu, iu, lv, iv, c = edges[i].tolist()
+        for lay, node, no_layer, no_node in zip((lu, lv), (iu, iv), bad_layer[i], bad_idx[i]):
+            if no_layer:
+                raise UnknownNode(f"layer {lay} not declared")
+            if no_node:
+                raise UnknownNode(f"node ({lay}, {node}) outside layer of size {sizes[lay]}")
+        if loop[i]:
             raise SelfLoop(f"self-loop at ({lu}, {iu})")
-        expected = table.color_of(lu, lv)
-        if color != expected:
+        if mismatch[i]:
             raise CrossLayerColorMismatch(
-                f"edge ({lu},{iu})-({lv},{iv}) carries color {color}, "
-                f"layer pair requires {expected}"
+                f"edge ({lu},{iu})-({lv},{iv}) carries color {c}, "
+                f"layer pair requires {expected[i]}"
             )
-        fu = int(offsets[lu]) + iu
-        fv = int(offsets[lv]) + iv
-        if fu > fv:
-            fu, fv = fv, fu
-        key = fu * n + fv
-        if key in seen:
-            raise DuplicateEdge(f"duplicate edge ({lu},{iu})-({lv},{iv})")
-        seen.add(key)
-        us.append(fu)
-        vs.append(fv)
-        cs.append(color)
-
-    u = np.asarray(us, dtype=np.int64)
-    v = np.asarray(vs, dtype=np.int64)
-    c = np.asarray(cs, dtype=np.int64)
-    if len(u):
-        order = np.lexsort((v, u))
-        u, v, c = u[order], v[order], c[order]
-    return LayeredGraph(sizes, u, v, c)
+        raise DuplicateEdge(f"duplicate edge ({lu},{iu})-({lv},{iv})")
+    # np.unique sorted the distinct keys, which is the canonical (u, v) order
+    return LayeredGraph(sizes, lo[first], hi[first], color[first])
 
 
 def graphs_equal(a: LayeredGraph, b: LayeredGraph) -> bool:
     return (
         a.layer_sizes == b.layer_sizes
-        and a.num_edges == b.num_edges
         and np.array_equal(a.edges_u, b.edges_u)
         and np.array_equal(a.edges_v, b.edges_v)
         and np.array_equal(a.edge_colors, b.edge_colors)
@@ -321,13 +331,7 @@ def kappa(g: LayeredGraph, layer: Optional[int] = None) -> float:
     ``layer=None`` scopes the whole coupled network; an integer scopes one
     layer as its own network (intra-layer edges only).
     """
-    if layer is None:
-        deg = g.degrees().astype(float)
-    else:
-        color = g.colors.intra(layer)
-        mask = g.edge_colors == color
-        ends = np.concatenate([g.edges_u[mask], g.edges_v[mask]])
-        deg = np.bincount(ends, minlength=g.n).astype(float)
+    deg = (g.degrees() if layer is None else g.color_degrees()[g.colors.intra(layer)]).astype(float)
     total = deg.sum()
     if total == 0:
         scope = "network" if layer is None else f"layer {layer}"
@@ -349,56 +353,25 @@ class ComponentResult:
     largest_size_by_layer: tuple[int, ...]  # max over components of |comp ∩ layer|
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def giant_component(
     g: LayeredGraph, edge_mask: Optional[np.ndarray] = None
 ) -> ComponentResult:
-    """Connected components under an optional boolean mask over edges."""
-    uf = _UnionFind(g.n)
-    if edge_mask is None:
-        eu, ev = g.edges_u, g.edges_v
-    else:
+    """Connected components under an optional boolean mask over edges.
+
+    Component ids are an arbitrary labelling 0..k-1 of the components.
+    """
+    eu, ev = g.edges_u, g.edges_v
+    if edge_mask is not None:
         edge_mask = np.asarray(edge_mask, dtype=bool)
         if edge_mask.shape != (g.num_edges,):
             raise ValueError("edge_mask must have one entry per edge")
-        eu, ev = g.edges_u[edge_mask], g.edges_v[edge_mask]
-    for a, b in zip(eu.tolist(), ev.tolist()):
-        uf.union(a, b)
-
-    roots = np.fromiter((uf.find(i) for i in range(g.n)), dtype=np.int64, count=g.n)
-    _, comp_id = np.unique(roots, return_inverse=True)
+        eu, ev = eu[edge_mask], ev[edge_mask]
+    adj = csr_matrix((np.ones(len(eu), dtype=np.int8), (eu, ev)), shape=(g.n, g.n))
+    _, comp_id = connected_components(adj, directed=False)
     sizes = np.bincount(comp_id)
-    by_layer = []
-    for layer in range(g.num_layers):
-        ids = comp_id[g.layer_slice(layer)]
-        by_layer.append(int(np.bincount(ids, minlength=len(sizes)).max()))
-    return ComponentResult(
-        component_id=comp_id,
-        sizes=sizes,
-        largest_size=int(sizes.max()),
-        largest_size_by_layer=tuple(by_layer),
-    )
+    nl = g.num_layers
+    by_layer = np.bincount(comp_id * nl + g.node_layer, minlength=len(sizes) * nl).reshape(-1, nl)
+    return ComponentResult(comp_id, sizes, int(sizes.max()), tuple(by_layer.max(axis=0).tolist()))
 
 
 def layer_gcc_size(g: LayeredGraph, layer: int) -> int:
@@ -406,11 +379,8 @@ def layer_gcc_size(g: LayeredGraph, layer: int) -> int:
 
     Returns 0 when the layer has no intra-layer edges.
     """
-    color = g.colors.intra(layer)
-    if g.edge_count_by_color()[color] == 0:
-        return 0
-    res = giant_component(g, g.edge_colors == color)
-    return res.largest_size_by_layer[layer]
+    mask = g.edge_colors == g.colors.intra(layer)
+    return giant_component(g, mask).largest_size_by_layer[layer] if mask.any() else 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ParseError
 from .generate import ErLayerSpec, LayerSpec, PowerLawSpec, build_interdependent
-from .graph import LayeredGraph, MomentSet, build_graph, compute_moments
+from .graph import (
+    ColorTable,
+    LayeredGraph,
+    MomentSet,
+    build_graph_array,
+    compute_moments,
+    int64_array,
+)
 from .sir import (
     DynamicsResult,
     SeedPolicy,
@@ -55,53 +62,89 @@ def _fmt(x: float) -> str:
 def write_graph(g: LayeredGraph, path: Union[str, os.PathLike]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("#layers " + " ".join(str(s) for s in g.layer_sizes) + "\n")
-        for (lu, iu), (lv, iv), _color in g.edge_list():
-            fh.write(f"{lu} {iu} {lv} {iv}\n")
+        rows = g.local_edges()
+        for start in range(0, len(rows), 1 << 16):  # bounded memory on large graphs
+            chunk = rows[start : start + (1 << 16)]
+            fh.write("%d %d %d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:
     """Parse and validate a graph file; ParseError carries the line number."""
-    layer_sizes: Optional[list[int]] = None
-    edges = []
     with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.split()[0] == "#layers":
-                    if layer_sizes is not None:
-                        raise ParseError(line_no, "duplicate #layers header")
-                    try:
-                        layer_sizes = [int(tok) for tok in line.split()[1:]]
-                    except ValueError:
-                        raise ParseError(line_no, "layer sizes must be integers")
-                    if not layer_sizes:
-                        raise ParseError(line_no, "#layers header declares no layers")
-                continue
-            if layer_sizes is None:
-                raise ParseError(line_no, "edge before #layers header")
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(line_no, f"expected 'layer_u u layer_v v', got {line!r}")
+        layer_sizes, edges = _parse_graph_text(fh.read())
+    colors = ColorTable(len(layer_sizes)).color_matrix()[edges[:, 0], edges[:, 2]]
+    return build_graph_array(layer_sizes, np.column_stack([edges, colors]))
+
+
+def _parse_graph_text(text: str) -> tuple[list[int], np.ndarray]:
+    """Header layer sizes and (m, 4) edge rows of a graph file.
+
+    Tokens, their lines and their values come from array operations. Only
+    the lines that can be malformed (comments, the first edge line, the first
+    without four fields, those with a field other than an optional minus and
+    1 to 18 digits) go through the line checks, in file order, so the first
+    malformed line raises. Fields are read with int() semantics.
+    """
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = np.isin(buf, (9, 10, 11, 12, 13, 28, 29, 30, 31, 32))  # what str.split() splits on
+    space = np.concatenate(([True], space, [True]))
+    starts, ends = np.flatnonzero(space[:-1] != space[1:]).reshape(-1, 2).T
+    newline = np.flatnonzero(buf == 10)
+    line = np.searchsorted(newline, starts)  # 0-based line of each token
+    lead = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
+    comment = buf[starts[lead]] == ord("#")
+    data = ~np.repeat(comment, np.diff(lead, append=len(line)))
+    neg = buf[starts[data]] == ord("-")
+    s, e, data_line = starts[data] + neg, ends[data], line[data]
+    # values of plain fields (an optional minus and 1 to 18 digits) by Horner
+    values = np.zeros(len(s), dtype=np.int64)
+    plain = (e > s) & (e - s <= 18)
+    for j in range(min(int((e - s).max(initial=0)), 18)):
+        at = np.flatnonzero(plain & (s + j < e))
+        digit = buf[s[at] + j] - 48  # uint8: a non-digit wraps past 9
+        plain[at] = digit <= 9
+        values[at] = values[at] * 10 + digit
+    values[neg] *= -1
+    lines, fields = np.unique(data_line, return_counts=True)
+    suspect = [line[lead[comment]], lines[:1], lines[fields != 4][:1], data_line[~plain]]
+
+    bounds = np.concatenate(([0], newline + 1, [len(text) + 1]))
+    layer_sizes: Optional[list[int]] = None
+    for k in np.unique(np.concatenate(suspect)).tolist():
+        row, line_no = text[bounds[k] : bounds[k + 1] - 1].strip(), k + 1
+        head, *rest = row.split()
+        if head == "#layers":
+            if layer_sizes is not None:
+                raise ParseError(line_no, "duplicate #layers header")
             try:
-                lu, iu, lv, iv = (int(tok) for tok in parts)
+                layer_sizes = [int(tok) for tok in rest]
             except ValueError:
-                raise ParseError(line_no, f"non-integer field in {line!r}")
-            edges.append((line_no, (lu, iu), (lv, iv)))
+                raise ParseError(line_no, "layer sizes must be integers")
+            if not layer_sizes:
+                raise ParseError(line_no, "#layers header declares no layers")
+        elif head[0] == "#":
+            continue
+        elif layer_sizes is None:
+            raise ParseError(line_no, "edge before #layers header")
+        elif len(rest) != 3:
+            raise ParseError(line_no, f"expected 'layer_u u layer_v v', got {row!r}")
+        else:
+            try:
+                [int(tok) for tok in row.split()]
+            except ValueError:
+                raise ParseError(line_no, f"non-integer field in {row!r}")
     if layer_sizes is None:
         raise ParseError(0, "missing #layers header")
 
-    from .graph import ColorTable  # color inferred from the layer pair
-
-    table = ColorTable(len(layer_sizes))
-    triples = []
-    for line_no, a, b in edges:
-        for layer, _ in (a, b):
-            if not 0 <= layer < len(layer_sizes):
-                raise ParseError(line_no, f"layer {layer} not declared in header")
-        triples.append((a, b, table.color_of(a[0], b[0])))
-    return build_graph(layer_sizes, triples)
+    if not plain.all():
+        values = [int(text[a:b]) for a, b in zip(starts[data], e)]
+    edges = int64_array(values).reshape(-1, 4)
+    undeclared = (edges[:, [0, 2]] < 0) | (edges[:, [0, 2]] >= len(layer_sizes))
+    if undeclared.any():
+        i, col = np.argwhere(undeclared)[0]
+        layer = values[4 * i + 2 * col]
+        raise ParseError(int(lines[i]) + 1, f"layer {layer} not declared in header")
+    return layer_sizes, edges
 
 
 # ---------------------------------------------------------------------------

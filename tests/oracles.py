@@ -12,7 +12,17 @@ import math
 
 import numpy as np
 
-from interepi import LayeredGraph, build_graph, layer_gcc_size
+from interepi import (
+    ColorTable,
+    CrossLayerColorMismatch,
+    DuplicateEdge,
+    LayeredGraph,
+    ParseError,
+    SelfLoop,
+    UnknownNode,
+    build_graph,
+    layer_gcc_size,
+)
 from interepi.threshold import _grid_values
 
 # ---------------------------------------------------------------------------
@@ -213,6 +223,133 @@ def exhaustive_frontier(theta_fn, num_colors: int, grid_step: float) -> set:
         undominated = ~(le & lt).any(axis=1)
         keep += [tuple(vals[j] for j in idx) for idx in chunk[:, undominated, 0].T]
     return set(keep)
+
+
+# ---------------------------------------------------------------------------
+# Sequential ER sampling (the scalar loops the vectorized generators replace)
+# ---------------------------------------------------------------------------
+
+def sequential_er_layer(n: int, mean_degree: float, rng: np.random.Generator) -> np.ndarray:
+    """gen_er_layer one candidate at a time: same batches, same acceptance."""
+    m = round(n * mean_degree / 2)
+    pairs: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    while len(pairs) < m:
+        batch = 2 * (m - len(pairs)) + 64
+        us = rng.integers(0, n, size=batch).tolist()
+        vs = rng.integers(0, n, size=batch).tolist()
+        for a, b in zip(us, vs):
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            key = a * n + b
+            if key in seen:
+                continue
+            seen.add(key)
+            pairs.append((a, b))
+            if len(pairs) == m:
+                break
+    return np.asarray(pairs, dtype=np.int64).reshape(m, 2)
+
+
+def sequential_er_interlayer(
+    n1: int, n2: int, mean_degree: float, rng: np.random.Generator
+) -> np.ndarray:
+    """gen_er_interlayer one candidate at a time: same batches, same acceptance."""
+    m = round(mean_degree * (n1 + n2) / 2)
+    pairs: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    while len(pairs) < m:
+        batch = 2 * (m - len(pairs)) + 64
+        us = rng.integers(0, n1, size=batch).tolist()
+        vs = rng.integers(0, n2, size=batch).tolist()
+        for a, b in zip(us, vs):
+            key = a * n2 + b
+            if key in seen:
+                continue
+            seen.add(key)
+            pairs.append((a, b))
+            if len(pairs) == m:
+                break
+    return np.asarray(pairs, dtype=np.int64).reshape(m, 2)
+
+
+# ---------------------------------------------------------------------------
+# Edge-by-edge validation and line-by-line graph-file parsing
+# ---------------------------------------------------------------------------
+
+def sequential_validate(layer_sizes, edges) -> tuple[list, list, list]:
+    """build_graph's checks one edge at a time: canonical sorted (u, v, color)
+    lists, or the error of the first bad edge."""
+    sizes = [int(s) for s in layer_sizes]
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("layer sizes must be positive")
+    table = ColorTable(len(sizes))
+    offsets = [0] + np.cumsum(sizes).tolist()
+    seen, rows = set(), []
+    for (lu, iu), (lv, iv), color in edges:
+        for layer, idx in ((lu, iu), (lv, iv)):
+            if not 0 <= layer < len(sizes):
+                raise UnknownNode(f"layer {layer} not declared")
+            if not 0 <= idx < sizes[layer]:
+                raise UnknownNode(f"node ({layer}, {idx}) outside layer of size {sizes[layer]}")
+        if (lu, iu) == (lv, iv):
+            raise SelfLoop(f"self-loop at ({lu}, {iu})")
+        expected = table.color_of(lu, lv)
+        if color != expected:
+            raise CrossLayerColorMismatch(
+                f"edge ({lu},{iu})-({lv},{iv}) carries color {color}, "
+                f"layer pair requires {expected}"
+            )
+        fu, fv = sorted((offsets[lu] + iu, offsets[lv] + iv))
+        if (fu, fv) in seen:
+            raise DuplicateEdge(f"duplicate edge ({lu},{iu})-({lv},{iv})")
+        seen.add((fu, fv))
+        rows.append((fu, fv, color))
+    rows.sort()
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+
+
+def sequential_parse_graph(text: str):
+    """load_graph's parse one line at a time: (layer sizes, triples), or the
+    ParseError of the first malformed line."""
+    layer_sizes, edges = None, []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.split()[0] == "#layers":
+                if layer_sizes is not None:
+                    raise ParseError(line_no, "duplicate #layers header")
+                try:
+                    layer_sizes = [int(tok) for tok in line.split()[1:]]
+                except ValueError:
+                    raise ParseError(line_no, "layer sizes must be integers")
+                if not layer_sizes:
+                    raise ParseError(line_no, "#layers header declares no layers")
+            continue
+        if layer_sizes is None:
+            raise ParseError(line_no, "edge before #layers header")
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(line_no, f"expected 'layer_u u layer_v v', got {line!r}")
+        try:
+            lu, iu, lv, iv = (int(tok) for tok in parts)
+        except ValueError:
+            raise ParseError(line_no, f"non-integer field in {line!r}")
+        edges.append((line_no, (lu, iu), (lv, iv)))
+    if layer_sizes is None:
+        raise ParseError(0, "missing #layers header")
+    table = ColorTable(len(layer_sizes))
+    triples = []
+    for line_no, a, b in edges:
+        for layer, _ in (a, b):
+            if not 0 <= layer < len(layer_sizes):
+                raise ParseError(line_no, f"layer {layer} not declared in header")
+        triples.append((a, b, table.color_of(a[0], b[0])))
+    return layer_sizes, triples
 
 
 # ---------------------------------------------------------------------------

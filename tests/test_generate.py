@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interepi import (
     DuplicateEdge,
@@ -21,6 +22,7 @@ from interepi import (
     sample_powerlaw_degrees,
 )
 from interepi.generate import _wire_simple
+from oracles import sequential_er_interlayer, sequential_er_layer
 
 
 class TestErLayer:
@@ -82,6 +84,66 @@ class TestErInterlayer:
     def test_too_dense(self):
         with pytest.raises(MeanDegreeTooLarge):
             gen_er_interlayer(3, 3, 10.0, child_rng(0, 0))
+
+
+LAYER_CASES = [
+    (n, mean, seed)
+    for n in (2, 10, 500, 3000)
+    for mean in (0.0, 0.7, 1.5, 6.0)
+    for seed in (0, 1, 2)
+    if round(n * mean / 2) <= n * (n - 1) // 2
+] + [(7, 6.0, seed) for seed in range(5)]  # complete: all 21 pairs
+
+INTER_CASES = [
+    (n1, n2, mean, seed)
+    for n1, n2 in ((1, 1), (10, 7), (500, 300), (3000, 3000))
+    for mean in (0.0, 0.1, 1.5, 4.0)
+    for seed in (0, 1, 2)
+    if round(mean * (n1 + n2) / 2) <= n1 * n2
+] + [(4, 4, 4.0, seed) for seed in range(5)] + [(3, 5, 3.75, seed) for seed in range(5)]  # complete
+
+
+class TestErAgainstSequential:
+    """The vectorized generators return the sequential loops' arrays exactly."""
+
+    @pytest.mark.parametrize("n,mean,seed", LAYER_CASES)
+    def test_layer(self, n, mean, seed):
+        got = gen_er_layer(n, mean, child_rng(seed, 0))
+        want = sequential_er_layer(n, mean, child_rng(seed, 0))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n1,n2,mean,seed", INTER_CASES)
+    def test_interlayer(self, n1, n2, mean, seed):
+        got = gen_er_interlayer(n1, n2, mean, child_rng(seed, 1))
+        want = sequential_er_interlayer(n1, n2, mean, child_rng(seed, 1))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_complete_cases_are_complete(self):
+        assert len(gen_er_layer(7, 6.0, child_rng(0, 0))) == 21
+        assert len(gen_er_interlayer(4, 4, 4.0, child_rng(0, 0))) == 16
+        assert len(gen_er_interlayer(3, 5, 3.75, child_rng(0, 0))) == 15
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 120), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_er_layer_simple_in_range_exact_size(n, fill, seed):
+    mean = fill * (n - 1)
+    pairs = gen_er_layer(n, mean, seed)
+    assert pairs.shape == (round(n * mean / 2), 2)
+    assert ((0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] < n)).all()
+    assert len(np.unique(pairs[:, 0] * n + pairs[:, 1])) == len(pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 80), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_er_interlayer_simple_in_range_exact_size(n1, n2, fill, seed):
+    mean = fill * 2 * n1 * n2 / (n1 + n2)
+    pairs = gen_er_interlayer(n1, n2, mean, seed)
+    assert pairs.shape == (round(mean * (n1 + n2) / 2), 2)
+    assert ((0 <= pairs) & (pairs < (n1, n2))).all()
+    assert len(np.unique(pairs[:, 0] * n2 + pairs[:, 1])) == len(pairs)
 
 
 class TestPowerLawSpec:

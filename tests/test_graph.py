@@ -67,6 +67,78 @@ class TestBuildGraph:
         assert list(cols) == sorted(cols)
 
 
+class TestBuildGraphErrorOrder:
+    """The first bad edge in input order decides the error; within one edge
+    the checks run UnknownNode, SelfLoop, CrossLayerColorMismatch,
+    DuplicateEdge; the message names that edge."""
+
+    def test_earlier_duplicate_beats_later_unknown_node(self):
+        edges = [
+            ((0, 0), (0, 1), 0),
+            ((0, 1), (0, 0), 0),  # duplicate of the first, reversed
+            ((1, 0), (1, 1), 1),
+            ((0, 2), (1, 2), 2),
+            ((0, 9), (0, 1), 0),  # unknown node
+        ]
+        with pytest.raises(DuplicateEdge) as exc:
+            build_graph([3, 3], edges)
+        assert str(exc.value) == "duplicate edge (0,1)-(0,0)"
+
+    def test_earlier_unknown_node_beats_later_duplicate(self):
+        edges = [
+            ((0, 0), (0, 1), 0),
+            ((0, 9), (0, 1), 0),
+            ((0, 1), (0, 0), 0),
+        ]
+        with pytest.raises(UnknownNode) as exc:
+            build_graph([3, 3], edges)
+        assert str(exc.value) == "node (0, 9) outside layer of size 3"
+
+    def test_earlier_self_loop_beats_later_color_mismatch(self):
+        edges = [((1, 2), (1, 2), 1), ((0, 0), (0, 1), 2)]
+        with pytest.raises(SelfLoop) as exc:
+            build_graph([3, 3], edges)
+        assert str(exc.value) == "self-loop at (1, 2)"
+
+    @pytest.mark.parametrize(
+        "edge,error,message",
+        [
+            # unknown node beats self-loop, color and duplicate
+            (((0, 0), (5, 0), 0), UnknownNode, "layer 5 not declared"),
+            (((0, 7), (0, 7), 2), UnknownNode, "node (0, 7) outside layer of size 3"),
+            # u is checked before v, a layer before its index
+            (((4, 0), (0, 9), 0), UnknownNode, "layer 4 not declared"),
+            (((0, 9), (4, 0), 0), UnknownNode, "node (0, 9) outside layer of size 3"),
+            (((0, 1), (1, -1), 2), UnknownNode, "node (1, -1) outside layer of size 3"),
+            # self-loop beats color and duplicate
+            (((0, 1), (0, 1), 2), SelfLoop, "self-loop at (0, 1)"),
+            # color beats duplicate
+            (((0, 1), (0, 0), 2), CrossLayerColorMismatch,
+             "edge (0,1)-(0,0) carries color 2, layer pair requires 0"),
+            (((0, 1), (0, 0), 0), DuplicateEdge, "duplicate edge (0,1)-(0,0)"),
+        ],
+    )
+    def test_check_order_within_one_edge(self, edge, error, message):
+        with pytest.raises(error) as exc:
+            build_graph([3, 3], [((0, 0), (0, 1), 0), ((1, 0), (1, 1), 1), edge])
+        assert str(exc.value) == message
+
+    def test_inter_layer_color_message(self):
+        with pytest.raises(CrossLayerColorMismatch) as exc:
+            build_graph([2, 2, 2], [((0, 0), (1, 0), 3), ((2, 1), (0, 1), 3)])
+        assert str(exc.value) == "edge (2,1)-(0,1) carries color 3, layer pair requires 4"
+
+    def test_canonical_order_and_types(self):
+        g = build_graph(
+            [3, 2], [((1, 1), (0, 2), 2), ((0, 2), (0, 0), 0), ((1, 0), (1, 1), 1)]
+        )
+        assert g.edges_u.tolist() == [0, 2, 3]
+        assert g.edges_v.tolist() == [2, 4, 4]
+        assert g.edge_colors.tolist() == [0, 2, 1]
+        assert g.edge_list() == [((0, 0), (0, 2), 0), ((0, 2), (1, 1), 2), ((1, 0), (1, 1), 1)]
+        assert all(type(x) is int for (a, b), (c, d), e in g.edge_list() for x in (a, b, c, d, e))
+
+
 class TestMoments:
     def test_degree_sequence_example(self):
         # layer-1 intra degrees {1,3,2,3,2,1}: restricted mean 2.0, and the

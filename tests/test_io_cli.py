@@ -10,6 +10,7 @@ from interepi import (
     ErLayerSpec,
     ParseError,
     PowerLawSpec,
+    UnknownNode,
     build_interdependent,
     graphs_equal,
     load_graph,
@@ -95,13 +96,63 @@ class TestGraphFiles:
     def test_non_integer(self, tmp_path):
         path = tmp_path / "b.edges"
         path.write_text("#layers 2 2\n0 0 1 x\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             load_graph(path)
+        assert exc.value.line_no == 2
+        assert str(exc.value) == "line 2: non-integer field in '0 0 1 x'"
 
     def test_undeclared_layer(self, tmp_path):
         path = tmp_path / "b.edges"
         path.write_text("#layers 2 2\n0 0 2 0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert exc.value.line_no == 2
+        assert str(exc.value) == "line 2: layer 2 not declared in header"
+
+    @pytest.mark.parametrize(
+        "bad,line_no,reason",
+        [
+            ("0 1 1 x", 7, "non-integer field in '0 1 1 x'"),
+            ("  0 1  1\t", 7, "expected 'layer_u u layer_v v', got '0 1  1'"),
+            ("0 1 -1 0", 7, "layer -1 not declared in header"),
+            ("#layers 2 2", 7, "duplicate #layers header"),
+        ],
+    )
+    def test_line_number_counts_comment_and_blank_lines(self, tmp_path, bad, line_no, reason):
+        path = tmp_path / "b.edges"
+        path.write_text(f"# made by hand\n\n#layers 2 2\n0 0 1 1\n\n   # note\n{bad}\n1 0 1 1\n")
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert exc.value.line_no == line_no
+        assert exc.value.reason == reason
+
+    def test_first_malformed_line_raises(self, tmp_path):
+        # a line-by-line reader stops at line 3, before the duplicate header
+        # and the non-integer field
+        path = tmp_path / "b.edges"
+        path.write_text("#layers 2 2\n0 0 1 1\n0 0 1\n#layers 2\n0 0 1 x\n")
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert exc.value.line_no == 3
+        # format errors anywhere come before the layer check of earlier lines
+        path.write_text("#layers 2 2\n0 0 5 1\n0 0 1 x\n")
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert exc.value.line_no == 3
+
+    def test_fields_read_with_int_semantics(self, tmp_path):
+        path = tmp_path / "b.edges"
+        path.write_text("#layers 8 12\n+0 007 1 1_0\n-0 1\t1 0\r\n")
+        g = load_graph(path)
+        assert g.edge_list() == [((0, 1), (1, 0), 2), ((0, 7), (1, 10), 2)]
+        # signed fields in a file whose other fields are all plain digits
+        path.write_text("#layers 2 2\n+1 0 +1 1\n0 -0 1 +0\n")
+        assert load_graph(path).edge_list() == [((0, 0), (1, 0), 2), ((1, 0), (1, 1), 1)]
+
+    def test_huge_index_is_an_unknown_node(self, tmp_path):
+        path = tmp_path / "b.edges"
+        path.write_text("#layers 2 2\n0 0 1 1\n0 123456789012345678901234 1 0\n")
+        with pytest.raises(UnknownNode):
             load_graph(path)
 
     def test_duplicate_edge_propagates_validation(self, tmp_path):

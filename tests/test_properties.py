@@ -1,6 +1,7 @@
 """Randomized invariant checks (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from interepi import (
@@ -12,12 +13,15 @@ from interepi import (
     epidemic_indicator,
     er_color_moments,
     giant_component,
+    graphs_equal,
     kappa,
+    load_graph,
     thin_moments,
     two_layer_moments,
+    write_graph,
 )
-from interepi.errors import NoEdgesInScope
-from oracles import brute_force_component_labels
+from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
+from oracles import brute_force_component_labels, sequential_parse_graph, sequential_validate
 
 
 @st.composite
@@ -52,6 +56,109 @@ def test_components_match_brute_force(data):
         assert mapping.setdefault(mine, theirs) == theirs
     assert len(set(mapping.values())) == len(mapping)
     assert res.largest_size == np.bincount(labels).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_graphs())
+def test_graph_file_round_trip(tmp_path_factory, data):
+    g, pairs = data
+    path = tmp_path_factory.mktemp("roundtrip") / "g.edges"
+    write_graph(g, path)
+    # reference text: one line per edge, written edge by edge
+    offsets = [0] + np.cumsum(g.layer_sizes).tolist()
+    lines = ["#layers " + " ".join(str(s) for s in g.layer_sizes)]
+    for u, v in sorted(pairs):
+        lu = max(l for l in range(g.num_layers) if offsets[l] <= u)
+        lv = max(l for l in range(g.num_layers) if offsets[l] <= v)
+        lines.append(f"{lu} {u - offsets[lu]} {lv} {v - offsets[lv]}")
+    assert path.read_text() == "\n".join(lines) + "\n"
+    assert graphs_equal(load_graph(path), g)
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """Edge triples that are mostly valid, with unknown nodes, self-loops,
+    wrong colors and duplicates mixed in."""
+    num_layers = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=num_layers, max_size=num_layers))
+    table = ColorTable(num_layers)
+    layer = st.integers(0, num_layers - 1) | st.integers(-1, num_layers)
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        lu, lv = draw(layer), draw(layer)
+        iu, iv = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+        clip = lambda l: min(max(l, 0), num_layers - 1)
+        color = table.color_of(clip(lu), clip(lv))
+        if draw(st.booleans()) and draw(st.booleans()):
+            color = draw(st.integers(0, table.num_colors))
+        edges.append(((lu, iu), (lv, iv), color))
+    return sizes, edges
+
+
+def _same_outcome(got, reference):
+    """got() and reference() return the same (u, v, color) lists or raise the
+    same error with the same message and line number."""
+    try:
+        want = reference()
+    except (GraphValidationError, ParseError, ValueError) as exc:
+        with pytest.raises(type(exc)) as caught:
+            got()
+        assert type(caught.value) is type(exc)
+        assert str(caught.value) == str(exc)
+        assert getattr(caught.value, "line_no", None) == getattr(exc, "line_no", None)
+    else:
+        g = got()
+        assert (g.edges_u.tolist(), g.edges_v.tolist(), g.edge_colors.tolist()) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_edge_lists())
+def test_build_graph_matches_edge_by_edge_validation(data):
+    sizes, edges = data
+    _same_outcome(lambda: build_graph(sizes, edges), lambda: sequential_validate(sizes, edges))
+
+
+_FIELD = st.integers(-1, 4).map(str) | st.sampled_from(["+1", "01", "1_0", "-0", "x", "-", "2.0"])
+_LINE = (
+    st.lists(st.integers(0, 3).map(str), min_size=4, max_size=4).map(" ".join)
+    | st.lists(st.integers(0, 3).map(str), min_size=4, max_size=4).map("\t".join)
+    | st.lists(_FIELD, min_size=1, max_size=5).map(" ".join)
+    | st.lists(st.sampled_from(["1", "2", "3", "0", "x"]), max_size=3).map(
+        lambda sizes: " ".join(["#layers", *sizes]))
+    | st.sampled_from(["", "   ", "# note", "  # x y", "#layers3", "#"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 4).map(str), min_size=1, max_size=3),
+    st.lists(_LINE, max_size=10),
+    st.integers(0, 10),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_load_graph_matches_line_by_line_parse(tmp_path_factory, sizes, lines, at, newline):
+    lines.insert(min(at, len(lines)), " ".join(["#layers", *sizes]))
+    path = tmp_path_factory.mktemp("parse") / "g.edges"
+    path.write_bytes(newline.join(lines).encode("ascii"))
+    text = path.read_text(encoding="ascii")  # with the newline translation load_graph sees
+
+    def reference():
+        layer_sizes, triples = sequential_parse_graph(text)
+        return sequential_validate(layer_sizes, triples)
+
+    _same_outcome(lambda: load_graph(path), reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_graphs())
+def test_color_degrees_count_edge_ends(data):
+    g, pairs = data
+    deg = np.zeros((g.num_colors, g.n), dtype=np.int64)
+    for u, v in pairs:
+        c = g.colors.color_of(int(g.node_layer[u]), int(g.node_layer[v]))
+        deg[c, u] += 1
+        deg[c, v] += 1
+    assert np.array_equal(g.color_degrees(), deg)
 
 
 @settings(max_examples=60, deadline=None)
