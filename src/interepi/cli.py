@@ -55,11 +55,15 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Add --config and those of --out, --master-seed, --threads in ``flags``."""
     p.add_argument("--config", help="experiment config file")
-    p.add_argument("--out", help="output file or directory")
-    p.add_argument("--master-seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    if "--out" in flags:
+        p.add_argument("--out", help="output file or directory")
+    if "--master-seed" in flags:
+        p.add_argument("--master-seed", type=int, default=None)
+    if "--threads" in flags:
+        p.add_argument("--threads", type=int, default=1)
 
 
 def _seed_policy(spec: Optional[str]) -> SeedPolicy:
@@ -272,16 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a network from a config and write it")
-    _add_common(p)
+    _add_common(p, "--out", "--master-seed")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("info", help="summarize a graph file")
-    _add_common(p)
+    _add_common(p, "--master-seed")
     p.add_argument("--graph", help="edge-list graph file")
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("threshold", help="multidimensional threshold frontier CSV")
-    _add_common(p)
+    _add_common(p, "--out")
     p.add_argument("--graph", help="edge-list graph file (measured moments)")
     p.add_argument("--empirical", action="store_true",
                    help="with --graph: use measured colored cross-moments")
@@ -293,9 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bisection refinement tolerance (0 disables)")
     p.set_defaults(func=cmd_threshold)
 
-    for name, fn in (("simulate", cmd_simulate), ("sweep", cmd_sweep), ("dynamics", cmd_dynamics)):
+    for name, fn, flags in (("simulate", cmd_simulate, ("--master-seed",)),
+                            ("sweep", cmd_sweep, ("--out", "--master-seed", "--threads")),
+                            ("dynamics", cmd_dynamics, ("--out", "--master-seed"))):
         p = sub.add_parser(name, help=f"{name} SIR on a two-layer network")
-        _add_common(p)
+        _add_common(p, *flags)
         p.add_argument("--graph", help="edge-list graph file")
         p.add_argument("--tau", type=int, default=5)
         p.add_argument("--realizations", type=int, default=100)
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
 
     p = sub.add_parser("classify", help="coupling class and optional diffusion state")
-    _add_common(p)
+    _add_common(p, "--master-seed")
     p.add_argument("--graph", help="edge-list graph file")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("run", help="full experiment from a config file")
-    _add_common(p)
+    _add_common(p, "--out", "--master-seed", "--threads")
     p.set_defaults(func=cmd_run)
 
     return parser

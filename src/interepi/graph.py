@@ -92,9 +92,6 @@ class ColorTable:
             return (color,)
         return self._pairs[color - self.num_layers]
 
-    def is_intra(self, color: int) -> bool:
-        return color < self.num_layers
-
 
 class LayeredGraph:
     """Validated edge-colored interdependent network.
@@ -273,17 +270,11 @@ def graphs_equal(a: LayeredGraph, b: LayeredGraph) -> bool:
 
 @dataclass(frozen=True)
 class ColorMoments:
-    """First and second degree moments of one color, in two conventions.
-
-    The restricted moments average over nodes of the incident layer(s) only;
-    the global moments average over all n nodes, so
-    mean_global = (population_restricted / n) * mean_restricted.
-    """
+    """First and second degree moments of one color, averaged over the
+    ``population_restricted`` nodes of its incident layer(s) only."""
 
     mean_restricted: float
     second_restricted: float
-    mean_global: float
-    second_global: float
     population_restricted: int
 
     def ratio_restricted(self) -> float:
@@ -298,7 +289,6 @@ class MomentSet:
     """Per-color degree moments of a layered graph (or of a model)."""
 
     per_color: tuple[ColorMoments, ...]
-    population_global: int
 
     @property
     def num_colors(self) -> int:
@@ -306,7 +296,7 @@ class MomentSet:
 
 
 def compute_moments(g: LayeredGraph) -> MomentSet:
-    """Measure restricted and global degree moments for every color."""
+    """Measure the degree moments of every color over its own layer(s)."""
     deg = g.color_degrees().astype(float)
     out = []
     for c in range(g.num_colors):
@@ -317,12 +307,10 @@ def compute_moments(g: LayeredGraph) -> MomentSet:
             ColorMoments(
                 mean_restricted=total / pop,
                 second_restricted=total_sq / pop,
-                mean_global=total / g.n,
-                second_global=total_sq / g.n,
                 population_restricted=pop,
             )
         )
-    return MomentSet(per_color=tuple(out), population_global=g.n)
+    return MomentSet(per_color=tuple(out))
 
 
 def kappa(g: LayeredGraph, layer: Optional[int] = None) -> float:

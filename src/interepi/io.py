@@ -44,7 +44,6 @@ from .threshold import (
     er_color_moments,
     multi_threshold,
     powerlaw_color_moments,
-    two_layer_moments,
 )
 
 MANIFEST_NAME = "manifest"
@@ -70,7 +69,7 @@ def write_graph(g: LayeredGraph, path: Union[str, os.PathLike]) -> None:
 
 def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:
     """Parse and validate a graph file; ParseError carries the line number."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         layer_sizes, edges = _parse_graph_text(fh.read())
     colors = ColorTable(len(layer_sizes)).color_matrix()[edges[:, 0], edges[:, 2]]
     return build_graph_array(layer_sizes, np.column_stack([edges, colors]))
@@ -83,9 +82,13 @@ def _parse_graph_text(text: str) -> tuple[list[int], np.ndarray]:
     the lines that can be malformed (comments, the first edge line, the first
     without four fields, those with a field other than an optional minus and
     1 to 18 digits) go through the line checks, in file order, so the first
-    malformed line raises. Fields are read with int() semantics.
+    malformed line raises. Fields are read with int() semantics. A non-ASCII
+    character (``load_graph`` reads bytes with surrogateescape) raises first.
     """
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    try:
+        buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        raise ParseError(text.count("\n", 0, exc.start) + 1, "non-ASCII byte")
     space = np.isin(buf, (9, 10, 11, 12, 13, 28, 29, 30, 31, 32))  # what str.split() splits on
     space = np.concatenate(([True], space, [True]))
     starts, ends = np.flatnonzero(space[:-1] != space[1:]).reshape(-1, 2).T
@@ -122,6 +125,8 @@ def _parse_graph_text(text: str) -> tuple[list[int], np.ndarray]:
                 raise ParseError(line_no, "layer sizes must be integers")
             if not layer_sizes:
                 raise ParseError(line_no, "#layers header declares no layers")
+            if any(size < 1 for size in layer_sizes):
+                raise ParseError(line_no, "layer sizes must be positive")
         elif head[0] == "#":
             continue
         elif layer_sizes is None:
@@ -217,6 +222,13 @@ def _parse_float(key: str, value: str) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected number, got {value!r}")
+
+
+def _parse_mean(key: str, value: str) -> float:
+    mean = _parse_float(key, value)
+    if not mean >= 0.0:
+        raise ConfigError(f"{key}: mean degree must be non-negative, got {value!r}")
+    return mean
 
 
 def parse_grid(spec: str) -> tuple[float, ...]:
@@ -315,7 +327,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 cfg.layers.append(
                     ErLayerSpec(
                         n=_parse_int(f"layer.{i}.n", fields["n"]),
-                        mean_degree=_parse_float(f"layer.{i}.mean_degree", fields["mean_degree"]),
+                        mean_degree=_parse_mean(f"layer.{i}.mean_degree", fields["mean_degree"]),
                     )
                 )
             elif kind == "powerlaw":
@@ -334,7 +346,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         for (i, j), value in inter_fields.items():
             if j >= len(indices):
                 raise ConfigError(f"inter.{i}.{j} references undeclared layer {j}")
-            cfg.inter_means[(i, j)] = _parse_float(f"inter.{i}.{j}.mean_degree", value)
+            cfg.inter_means[(i, j)] = _parse_mean(f"inter.{i}.{j}.mean_degree", value)
 
     cfg.tau = _parse_int("analysis.tau", raw.get("analysis.tau", "5"))
     if cfg.tau < 1:
@@ -411,20 +423,15 @@ def model_moments(cfg: ExperimentConfig) -> tuple[MomentSet, tuple[int, ...]]:
     if len(cfg.layers) != 2:
         raise ConfigError("analytic route requires exactly two layers")
     n0, n1 = cfg.layers[0].n, cfg.layers[1].n
-    total = n0 + n1
     intra = []
     for spec, pop in zip(cfg.layers, (n0, n1)):
         if isinstance(spec, ErLayerSpec):
-            intra.append(er_color_moments(spec.mean_degree, pop, total))
+            intra.append(er_color_moments(spec.mean_degree, pop))
         else:
-            intra.append(powerlaw_color_moments(spec, pop, total))
+            intra.append(powerlaw_color_moments(spec, pop))
     inter_mean = cfg.inter_means.get((0, 1), 0.0)
-    inter = er_color_moments(inter_mean, total, total)
-    return two_layer_moments(intra[0], intra[1], inter), (n0, n1)
-
-
-def measured_moments(g: LayeredGraph) -> tuple[MomentSet, tuple[int, ...]]:
-    return compute_moments(g), g.layer_sizes
+    inter = er_color_moments(inter_mean, n0 + n1)
+    return MomentSet((intra[0], intra[1], inter)), (n0, n1)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +526,7 @@ def run_experiment(
         moments, layer_sizes = model_moments(cfg)
     else:
         graph = load_graph(cfg.graph_file)
-        moments, layer_sizes = measured_moments(graph)
+        moments, layer_sizes = compute_moments(graph), graph.layer_sizes
     if graph.num_layers != 2:
         raise ConfigError("run_experiment requires a two-layer network")
 

@@ -58,10 +58,6 @@ class SeedPolicy:
         return cls(kind="uniform", count=count)
 
     @classmethod
-    def one_per_layer(cls, num_layers: int) -> "SeedPolicy":
-        return cls(kind="per_layer", per_layer=(1,) * num_layers)
-
-    @classmethod
     def in_layers(cls, counts: Sequence[int]) -> "SeedPolicy":
         return cls(kind="per_layer", per_layer=tuple(int(c) for c in counts))
 

@@ -75,11 +75,10 @@ class Transmissibilities:
     """Per-color transmissibilities for a fixed recovery time."""
 
     values: tuple[float, ...]
-    tau: int
 
     @classmethod
     def from_rates(cls, rates: Sequence[float], tau: int) -> "Transmissibilities":
-        return cls(tuple(transmissibility(b, tau) for b in rates), tau)
+        return cls(tuple(transmissibility(b, tau) for b in rates))
 
 
 class ThresholdResult(NamedTuple):
@@ -106,13 +105,6 @@ def single_layer_threshold(kappa: float, tau: int) -> ThresholdResult:
 # ---------------------------------------------------------------------------
 # Model moments
 # ---------------------------------------------------------------------------
-
-def er_moment_ratio(mean: float) -> float:
-    """(<y^2> - <y>) / <y> for a Poisson degree distribution equals its mean."""
-    if mean < 0:
-        raise DomainError("mean degree must be non-negative")
-    return mean
-
 
 def powerlaw_moments(spec: PowerLawSpec, allow_limits: bool = False) -> tuple[float, float]:
     """Continuous power-law mean and moment ratio (<y^2>-<y>)/<y>.
@@ -144,62 +136,24 @@ def powerlaw_moments(spec: PowerLawSpec, allow_limits: bool = False) -> tuple[fl
     return mean, (second - mean) / mean
 
 
-def er_color_moments(mean: float, population: int, total: int) -> ColorMoments:
+def er_color_moments(mean: float, population: int) -> ColorMoments:
     """ColorMoments of a Poisson-degree color restricted to ``population`` nodes."""
     second = mean * (mean + 1.0)
-    frac = population / total
     return ColorMoments(
         mean_restricted=mean,
         second_restricted=second,
-        mean_global=frac * mean,
-        second_global=frac * second,
         population_restricted=population,
     )
 
 
-def powerlaw_color_moments(spec: PowerLawSpec, population: int, total: int) -> ColorMoments:
+def powerlaw_color_moments(spec: PowerLawSpec, population: int) -> ColorMoments:
     mean, ratio = powerlaw_moments(spec)
     second = (ratio + 1.0) * mean
-    frac = population / total
     return ColorMoments(
         mean_restricted=mean,
         second_restricted=second,
-        mean_global=frac * mean,
-        second_global=frac * second,
         population_restricted=population,
     )
-
-
-def two_layer_moments(
-    intra0: ColorMoments, intra1: ColorMoments, inter: ColorMoments
-) -> MomentSet:
-    n = intra0.population_restricted + intra1.population_restricted
-    return MomentSet(per_color=(intra0, intra1, inter), population_global=n)
-
-
-# ---------------------------------------------------------------------------
-# Percolation thinning
-# ---------------------------------------------------------------------------
-
-def thin_moments(m: MomentSet, t: Transmissibilities) -> MomentSet:
-    """Moments of the degree distributions after keeping each color-c edge
-    with probability R_c: <y'> = R<y>, <y'^2> = R^2(<y^2> - <y>) + R<y>."""
-    if len(t.values) != m.num_colors:
-        raise LengthMismatch("one transmissibility per color required")
-    thinned = []
-    for cm, r in zip(m.per_color, t.values):
-        thinned.append(
-            ColorMoments(
-                mean_restricted=r * cm.mean_restricted,
-                second_restricted=r * r * (cm.second_restricted - cm.mean_restricted)
-                + r * cm.mean_restricted,
-                mean_global=r * cm.mean_global,
-                second_global=r * r * (cm.second_global - cm.mean_global)
-                + r * cm.mean_global,
-                population_restricted=cm.population_restricted,
-            )
-        )
-    return MomentSet(per_color=tuple(thinned), population_global=m.population_global)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,8 @@ def sequential_parse_graph(text: str):
                     raise ParseError(line_no, "layer sizes must be integers")
                 if not layer_sizes:
                     raise ParseError(line_no, "#layers header declares no layers")
+                if any(size < 1 for size in layer_sizes):
+                    raise ParseError(line_no, "layer sizes must be positive")
             continue
         if layer_sizes is None:
             raise ParseError(line_no, "edge before #layers header")

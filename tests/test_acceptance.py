@@ -35,21 +35,17 @@ def random_moment_set(rng):
     """Physically realizable two-layer moments from random discrete degree
     distributions on 0..8."""
 
-    def color(pop, total):
+    def color(pop):
         weights = rng.random(9) + 0.01
         ks = np.arange(9, dtype=float)
         p = weights / weights.sum()
         mean = float((ks * p).sum())
         second = float((ks * ks * p).sum())
-        return ColorMoments(mean, second, pop / total * mean, pop / total * second, pop)
+        return ColorMoments(mean, second, pop)
 
     n1 = int(rng.integers(50, 500))
     n2 = int(rng.integers(50, 500))
-    n = n1 + n2
-    return (
-        ie.two_layer_moments(color(n1, n), color(n2, n), color(n, n)),
-        (n1, n2),
-    )
+    return ie.MomentSet((color(n1), color(n2), color(n1 + n2))), (n1, n2)
 
 
 @pytest.fixture(scope="module")
@@ -125,13 +121,13 @@ def test_03_powerlaw_moments_vs_quadrature():
 
 def test_04_jacobian_spectral_oracle():
     with criterion(4, "jacobian-spectral-oracle"):
-        m = ie.two_layer_moments(
-            ie.er_color_moments(1.5, 5000, 10000),
-            ie.er_color_moments(6.0, 5000, 10000),
-            ie.er_color_moments(1.5, 10000, 10000),
-        )
+        m = ie.MomentSet((
+            ie.er_color_moments(1.5, 5000),
+            ie.er_color_moments(6.0, 5000),
+            ie.er_color_moments(1.5, 10000),
+        ))
         jac = ie.jacobian_closed_form(
-            m, (5000, 5000), ie.Transmissibilities((1.0, 1.0, 1.0), 5)
+            m, (5000, 5000), ie.Transmissibilities((1.0, 1.0, 1.0))
         )
         assert ie.spectral_radius(jac) == pytest.approx(5.25, abs=1e-10)
         rng = np.random.default_rng(404)
@@ -190,11 +186,11 @@ def test_05_monotonicity_and_frontier_properties():
 def test_06_boundary_agreement_er_strong(er_strong_graph):
     with criterion(6, "analytic-simulation-boundary-agreement"):
         g, gcc = er_strong_graph
-        m = ie.two_layer_moments(
-            ie.er_color_moments(1.5, 5000, 10000),
-            ie.er_color_moments(6.0, 5000, 10000),
-            ie.er_color_moments(1.5, 10000, 10000),
-        )
+        m = ie.MomentSet((
+            ie.er_color_moments(1.5, 5000),
+            ie.er_color_moments(6.0, 5000),
+            ie.er_color_moments(1.5, 10000),
+        ))
         front = ie.multi_threshold(m, (5000, 5000), tau=5, grid_step=0.0025, tie_intra=True)
         pts = front.points
         assert len(pts) >= 10
@@ -235,11 +231,11 @@ def test_07_mixed_state_reproduction(er_weak_graph):
             ie.single_layer_threshold(ie.kappa(g, layer), tau).beta for layer in (0, 1)
         )
         mixed_rates, epidemic_rates = (beta, beta, alpha), (0.30, 0.30, alpha)
-        m = ie.two_layer_moments(
-            ie.er_color_moments(1.5, 5000, 10000),
-            ie.er_color_moments(6.0, 5000, 10000),
-            ie.er_color_moments(0.1, 10000, 10000),
-        )
+        m = ie.MomentSet((
+            ie.er_color_moments(1.5, 5000),
+            ie.er_color_moments(6.0, 5000),
+            ie.er_color_moments(0.1, 10000),
+        ))
         sizes = (5000, 5000)
         assert ie.classify_state(m, sizes, mixed_rates, tau) is ie.NetworkState.MIXED
         assert ie.classify_state(m, sizes, epidemic_rates, tau) is ie.NetworkState.EPIDEMIC
@@ -274,11 +270,11 @@ def test_08_scale_free_near_zero_threshold():
     with criterion(8, "scale-free-near-zero-threshold"):
         sf1 = ie.PowerLawSpec(gamma=2.9, y_min=1, n=1500)
         sf2 = ie.PowerLawSpec(gamma=2.1, y_min=1, n=1500)
-        m = ie.two_layer_moments(
-            ie.powerlaw_color_moments(sf1, 1500, 3000),
-            ie.powerlaw_color_moments(sf2, 1500, 3000),
-            ie.er_color_moments(6.0, 3000, 3000),
-        )
+        m = ie.MomentSet((
+            ie.powerlaw_color_moments(sf1, 1500),
+            ie.powerlaw_color_moments(sf2, 1500),
+            ie.er_color_moments(6.0, 3000),
+        ))
         front = ie.multi_threshold(m, (1500, 1500), tau=5, grid_step=0.005, tie_intra=True)
         assert len(front) > 0
         assert all(p[0] <= 0.05 and p[2] <= 0.05 for p in front.points)

@@ -141,15 +141,15 @@ class TestBuildGraphErrorOrder:
 
 class TestMoments:
     def test_degree_sequence_example(self):
-        # layer-1 intra degrees {1,3,2,3,2,1}: restricted mean 2.0, and the
-        # global view appends six zeros for the other layer's nodes
+        # layer-1 intra degrees {1,3,2,3,2,1}: mean 2.0 over the layer's six
+        # nodes; the other layer's six zeros do not enter it
         g = chain_plus_layer2()
         deg0 = g.color_degrees()[0]
         assert sorted(deg0[:6].tolist()) == [1, 1, 2, 2, 3, 3]
         assert deg0[6:].tolist() == [0] * 6
         m = compute_moments(g)
         assert m.per_color[0].mean_restricted == pytest.approx(2.0)
-        assert m.per_color[0].mean_global == pytest.approx(1.0)
+        assert m.per_color[0].second_restricted == pytest.approx(14 / 3)
 
     def test_single_edge_layer_of_two(self):
         g = single_layer_graph(2, [(0, 1)])
@@ -163,12 +163,12 @@ class TestMoments:
         cm = compute_moments(g).per_color[0]
         assert cm.mean_restricted == pytest.approx(6.0, rel=0.05)
 
-    def test_global_restricted_relation(self):
+    def test_restricted_mean_counts_edge_ends(self):
+        # each color-c edge puts two ends among the color's own layer(s)
         g = chain_plus_layer2()
         m = compute_moments(g)
-        for cm in m.per_color:
-            expected = cm.population_restricted / m.population_global * cm.mean_restricted
-            assert cm.mean_global == pytest.approx(expected, abs=1e-12)
+        for cm, edges in zip(m.per_color, g.edge_count_by_color()):
+            assert cm.mean_restricted * cm.population_restricted == pytest.approx(2 * edges)
 
     def test_inter_color_population(self):
         g = chain_plus_layer2()

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,23 @@ class TestGraphFiles:
         with pytest.raises(UnknownNode):
             load_graph(path)
 
+    def test_non_positive_layer_size(self, tmp_path):
+        path = tmp_path / "b.edges"
+        path.write_text("# sizes\n#layers 0 2\n0 0 1 1\n")
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert exc.value.line_no == 2
+        assert exc.value.reason == "layer sizes must be positive"
+
+    def test_non_ascii_byte(self, tmp_path):
+        # text-mode line ends: a lone CR ends line 1 and CRLF ends line 2
+        path = tmp_path / "b.edges"
+        path.write_bytes(b"#layers 2 2\r0 0 1 1\r\n# caf\xc3\xa9\n0 1 1 0\n")
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert exc.value.line_no == 3
+        assert exc.value.reason == "non-ASCII byte"
+
     def test_duplicate_edge_propagates_validation(self, tmp_path):
         path = tmp_path / "b.edges"
         path.write_text("#layers 2 2\n0 0 1 1\n1 1 0 0\n")
@@ -221,6 +240,12 @@ inter.0.1.mean_degree = 0.5
         with pytest.raises(ConfigError):
             parse_config_text(BASE_CONFIG.replace("sweep.beta = 0:0.4:0.2",
                                                   "sweep.beta = 0:1.4:0.2"))
+
+    @pytest.mark.parametrize("key", ["layer.1.mean_degree", "inter.0.1.mean_degree"])
+    def test_negative_mean_degree(self, key):
+        line = next(ln for ln in BASE_CONFIG.splitlines() if ln.startswith(key))
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(BASE_CONFIG.replace(line, f"{key} = -0.5"))
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
@@ -398,3 +423,43 @@ class TestCli:
         assert rc == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ParseError"
+
+    @pytest.mark.parametrize("contents", [b"#layers 0 2\n", b"#layers 2 2\n0 0 1 \xff\n"])
+    def test_malformed_graph_file_exit_code(self, tmp_path, capsys, contents):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(contents)
+        rc = main(["info", "--graph", str(path)])
+        assert rc == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("generate", ("--threads", "2")),
+            ("info", ("--threads", "2")),
+            ("info", ("--out", "x")),
+            ("threshold", ("--threads", "8")),
+            ("threshold", ("--master-seed", "3")),
+            ("simulate --beta 0.1 --alpha 0.1", ("--threads", "2")),
+            ("simulate --beta 0.1 --alpha 0.1", ("--out", "x")),
+            ("dynamics --settings 0.1:0.1", ("--threads", "2")),
+            ("classify", ("--threads", "2")),
+            ("classify", ("--out", "x")),
+        ],
+    )
+    def test_flags_only_where_read(self, tmp_path, capsys, command, flag):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--config", str(cfg_path), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_readme_python_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "DensityResult(" in capsys.readouterr().out

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from interepi import (
     ColorTable,
+    MomentSet,
     Transmissibilities,
     build_graph,
     compute_moments,
@@ -14,13 +15,13 @@ from interepi import (
     er_color_moments,
     giant_component,
     graphs_equal,
+    jacobian_closed_form,
     kappa,
     load_graph,
-    thin_moments,
-    two_layer_moments,
     write_graph,
 )
 from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
+from interepi.graph import ColorMoments
 from oracles import brute_force_component_labels, sequential_parse_graph, sequential_validate
 
 
@@ -166,9 +167,8 @@ def test_color_degrees_count_edge_ends(data):
 def test_moment_relation_and_kappa_bound(data):
     g, _ = data
     m = compute_moments(g)
-    for cm in m.per_color:
-        expected = cm.population_restricted / m.population_global * cm.mean_restricted
-        assert abs(cm.mean_global - expected) < 1e-12
+    for cm, edges in zip(m.per_color, g.edge_count_by_color()):
+        assert abs(cm.mean_restricted * cm.population_restricted - 2 * edges) < 1e-9
         assert cm.second_restricted >= cm.mean_restricted**2 - 1e-12  # Jensen
     try:
         k = kappa(g)
@@ -191,21 +191,17 @@ def test_dominance_is_a_strict_partial_order(a, b):
 @st.composite
 def moment_pairs(draw):
     # physical moments from a random discrete degree distribution on 0..8
-    def color(pop, total):
+    def color(pop):
         weights = np.array(draw(st.lists(st.floats(0.01, 1), min_size=9, max_size=9)))
         ks = np.arange(9, dtype=float)
         p = weights / weights.sum()
         mean = float((ks * p).sum())
         second = float((ks**2 * p).sum())
-        frac = pop / total
-        from interepi.graph import ColorMoments
-
-        return ColorMoments(mean, second, frac * mean, frac * second, pop)
+        return ColorMoments(mean, second, pop)
 
     n1 = draw(st.integers(50, 500))
     n2 = draw(st.integers(50, 500))
-    n = n1 + n2
-    m = two_layer_moments(color(n1, n), color(n2, n), color(n, n))
+    m = MomentSet((color(n1), color(n2), color(n1 + n2)))
     lo = tuple(draw(st.lists(st.floats(0, 1), min_size=3, max_size=3)))
     bump = tuple(draw(st.lists(st.floats(0, 1), min_size=3, max_size=3)))
     hi = tuple(min(1.0, a + d) for a, d in zip(lo, bump))
@@ -222,27 +218,20 @@ def test_theta_monotone_in_rates(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.floats(0.1, 8.0),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-    st.integers(1, 10),
-)
-def test_thinning_identities(mean, r1, r2, tau):
-    m = two_layer_moments(
-        er_color_moments(mean, 100, 200),
-        er_color_moments(mean, 100, 200),
-        er_color_moments(mean, 200, 200),
-    )
-    one = thin_moments(m, Transmissibilities((1.0,) * 3, tau))
-    for before, after in zip(m.per_color, one.per_color):
-        assert abs(after.mean_restricted - before.mean_restricted) < 1e-12
-        assert abs(after.second_restricted - before.second_restricted) < 1e-12
-    zero = thin_moments(m, Transmissibilities((0.0,) * 3, tau))
-    assert all(cm.mean_restricted == 0 and cm.second_restricted == 0 for cm in zero.per_color)
-    # composed thinning multiplies on the mean
-    once = thin_moments(m, Transmissibilities((r1,) * 3, tau))
-    twice = thin_moments(once, Transmissibilities((r2,) * 3, tau))
-    direct = thin_moments(m, Transmissibilities((r1 * r2,) * 3, tau))
-    for a, b in zip(twice.per_color, direct.per_color):
-        assert abs(a.mean_restricted - b.mean_restricted) < 1e-9
+@given(st.floats(0.1, 8.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_thinning_identities(mean, r1, r2):
+    m = MomentSet((
+        er_color_moments(mean, 100),
+        er_color_moments(mean, 100),
+        er_color_moments(mean, 200),
+    ))
+    sizes = (100, 100)
+    base = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3))
+    assert np.allclose(base[0], [0.5 * mean, 0.5 * mean, mean], rtol=1e-12)  # Poisson: ratio = mean
+    zero = jacobian_closed_form(m, sizes, Transmissibilities((0.0,) * 3))
+    assert np.all(zero == 0.0)
+    # composed thinning multiplies: J(r1 r2) = J(r1) r2 = B r1 r2
+    once = jacobian_closed_form(m, sizes, Transmissibilities((r1,) * 3))
+    direct = jacobian_closed_form(m, sizes, Transmissibilities((r1 * r2,) * 3))
+    assert np.allclose(once * r2, direct, rtol=1e-12, atol=1e-12)
+    assert np.allclose(base * r1 * r2, direct, rtol=1e-12, atol=1e-12)

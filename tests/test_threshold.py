@@ -11,6 +11,7 @@ from interepi import (
     ErLayerSpec,
     ExponentSingularity,
     KappaAtMostOne,
+    LayeredGraph,
     LengthMismatch,
     NetworkState,
     NonConvergence,
@@ -19,10 +20,10 @@ from interepi import (
     Transmissibilities,
     build_interdependent,
     classify_state,
+    colored_cross_moments,
     dominates,
     epidemic_indicator,
     er_color_moments,
-    er_moment_ratio,
     jacobian_closed_form,
     jacobian_empirical,
     multi_threshold,
@@ -31,12 +32,10 @@ from interepi import (
     powerlaw_moments,
     single_layer_threshold,
     spectral_radius,
-    thin_moments,
     transmissibility,
-    two_layer_moments,
 )
 from interepi.graph import ColorMoments, MomentSet
-from interepi.threshold import _frontier_search, _grid_values
+from interepi.threshold import _frontier_search, _grid_values, jacobian_from_cross_moments
 from oracles import (
     cardano_radius_3x3,
     chain_plus_layer2,
@@ -46,15 +45,8 @@ from oracles import (
 
 
 def er_set(m1, m2, m3, n1=5000, n2=5000):
-    n = n1 + n2
-    return (
-        two_layer_moments(
-            er_color_moments(m1, n1, n),
-            er_color_moments(m2, n2, n),
-            er_color_moments(m3, n, n),
-        ),
-        (n1, n2),
-    )
+    moments = (er_color_moments(m1, n1), er_color_moments(m2, n2), er_color_moments(m3, n1 + n2))
+    return MomentSet(moments), (n1, n2)
 
 
 class TestTransmissibility:
@@ -106,9 +98,9 @@ class TestSingleLayerThreshold:
 
 class TestModelMoments:
     def test_er_ratio(self):
-        assert er_moment_ratio(6.0) == 6.0
-        assert er_moment_ratio(0.0) == 0.0
-        assert er_moment_ratio(1.5) == 1.5
+        # a Poisson degree has <y^2> - <y> = <y>^2, so its excess ratio is its mean
+        for mean in (6.0, 0.0, 1.5):
+            assert er_color_moments(mean, 100).ratio_restricted() == mean
 
     def test_degenerate_point_mass(self):
         # y_max == y_min: single-point distribution
@@ -161,74 +153,91 @@ class TestModelMoments:
 
 
 class TestThinning:
-    def sample(self):
-        return er_set(1.5, 6.0, 1.5)[0]
+    """J(R) = B diag(R). Keeping each color-c edge with probability R_c gives
+    <x'_i> = R_i <x_i>, <x'_i x'_j> = R_i R_j <x_i x_j> (i != j) and
+    <x'_i (x'_i - 1)> = R_i^2 <x_i (x_i - 1)>, so entry (i, j), a second
+    moment over <x'_i>, keeps the R of its column only."""
 
     def test_identity_at_one(self):
-        m = self.sample()
-        t = Transmissibilities.from_rates((1.0, 1.0, 1.0), 5)
-        thinned = thin_moments(m, t)
-        for before, after in zip(m.per_color, thinned.per_color):
-            assert after.mean_restricted == pytest.approx(before.mean_restricted)
-            assert after.second_restricted == pytest.approx(before.second_restricted)
+        # at R = 1 the entries are the unthinned moment ratios themselves
+        g = chain_plus_layer2()
+        x = g.color_degrees().astype(float)
+        jac = jacobian_from_cross_moments(colored_cross_moments(g), Transmissibilities((1.0,) * 3))
+        for i in range(3):
+            for j in range(3):
+                second = (x[i] * (x[j] - (i == j))).sum()
+                assert jac[i, j] == pytest.approx(second / x[i].sum(), abs=1e-12)
 
     def test_annihilator_at_zero(self):
-        m = self.sample()
-        t = Transmissibilities((0.0, 0.0, 0.0), 5)
-        thinned = thin_moments(m, t)
-        for cm in thinned.per_color:
-            assert cm.mean_restricted == 0.0
-            assert cm.second_restricted == 0.0
+        m, sizes = er_set(1.5, 6.0, 1.5)
+        t = Transmissibilities((0.0, 0.0, 0.0))
+        assert np.all(jacobian_closed_form(m, sizes, t) == 0.0)
+        stats = colored_cross_moments(chain_plus_layer2())
+        assert np.all(jacobian_from_cross_moments(stats, t) == 0.0)
 
     def test_worked_example(self):
-        # <y>=6, <y^2>=42, R=0.5: <y'>=3, <y'^2>=0.25*36+3=12
-        m = MomentSet(
-            per_color=(ColorMoments(6.0, 42.0, 6.0, 42.0, 10),) * 3,
-            population_global=10,
-        )
-        t = Transmissibilities((0.5, 0.5, 0.5), 5)
-        out = thin_moments(m, t).per_color[0]
-        assert out.mean_restricted == pytest.approx(3.0)
-        assert out.second_restricted == pytest.approx(12.0)
+        # <y>=6, <y^2>=48 (ratio 7), R=0.5: <y'>=3, <y'^2>=0.25*42+3=13.5, so
+        # the thinned ratio is (13.5-3)/3 = 3.5. Column c carries pop_c / n:
+        # 1/2 for each layer's color, 1 for the interconnection color.
+        m = MomentSet((ColorMoments(6.0, 48.0, 10), ColorMoments(6.0, 48.0, 10),
+                       ColorMoments(6.0, 48.0, 20)))
+        jac = jacobian_closed_form(m, (10, 10), Transmissibilities((0.5, 0.5, 0.5)))
+        expected = [[1.75, 1.5, 3.0], [1.5, 1.75, 3.0], [1.5, 1.5, 3.5]]
+        assert jac == pytest.approx(np.array(expected), abs=1e-12)
 
     def test_binomial_thinning_monte_carlo(self):
-        # independent oracle: thin a Poisson(6) sample edge-by-edge
-        rng = np.random.default_rng(17)
-        y = rng.poisson(6.0, size=200_000)
-        kept = rng.binomial(y, 0.5)
-        m = MomentSet(
-            per_color=(
-                ColorMoments(y.mean(), (y.astype(float) ** 2).mean(), 0.0, 0.0, len(y)),
-            ) * 3,
-            population_global=len(y),
-        )
-        t = Transmissibilities((0.5, 0.5, 0.5), 5)
-        out = thin_moments(m, t).per_color[0]
-        assert out.mean_restricted == pytest.approx(kept.mean(), rel=0.01)
-        assert out.second_restricted == pytest.approx(
-            (kept.astype(float) ** 2).mean(), rel=0.01
-        )
+        # independent oracle: thin a generated graph edge by edge and measure.
+        # Entry (i, j) of J(R) is E[x'_i x'_j] / E[x'_i] (E[x'_i (x'_i - 1)] on
+        # the diagonal), estimated by the ratio of the sample means over 200
+        # thinnings. Its standard error comes from the delta method, and the
+        # ratio's bias, O(1 / (samples * edges)), is far below it. Budget: 4
+        # standard errors, which a correct Jacobian exceeds on one of the
+        # nine entries with probability about 6e-4 (normal approximation).
+        layers = [ErLayerSpec(2000, 1.5), ErLayerSpec(2000, 6.0)]
+        g = build_interdependent(layers, {(0, 1): 1.5}, master_seed=5)
+        r = np.array([0.3, 0.6, 0.8])
+        rng = np.random.default_rng(23)
+        num, den = [], []
+        for _ in range(200):
+            keep = rng.random(g.num_edges) < r[g.edge_colors]
+            thinned = LayeredGraph(
+                g.layer_sizes, g.edges_u[keep], g.edges_v[keep], g.edge_colors[keep]
+            )
+            stats = colored_cross_moments(thinned)
+            second = stats.cross.copy()
+            np.fill_diagonal(second, stats.factorial)
+            num.append(second)
+            den.append(stats.mean[:, None])
+        num, den = np.array(num), np.array(den)
+        sampled = num.mean(axis=0) / den.mean(axis=0)
+        se = (num - sampled * den).std(axis=0, ddof=1) / np.sqrt(len(num)) / den.mean(axis=0)
+        jac = jacobian_from_cross_moments(colored_cross_moments(g), Transmissibilities(tuple(r)))
+        assert np.all(np.abs(sampled - jac) <= 4 * se)
+        # and tight: under 1% of each entry, enough to tell R_j from R_i
+        assert np.all(se <= 0.01 * jac)
+        assert np.any(np.abs(sampled - jac / r * r[:, None]) > 10 * se)
 
     def test_mean_composes_multiplicatively(self):
-        m = self.sample()
-        a = thin_moments(m, Transmissibilities((0.6, 0.6, 0.6), 5))
-        b = thin_moments(a, Transmissibilities((0.5, 0.5, 0.5), 5))
-        c = thin_moments(m, Transmissibilities((0.3, 0.3, 0.3), 5))
-        for x, y in zip(b.per_color, c.per_color):
-            assert x.mean_restricted == pytest.approx(y.mean_restricted)
+        # thinning by R1 and then by R2 is thinning by R1 R2
+        m, sizes = er_set(1.5, 6.0, 1.5)
+        stats = colored_cross_moments(chain_plus_layer2())
+        r1, r2 = np.array([0.6, 0.3, 0.9]), np.array([0.5, 0.8, 0.2])
+        for jac in (lambda r: jacobian_closed_form(m, sizes, Transmissibilities(tuple(r))),
+                    lambda r: jacobian_from_cross_moments(stats, Transmissibilities(tuple(r)))):
+            assert jac(r1 * r2) == pytest.approx(jac(r1) * r2, abs=1e-12)
 
 
 class TestJacobianClosedForm:
     def test_zero_rates(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
-        jac = jacobian_closed_form(m, sizes, Transmissibilities((0.0,) * 3, 5))
+        jac = jacobian_closed_form(m, sizes, Transmissibilities((0.0,) * 3))
         assert np.all(jac == 0.0)
 
     def test_equal_rows_er_case(self):
         # Poisson moment ratio equals the mean, so every row becomes
         # ((n1/n) R <y1>, (n2/n) R <y2>, R <y3>) = (0.75, 3, 1.5) at R=1
         m, sizes = er_set(1.5, 6.0, 1.5)
-        jac = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3, 5))
+        jac = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3))
         expected_row = np.array([0.75, 3.0, 1.5])
         for row in jac:
             assert row == pytest.approx(expected_row)
@@ -237,14 +246,14 @@ class TestJacobianClosedForm:
     def test_inter_only_spreading(self):
         # only the interconnection color active: theta = R3 * ratio3
         m, sizes = er_set(1.5, 6.0, 1.5)
-        t = Transmissibilities((0.0, 0.0, 0.5), 5)
+        t = Transmissibilities((0.0, 0.0, 0.5))
         jac = jacobian_closed_form(m, sizes, t)
         theta = spectral_radius(jac)
         assert theta == pytest.approx(0.5 * 1.5, abs=1e-10)
 
     def test_zero_mean_color_dropped(self):
         m, sizes = er_set(1.5, 6.0, 0.0)
-        jac = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3, 5))
+        jac = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3))
         assert np.all(jac[2, :] == 0.0)
         assert np.all(jac[:, 2] == 0.0)
         # remaining block still intact
@@ -253,14 +262,14 @@ class TestJacobianClosedForm:
     def test_requires_two_layers(self):
         m, _ = er_set(1.5, 6.0, 1.5)
         with pytest.raises(NotTwoLayers):
-            jacobian_closed_form(m, (5000,), Transmissibilities((1.0,) * 3, 5))
+            jacobian_closed_form(m, (5000,), Transmissibilities((1.0,) * 3))
 
 
 class TestJacobianEmpirical:
     def test_disjoint_intra_cross_moments_vanish(self):
         # no node carries both intra colors, so those off-diagonals are 0
         g = two_layer_graph(4, 4, [(0, 1), (1, 2)], [(0, 1)], [])
-        jac = jacobian_empirical(g, Transmissibilities((1.0, 1.0, 1.0), 5))
+        jac = jacobian_empirical(g, Transmissibilities((1.0, 1.0, 1.0)))
         assert jac[0, 1] == 0.0
         assert jac[1, 0] == 0.0
         # edgeless inter color dropped entirely
@@ -269,7 +278,7 @@ class TestJacobianEmpirical:
 
     def test_zero_rates(self):
         g = chain_plus_layer2()
-        jac = jacobian_empirical(g, Transmissibilities((0.0,) * 3, 5))
+        jac = jacobian_empirical(g, Transmissibilities((0.0,) * 3))
         assert np.all(jac == 0.0)
 
     def test_gap_to_closed_form_reported(self, capsys):
@@ -278,7 +287,7 @@ class TestJacobianEmpirical:
         from interepi import compute_moments
 
         g = chain_plus_layer2()
-        t = Transmissibilities((1.0,) * 3, 5)
+        t = Transmissibilities((1.0,) * 3)
         emp = jacobian_empirical(g, t)
         closed = jacobian_closed_form(compute_moments(g), g.layer_sizes, t)
         gap = np.abs(emp - closed).max()
@@ -290,7 +299,7 @@ class TestJacobianEmpirical:
 
         g = build_graph([2, 2], [])
         with pytest.raises(EmptyColor):
-            jacobian_empirical(g, Transmissibilities((1.0,) * 3, 5))
+            jacobian_empirical(g, Transmissibilities((1.0,) * 3))
 
 
 class TestSpectralRadius:
@@ -380,14 +389,11 @@ class TestEpidemicIndicator:
     def test_boundary_inclusive(self):
         # inter-only spreading with ratio 2: R * 2 crosses 1 at R = 0.5,
         # i.e. beta = 0.5 at tau = 1; the >= convention makes that epidemic
-        m = MomentSet(
-            per_color=(
-                ColorMoments(1.0, 2.0, 0.5, 1.0, 500),
-                ColorMoments(1.0, 2.0, 0.5, 1.0, 500),
-                ColorMoments(1.0, 3.0, 1.0, 3.0, 1000),
-            ),
-            population_global=1000,
-        )
+        m = MomentSet((
+            ColorMoments(1.0, 2.0, 500),
+            ColorMoments(1.0, 2.0, 500),
+            ColorMoments(1.0, 3.0, 1000),
+        ))
         theta, epidemic = epidemic_indicator(m, (500, 500), (0.0, 0.0, 0.5), 1)
         assert theta == pytest.approx(1.0, abs=1e-10)
         assert epidemic
