@@ -162,14 +162,19 @@ def cmd_threshold(args) -> int:
     step = step if step is not None else 0.01
     refine_tol = refine if refine and refine > 0 else None
 
-    if args.graph and args.empirical:
-        g = load_graph(args.graph)
+    # a graph file, from --graph or a file-source config, gives measured
+    # moments as in `run`; a generate config gives model moments
+    graph_file = args.graph
+    if cfg is not None and cfg.source == "file":
+        graph_file = graph_file or cfg.graph_file
+    if graph_file and args.empirical:
+        g = load_graph(graph_file)
         frontier = multi_threshold_empirical(
             g, tau, step, tie_intra=tie, refine_tol=refine_tol
         )
     else:
-        if args.graph:
-            g = load_graph(args.graph)
+        if graph_file:
+            g = load_graph(graph_file)
             moments, layer_sizes = compute_moments(g), g.layer_sizes
         elif cfg is not None:
             moments, layer_sizes = model_moments(cfg)
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--out")
     p.add_argument("--graph", help="edge-list graph file (measured moments)")
     p.add_argument("--empirical", action="store_true",
-                   help="with --graph: use measured colored cross-moments")
+                   help="with a graph file: use measured colored cross-moments")
     p.add_argument("--tau", type=int, default=None, help="recovery steps (default 5 or config)")
     p.add_argument("--grid-step", type=float, default=None, help="default 0.01 or config")
     p.add_argument("--tie-intra", action="store_true",

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import MeanDegreeTooLarge, WiringFailed
-from .graph import LayeredGraph, build_graph_array
+from .graph import INDEX, LayeredGraph, build_graph_array
 
 RngLike = Union[int, np.random.Generator]
 
@@ -43,19 +43,24 @@ def _distinct_pairs(
     """The first m distinct pairs, in draw order, among uniform draws of
     (a, b) in [0, n_u) x [0, n_v), taken in batches of 2 * (m - accepted) + 64.
     With ``same_layer`` self-loops are skipped and pairs kept as (min, max)."""
-    out = np.empty((0, 2), dtype=np.int64)
-    while len(out) < m:
-        batch = 2 * (m - len(out)) + 64
+    chunks, count = [np.empty((0, 2), dtype=np.int64)], 0
+    # sorted keys of the accepted pairs, above a sentinel that no key reaches
+    seen = np.array([np.iinfo(np.int64).max])
+    while count < m:
+        batch = 2 * (m - count) + 64
         a = rng.integers(0, n_u, size=batch)
         b = rng.integers(0, n_v, size=batch)
         if same_layer:
             keep = a != b
             a, b = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
         keys = a * n_v + b
-        _, first = np.unique(keys, return_index=True)
-        first = np.sort(first[~np.isin(keys[first], out[:, 0] * n_v + out[:, 1])])[: m - len(out)]
-        out = np.concatenate([out, np.column_stack([a[first], b[first]])])
-    return out
+        fresh, first = np.unique(keys, return_index=True)
+        first = np.sort(first[seen[np.searchsorted(seen, fresh)] != fresh])[: m - count]
+        chunks.append(np.column_stack([a[first], b[first]]))
+        count += len(first)
+        taken = np.sort(keys[first])
+        seen = np.insert(seen, np.searchsorted(seen, taken), taken)
+    return np.concatenate(chunks)
 
 
 def gen_er_layer(n: int, mean_degree: float, rng: RngLike) -> np.ndarray:
@@ -256,7 +261,7 @@ def build_interdependent(
             pairs = gen_er_layer(spec.n, spec.mean_degree, rng)
         else:
             pairs = gen_powerlaw_layer(spec, rng)
-        parts.append(np.insert(pairs, [0, 1, 2], (i, i, i), axis=1))
+        parts.append(np.insert(pairs.astype(INDEX), [0, 1, 2], (i, i, i), axis=1))
     table_pairs = [
         (i, j) for i in range(len(layers)) for j in range(i + 1, len(layers))
     ]
@@ -266,5 +271,7 @@ def build_interdependent(
             continue
         rng = child_rng(master_seed, 1, i, j)
         pairs = gen_er_interlayer(sizes[i], sizes[j], mean, rng)
-        parts.append(np.insert(pairs, [0, 1, 2], (i, j, len(layers) + color_offset), axis=1))
-    return build_graph_array(sizes, np.concatenate(parts or [np.empty((0, 5))]))
+        parts.append(
+            np.insert(pairs.astype(INDEX), [0, 1, 2], (i, j, len(layers) + color_offset), axis=1)
+        )
+    return build_graph_array(sizes, np.concatenate(parts or [np.empty((0, 5), dtype=INDEX)]))

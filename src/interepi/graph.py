@@ -29,6 +29,11 @@ from .errors import (
     UnknownNode,
 )
 
+# The one dtype of every index array a LayeredGraph holds, which bounds a
+# graph to 2**31 - 1 nodes and 2**31 - 1 directed adjacency entries. Keys
+# built from two indices, such as lo * n + hi, are formed in int64.
+INDEX = np.int32
+
 NodeRef = tuple[int, int]  # (layer, index within layer)
 EdgeRef = tuple[NodeRef, NodeRef, int]  # endpoints plus color
 
@@ -99,7 +104,8 @@ class LayeredGraph:
     Construct through :func:`build_graph`; the constructor trusts its inputs.
     Edge arrays are canonical: each edge stored with flat ids (u < v), sorted
     lexicographically. Adjacency is CSR with neighbor lists grouped by color
-    within each node, which is the order the SIR inner loop consumes.
+    within each node, which is the order the SIR inner loop consumes. Every
+    index array, the CSR index pointer included, has dtype :data:`INDEX`.
     """
 
     def __init__(
@@ -114,21 +120,27 @@ class LayeredGraph:
         self.n = sum(self.layer_sizes)
         self.offsets = np.concatenate(([0], np.cumsum(self.layer_sizes)))
         self.node_layer = np.repeat(
-            np.arange(len(self.layer_sizes)), self.layer_sizes
+            np.arange(len(self.layer_sizes), dtype=INDEX), self.layer_sizes
         )
 
-        self.edges_u = np.asarray(edges_u, dtype=np.int64)
-        self.edges_v = np.asarray(edges_v, dtype=np.int64)
-        self.edge_colors = np.asarray(edge_colors, dtype=np.int64)
+        self.edges_u = np.asarray(edges_u, dtype=INDEX)
+        self.edges_v = np.asarray(edges_v, dtype=INDEX)
+        self.edge_colors = np.asarray(edge_colors, dtype=INDEX)
 
-        src = np.concatenate([self.edges_u, self.edges_v])
-        dst = np.concatenate([self.edges_v, self.edges_u])
-        col = np.concatenate([self.edge_colors, self.edge_colors])
-        order = np.lexsort((col, src))
-        deg = np.bincount(src, minlength=self.n)
-        self._indptr = np.concatenate(([0], np.cumsum(deg)))
-        self._adj = dst[order]
-        self._adj_color = col[order]
+        # a stable sort on (source, color) of the entries u -> v then v -> u
+        key = np.concatenate([self.edges_u, self.edges_v]).astype(np.int64)
+        key *= self.num_colors
+        key[: self.num_edges] += self.edge_colors
+        key[self.num_edges :] += self.edge_colors
+        order = np.argsort(key, kind="stable")
+        del key
+        self._adj = np.concatenate([self.edges_v, self.edges_u])[order]
+        self._adj_color = np.concatenate([self.edge_colors, self.edge_colors])[order]
+        del order
+        deg = np.bincount(self.edges_u, minlength=self.n)
+        deg += np.bincount(self.edges_v, minlength=self.n)
+        self._indptr = np.zeros(self.n + 1, dtype=INDEX)
+        np.cumsum(deg, out=self._indptr[1:])
 
         for arr in (self.edges_u, self.edges_v, self.edge_colors, self.node_layer,
                     self.offsets, self._indptr, self._adj, self._adj_color):
@@ -164,7 +176,8 @@ class LayeredGraph:
     def color_degrees(self) -> np.ndarray:
         """Per-color degree of every node, shape (num_colors, n)."""
         c, n = self.num_colors, self.n
-        slot = np.tile(self.edge_colors, 2) * n + np.concatenate([self.edges_u, self.edges_v])
+        slot = np.tile(self.edge_colors.astype(np.int64), 2) * n
+        slot += np.concatenate([self.edges_u, self.edges_v])
         return np.bincount(slot, minlength=c * n).reshape(c, n)
 
     def edge_count_by_color(self) -> np.ndarray:
@@ -172,9 +185,7 @@ class LayeredGraph:
 
     def local_edges(self) -> np.ndarray:
         """Canonical edges as (m, 4) rows (layer_u, index_u, layer_v, index_v)."""
-        ends = np.column_stack([self.edges_u, self.edges_v])
-        layer = self.node_layer[ends]
-        return np.stack([layer, ends - self.offsets[layer]], axis=2).reshape(-1, 4)
+        return local_rows(self, slice(None))
 
     def edge_list(self) -> list[EdgeRef]:
         """Canonical ((layer, idx), (layer, idx), color) triples."""
@@ -186,6 +197,13 @@ class LayeredGraph:
             f"LayeredGraph(layers={self.layer_sizes}, edges={self.num_edges}, "
             f"colors={self.num_colors})"
         )
+
+
+def local_rows(g: LayeredGraph, edges: slice) -> np.ndarray:
+    """Rows of :meth:`LayeredGraph.local_edges` for a slice of the canonical edges."""
+    ends = np.column_stack([g.edges_u[edges], g.edges_v[edges]])
+    layer = g.node_layer[ends]
+    return np.stack([layer, ends - g.offsets[layer]], axis=2).reshape(-1, 4)
 
 
 def build_graph(layer_sizes: Sequence[int], edges: Iterable[EdgeRef]) -> LayeredGraph:
@@ -212,47 +230,66 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     raises. Within a row they run as UnknownNode (u's layer and index, then
     v's), SelfLoop, CrossLayerColorMismatch, then DuplicateEdge (an earlier
     row has the same pair in either orientation). Messages name the row.
+    Rows are read as int64 unless they are already int32, and are narrowed
+    to :data:`INDEX` only once they are valid. ValueError when the layers hold
+    2**31 nodes or more, or the rows 2**30 edges or more, which :data:`INDEX`
+    cannot number.
     """
     sizes = [int(s) for s in layer_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("layer sizes must be positive")
+    edges = np.asarray(edges)
+    edges = edges.reshape(-1, 5).astype(INDEX if edges.dtype == INDEX else np.int64, copy=False)
+    n = sum(sizes)
+    if max(n, 2 * len(edges)) > np.iinfo(INDEX).max:
+        raise ValueError(f"{n} nodes and {len(edges)} edges exceed the int32 index range")
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 5)
-    layer, idx, color = edges[:, [0, 2]], edges[:, [1, 3]], edges[:, 4]
-    bad_layer = (layer < 0) | (layer >= len(sizes))
-    layer = np.where(bad_layer, 0, layer)
-    bad_idx = ~bad_layer & ((idx < 0) | (idx >= np.asarray(sizes)[layer]))
-    unknown = (bad_layer | bad_idx).any(axis=1)
-    loop = (edges[:, 0] == edges[:, 2]) & (edges[:, 1] == edges[:, 3])
-    expected = ColorTable(len(sizes)).color_matrix()[layer[:, 0], layer[:, 1]]
-    mismatch = color != expected
-    # a row with an unknown endpoint, or an earlier row, raises before its
-    # key is read
-    flat = offsets[layer] + np.where(unknown[:, None], 0, idx)
-    lo, hi = flat.min(axis=1), flat.max(axis=1)
-    _, first = np.unique(lo * offsets[-1] + hi, return_index=True)
-    repeat = np.ones(len(edges), dtype=bool)
-    repeat[first] = False
-
-    bad = unknown | loop | mismatch | repeat
+    colors = ColorTable(len(sizes)).color_matrix()
+    bad_layer, bad_idx, layer, ends = [], [], [], []
+    for col in (0, 2):
+        lay, idx = edges[:, col], edges[:, col + 1]
+        no_layer = (lay < 0) | (lay >= len(sizes))
+        lay = np.where(no_layer, 0, lay)
+        no_node = ~no_layer & ((idx < 0) | (idx >= np.asarray(sizes)[lay]))
+        # an unknown endpoint, or an earlier row, raises before its key is read
+        ends.append(offsets[lay] + np.where(no_layer | no_node, 0, idx))
+        bad_layer.append(no_layer)
+        bad_idx.append(no_node)
+        layer.append(lay)
+    mismatch = edges[:, 4] != colors[layer[0], layer[1]]
+    loop = ends[0] == ends[1]
+    keys = np.minimum(ends[0], ends[1])
+    keys *= n
+    keys += np.maximum(ends[0], ends[1])
+    del layer, ends
+    bad = bad_layer[0] | bad_idx[0] | bad_layer[1] | bad_idx[1] | loop | mismatch
+    canonical = np.sort(keys)
+    if (canonical[1:] == canonical[:-1]).any():
+        order = np.argsort(keys, kind="stable")  # equal keys stay in input order
+        bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
     if bad.any():
         i = int(np.argmax(bad))
         lu, iu, lv, iv, c = edges[i].tolist()
-        for lay, node, no_layer, no_node in zip((lu, lv), (iu, iv), bad_layer[i], bad_idx[i]):
-            if no_layer:
+        for lay, node, no_layer, no_node in zip((lu, lv), (iu, iv), bad_layer, bad_idx):
+            if no_layer[i]:
                 raise UnknownNode(f"layer {lay} not declared")
-            if no_node:
+            if no_node[i]:
                 raise UnknownNode(f"node ({lay}, {node}) outside layer of size {sizes[lay]}")
         if loop[i]:
             raise SelfLoop(f"self-loop at ({lu}, {iu})")
         if mismatch[i]:
             raise CrossLayerColorMismatch(
                 f"edge ({lu},{iu})-({lv},{iv}) carries color {c}, "
-                f"layer pair requires {expected[i]}"
+                f"layer pair requires {colors[lu, lv]}"
             )
         raise DuplicateEdge(f"duplicate edge ({lu},{iu})-({lv},{iv})")
-    # np.unique sorted the distinct keys, which is the canonical (u, v) order
-    return LayeredGraph(sizes, lo[first], hi[first], color[first])
+    del keys, bad, bad_layer, bad_idx, loop, mismatch
+    # the sorted keys are the canonical (u, v) order, and the layers fix the colors
+    lo = (canonical // n).astype(INDEX)
+    hi = (canonical % n).astype(INDEX)
+    del canonical
+    node_layer = np.repeat(np.arange(len(sizes), dtype=INDEX), sizes)
+    return LayeredGraph(sizes, lo, hi, colors.astype(INDEX)[node_layer[lo], node_layer[hi]])
 
 
 def graphs_equal(a: LayeredGraph, b: LayeredGraph) -> bool:
@@ -358,7 +395,8 @@ def giant_component(
     _, comp_id = connected_components(adj, directed=False)
     sizes = np.bincount(comp_id)
     nl = g.num_layers
-    by_layer = np.bincount(comp_id * nl + g.node_layer, minlength=len(sizes) * nl).reshape(-1, nl)
+    slot = comp_id.astype(np.int64) * nl + g.node_layer
+    by_layer = np.bincount(slot, minlength=len(sizes) * nl).reshape(-1, nl)
     return ComponentResult(comp_id, sizes, int(sizes.max()), tuple(by_layer.max(axis=0).tolist()))
 
 

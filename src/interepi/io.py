@@ -30,6 +30,7 @@ from .graph import (
     build_graph_array,
     compute_moments,
     int64_array,
+    local_rows,
 )
 from .sir import (
     DynamicsResult,
@@ -58,63 +59,89 @@ def _fmt(x: float) -> str:
 # Graph files
 # ---------------------------------------------------------------------------
 
+_WRITE_ROWS = 1 << 12  # edges formatted at a time, which bounds write_graph's memory
+
+
 def write_graph(g: LayeredGraph, path: Union[str, os.PathLike]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("#layers " + " ".join(str(s) for s in g.layer_sizes) + "\n")
-        rows = g.local_edges()
-        for start in range(0, len(rows), 1 << 16):  # bounded memory on large graphs
-            chunk = rows[start : start + (1 << 16)]
+        for start in range(0, g.num_edges, _WRITE_ROWS):
+            chunk = local_rows(g, slice(start, start + _WRITE_ROWS))
             fh.write("%d %d %d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:
     """Parse and validate a graph file; ParseError carries the line number."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        layer_sizes, edges = _parse_graph_text(fh.read())
-    colors = ColorTable(len(layer_sizes)).color_matrix()[edges[:, 0], edges[:, 2]]
-    return build_graph_array(layer_sizes, np.column_stack([edges, colors]))
+        # bytes after the text-mode newline translation; the str is freed at once
+        data = fh.read().encode("ascii", errors="surrogateescape")
+    layer_sizes, rows = _parse_graph_text(data)
+    del data
+    return build_graph_array(layer_sizes, rows)
 
 
-def _parse_graph_text(text: str) -> tuple[list[int], np.ndarray]:
-    """Header layer sizes and (m, 4) edge rows of a graph file.
+_SPACE = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32)  # the ASCII bytes str.split() splits on
+
+
+def _parse_graph_text(data: bytes) -> tuple[list[int], np.ndarray]:
+    """Header layer sizes and (m, 5) rows (layer_u, u, layer_v, v, color) of a
+    graph file, the color inferred from the layer pair.
 
     Tokens, their lines and their values come from array operations. Only
     the lines that can be malformed (comments, the first edge line, the first
     without four fields, those with a field other than an optional minus and
     1 to 18 digits) go through the line checks, in file order, so the first
     malformed line raises. Fields are read with int() semantics. A non-ASCII
-    character (``load_graph`` reads bytes with surrogateescape) raises first.
+    byte (``load_graph`` reads the file with surrogateescape) raises first.
+    Byte positions are int32 below 2 GiB of input, and each array is freed
+    once it has been used.
     """
-    try:
-        buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError as exc:
-        raise ParseError(text.count("\n", 0, exc.start) + 1, "non-ASCII byte")
-    space = np.isin(buf, (9, 10, 11, 12, 13, 28, 29, 30, 31, 32))  # what str.split() splits on
-    space = np.concatenate(([True], space, [True]))
-    starts, ends = np.flatnonzero(space[:-1] != space[1:]).reshape(-1, 2).T
-    newline = np.flatnonzero(buf == 10)
-    line = np.searchsorted(newline, starts)  # 0-based line of each token
-    lead = np.flatnonzero(np.diff(line, prepend=-1))  # first token of each line
+    buf = np.frombuffer(data, dtype=np.uint8)
+    pos = np.int32 if len(buf) <= np.iinfo(np.int32).max else np.int64
+    newline = np.flatnonzero(buf == 10).astype(pos)
+    high = np.flatnonzero(buf > 127)
+    if len(high):
+        raise ParseError(int(np.searchsorted(newline, high[0])) + 1, "non-ASCII byte")
+    space = np.concatenate(([True], np.isin(buf, _SPACE), [True]))
+    starts = np.flatnonzero(space[:-1] & ~space[1:]).astype(pos)
+    ends = np.flatnonzero(~space[:-1] & space[1:]).astype(pos)
+    del space
+    line = np.searchsorted(newline, starts).astype(pos)  # 0-based line of each token
+    first = np.ones(len(line), dtype=bool)
+    first[1:] = line[1:] != line[:-1]
+    lead = np.flatnonzero(first).astype(pos)  # first token of each line
+    del first
+    fields = np.diff(lead, append=len(line))
     comment = buf[starts[lead]] == ord("#")
-    data = ~np.repeat(comment, np.diff(lead, append=len(line)))
-    neg = buf[starts[data]] == ord("-")
-    s, e, data_line = starts[data] + neg, ends[data], line[data]
+    comment_lines, lines = line[lead[comment]], line[lead[~comment]]
+    del line, lead
+    if comment.any():
+        data_token = ~np.repeat(comment, fields)
+        starts, ends = starts[data_token], ends[data_token]
+        del data_token
+    fields = fields[~comment]
+    neg = buf[starts] == ord("-")
+    starts += neg
+    width = ends - starts
+    del ends
     # values of plain fields (an optional minus and 1 to 18 digits) by Horner
-    values = np.zeros(len(s), dtype=np.int64)
-    plain = (e > s) & (e - s <= 18)
-    for j in range(min(int((e - s).max(initial=0)), 18)):
-        at = np.flatnonzero(plain & (s + j < e))
-        digit = buf[s[at] + j] - 48  # uint8: a non-digit wraps past 9
+    values = np.zeros(len(starts), dtype=np.int64)
+    plain = (width > 0) & (width <= 18)
+    for j in range(min(int(width.max(initial=0)), 18)):
+        at = np.flatnonzero(plain & (width > j))
+        digit = buf[starts[at] + j] - 48  # uint8: a non-digit wraps past 9
         plain[at] = digit <= 9
         values[at] = values[at] * 10 + digit
     values[neg] *= -1
-    lines, fields = np.unique(data_line, return_counts=True)
-    suspect = [line[lead[comment]], lines[:1], lines[fields != 4][:1], data_line[~plain]]
+    odd = np.flatnonzero(~plain)
+    odd_lines = lines[np.searchsorted(np.cumsum(fields), odd, side="right")]
+    suspect = [comment_lines, lines[:1], lines[fields != 4][:1], odd_lines]
 
-    bounds = np.concatenate(([0], newline + 1, [len(text) + 1]))
+    bounds = np.concatenate(([0], newline + 1, [len(data) + 1]))
+    del newline
     layer_sizes: Optional[list[int]] = None
     for k in np.unique(np.concatenate(suspect)).tolist():
-        row, line_no = text[bounds[k] : bounds[k + 1] - 1].strip(), k + 1
+        row, line_no = data[bounds[k] : bounds[k + 1] - 1].decode("ascii").strip(), k + 1
         head, *rest = row.split()
         if head == "#layers":
             if layer_sizes is not None:
@@ -141,15 +168,19 @@ def _parse_graph_text(text: str) -> tuple[list[int], np.ndarray]:
     if layer_sizes is None:
         raise ParseError(0, "missing #layers header")
 
-    if not plain.all():
-        values = [int(text[a:b]) for a, b in zip(starts[data], e)]
-    edges = int64_array(values).reshape(-1, 4)
-    undeclared = (edges[:, [0, 2]] < 0) | (edges[:, [0, 2]] >= len(layer_sizes))
+    if len(odd):
+        spans = zip((starts - neg).tolist(), (starts + width).tolist())
+        values = int64_array([int(data[a:b]) for a, b in spans])
+    del starts, width, neg
+    rows = np.empty((len(values) // 4, 5), dtype=values.dtype)
+    rows[:, :4] = values.reshape(-1, 4)
+    del values
+    undeclared = (rows[:, [0, 2]] < 0) | (rows[:, [0, 2]] >= len(layer_sizes))
     if undeclared.any():
         i, col = np.argwhere(undeclared)[0]
-        layer = values[4 * i + 2 * col]
-        raise ParseError(int(lines[i]) + 1, f"layer {layer} not declared in header")
-    return layer_sizes, edges
+        raise ParseError(int(lines[i]) + 1, f"layer {rows[i, 2 * col]} not declared in header")
+    rows[:, 4] = ColorTable(len(layer_sizes)).color_matrix()[rows[:, 0], rows[:, 2]]
+    return layer_sizes, rows
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +188,11 @@ def _parse_graph_text(text: str) -> tuple[list[int], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 _LAYER_KEY = re.compile(r"^layer\.(\d+)\.(type|n|mean_degree|gamma|y_min)$")
+# the layer keys each layer type reads; a layer that sets another is rejected
+_LAYER_TYPE_KEYS = {
+    "er": {"type", "n", "mean_degree"},
+    "powerlaw": {"type", "n", "gamma", "y_min"},
+}
 _INTER_KEY = re.compile(r"^inter\.(\d+)\.(\d+)\.mean_degree$")
 
 _SCALAR_KEYS = {
@@ -320,6 +356,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         for i in indices:
             fields = layer_fields[i]
             kind = fields.get("type")
+            unused = sorted(set(fields) - _LAYER_TYPE_KEYS.get(kind, set(fields)))
+            if unused:
+                raise ConfigError(f"layer.{i}.{unused[0]} is not used by type={kind}")
             if kind == "er":
                 for need in ("n", "mean_degree"):
                     if need not in fields:

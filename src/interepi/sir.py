@@ -145,8 +145,29 @@ def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator)
     raise ValueError(f"unknown seed policy kind {policy.kind!r}")
 
 
+EdgeLaw = tuple[np.ndarray, np.ndarray]
+
+
+def _edge_law(g: LayeredGraph, cfg: SirConfig) -> EdgeLaw:
+    """Per directed adjacency entry, from its color's rate: the probability
+    that one of the tau trials succeeds, and log(1 - rate) (-inf at rate 1).
+
+    It depends on the rates alone, so a cell or a dynamics setting computes it
+    once for all of its realizations.
+    """
+    if len(cfg.rates) != g.num_colors:
+        raise ValueError(
+            f"{g.num_colors} colors need {g.num_colors} rates, got {len(cfg.rates)}"
+        )
+    rate = np.asarray(cfg.rates, dtype=float)
+    keep = 1.0 - (1.0 - rate) ** cfg.tau
+    log_miss = np.log(1.0 - rate, out=np.full_like(rate, -np.inf), where=rate < 1.0)
+    _, _, adj_color = g.adjacency()
+    return keep[adj_color], log_miss[adj_color]
+
+
 def _transmission_graph(
-    g: LayeredGraph, cfg: SirConfig, realization_index: int, cell_index: int
+    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
 ) -> csr_matrix:
     """The edges that transmit in one realization, weighted by their delays.
 
@@ -155,22 +176,17 @@ def _transmission_graph(
     tau trials on it contain a success, with weight the step of the first
     one. Node n is a super-source with zero-weight edges to the seeds.
     """
-    if len(cfg.rates) != g.num_colors:
-        raise ValueError(
-            f"{g.num_colors} colors need {g.num_colors} rates, got {len(cfg.rates)}"
-        )
     rng = _stream(cfg.master_seed, cell_index, realization_index)
     seeds = _choose_seeds(g, cfg.seeds, rng)
-    indptr, adj, adj_color = g.adjacency()
-    rate = np.asarray(cfg.rates, dtype=float)
+    indptr, adj, _ = g.adjacency()
+    keep, log_miss = law
     u = rng.random(adj.size)
-    transmits = u < (1.0 - (1.0 - rate) ** cfg.tau)[adj_color]
+    transmits = u < keep
     kept = np.flatnonzero(transmits)
     # first success: the least k with (1 - rate)^k < 1 - u, which is <= tau
     # exactly for the kept entries (the clip only absorbs rounding); 1 - u is
     # exact for the generator's multiples of 2^-53
-    log_miss = np.log(1.0 - rate, out=np.full_like(rate, -np.inf), where=rate < 1.0)
-    delay = np.floor(np.log(1.0 - u[kept]) / log_miss[adj_color[kept]]) + 1.0
+    delay = np.floor(np.log(1.0 - u[kept]) / log_miss[kept]) + 1.0
     np.minimum(delay, cfg.tau, out=delay)
 
     kept_before = np.zeros(adj.size + 1, dtype=np.int32)
@@ -190,7 +206,14 @@ def run_sir(
     cell_index: int = 0,
 ) -> SimSummary:
     """One realization, fully determined by (graph, config, indices)."""
-    graph = _transmission_graph(g, cfg, realization_index, cell_index)
+    return _run_sir(g, cfg, _edge_law(g, cfg), realization_index, cell_index)
+
+
+def _run_sir(
+    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
+) -> SimSummary:
+    """:func:`run_sir` with the caller's ``_edge_law(g, cfg)``."""
+    graph = _transmission_graph(g, cfg, law, realization_index, cell_index)
     limit = np.inf if cfg.max_steps is None else cfg.max_steps
     dist = dijkstra(graph, indices=g.n, limit=limit)[: g.n]
     reached = np.flatnonzero(dist < np.inf)
@@ -220,11 +243,11 @@ def run_sir(
 
 
 def _final_counts(
-    g: LayeredGraph, cfg: SirConfig, realization_index: int, cell_index: int
+    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
 ) -> tuple[int, ...]:
     """Per-layer ever-infected counts of an uncapped realization: the nodes
     the super-source reaches, which is the set :func:`run_sir` returns."""
-    graph = _transmission_graph(g, cfg, realization_index, cell_index)
+    graph = _transmission_graph(g, cfg, law, realization_index, cell_index)
     order = breadth_first_order(graph, g.n, return_predecessors=False)
     return tuple(np.bincount(g.node_layer[order[1:]], minlength=g.num_layers).tolist())
 
@@ -291,13 +314,14 @@ def mean_cell_densities(
     gcc_sizes: tuple[int, tuple[int, ...]],
 ) -> tuple[np.ndarray, float]:
     """Mean per-layer and whole-network densities over cfg.realizations runs."""
+    law = _edge_law(g, cfg)
     acc_layers = np.zeros(g.num_layers)
     acc_whole = 0.0
     for r in range(cfg.realizations):
         if cfg.max_steps is None:
-            counts = _final_counts(g, cfg, r, cell_index)
+            counts = _final_counts(g, cfg, law, r, cell_index)
         else:
-            counts = run_sir(g, cfg, realization_index=r, cell_index=cell_index).ever_counts
+            counts = _run_sir(g, cfg, law, r, cell_index).ever_counts
         dens = _density(counts, gcc_sizes)
         acc_layers += np.asarray(dens.per_layer)
         acc_whole += dens.whole
@@ -410,10 +434,8 @@ def dynamics(
     ever_out = []
     for s_idx, (beta, alpha) in enumerate(settings):
         run_cfg = replace(cfg, rates=_two_layer_rates(g, beta, alpha))
-        runs = [
-            run_sir(g, run_cfg, realization_index=r, cell_index=s_idx)
-            for r in range(cfg.realizations)
-        ]
+        law = _edge_law(g, run_cfg)
+        runs = [_run_sir(g, run_cfg, law, r, s_idx) for r in range(cfg.realizations)]
         horizon = max(r.per_step_infected.shape[0] for r in runs)
         acc_inf = np.zeros((horizon, g.num_layers + 1))
         acc_ever = np.zeros((horizon, g.num_layers + 1))

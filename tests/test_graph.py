@@ -19,6 +19,8 @@ from interepi import (
     giant_component,
     graphs_equal,
     kappa,
+    load_graph,
+    write_graph,
 )
 from oracles import (
     brute_force_component_labels,
@@ -294,3 +296,81 @@ def test_graphs_equal():
     assert graphs_equal(g1, g2)
     g3 = two_layer_graph(6, 6, [(0, 1)], [], [])
     assert not graphs_equal(g1, g3)
+
+
+class TestInt32Indices:
+    """Graph arrays are int32; keys built from two ids are int64. On two
+    35 000-node layers lo * n + hi passes 2**31, so a key formed in 32 bits
+    would wrap, and two edges whose keys differ by 2**32 would collide."""
+
+    N = 35_000
+
+    def _edges(self):
+        n = 2 * self.N
+        lo, hi = divmod(20_000 + 2**32, n)  # flat ids of an edge keyed 2**32 above (0, 20000)
+        return [
+            ((1, self.N - 2), (1, self.N - 1), 1),
+            ((0, self.N - 1), (1, self.N - 1), 2),
+            ((0, 0), (0, 20_000), 0),
+            ((1, lo - self.N), (1, hi - self.N), 1),
+            ((0, self.N - 2), (0, self.N - 1), 0),
+        ]
+
+    def test_arrays_are_int32(self):
+        g = build_graph([self.N, self.N], self._edges())
+        indptr, adj, adj_color = g.adjacency()
+        for arr in (g.edges_u, g.edges_v, g.edge_colors, g.node_layer, indptr, adj, adj_color):
+            assert arr.dtype == np.int32
+
+    def test_wide_keys_are_distinct_and_canonical(self):
+        g = build_graph([self.N, self.N], self._edges())
+        assert g.edges_u.tolist() == [0, 34_998, 34_999, 61_356, 69_998]
+        assert g.edges_v.tolist() == [20_000, 34_999, 69_999, 67_296, 69_999]
+        assert g.edge_colors.tolist() == [0, 0, 2, 1, 1]
+
+    def test_duplicate_on_highest_ids(self):
+        edges = self._edges() + [((1, self.N - 1), (1, self.N - 2), 1)]
+        with pytest.raises(DuplicateEdge) as exc:
+            build_graph([self.N, self.N], edges)
+        assert str(exc.value) == "duplicate edge (1,34999)-(1,34998)"
+
+    def test_color_degrees(self):
+        g = build_graph([self.N, self.N], self._edges())
+        want = np.zeros((3, 2 * self.N), dtype=np.int64)
+        for (lu, iu), (lv, iv), c in self._edges():
+            want[c, lu * self.N + iu] += 1
+            want[c, lv * self.N + iv] += 1
+        assert np.array_equal(g.color_degrees(), want)
+
+    def test_giant_component(self):
+        g = build_graph([self.N, self.N], self._edges())
+        res = giant_component(g)
+        assert res.largest_size == 4  # (0,34998) (0,34999) (1,34998) (1,34999)
+        assert res.largest_size_by_layer == (2, 2)
+        assert len(res.sizes) == 2 * self.N - 5  # a forest of five edges
+
+    def test_file_round_trip(self, tmp_path):
+        g = build_graph([self.N, self.N], self._edges())
+        path = tmp_path / "g.edges"
+        write_graph(g, path)
+        assert path.read_text() == (
+            "#layers 35000 35000\n0 0 0 20000\n0 34998 0 34999\n0 34999 1 34999\n"
+            "1 26356 1 32296\n1 34998 1 34999\n"
+        )
+        assert graphs_equal(load_graph(path), g)
+
+    @pytest.mark.parametrize("index", [2**31, 2**40])
+    def test_file_index_beyond_int32_is_an_unknown_node(self, tmp_path, index):
+        path = tmp_path / "g.edges"
+        path.write_text(f"#layers 35000 35000\n0 0 0 1\n1 {index} 0 5\n")
+        with pytest.raises(UnknownNode) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"node (1, {index}) outside layer of size 35000"
+
+    def test_node_count_beyond_int32_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="int32"):
+            build_graph([2**31 - 1, 1], [])
+        path = tmp_path / "g.edges"
+        path.write_text("#layers 2147483648\n")
+        with pytest.raises(ValueError, match="int32"):
+            load_graph(path)

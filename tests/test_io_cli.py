@@ -214,6 +214,20 @@ inter.0.1.mean_degree = 0.5
         assert isinstance(cfg.layers[0], PowerLawSpec)
         assert cfg.layers[0].y_min == 1  # default
 
+    @pytest.mark.parametrize(
+        "kind,extra,key",
+        [
+            ("powerlaw", "layer.0.gamma = 2.5\nlayer.0.mean_degree = 3.0", "mean_degree"),
+            ("er", "layer.0.mean_degree = 3.0\nlayer.0.gamma = 2.5", "gamma"),
+            ("er", "layer.0.mean_degree = 3.0\nlayer.0.y_min = 2", "y_min"),
+        ],
+    )
+    def test_layer_key_unused_by_its_type(self, kind, extra, key):
+        text = f"network.source = generate\nlayer.0.type = {kind}\nlayer.0.n = 100\n{extra}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert str(exc.value) == f"layer.0.{key} is not used by type={kind}"
+
     def test_missing_source(self):
         with pytest.raises(ConfigError):
             parse_config_text("layer.0.type = er\n")
@@ -276,26 +290,26 @@ class TestRunExperiment:
         cfg2 = parse_config_text(BASE_CONFIG)
         out2 = run_experiment(cfg2, out_dir=str(tmp_path / "b"))
         for name in ("frontier", "sweep", "dynamics", "dynamics_cumulative"):
-            a = open(out1[name], "rb").read()
-            b = open(out2[name], "rb").read()
+            a = Path(out1[name]).read_bytes()
+            b = Path(out2[name]).read_bytes()
             assert a == b, f"{name} not byte-identical"
 
     def test_csv_shapes_and_manifest(self, tmp_path):
         cfg = parse_config_text(BASE_CONFIG)
         out = run_experiment(cfg, out_dir=str(tmp_path))
-        sweep_lines = open(out["sweep"]).read().strip().splitlines()
+        sweep_lines = Path(out["sweep"]).read_text().strip().splitlines()
         assert sweep_lines[0] == "beta,alpha,density_L1,density_L2,density_all"
         assert sweep_lines[-1].startswith("# manifest:")
         assert len(sweep_lines) == 1 + 3 * 3 + 1  # header + cells + trailer
 
-        frontier_lines = open(out["frontier"]).read().strip().splitlines()
+        frontier_lines = Path(out["frontier"]).read_text().strip().splitlines()
         assert frontier_lines[0] == "beta_1,beta_2,beta_3,theta"
         assert frontier_lines[-1].startswith("# manifest:")
 
-        dyn_lines = open(out["dynamics"]).read().strip().splitlines()
+        dyn_lines = Path(out["dynamics"]).read_text().strip().splitlines()
         assert dyn_lines[0] == "setting,step,infected_L1,infected_L2,infected_all"
 
-        manifest = open(out["manifest"]).read()
+        manifest = Path(out["manifest"]).read_text()
         assert "master_seed = 12" in manifest
         assert "config.layer.0.n = 120" in manifest
         assert "output = sweep.csv" in manifest
@@ -305,7 +319,7 @@ class TestRunExperiment:
         out1 = run_experiment(cfg, out_dir=str(tmp_path / "a"), master_seed=1)
         cfg2 = parse_config_text(BASE_CONFIG)
         out2 = run_experiment(cfg2, out_dir=str(tmp_path / "b"), master_seed=2)
-        assert open(out1["sweep"]).read() != open(out2["sweep"]).read()
+        assert Path(out1["sweep"]).read_text() != Path(out2["sweep"]).read_text()
 
 
 class TestCli:
@@ -350,6 +364,21 @@ class TestCli:
         ])
         assert rc == 0
         assert out_path.exists()
+
+    def test_threshold_config_with_graph_file(self, tmp_path):
+        # a file-source config gives the measured moments of its graph file
+        graph_path = tmp_path / "g.edges"
+        write_graph(build_interdependent([ErLayerSpec(200, 1.5), ErLayerSpec(200, 5.0)],
+                                         {(0, 1): 1.0}, 3), graph_path)
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text("network.source = file\nnetwork.file = g.edges\n"
+                            "analysis.grid_step = 0.05\n")
+        by_config, by_graph = tmp_path / "config.csv", tmp_path / "graph.csv"
+        assert main(["threshold", "--config", str(cfg_path), "--out", str(by_config)]) == 0
+        assert main(["threshold", "--graph", str(graph_path), "--grid-step", "0.05",
+                     "--tie-intra", "--out", str(by_graph)]) == 0
+        assert by_config.read_bytes() == by_graph.read_bytes()
+        assert len(by_config.read_text().splitlines()) > 2
 
     def test_sweep_and_dynamics_cli(self, tmp_path):
         g = chain_plus_layer2()

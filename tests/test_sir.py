@@ -16,7 +16,7 @@ from interepi import (
     sweep_heatmap,
     transmissibility,
 )
-from interepi.sir import _final_counts
+from interepi.sir import _edge_law, _final_counts
 from oracles import (
     chain_plus_layer2,
     percolation_ever_infected,
@@ -138,9 +138,10 @@ class TestFirstPassageSampler:
         )
         for rates in ((0.1, 0.1, 0.05), (0.3, 0.3, 0.2), (1.0, 0.0, 1.0)):
             cfg = SirConfig(rates=rates, tau=5, seeds=SeedPolicy.in_layers([1, 1]), master_seed=17)
+            law = _edge_law(g, cfg)
             for cell in (0, 3):
                 for r in range(25):
-                    assert _final_counts(g, cfg, r, cell) == run_sir(g, cfg, r, cell).ever_counts
+                    assert _final_counts(g, cfg, law, r, cell) == run_sir(g, cfg, r, cell).ever_counts
 
     def test_sweep_equals_mean_of_run_sir_densities(self):
         g = build_interdependent(
