@@ -22,8 +22,9 @@ from .errors import (
     WiringFailed,
 )
 from .generate import build_interdependent
-from .graph import classify_coupling, compute_moments, kappa
+from .graph import LayeredGraph, classify_coupling, compute_moments, kappa
 from .io import (
+    ExperimentConfig,
     load_graph,
     model_moments,
     parse_config,
@@ -66,9 +67,12 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("--threads", type=int, default=1)
 
 
-def _seed_policy(spec: Optional[str]) -> SeedPolicy:
-    if spec is None:
-        return SeedPolicy.uniform(1)
+def _flag(value, fallback):
+    """A flag's value if it was given, else the fallback."""
+    return fallback if value is None else value
+
+
+def _seed_policy(spec: str) -> SeedPolicy:
     kind, _, rest = spec.partition(":")
     if kind == "uniform":
         return SeedPolicy.uniform(int(rest or "1"))
@@ -106,17 +110,19 @@ def _graph_summary_lines(g) -> list[str]:
     return lines
 
 
-def _load_or_generate(args) -> "object":
+def _load_or_generate(args) -> tuple[LayeredGraph, Optional[ExperimentConfig]]:
+    """The network of --graph or of --config, and the config if one is given;
+    --master-seed overrides the config's master_seed."""
+    cfg = parse_config(args.config) if args.config else None
+    if cfg is not None and args.master_seed is not None:
+        cfg.master_seed = args.master_seed
     if getattr(args, "graph", None):
-        return load_graph(args.graph)
-    if args.config:
-        cfg = parse_config(args.config)
-        if args.master_seed is not None:
-            cfg.master_seed = args.master_seed
-        if cfg.source == "file":
-            return load_graph(cfg.graph_file)
-        return build_interdependent(cfg.layers, cfg.inter_means, cfg.master_seed)
-    raise ConfigError("need --graph or --config to obtain a network")
+        return load_graph(args.graph), cfg
+    if cfg is None:
+        raise ConfigError("need --graph or --config to obtain a network")
+    if cfg.source == "file":
+        return load_graph(cfg.graph_file), cfg
+    return build_interdependent(cfg.layers, cfg.inter_means, cfg.master_seed), cfg
 
 
 def cmd_generate(args) -> int:
@@ -136,7 +142,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    g = _load_or_generate(args)
+    g, _ = _load_or_generate(args)
     for line in _graph_summary_lines(g):
         print(line)
     whole, per_layer = structural_gcc_sizes(g)
@@ -147,20 +153,16 @@ def cmd_info(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    # flags win; unset flags fall back to the config's analysis block
-    tau = args.tau if args.tau is not None else 5
-    step = args.grid_step
-    tie = args.tie_intra
-    refine = args.refine
-    cfg = None
-    if args.config:
-        cfg = parse_config(args.config)
-        tau = args.tau if args.tau is not None else cfg.tau
-        step = step if step is not None else cfg.grid_step
-        tie = tie or cfg.tie_intra
-        refine = refine if refine is not None else cfg.refine_tol
-    step = step if step is not None else 0.01
-    refine_tol = refine if refine and refine > 0 else None
+    if args.refine is not None and not 0.0 <= args.refine < float("inf"):
+        raise ConfigError("--refine must be finite and >= 0")
+    # flags win; unset flags fall back to the config's analysis block, then
+    # to the defaults (untied without a config)
+    cfg = parse_config(args.config) if args.config else None
+    base = cfg or ExperimentConfig(source="file", tie_intra=False)
+    tau = _flag(args.tau, base.tau)
+    step = _flag(args.grid_step, base.grid_step)
+    tie = args.tie_intra or base.tie_intra
+    refine_tol = _flag(args.refine, base.refine_tol) or None
 
     # a graph file, from --graph or a file-source config, gives measured
     # moments as in `run`; a generate config gives model moments
@@ -189,22 +191,25 @@ def cmd_threshold(args) -> int:
     return 0
 
 
-def _sim_config(args, g, beta, alpha) -> SirConfig:
+def _sim_config(args, g, cfg: Optional[ExperimentConfig], beta, alpha) -> SirConfig:
+    """Flags win; unset flags fall back to the config's analysis.tau, sim.*
+    and master_seed keys, then to the built-in defaults."""
     if g.num_layers != 2:
         raise ConfigError("beta/alpha simulation requires a two-layer network")
+    base = cfg or ExperimentConfig(source="file")
     return SirConfig(
         rates=(beta, beta, alpha),
-        tau=args.tau,
-        seeds=_seed_policy(args.seed_policy),
-        max_steps=args.max_steps,
-        realizations=args.realizations,
-        master_seed=args.master_seed if args.master_seed is not None else 0,
+        tau=_flag(args.tau, base.tau),
+        seeds=base.seeds if args.seed_policy is None else _seed_policy(args.seed_policy),
+        max_steps=_flag(args.max_steps, base.max_steps),
+        realizations=_flag(args.realizations, base.realizations),
+        master_seed=_flag(args.master_seed, base.master_seed),
     )
 
 
 def cmd_simulate(args) -> int:
-    g = _load_or_generate(args)
-    cfg = _sim_config(args, g, args.beta, args.alpha)
+    g, cfg = _load_or_generate(args)
+    cfg = _sim_config(args, g, cfg, args.beta, args.alpha)
     summary = run_sir(g, cfg, realization_index=0)
     dens = infection_density(summary, g)
     print(f"steps: {summary.steps_run}")
@@ -218,10 +223,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    g = _load_or_generate(args)
+    g, cfg = _load_or_generate(args)
     betas = parse_grid(args.betas)
     alphas = parse_grid(args.alphas)
-    cfg = _sim_config(args, g, 0.0, 0.0)
+    cfg = _sim_config(args, g, cfg, 0.0, 0.0)
     sweep = sweep_heatmap(g, betas, alphas, cfg, workers=args.threads)
     out = args.out or "sweep.csv"
     write_sweep_csv(out, sweep)
@@ -230,9 +235,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    g = _load_or_generate(args)
+    g, cfg = _load_or_generate(args)
     settings = parse_settings(args.settings)
-    cfg = _sim_config(args, g, 0.0, 0.0)
+    cfg = _sim_config(args, g, cfg, 0.0, 0.0)
     result = dynamics(g, settings, cfg)
     out = args.out or "dynamics.csv"
     write_dynamics_csv(out, result, cumulative=False)
@@ -244,7 +249,7 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = _load_or_generate(args)
+    g, _ = _load_or_generate(args)
     coupling = classify_coupling(g)
     print(f"coupling: {coupling.value}")
     try:
@@ -308,11 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} SIR on a two-layer network")
         _add_common(p, *flags)
         p.add_argument("--graph", help="edge-list graph file")
-        p.add_argument("--tau", type=int, default=5)
-        p.add_argument("--realizations", type=int, default=100)
-        p.add_argument("--max-steps", type=int, default=None)
+        p.add_argument("--tau", type=int, default=None, help="default 5 or config")
+        p.add_argument("--realizations", type=int, default=None, help="default 100 or config")
+        p.add_argument("--max-steps", type=int, default=None, help="default none or config")
         p.add_argument("--seed-policy", default=None,
-                       help="uniform:K | per-layer:K0,K1 | explicit:L/I,L/I,...")
+                       help="uniform:K | per-layer:K0,K1 | explicit:L/I,L/I,... "
+                            "(default uniform:1 or config)")
         if name == "simulate":
             p.add_argument("--beta", type=float, required=True)
             p.add_argument("--alpha", type=float, required=True)

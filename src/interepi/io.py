@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -73,114 +74,93 @@ def write_graph(g: LayeredGraph, path: Union[str, os.PathLike]) -> None:
 def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:
     """Parse and validate a graph file; ParseError carries the line number."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        # bytes after the text-mode newline translation; the str is freed at once
-        data = fh.read().encode("ascii", errors="surrogateescape")
-    layer_sizes, rows = _parse_graph_text(data)
-    del data
+        text = fh.read()
+        read = _loadtxt(text, fh) if fh.seekable() else None
+    layer_sizes, values = read or _parse_lines(text)
+    del text, read
+    rows = np.empty((len(values), 5), dtype=np.int64)
+    rows[:, :4] = values
+    del values
+    rows[:, 4] = ColorTable(len(layer_sizes)).color_matrix()[rows[:, 0], rows[:, 2]]
     return build_graph_array(layer_sizes, rows)
 
 
-_SPACE = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32)  # the ASCII bytes str.split() splits on
+def _loadtxt(text: str, fh: TextIO) -> Optional[tuple[list[int], np.ndarray]]:
+    """Layer sizes and (m, 4) edge rows read by np.loadtxt, or None unless it
+    reads them as :func:`_parse_lines` would: an ASCII file whose every '#'
+    starts a comment line and whose one valid ``#layers`` header precedes the
+    edges, read without error or warning into four columns of declared layers."""
+    if not text.isascii():
+        return None
+    header, end, at = "", 0, text.find("#")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        if text[start:at].strip() or not header and text[end:start].strip():
+            return None  # a '#' after a field, or an edge line before the header
+        end = text.find("\n", at) + 1 or len(text)
+        if text[at:end].split()[0] == "#layers":
+            header += text[at:end]
+        at = text.find("#", end)
+    try:
+        layer_sizes, _ = _parse_lines(header)
+    except ParseError:
+        return None
+    fh.seek(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return None
+    layers = values[:, 0:3:2]
+    declared = layers.min(initial=0) >= 0 and layers.max(initial=0) < len(layer_sizes)
+    return (layer_sizes, values) if values.shape[1] == 4 and declared else None
 
 
-def _parse_graph_text(data: bytes) -> tuple[list[int], np.ndarray]:
-    """Header layer sizes and (m, 5) rows (layer_u, u, layer_v, v, color) of a
-    graph file, the color inferred from the layer pair.
-
-    Tokens, their lines and their values come from array operations. Only
-    the lines that can be malformed (comments, the first edge line, the first
-    without four fields, those with a field other than an optional minus and
-    1 to 18 digits) go through the line checks, in file order, so the first
-    malformed line raises. Fields are read with int() semantics. A non-ASCII
-    byte (``load_graph`` reads the file with surrogateescape) raises first.
-    Byte positions are int32 below 2 GiB of input, and each array is freed
-    once it has been used.
+def _parse_lines(text: str) -> tuple[list[int], np.ndarray]:
+    """Layer sizes and (m, 4) edge rows, read one line at a time; this defines
+    the format. A non-ASCII byte (``load_graph`` reads with surrogateescape)
+    raises first, then the first malformed line, then the first undeclared
+    layer. Fields are read as int() reads them and clamped by int64_array.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    pos = np.int32 if len(buf) <= np.iinfo(np.int32).max else np.int64
-    newline = np.flatnonzero(buf == 10).astype(pos)
-    high = np.flatnonzero(buf > 127)
-    if len(high):
-        raise ParseError(int(np.searchsorted(newline, high[0])) + 1, "non-ASCII byte")
-    space = np.concatenate(([True], np.isin(buf, _SPACE), [True]))
-    starts = np.flatnonzero(space[:-1] & ~space[1:]).astype(pos)
-    ends = np.flatnonzero(~space[:-1] & space[1:]).astype(pos)
-    del space
-    line = np.searchsorted(newline, starts).astype(pos)  # 0-based line of each token
-    first = np.ones(len(line), dtype=bool)
-    first[1:] = line[1:] != line[:-1]
-    lead = np.flatnonzero(first).astype(pos)  # first token of each line
-    del first
-    fields = np.diff(lead, append=len(line))
-    comment = buf[starts[lead]] == ord("#")
-    comment_lines, lines = line[lead[comment]], line[lead[~comment]]
-    del line, lead
-    if comment.any():
-        data_token = ~np.repeat(comment, fields)
-        starts, ends = starts[data_token], ends[data_token]
-        del data_token
-    fields = fields[~comment]
-    neg = buf[starts] == ord("-")
-    starts += neg
-    width = ends - starts
-    del ends
-    # values of plain fields (an optional minus and 1 to 18 digits) by Horner
-    values = np.zeros(len(starts), dtype=np.int64)
-    plain = (width > 0) & (width <= 18)
-    for j in range(min(int(width.max(initial=0)), 18)):
-        at = np.flatnonzero(plain & (width > j))
-        digit = buf[starts[at] + j] - 48  # uint8: a non-digit wraps past 9
-        plain[at] = digit <= 9
-        values[at] = values[at] * 10 + digit
-    values[neg] *= -1
-    odd = np.flatnonzero(~plain)
-    odd_lines = lines[np.searchsorted(np.cumsum(fields), odd, side="right")]
-    suspect = [comment_lines, lines[:1], lines[fields != 4][:1], odd_lines]
-
-    bounds = np.concatenate(([0], newline + 1, [len(data) + 1]))
-    del newline
-    layer_sizes: Optional[list[int]] = None
-    for k in np.unique(np.concatenate(suspect)).tolist():
-        row, line_no = data[bounds[k] : bounds[k + 1] - 1].decode("ascii").strip(), k + 1
-        head, *rest = row.split()
-        if head == "#layers":
+    if high := re.search(r"[^\x00-\x7f]", text):
+        raise ParseError(text.count("\n", 0, high.start()) + 1, "non-ASCII byte")
+    layer_sizes, values, undeclared = None, [], None
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if fields[0] == "#layers":
             if layer_sizes is not None:
                 raise ParseError(line_no, "duplicate #layers header")
             try:
-                layer_sizes = [int(tok) for tok in rest]
+                layer_sizes = [int(tok) for tok in fields[1:]]
             except ValueError:
                 raise ParseError(line_no, "layer sizes must be integers")
             if not layer_sizes:
                 raise ParseError(line_no, "#layers header declares no layers")
-            if any(size < 1 for size in layer_sizes):
+            if min(layer_sizes) < 1:
                 raise ParseError(line_no, "layer sizes must be positive")
-        elif head[0] == "#":
+        elif fields[0][0] == "#":
             continue
         elif layer_sizes is None:
             raise ParseError(line_no, "edge before #layers header")
-        elif len(rest) != 3:
-            raise ParseError(line_no, f"expected 'layer_u u layer_v v', got {row!r}")
+        elif len(fields) != 4:
+            raise ParseError(line_no, f"expected 'layer_u u layer_v v', got {line.strip()!r}")
         else:
             try:
-                [int(tok) for tok in row.split()]
+                lu, iu, lv, iv = map(int, fields)
             except ValueError:
-                raise ParseError(line_no, f"non-integer field in {row!r}")
+                raise ParseError(line_no, f"non-integer field in {line.strip()!r}")
+            if not (0 <= lu < len(layer_sizes) and 0 <= lv < len(layer_sizes)):
+                bad = lv if 0 <= lu < len(layer_sizes) else lu
+                undeclared = undeclared or (line_no, bad)
+            values += (lu, iu, lv, iv)
     if layer_sizes is None:
         raise ParseError(0, "missing #layers header")
-
-    if len(odd):
-        spans = zip((starts - neg).tolist(), (starts + width).tolist())
-        values = int64_array([int(data[a:b]) for a, b in spans])
-    del starts, width, neg
-    rows = np.empty((len(values) // 4, 5), dtype=values.dtype)
-    rows[:, :4] = values.reshape(-1, 4)
-    del values
-    undeclared = (rows[:, [0, 2]] < 0) | (rows[:, [0, 2]] >= len(layer_sizes))
-    if undeclared.any():
-        i, col = np.argwhere(undeclared)[0]
-        raise ParseError(int(lines[i]) + 1, f"layer {rows[i, 2 * col]} not declared in header")
-    rows[:, 4] = ColorTable(len(layer_sizes)).color_matrix()[rows[:, 0], rows[:, 2]]
-    return layer_sizes, rows
+    if undeclared is not None:
+        raise ParseError(undeclared[0], f"layer {undeclared[1]} not declared in header")
+    return layer_sizes, int64_array(values).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +240,14 @@ def _parse_float(key: str, value: str) -> float:
         raise ConfigError(f"{key}: expected number, got {value!r}")
 
 
+def _keyed(key: str, parse, value: str):
+    """parse(value), with the config key named in its ConfigError."""
+    try:
+        return parse(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _parse_mean(key: str, value: str) -> float:
     mean = _parse_float(key, value)
     if not mean >= 0.0:
@@ -272,9 +260,9 @@ def parse_grid(spec: str) -> tuple[float, ...]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {spec!r} must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise ConfigError(f"grid {spec!r} must have step > 0 and stop >= start")
+    start, stop, step = (_parse_float(f"grid {spec!r}", p) for p in parts)
+    if not (0 < step < float("inf") and float("-inf") < start <= stop < float("inf")):
+        raise ConfigError(f"grid {spec!r} must be finite with step > 0 and stop >= start")
     count = int(round((stop - start) / step)) + 1
     vals = [round(start + i * step, 12) for i in range(count)]
     return tuple(v for v in vals if v <= stop + 1e-12)
@@ -289,9 +277,9 @@ def parse_settings(spec: str) -> tuple[tuple[float, float], ...]:
         parts = token.split(":")
         if len(parts) != 2:
             raise ConfigError(f"setting {token!r} must be beta:alpha")
-        out.append((float(parts[0]), float(parts[1])))
+        out.append(tuple(_parse_float(f"setting {token!r}", p) for p in parts))
     if not out:
-        raise ConfigError("dynamics.settings is empty")
+        raise ConfigError("no beta:alpha settings")
     return tuple(out)
 
 
@@ -395,6 +383,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError("analysis.grid_step must be in (0, 0.5]")
     cfg.tie_intra = _parse_bool("analysis.tie_intra", raw.get("analysis.tie_intra", "true"))
     cfg.refine_tol = _parse_float("analysis.refine_tol", raw.get("analysis.refine_tol", "0"))
+    if not 0.0 <= cfg.refine_tol < float("inf"):
+        raise ConfigError("analysis.refine_tol must be finite and >= 0")
 
     cfg.realizations = _parse_int("sim.realizations", raw.get("sim.realizations", "100"))
     if cfg.realizations < 1:
@@ -423,17 +413,19 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
             parts = token.split(":")
             if len(parts) != 2:
                 raise ConfigError(f"seed node {token!r} must be layer:index")
-            nodes.append((int(parts[0]), int(parts[1])))
+            nodes.append(tuple(_parse_int("sim.seed_nodes", p) for p in parts))
         cfg.seeds = SeedPolicy.explicit(nodes)
     else:
         raise ConfigError("sim.seed_placement must be uniform, per-layer or explicit")
 
     if "sweep.beta" in raw:
-        cfg.sweep_betas = parse_grid(raw["sweep.beta"])
+        cfg.sweep_betas = _keyed("sweep.beta", parse_grid, raw["sweep.beta"])
     if "sweep.alpha" in raw:
-        cfg.sweep_alphas = parse_grid(raw["sweep.alpha"])
+        cfg.sweep_alphas = _keyed("sweep.alpha", parse_grid, raw["sweep.alpha"])
     if "dynamics.settings" in raw:
-        cfg.dynamics_settings = parse_settings(raw["dynamics.settings"])
+        cfg.dynamics_settings = _keyed(
+            "dynamics.settings", parse_settings, raw["dynamics.settings"]
+        )
     for grid in (cfg.sweep_betas, cfg.sweep_alphas):
         if any(not 0.0 <= v <= 1.0 for v in grid):
             raise ConfigError("sweep rates must lie in [0, 1]")

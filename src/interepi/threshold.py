@@ -467,6 +467,13 @@ def _thetas_of_rates(base: np.ndarray, tau: int) -> Callable[[np.ndarray], np.nd
     return thetas
 
 
+def _check_search(grid_step: float, refine_tol: Optional[float]) -> None:
+    if not 0.0 < grid_step <= 0.5:
+        raise DomainError("grid step must be in (0, 0.5]")
+    if refine_tol is not None and not 0.0 <= refine_tol < math.inf:
+        raise DomainError(f"refine_tol must be None or finite and >= 0, got {refine_tol}")
+
+
 def multi_threshold(
     m: MomentSet,
     layer_sizes: Sequence[int],
@@ -480,11 +487,11 @@ def multi_threshold(
 
     ``tie_intra`` searches with all intra-layer rates equal (the usual
     beta / alpha convention), which reduces the grid dimension by one;
-    the returned tuples are always full length. ``refine_tol`` bisects each
-    frontier point along the searched axis down to the given resolution.
+    the returned tuples are always full length. A positive ``refine_tol``
+    bisects each frontier point along the searched axis down to that
+    resolution; None or 0 leaves the grid points.
     """
-    if not 0.0 < grid_step <= 0.5:
-        raise DomainError("grid step must be in (0, 0.5]")
+    _check_search(grid_step, refine_tol)
     groups = _tie_groups(m.num_colors, len(layer_sizes), tie_intra)
     thetas = _thetas_of_rates(_closed_form_base(m, layer_sizes), tau)
     return _frontier_search(thetas, m.num_colors, grid_step, groups, refine_tol)
@@ -499,8 +506,7 @@ def multi_threshold_empirical(
     refine_tol: Optional[float] = None,
 ) -> FrontierSet:
     """Frontier of the measured-cross-moment Jacobian (any layer count)."""
-    if not 0.0 < grid_step <= 0.5:
-        raise DomainError("grid step must be in (0, 0.5]")
+    _check_search(grid_step, refine_tol)
     stats = colored_cross_moments(g)
     if not stats.mean.any():
         raise EmptyColor("graph has no edges on any color")

@@ -20,6 +20,7 @@ from interepi import (
     run_experiment,
     write_graph,
 )
+import interepi.io as io_module
 from interepi.cli import main
 from interepi.io import parse_grid, parse_settings
 from oracles import chain_plus_layer2
@@ -118,6 +119,8 @@ class TestGraphFiles:
             ("  0 1  1\t", 7, "expected 'layer_u u layer_v v', got '0 1  1'"),
             ("0 1 -1 0", 7, "layer -1 not declared in header"),
             ("#layers 2 2", 7, "duplicate #layers header"),
+            ("0 1 1 0 # c", 7, "expected 'layer_u u layer_v v', got '0 1 1 0 # c'"),
+            ("0 1 1.0 0", 7, "non-integer field in '0 1 1.0 0'"),
         ],
     )
     def test_line_number_counts_comment_and_blank_lines(self, tmp_path, bad, line_no, reason):
@@ -150,6 +153,9 @@ class TestGraphFiles:
         # signed fields in a file whose other fields are all plain digits
         path.write_text("#layers 2 2\n+1 0 +1 1\n0 -0 1 +0\n")
         assert load_graph(path).edge_list() == [((0, 0), (1, 0), 2), ((1, 0), (1, 1), 1)]
+        # str.split() separators: vertical tab, file separator and form feed
+        path.write_text("#layers\x0b2 2\n0\x0b0\x1c1 1\n\x1c\n\x0c1\t0 0 1\n")
+        assert load_graph(path).edge_list() == [((0, 0), (1, 1), 2), ((0, 1), (1, 0), 2)]
 
     def test_huge_index_is_an_unknown_node(self, tmp_path):
         path = tmp_path / "b.edges"
@@ -179,6 +185,40 @@ class TestGraphFiles:
         path.write_text("#layers 2 2\n0 0 1 1\n1 1 0 0\n")
         with pytest.raises(DuplicateEdge):
             load_graph(path)
+
+    @pytest.mark.parametrize(
+        "text,line_no,reason",
+        [
+            # every edge line has five integer fields
+            ("#layers 2 2\n0 0 1 1 2\n0 1 1 0 2\n", 2,
+             "expected 'layer_u u layer_v v', got '0 0 1 1 2'"),
+            ("# a\n\n0 0 1 1\n# b\n#layers 2 2\n0 1 1 0\n", 3, "edge before #layers header"),
+            ("#layers 2 2 # c\n0 0 1 1\n", 1, "layer sizes must be integers"),
+        ],
+    )
+    def test_near_misses_of_a_plain_file(self, tmp_path, text, line_no, reason):
+        path = tmp_path / "b.edges"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert (exc.value.line_no, exc.value.reason) == (line_no, reason)
+
+    def test_plain_files_are_read_by_loadtxt(self, tmp_path, monkeypatch):
+        # the line reader checks the #layers header alone; np.loadtxt reads
+        # the edge lines of a write_graph file and of one with comment lines
+        real = io_module._parse_lines
+
+        def header_only(text):
+            assert all(line.lstrip().startswith("#") for line in text.split("\n") if line.strip())
+            return real(text)
+
+        monkeypatch.setattr(io_module, "_parse_lines", header_only)
+        g = chain_plus_layer2()
+        path = tmp_path / "g.edges"
+        write_graph(g, path)
+        assert graphs_equal(load_graph(path), g)
+        path.write_text("# made by hand\n\n  #layers 2 2\n# a\n0 0 1 1\n\n  # b\n1 0 1 1\n")
+        assert load_graph(path).edge_list() == [((0, 0), (1, 1), 2), ((1, 0), (1, 1), 1)]
 
 
 class TestConfigParsing:
@@ -228,6 +268,25 @@ inter.0.1.mean_degree = 0.5
             parse_config_text(text)
         assert str(exc.value) == f"layer.0.{key} is not used by type={kind}"
 
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            ("sweep.beta = 0:x:0.2", "sweep.beta"),
+            ("sweep.alpha = x:0.4:0.2", "sweep.alpha"),
+            ("dynamics.settings = 0.1:0.05 0.3:x", "dynamics.settings"),
+            ("sim.seed_placement = explicit\nsim.seed_nodes = 0:x", "sim.seed_nodes"),
+            ("analysis.refine_tol = -0.01", "analysis.refine_tol"),
+            ("analysis.refine_tol = nan", "analysis.refine_tol"),
+            ("analysis.refine_tol = inf", "analysis.refine_tol"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, lines, key):
+        replaced = {line.split(" = ")[0] for line in lines.splitlines()}
+        keep = [line for line in BASE_CONFIG.splitlines() if line.split(" = ")[0] not in replaced]
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("\n".join([*keep, lines]) + "\n")
+        assert str(exc.value).startswith(key)
+
     def test_missing_source(self):
         with pytest.raises(ConfigError):
             parse_config_text("layer.0.type = er\n")
@@ -272,6 +331,10 @@ inter.0.1.mean_degree = 0.5
             parse_grid("0:1")
         with pytest.raises(ConfigError):
             parse_grid("0:1:-0.1")
+        # an infinite step gave an empty grid, an infinite stop an OverflowError
+        for spec in ("0:1:inf", "0:inf:0.1", "nan:1:0.1"):
+            with pytest.raises(ConfigError):
+                parse_grid(spec)
 
     def test_settings_parse(self):
         assert parse_settings("0.1:0.2, 0.3:0.4") == ((0.1, 0.2), (0.3, 0.4))
@@ -397,6 +460,38 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "dc.csv").exists()
+
+    def test_sweep_and_dynamics_read_the_config_sim_block(self, tmp_path):
+        # unset flags take analysis.tau, sim.* and master_seed from the config
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG.replace("analysis.tau = 5", "analysis.tau = 3")
+                            + "sim.max_steps = 30\n")
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+        sweep = ["sweep", "--config", str(cfg_path),
+                 "--betas", "0:0.4:0.2", "--alphas", "0:0.4:0.2"]
+        assert main([*sweep, "--out", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "s.csv").read_bytes() == (run_dir / "sweep.csv").read_bytes()
+        assert main(["dynamics", "--config", str(cfg_path), "--settings", "0.1:0.05 0.3:0.3",
+                     "--out", str(tmp_path / "d.csv"),
+                     "--cumulative-out", str(tmp_path / "dc.csv")]) == 0
+        assert (tmp_path / "d.csv").read_bytes() == (run_dir / "dynamics.csv").read_bytes()
+        assert (tmp_path / "dc.csv").read_bytes() == (
+            run_dir / "dynamics_cumulative.csv").read_bytes()
+        # a flag still wins over the config
+        assert main([*sweep, "--realizations", "2", "--out", str(tmp_path / "s2.csv")]) == 0
+        assert (tmp_path / "s2.csv").read_bytes() != (run_dir / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("tol", ["-0.01", "nan", "inf"])
+    def test_invalid_refine_exits_2(self, tmp_path, capsys, tol):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        rc = main(["threshold", "--config", str(cfg_path), "--refine", tol,
+                   "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "--refine" in record["message"]
 
     def test_classify(self, tmp_path, capsys):
         layers = [ErLayerSpec(400, 1.5), ErLayerSpec(400, 6.0)]

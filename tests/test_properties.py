@@ -119,10 +119,17 @@ def test_build_graph_matches_edge_by_edge_validation(data):
     _same_outcome(lambda: build_graph(sizes, edges), lambda: sequential_validate(sizes, edges))
 
 
-_FIELD = st.integers(-1, 4).map(str) | st.sampled_from(["+1", "01", "1_0", "-0", "x", "-", "2.0"])
+_FIELD = st.integers(-1, 4).map(str) | st.sampled_from(
+    ["+1", "01", "1_0", "-0", "x", "-", "2.0", "1.0",
+     "9223372036854775808", "-99999999999999999999"]  # past int64
+)
+_EDGE = st.lists(st.integers(0, 3).map(str), min_size=4, max_size=4)
 _LINE = (
-    st.lists(st.integers(0, 3).map(str), min_size=4, max_size=4).map(" ".join)
-    | st.lists(st.integers(0, 3).map(str), min_size=4, max_size=4).map("\t".join)
+    _EDGE.map(" ".join)
+    | _EDGE.map("\t".join)
+    | _EDGE.map("\x0b".join)
+    | _EDGE.map("\x1c".join)
+    | _EDGE.map(lambda fields: " ".join(fields) + " # c")
     | st.lists(_FIELD, min_size=1, max_size=5).map(" ".join)
     | st.lists(st.sampled_from(["1", "2", "3", "0", "x"]), max_size=3).map(
         lambda sizes: " ".join(["#layers", *sizes]))
@@ -145,6 +152,9 @@ def test_load_graph_matches_line_by_line_parse(tmp_path_factory, sizes, lines, a
 
     def reference():
         layer_sizes, triples = sequential_parse_graph(text)
+        # load_graph clamps values past int64, which only error messages show
+        clamp = lambda v: min(max(v, -(2**63)), 2**63 - 1)
+        triples = [((a, clamp(i)), (b, clamp(j)), c) for (a, i), (b, j), c in triples]
         return sequential_validate(layer_sizes, triples)
 
     _same_outcome(lambda: load_graph(path), reference)

@@ -35,6 +35,7 @@ from interepi import (
     transmissibility,
 )
 from interepi.graph import ColorMoments, MomentSet
+import interepi.threshold as threshold_module
 from interepi.threshold import _frontier_search, _grid_values, jacobian_from_cross_moments
 from oracles import (
     cardano_radius_3x3,
@@ -450,6 +451,17 @@ class TestMultiThreshold:
         m, sizes = er_set(1.5, 6.0, 1.5)
         with pytest.raises(DomainError):
             multi_threshold(m, sizes, tau=5, grid_step=0.6)
+
+    @pytest.mark.parametrize("tol", [-0.01, math.nan, math.inf])
+    def test_invalid_refine_tol_raises_before_the_search(self, tol, monkeypatch):
+        # a negative tolerance never ended the refinement; nan or inf dropped points
+        monkeypatch.setattr(threshold_module, "_frontier_search",
+                            lambda *args: pytest.fail("the search started"))
+        m, sizes = er_set(1.5, 6.0, 1.5)
+        with pytest.raises(DomainError):
+            multi_threshold(m, sizes, tau=5, grid_step=0.05, refine_tol=tol)
+        with pytest.raises(DomainError):
+            multi_threshold_empirical(chain_plus_layer2(), tau=5, grid_step=0.1, refine_tol=tol)
 
     def test_er_frontier_tied(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
