@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from dataclasses import replace
 
 from . import __version__
 from .errors import (
     ConfigError,
+    DomainError,
     GraphValidationError,
     InterepiError,
     MeanDegreeTooLarge,
@@ -21,39 +22,50 @@ from .errors import (
     ParseError,
     WiringFailed,
 )
-from .generate import build_interdependent
-from .graph import LayeredGraph, classify_coupling, compute_moments, kappa
+from .graph import classify_coupling, compute_moments, kappa
 from .io import (
     ExperimentConfig,
-    load_graph,
-    model_moments,
+    analytic_frontier,
+    load_network,
     parse_config,
-    parse_grid,
-    parse_settings,
+    parse_rate,
     run_experiment,
+    sir_config,
+    with_overrides,
     write_dynamics_csv,
     write_frontier_csv,
     write_graph,
     write_sweep_csv,
 )
-from .sir import (
-    SeedPolicy,
-    SirConfig,
-    dynamics,
-    infection_density,
-    run_sir,
-    structural_gcc_sizes,
-    sweep_heatmap,
-)
-from .threshold import (
-    classify_state,
-    multi_threshold,
-    multi_threshold_empirical,
-)
+from .sir import dynamics, infection_density, run_sir, structural_gcc_sizes, sweep_heatmap
+from .threshold import classify_state
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# the run-parameter flags and the config keys they override
+_FLAG_KEYS = {
+    "--tau": "analysis.tau",
+    "--grid-step": "analysis.grid_step",
+    "--tie-intra": "analysis.tie_intra",
+    "--refine": "analysis.refine_tol",
+    "--realizations": "sim.realizations",
+    "--max-steps": "sim.max_steps",
+    "--master-seed": "master_seed",
+    "--betas": "sweep.beta",
+    "--alphas": "sweep.alpha",
+    "--settings": "dynamics.settings",
+}
+# --seed-policy KIND:DETAIL sets sim.seed_placement = KIND and this key to DETAIL
+# ('/' read as ':'), or to the default when DETAIL is empty
+_SEED_DETAIL = {
+    "uniform": ("sim.seed_count", "1"),
+    "per-layer": ("sim.seeds_per_layer", ""),
+    "explicit": ("sim.seed_nodes", ""),
+}
+# without --config the frontier search is untied
+_NO_CONFIG = ExperimentConfig(source="file", items=(("analysis.tie_intra", "false"),))
 
 
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -62,31 +74,29 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
     if "--out" in flags:
         p.add_argument("--out", help="output file or directory")
     if "--master-seed" in flags:
-        p.add_argument("--master-seed", type=int, default=None)
+        p.add_argument("--master-seed")
     if "--threads" in flags:
         p.add_argument("--threads", type=int, default=1)
 
 
-def _flag(value, fallback):
-    """A flag's value if it was given, else the fallback."""
-    return fallback if value is None else value
-
-
-def _seed_policy(spec: str) -> SeedPolicy:
-    kind, _, rest = spec.partition(":")
-    if kind == "uniform":
-        return SeedPolicy.uniform(int(rest or "1"))
-    if kind == "per-layer":
-        return SeedPolicy.in_layers([int(t) for t in rest.split(",") if t])
-    if kind == "explicit":
-        nodes = []
-        for token in rest.split(","):
-            if not token:
-                continue
-            layer, _, idx = token.partition("/")
-            nodes.append((int(layer), int(idx)))
-        return SeedPolicy.explicit(nodes)
-    raise ConfigError(f"unknown seed policy {spec!r}")
+def _config(args) -> ExperimentConfig:
+    """The config with the run-parameter flags given put in place of its keys,
+    and --graph, if given, in place of its network."""
+    given = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in _FLAG_KEYS}
+    overrides = {_FLAG_KEYS[f]: (f, value) for f, value in given.items() if value is not None}
+    if getattr(args, "seed_policy", None) is not None:
+        kind, _, detail = args.seed_policy.partition(":")
+        overrides["sim.seed_placement"] = ("--seed-policy", kind)
+        if kind in _SEED_DETAIL:
+            key, default = _SEED_DETAIL[kind]
+            overrides[key] = ("--seed-policy", detail.replace("/", ":") or default)
+    cfg = with_overrides(parse_config(args.config) if args.config else _NO_CONFIG, overrides)
+    if getattr(args, "graph", None):
+        return replace(cfg, source="file", graph_file=args.graph)
+    if not args.config:
+        needs = "--graph or --config" if hasattr(args, "graph") else "--config"
+        raise ConfigError(f"{args.command} requires {needs}")
+    return cfg
 
 
 def _graph_summary_lines(g) -> list[str]:
@@ -110,29 +120,11 @@ def _graph_summary_lines(g) -> list[str]:
     return lines
 
 
-def _load_or_generate(args) -> tuple[LayeredGraph, Optional[ExperimentConfig]]:
-    """The network of --graph or of --config, and the config if one is given;
-    --master-seed overrides the config's master_seed."""
-    cfg = parse_config(args.config) if args.config else None
-    if cfg is not None and args.master_seed is not None:
-        cfg.master_seed = args.master_seed
-    if getattr(args, "graph", None):
-        return load_graph(args.graph), cfg
-    if cfg is None:
-        raise ConfigError("need --graph or --config to obtain a network")
-    if cfg.source == "file":
-        return load_graph(cfg.graph_file), cfg
-    return build_interdependent(cfg.layers, cfg.inter_means, cfg.master_seed), cfg
-
-
 def cmd_generate(args) -> int:
-    if not args.config:
-        raise ConfigError("generate requires --config")
-    cfg = parse_config(args.config)
+    cfg = _config(args)
     if cfg.source != "generate":
         raise ConfigError("generate requires network.source=generate")
-    seed = args.master_seed if args.master_seed is not None else cfg.master_seed
-    g = build_interdependent(cfg.layers, cfg.inter_means, seed)
+    g = load_network(cfg)
     out = args.out or "graph.edges"
     write_graph(g, out)
     print(f"wrote {out}")
@@ -142,7 +134,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    g, _ = _load_or_generate(args)
+    g = load_network(_config(args))
     for line in _graph_summary_lines(g):
         print(line)
     whole, per_layer = structural_gcc_sizes(g)
@@ -153,64 +145,19 @@ def cmd_info(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    if args.refine is not None and not 0.0 <= args.refine < float("inf"):
-        raise ConfigError("--refine must be finite and >= 0")
-    # flags win; unset flags fall back to the config's analysis block, then
-    # to the defaults (untied without a config)
-    cfg = parse_config(args.config) if args.config else None
-    base = cfg or ExperimentConfig(source="file", tie_intra=False)
-    tau = _flag(args.tau, base.tau)
-    step = _flag(args.grid_step, base.grid_step)
-    tie = args.tie_intra or base.tie_intra
-    refine_tol = _flag(args.refine, base.refine_tol) or None
-
-    # a graph file, from --graph or a file-source config, gives measured
-    # moments as in `run`; a generate config gives model moments
-    graph_file = args.graph
-    if cfg is not None and cfg.source == "file":
-        graph_file = graph_file or cfg.graph_file
-    if graph_file and args.empirical:
-        g = load_graph(graph_file)
-        frontier = multi_threshold_empirical(
-            g, tau, step, tie_intra=tie, refine_tol=refine_tol
-        )
-    else:
-        if graph_file:
-            g = load_graph(graph_file)
-            moments, layer_sizes = compute_moments(g), g.layer_sizes
-        elif cfg is not None:
-            moments, layer_sizes = model_moments(cfg)
-        else:
-            raise ConfigError("threshold needs --graph or --config")
-        frontier = multi_threshold(
-            moments, layer_sizes, tau, step, tie_intra=tie, refine_tol=refine_tol
-        )
+    cfg = _config(args)
+    frontier = analytic_frontier(cfg, empirical=args.empirical)
     out = args.out or "frontier.csv"
     write_frontier_csv(out, frontier)
-    print(f"wrote {out} ({len(frontier)} frontier tuples, grid step {step})")
+    print(f"wrote {out} ({len(frontier)} frontier tuples, grid step {cfg.grid_step})")
     return 0
 
 
-def _sim_config(args, g, cfg: Optional[ExperimentConfig], beta, alpha) -> SirConfig:
-    """Flags win; unset flags fall back to the config's analysis.tau, sim.*
-    and master_seed keys, then to the built-in defaults."""
-    if g.num_layers != 2:
-        raise ConfigError("beta/alpha simulation requires a two-layer network")
-    base = cfg or ExperimentConfig(source="file")
-    return SirConfig(
-        rates=(beta, beta, alpha),
-        tau=_flag(args.tau, base.tau),
-        seeds=base.seeds if args.seed_policy is None else _seed_policy(args.seed_policy),
-        max_steps=_flag(args.max_steps, base.max_steps),
-        realizations=_flag(args.realizations, base.realizations),
-        master_seed=_flag(args.master_seed, base.master_seed),
-    )
-
-
 def cmd_simulate(args) -> int:
-    g, cfg = _load_or_generate(args)
-    cfg = _sim_config(args, g, cfg, args.beta, args.alpha)
-    summary = run_sir(g, cfg, realization_index=0)
+    cfg = _config(args)
+    g = load_network(cfg)
+    rates = parse_rate("--beta", args.beta), parse_rate("--alpha", args.alpha)
+    summary = run_sir(g, sir_config(cfg, g, *rates), realization_index=0)
     dens = infection_density(summary, g)
     print(f"steps: {summary.steps_run}")
     print(f"ever infected per layer: {' '.join(str(c) for c in summary.ever_counts)}")
@@ -223,11 +170,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    g, cfg = _load_or_generate(args)
-    betas = parse_grid(args.betas)
-    alphas = parse_grid(args.alphas)
-    cfg = _sim_config(args, g, cfg, 0.0, 0.0)
-    sweep = sweep_heatmap(g, betas, alphas, cfg, workers=args.threads)
+    cfg = _config(args)
+    g = load_network(cfg)
+    betas, alphas = cfg.sweep_betas, cfg.sweep_alphas
+    sweep = sweep_heatmap(g, betas, alphas, sir_config(cfg, g), workers=args.threads)
     out = args.out or "sweep.csv"
     write_sweep_csv(out, sweep)
     print(f"wrote {out} ({len(betas)}x{len(alphas)} cells)")
@@ -235,13 +181,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    g, cfg = _load_or_generate(args)
-    settings = parse_settings(args.settings)
-    cfg = _sim_config(args, g, cfg, 0.0, 0.0)
-    result = dynamics(g, settings, cfg)
+    cfg = _config(args)
+    g = load_network(cfg)
+    result = dynamics(g, cfg.dynamics_settings, sir_config(cfg, g))
     out = args.out or "dynamics.csv"
     write_dynamics_csv(out, result, cumulative=False)
-    print(f"wrote {out} ({len(settings)} settings)")
+    print(f"wrote {out} ({len(cfg.dynamics_settings)} settings)")
     if args.cumulative_out:
         write_dynamics_csv(args.cumulative_out, result, cumulative=True)
         print(f"wrote {args.cumulative_out}")
@@ -249,7 +194,8 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g, _ = _load_or_generate(args)
+    cfg = _config(args)
+    g = load_network(cfg)
     coupling = classify_coupling(g)
     print(f"coupling: {coupling.value}")
     try:
@@ -257,21 +203,14 @@ def cmd_classify(args) -> int:
     except InterepiError:
         pass
     if args.beta is not None and args.alpha is not None:
-        moments = compute_moments(g)
-        state = classify_state(
-            moments, g.layer_sizes, (args.beta, args.beta, args.alpha), args.tau
-        )
-        print(f"state at beta={args.beta} alpha={args.alpha}: {state.value}")
+        beta, alpha = parse_rate("--beta", args.beta), parse_rate("--alpha", args.alpha)
+        state = classify_state(compute_moments(g), g.layer_sizes, (beta, beta, alpha), cfg.tau)
+        print(f"state at beta={beta} alpha={alpha}: {state.value}")
     return 0
 
 
 def cmd_run(args) -> int:
-    if not args.config:
-        raise ConfigError("run requires --config")
-    cfg = parse_config(args.config)
-    outputs = run_experiment(
-        cfg, out_dir=args.out, master_seed=args.master_seed, workers=args.threads
-    )
+    outputs = run_experiment(_config(args), out_dir=args.out, workers=args.threads)
     for name in sorted(outputs):
         print(f"{name}: {outputs[name]}")
     return 0
@@ -299,12 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="edge-list graph file (measured moments)")
     p.add_argument("--empirical", action="store_true",
                    help="with a graph file: use measured colored cross-moments")
-    p.add_argument("--tau", type=int, default=None, help="recovery steps (default 5 or config)")
-    p.add_argument("--grid-step", type=float, default=None, help="default 0.01 or config")
-    p.add_argument("--tie-intra", action="store_true",
+    p.add_argument("--tau", help="recovery steps (default 5 or config)")
+    p.add_argument("--grid-step", help="default 0.01 or config")
+    p.add_argument("--tie-intra", action="store_const", const="true",
                    help="search with all intra-layer rates equal")
-    p.add_argument("--refine", type=float, default=None,
-                   help="bisection refinement tolerance (0 disables)")
+    p.add_argument("--refine", help="bisection refinement tolerance (0 disables)")
     p.set_defaults(func=cmd_threshold)
 
     for name, fn, flags in (("simulate", cmd_simulate, ("--master-seed",)),
@@ -313,15 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} SIR on a two-layer network")
         _add_common(p, *flags)
         p.add_argument("--graph", help="edge-list graph file")
-        p.add_argument("--tau", type=int, default=None, help="default 5 or config")
-        p.add_argument("--realizations", type=int, default=None, help="default 100 or config")
-        p.add_argument("--max-steps", type=int, default=None, help="default none or config")
-        p.add_argument("--seed-policy", default=None,
+        p.add_argument("--tau", help="default 5 or config")
+        p.add_argument("--realizations", help="default 100 or config")
+        p.add_argument("--max-steps", help="0 = no cap (default) or config")
+        p.add_argument("--seed-policy",
                        help="uniform:K | per-layer:K0,K1 | explicit:L/I,L/I,... "
                             "(default uniform:1 or config)")
         if name == "simulate":
-            p.add_argument("--beta", type=float, required=True)
-            p.add_argument("--alpha", type=float, required=True)
+            p.add_argument("--beta", required=True)
+            p.add_argument("--alpha", required=True)
         elif name == "sweep":
             p.add_argument("--betas", required=True, help="start:stop:step")
             p.add_argument("--alphas", required=True, help="start:stop:step")
@@ -333,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="coupling class and optional diffusion state")
     _add_common(p, "--master-seed")
     p.add_argument("--graph", help="edge-list graph file")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tau", type=int, default=5)
+    p.add_argument("--beta")
+    p.add_argument("--alpha")
+    p.add_argument("--tau", help="default 5 or config")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("run", help="full experiment from a config file")
@@ -354,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, DomainError, ValueError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return EXIT_CONFIG
     except (ParseError, GraphValidationError, OSError) as exc:

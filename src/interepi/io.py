@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -45,6 +45,7 @@ from .threshold import (
     FrontierSet,
     er_color_moments,
     multi_threshold,
+    multi_threshold_empirical,
     powerlaw_color_moments,
 )
 
@@ -240,12 +241,14 @@ def _parse_float(key: str, value: str) -> float:
         raise ConfigError(f"{key}: expected number, got {value!r}")
 
 
-def _keyed(key: str, parse, value: str):
-    """parse(value), with the config key named in its ConfigError."""
-    try:
-        return parse(value)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+def _keyed(parse):
+    """parse(value) as a (name, value) reader whose ConfigError names the key or flag."""
+    def read(name: str, value: str):
+        try:
+            return parse(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    return read
 
 
 def _parse_mean(key: str, value: str) -> float:
@@ -281,6 +284,89 @@ def parse_settings(spec: str) -> tuple[tuple[float, float], ...]:
     if not out:
         raise ConfigError("no beta:alpha settings")
     return tuple(out)
+
+
+def _in_unit(rates) -> bool:
+    return all(0.0 <= r <= 1.0 for r in np.ravel(rates))
+
+
+def parse_rate(name: str, value: str) -> float:
+    """A diffusion rate in [0, 1]; a ConfigError names ``name``, its key or flag."""
+    rate = _parse_float(name, value)
+    if not 0.0 <= rate <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+    return rate
+
+
+def _run_params(raw: dict[str, str], flags: dict[str, str]) -> dict:
+    """The ExperimentConfig fields that the run-parameter keys set (analysis.*,
+    sim.*, sweep.*, dynamics.settings and master_seed), read from ``raw`` or
+    defaulted. A ConfigError names the key, or the flag that ``flags`` says
+    gave its value."""
+
+    def read(key, parse, default=None, ok=lambda v: True, rule=""):
+        name = flags.get(key, key)
+        if key not in raw and default is None:
+            return None
+        value = parse(name, raw.get(key, default))
+        if not ok(value):
+            raise ConfigError(f"{name} must {rule}")
+        return value
+
+    params = dict(
+        tau=read("analysis.tau", _parse_int, "5", lambda v: v >= 1, "be at least 1"),
+        grid_step=read("analysis.grid_step", _parse_float, "0.01",
+                       lambda v: 0.0 < v <= 0.5, "be in (0, 0.5]"),
+        tie_intra=read("analysis.tie_intra", _parse_bool, "true"),
+        refine_tol=read("analysis.refine_tol", _parse_float, "0",
+                        lambda v: 0.0 <= v < float("inf"), "be finite and >= 0"),
+        realizations=read("sim.realizations", _parse_int, "100", lambda v: v >= 1,
+                          "be at least 1"),
+        # 0 is no cap
+        max_steps=read("sim.max_steps", _parse_int, "0", lambda v: v >= 0, "be at least 0")
+        or None,
+        sweep_betas=read("sweep.beta", _keyed(parse_grid), None, _in_unit,
+                         "hold rates in [0, 1]") or (),
+        sweep_alphas=read("sweep.alpha", _keyed(parse_grid), None, _in_unit,
+                          "hold rates in [0, 1]") or (),
+        dynamics_settings=read("dynamics.settings", _keyed(parse_settings), None, _in_unit,
+                               "hold rates in [0, 1]") or (),
+        master_seed=read("master_seed", _parse_int, "0"),
+    )
+    placement = read("sim.seed_placement", lambda name, value: value, "uniform",
+                     lambda v: v in ("uniform", "per-layer", "explicit"),
+                     "be uniform, per-layer or explicit")
+    if placement == "uniform":
+        params["seeds"] = SeedPolicy.uniform(read("sim.seed_count", _parse_int, "1"))
+        return params
+    key = "sim.seeds_per_layer" if placement == "per-layer" else "sim.seed_nodes"
+    if key not in raw:
+        raise ConfigError(f"sim.seed_placement={placement} requires {key}")
+    name, tokens = flags.get(key, key), [t for t in re.split(r"[,\s]+", raw[key]) if t]
+    if placement == "per-layer":
+        params["seeds"] = SeedPolicy.in_layers([_parse_int(name, t) for t in tokens])
+        return params
+    nodes = []
+    for token in tokens:
+        parts = token.split(":")
+        if len(parts) != 2:
+            raise ConfigError(f"{name}: seed node {token!r} must be a layer and an index")
+        nodes.append([_parse_int(name, part) for part in parts])
+    params["seeds"] = SeedPolicy.explicit(nodes)
+    return params
+
+
+def with_overrides(
+    cfg: ExperimentConfig, overrides: dict[str, tuple[str, str]]
+) -> ExperimentConfig:
+    """A copy of cfg with its run parameters re-read from its key echo, with
+    ``overrides`` ({key: (flag, value)}) in place of those keys: a flag wins
+    over the config, and the config over the defaults. A ConfigError on an
+    overriding value names its flag. ``items`` stays the config's own echo."""
+    raw = dict(cfg.items)
+    raw.update((key, value) for key, (_, value) in overrides.items())
+    flags = {key: flag for key, (flag, _) in overrides.items()}
+    return replace(cfg, **_run_params(raw, flags))
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
@@ -375,68 +461,9 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 raise ConfigError(f"inter.{i}.{j} references undeclared layer {j}")
             cfg.inter_means[(i, j)] = _parse_mean(f"inter.{i}.{j}.mean_degree", value)
 
-    cfg.tau = _parse_int("analysis.tau", raw.get("analysis.tau", "5"))
-    if cfg.tau < 1:
-        raise ConfigError("analysis.tau must be at least 1")
-    cfg.grid_step = _parse_float("analysis.grid_step", raw.get("analysis.grid_step", "0.01"))
-    if not 0.0 < cfg.grid_step <= 0.5:
-        raise ConfigError("analysis.grid_step must be in (0, 0.5]")
-    cfg.tie_intra = _parse_bool("analysis.tie_intra", raw.get("analysis.tie_intra", "true"))
-    cfg.refine_tol = _parse_float("analysis.refine_tol", raw.get("analysis.refine_tol", "0"))
-    if not 0.0 <= cfg.refine_tol < float("inf"):
-        raise ConfigError("analysis.refine_tol must be finite and >= 0")
-
-    cfg.realizations = _parse_int("sim.realizations", raw.get("sim.realizations", "100"))
-    if cfg.realizations < 1:
-        raise ConfigError("sim.realizations must be at least 1")
-    max_steps = _parse_int("sim.max_steps", raw.get("sim.max_steps", "0"))
-    cfg.max_steps = None if max_steps == 0 else max_steps
-
-    placement = raw.get("sim.seed_placement", "uniform")
-    if placement == "uniform":
-        cfg.seeds = SeedPolicy.uniform(_parse_int("sim.seed_count", raw.get("sim.seed_count", "1")))
-    elif placement == "per-layer":
-        counts = raw.get("sim.seeds_per_layer")
-        if counts is None:
-            raise ConfigError("sim.seed_placement=per-layer requires sim.seeds_per_layer")
-        cfg.seeds = SeedPolicy.in_layers(
-            [_parse_int("sim.seeds_per_layer", t) for t in re.split(r"[,\s]+", counts) if t]
-        )
-    elif placement == "explicit":
-        spec = raw.get("sim.seed_nodes")
-        if spec is None:
-            raise ConfigError("sim.seed_placement=explicit requires sim.seed_nodes")
-        nodes = []
-        for token in re.split(r"[,\s]+", spec.strip()):
-            if not token:
-                continue
-            parts = token.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"seed node {token!r} must be layer:index")
-            nodes.append(tuple(_parse_int("sim.seed_nodes", p) for p in parts))
-        cfg.seeds = SeedPolicy.explicit(nodes)
-    else:
-        raise ConfigError("sim.seed_placement must be uniform, per-layer or explicit")
-
-    if "sweep.beta" in raw:
-        cfg.sweep_betas = _keyed("sweep.beta", parse_grid, raw["sweep.beta"])
-    if "sweep.alpha" in raw:
-        cfg.sweep_alphas = _keyed("sweep.alpha", parse_grid, raw["sweep.alpha"])
-    if "dynamics.settings" in raw:
-        cfg.dynamics_settings = _keyed(
-            "dynamics.settings", parse_settings, raw["dynamics.settings"]
-        )
-    for grid in (cfg.sweep_betas, cfg.sweep_alphas):
-        if any(not 0.0 <= v <= 1.0 for v in grid):
-            raise ConfigError("sweep rates must lie in [0, 1]")
-    for beta, alpha in cfg.dynamics_settings:
-        if not (0.0 <= beta <= 1.0 and 0.0 <= alpha <= 1.0):
-            raise ConfigError("dynamics rates must lie in [0, 1]")
-
     cfg.out_dir = raw.get("output.dir", "out")
-    cfg.master_seed = _parse_int("master_seed", raw.get("master_seed", "0"))
     cfg.items = tuple(sorted(raw.items()))
-    return cfg
+    return with_overrides(cfg, {})
 
 
 def parse_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
@@ -463,6 +490,53 @@ def model_moments(cfg: ExperimentConfig) -> tuple[MomentSet, tuple[int, ...]]:
     inter_mean = cfg.inter_means.get((0, 1), 0.0)
     inter = er_color_moments(inter_mean, n0 + n1)
     return MomentSet((intra[0], intra[1], inter)), (n0, n1)
+
+
+# ---------------------------------------------------------------------------
+# Stages shared by run_experiment and the CLI
+# ---------------------------------------------------------------------------
+
+def load_network(cfg: ExperimentConfig) -> LayeredGraph:
+    """The config's graph file, or the network its layer specs generate under
+    its master seed."""
+    if cfg.source == "file":
+        return load_graph(cfg.graph_file)
+    return build_interdependent(cfg.layers, cfg.inter_means, cfg.master_seed)
+
+
+def analytic_frontier(
+    cfg: ExperimentConfig, graph: Optional[LayeredGraph] = None, empirical: bool = False
+) -> FrontierSet:
+    """The frontier at the config's analysis keys. A generated network gives
+    the model moments of its layer specs; a graph file gives the measured
+    moments of ``graph`` (loaded if not passed), or with ``empirical`` its
+    colored cross-moments."""
+    options = dict(tie_intra=cfg.tie_intra, refine_tol=cfg.refine_tol or None)
+    if cfg.source == "generate":
+        moments, layer_sizes = model_moments(cfg)
+    else:
+        graph = load_network(cfg) if graph is None else graph
+        if empirical:
+            return multi_threshold_empirical(graph, cfg.tau, cfg.grid_step, **options)
+        moments, layer_sizes = compute_moments(graph), graph.layer_sizes
+    return multi_threshold(moments, layer_sizes, cfg.tau, cfg.grid_step, **options)
+
+
+def sir_config(
+    cfg: ExperimentConfig, graph: LayeredGraph, beta: float = 0.0, alpha: float = 0.0
+) -> SirConfig:
+    """The SirConfig of the config's tau, sim.* keys and master seed, at
+    intra rate beta and inter rate alpha on a two-layer network."""
+    if graph.num_layers != 2:
+        raise ConfigError("simulation requires a two-layer network")
+    return SirConfig(
+        rates=(beta, beta, alpha),
+        tau=cfg.tau,
+        seeds=cfg.seeds,
+        max_steps=cfg.max_steps,
+        realizations=cfg.realizations,
+        master_seed=cfg.master_seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,32 +626,9 @@ def run_experiment(
     target = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(target, exist_ok=True)
 
-    if cfg.source == "generate":
-        graph = build_interdependent(cfg.layers, cfg.inter_means, cfg.master_seed)
-        moments, layer_sizes = model_moments(cfg)
-    else:
-        graph = load_graph(cfg.graph_file)
-        moments, layer_sizes = compute_moments(graph), graph.layer_sizes
-    if graph.num_layers != 2:
-        raise ConfigError("run_experiment requires a two-layer network")
-
-    frontier = multi_threshold(
-        moments,
-        layer_sizes,
-        cfg.tau,
-        cfg.grid_step,
-        tie_intra=cfg.tie_intra,
-        refine_tol=cfg.refine_tol or None,
-    )
-
-    sim_cfg = SirConfig(
-        rates=(0.0, 0.0, 0.0),
-        tau=cfg.tau,
-        seeds=cfg.seeds,
-        max_steps=cfg.max_steps,
-        realizations=cfg.realizations,
-        master_seed=cfg.master_seed,
-    )
+    graph = load_network(cfg)
+    sim_cfg = sir_config(cfg, graph)
+    frontier = analytic_frontier(cfg, graph)
 
     outputs: dict[str, str] = {}
 

@@ -80,6 +80,8 @@ class SirConfig:
             raise ValueError("tau must be at least 1")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         if any(not 0.0 <= r <= 1.0 for r in self.rates):
             raise ValueError("rates must lie in [0, 1]")
 
@@ -138,6 +140,10 @@ def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator)
     if policy.kind == "explicit":
         if not policy.nodes:
             raise ValueError("explicit seed policy without nodes")
+        sizes = g.layer_sizes
+        for layer, index in policy.nodes:
+            if not (0 <= layer < len(sizes) and 0 <= index < sizes[layer]):
+                raise ValueError(f"explicit seed {(layer, index)} outside layer sizes {sizes}")
         flat = np.asarray([g.flat(l, i) for l, i in policy.nodes], dtype=np.int64)
         if len(np.unique(flat)) != len(flat):
             raise ValueError("explicit seeds must be distinct")

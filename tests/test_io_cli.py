@@ -1,13 +1,18 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import interepi
+import interepi.cli as cli_module
 from interepi import (
     ConfigError,
+    DomainError,
     DuplicateEdge,
     ErLayerSpec,
     ParseError,
@@ -278,6 +283,9 @@ inter.0.1.mean_degree = 0.5
             ("analysis.refine_tol = -0.01", "analysis.refine_tol"),
             ("analysis.refine_tol = nan", "analysis.refine_tol"),
             ("analysis.refine_tol = inf", "analysis.refine_tol"),
+            ("sim.max_steps = -3", "sim.max_steps"),
+            ("sweep.alpha = 0:1.4:0.2", "sweep.alpha"),
+            ("sim.seed_placement = explicit\nsim.seed_nodes = 0:1:2", "sim.seed_nodes"),
         ],
     )
     def test_bad_value_names_its_key(self, lines, key):
@@ -492,6 +500,100 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert "--refine" in record["message"]
+
+    @staticmethod
+    def _graph(tmp_path):
+        path = tmp_path / "g.edges"
+        layers = [ErLayerSpec(300, 1.5), ErLayerSpec(300, 5.0)]
+        write_graph(build_interdependent(layers, {(0, 1): 1.0}, master_seed=12), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("threshold", "--grid-step", "0.7"),
+            ("threshold", "--tau", "0"),
+            ("sweep --betas 0:0.2:0.2 --alphas 0:0.2:0.2", "--realizations", "0"),
+            ("sweep --betas 0:1.2:0.2 --alphas 0:0.2:0.2", "--betas", "0:1.2:0.2"),
+            ("simulate --beta 0.3 --alpha 0.2", "--max-steps", "-3"),
+            ("simulate --beta 0.3 --alpha 0.2", "--master-seed", "x"),
+            ("sweep --betas 0:0.2:0.2 --alphas 0:0.2:0.2", "--seed-policy", "per-layer:x"),
+            ("dynamics --settings 0.1:0.1", "--seed-policy", "bogus:1"),
+            ("classify --alpha 0.1", "--beta", "1.5"),
+        ],
+    )
+    def test_bad_flag_value_exits_2_naming_the_flag(
+        self, tmp_path, capsys, monkeypatch, command, flag, value
+    ):
+        graph = self._graph(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        rc = main([*command.split(), "--graph", str(graph), flag, value])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(flag)
+
+    def test_domain_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise DomainError("grid step must be in (0, 0.5]")
+
+        monkeypatch.setattr(cli_module, "analytic_frontier", fail)
+        rc = main(["threshold", "--graph", str(self._graph(tmp_path)),
+                   "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
+
+    def test_classify_reads_the_config_tau(self, tmp_path, capsys):
+        graph = self._graph(tmp_path)
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text("network.source = file\nnetwork.file = g.edges\nanalysis.tau = 1\n")
+        states = []
+        for source in (["--config", str(cfg_path)], ["--graph", str(graph), "--tau", "1"],
+                       ["--graph", str(graph)]):
+            assert main(["classify", *source, "--beta", "0.05", "--alpha", "0.05"]) == 0
+            states.append(capsys.readouterr().out.splitlines()[-1])
+        # tau = 1 leaves the network infection-free where the default tau = 5 does not
+        assert states[0] == states[1] != states[2]
+
+    def test_explicit_seed_policy_is_the_seed_nodes_key(self, tmp_path):
+        graph = self._graph(tmp_path)
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text("network.source = file\nnetwork.file = g.edges\n"
+                            "sim.seed_placement = explicit\nsim.seed_nodes = 0:2\n")
+        args = ["dynamics", "--settings", "0.3:0.3", "--realizations", "3"]
+        by_key, by_flag, default = (tmp_path / f"{name}.csv" for name in ("key", "flag", "default"))
+        assert main([*args, "--config", str(cfg_path), "--out", str(by_key)]) == 0
+        assert main([*args, "--graph", str(graph), "--seed-policy", "explicit:0/2",
+                     "--out", str(by_flag)]) == 0
+        assert main([*args, "--graph", str(graph), "--out", str(default)]) == 0
+        assert by_key.read_bytes() == by_flag.read_bytes() != default.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["0/-1", "0/300", "2/0"])
+    def test_explicit_seed_outside_the_graph_exits_2(self, tmp_path, seed):
+        # a child process: explicit:0/-1 once crashed the interpreter (SIGSEGV),
+        # and explicit:0/300 seeded node 0 of layer 1
+        src = Path(interepi.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "interepi.cli", "simulate", "--graph",
+             str(self._graph(tmp_path)), "--beta", "0.3", "--alpha", "0.2",
+             "--seed-policy", f"explicit:1/0,{seed}"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stderr.strip())
+        assert record["error"] == "ValueError"
+        assert f"({seed.replace('/', ', ')})" in record["message"]
+
+    def test_run_stops_at_an_explicit_seed_outside_the_graph(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG.replace("sim.seed_placement = per-layer",
+                                                "sim.seed_placement = explicit")
+                            .replace("sim.seeds_per_layer = 1 1", "sim.seed_nodes = 1:0 0:120"))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "(0, 120)" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_classify(self, tmp_path, capsys):
         layers = [ErLayerSpec(400, 1.5), ErLayerSpec(400, 6.0)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -110,6 +112,8 @@ class TestRunSir:
             SirConfig(rates=(1.5,), tau=5)
         with pytest.raises(ValueError):
             SirConfig(rates=(0.5,), tau=5, realizations=0)
+        with pytest.raises(ValueError, match="max_steps"):
+            SirConfig(rates=(0.5,), tau=5, max_steps=-1)
 
 
 class TestFirstPassageSampler:
@@ -232,6 +236,15 @@ class TestSeedPolicies:
         for cfg in bad:
             with pytest.raises(ValueError):
                 run_sir(g, cfg, 0)
+
+    @pytest.mark.parametrize("node", [(0, 6), (1, 6), (2, 0), (-1, 0)])
+    def test_explicit_seed_outside_its_layer(self, node):
+        # (0, 6) once seeded node 0 of layer 1; (0, -1) is run by
+        # test_io_cli in a child process, as it once crashed the interpreter
+        g = chain_plus_layer2()
+        cfg = SirConfig(rates=(0.0,) * 3, seeds=SeedPolicy.explicit([(1, 0), node]))
+        with pytest.raises(ValueError, match=re.escape(str(node))):
+            run_sir(g, cfg, 0)
 
 
 class TestAgainstPercolationReference:
