@@ -149,7 +149,8 @@ def cmd_threshold(args) -> int:
     frontier = analytic_frontier(cfg, empirical=args.empirical)
     out = args.out or "frontier.csv"
     write_frontier_csv(out, frontier)
-    print(f"wrote {out} ({len(frontier)} frontier tuples, grid step {cfg.grid_step})")
+    print(f"wrote {out} ({len(frontier)} frontier tuples, grid step {cfg.grid_step}, "
+          f"{frontier.evaluations} Perron roots)")
     return 0
 
 

@@ -10,6 +10,8 @@ class InterepiError(Exception):
 class GraphValidationError(InterepiError):
     """An edge list violates the layered-graph invariants."""
 
+    row = None  # the index of the offending edge row, when known
+
 
 class UnknownNode(GraphValidationError):
     pass

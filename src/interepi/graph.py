@@ -23,6 +23,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import (
     CrossLayerColorMismatch,
     DuplicateEdge,
+    GraphValidationError,
     NoEdgesInScope,
     NotTwoLayers,
     SelfLoop,
@@ -229,11 +230,11 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     The checks are vectorized, and the first offending row in input order
     raises. Within a row they run as UnknownNode (u's layer and index, then
     v's), SelfLoop, CrossLayerColorMismatch, then DuplicateEdge (an earlier
-    row has the same pair in either orientation). Messages name the row.
-    Rows are read as int64 unless they are already int32, and are narrowed
-    to :data:`INDEX` only once they are valid. ValueError when the layers hold
-    2**31 nodes or more, or the rows 2**30 edges or more, which :data:`INDEX`
-    cannot number.
+    row has the same pair in either orientation). Messages name the row, and
+    the error's ``row`` is its index. Rows are read as int64 unless they are
+    already int32, and are narrowed to :data:`INDEX` only once they are
+    valid. ValueError when the layers hold 2**31 nodes or more, or the rows
+    2**30 edges or more, which :data:`INDEX` cannot number.
     """
     sizes = [int(s) for s in layer_sizes]
     if not sizes or any(s < 1 for s in sizes):
@@ -270,19 +271,23 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     if bad.any():
         i = int(np.argmax(bad))
         lu, iu, lv, iv, c = edges[i].tolist()
-        for lay, node, no_layer, no_node in zip((lu, lv), (iu, iv), bad_layer, bad_idx):
-            if no_layer[i]:
-                raise UnknownNode(f"layer {lay} not declared")
-            if no_node[i]:
-                raise UnknownNode(f"node ({lay}, {node}) outside layer of size {sizes[lay]}")
-        if loop[i]:
-            raise SelfLoop(f"self-loop at ({lu}, {iu})")
-        if mismatch[i]:
-            raise CrossLayerColorMismatch(
-                f"edge ({lu},{iu})-({lv},{iv}) carries color {c}, "
-                f"layer pair requires {colors[lu, lv]}"
-            )
-        raise DuplicateEdge(f"duplicate edge ({lu},{iu})-({lv},{iv})")
+        try:
+            for lay, node, no_layer, no_node in zip((lu, lv), (iu, iv), bad_layer, bad_idx):
+                if no_layer[i]:
+                    raise UnknownNode(f"layer {lay} not declared")
+                if no_node[i]:
+                    raise UnknownNode(f"node ({lay}, {node}) outside layer of size {sizes[lay]}")
+            if loop[i]:
+                raise SelfLoop(f"self-loop at ({lu}, {iu})")
+            if mismatch[i]:
+                raise CrossLayerColorMismatch(
+                    f"edge ({lu},{iu})-({lv},{iv}) carries color {c}, "
+                    f"layer pair requires {colors[lu, lv]}"
+                )
+            raise DuplicateEdge(f"duplicate edge ({lu},{iu})-({lv},{iv})")
+        except GraphValidationError as exc:
+            exc.row = i
+            raise
     del keys, bad, bad_layer, bad_idx, loop, mismatch
     # the sorted keys are the canonical (u, v) order, and the layers fix the colors
     lo = (canonical // n).astype(INDEX)

@@ -17,12 +17,13 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, GraphValidationError, ParseError
 from .generate import ErLayerSpec, LayerSpec, PowerLawSpec, build_interdependent
 from .graph import (
     ColorTable,
@@ -38,6 +39,7 @@ from .sir import (
     SeedPolicy,
     SirConfig,
     SweepResult,
+    check_seeds,
     dynamics,
     sweep_heatmap,
 )
@@ -73,7 +75,8 @@ def write_graph(g: LayeredGraph, path: Union[str, os.PathLike]) -> None:
 
 
 def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:
-    """Parse and validate a graph file; ParseError carries the line number."""
+    """Parse and validate a graph file; a ParseError or GraphValidationError
+    carries the line number."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         text = fh.read()
         read = _loadtxt(text, fh) if fh.seekable() else None
@@ -83,7 +86,12 @@ def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:
     rows[:, :4] = values
     del values
     rows[:, 4] = ColorTable(len(layer_sizes)).color_matrix()[rows[:, 0], rows[:, 2]]
-    return build_graph_array(layer_sizes, rows)
+    try:
+        return build_graph_array(layer_sizes, rows)
+    except GraphValidationError as exc:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            edges = (no for no, line in enumerate(fh, 1) if line.strip()[:1] not in ("", "#"))
+            raise type(exc)(f"line {next(islice(edges, exc.row, None))}: {exc}") from None
 
 
 def _loadtxt(text: str, fh: TextIO) -> Optional[tuple[list[int], np.ndarray]]:
@@ -216,6 +224,7 @@ class ExperimentConfig:
     out_dir: str = "out"
     master_seed: int = 0
     items: tuple[tuple[str, str], ...] = ()  # resolved key/value echo for the manifest
+    flags: dict[str, str] = field(default_factory=dict)  # key -> the flag that set it
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -366,7 +375,7 @@ def with_overrides(
     raw = dict(cfg.items)
     raw.update((key, value) for key, (_, value) in overrides.items())
     flags = {key: flag for key, (flag, _) in overrides.items()}
-    return replace(cfg, **_run_params(raw, flags))
+    return replace(cfg, **_run_params(raw, flags), flags=flags)
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
@@ -522,13 +531,23 @@ def analytic_frontier(
     return multi_threshold(moments, layer_sizes, cfg.tau, cfg.grid_step, **options)
 
 
+_SEED_KEYS = dict(uniform="sim.seed_count", per_layer="sim.seeds_per_layer",
+                  explicit="sim.seed_nodes")
+
+
 def sir_config(
     cfg: ExperimentConfig, graph: LayeredGraph, beta: float = 0.0, alpha: float = 0.0
 ) -> SirConfig:
     """The SirConfig of the config's tau, sim.* keys and master seed, at
-    intra rate beta and inter rate alpha on a two-layer network."""
+    intra rate beta and inter rate alpha on a two-layer network; a ConfigError
+    names the seed key (or its flag) when the seeds do not fit ``graph``."""
     if graph.num_layers != 2:
         raise ConfigError("simulation requires a two-layer network")
+    try:
+        check_seeds(graph, cfg.seeds)
+    except ValueError as exc:
+        key = _SEED_KEYS[cfg.seeds.kind]
+        raise ConfigError(f"{cfg.flags.get(key, key)}: {exc}") from None
     return SirConfig(
         rates=(beta, beta, alpha),
         tau=cfg.tau,
@@ -618,38 +637,34 @@ def run_experiment(
 ) -> dict[str, str]:
     """Produce frontier.csv, sweep.csv, dynamics.csv(+cumulative) and manifest.
 
-    Identical config and master seed give byte-identical outputs. Returns a
-    mapping from logical name to written path.
+    Identical config and master seed give byte-identical outputs. Nothing is
+    written before every result is computed. Returns a mapping from logical
+    name to written path.
     """
     if master_seed is not None:
         cfg.master_seed = master_seed
     target = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(target, exist_ok=True)
 
     graph = load_network(cfg)
     sim_cfg = sir_config(cfg, graph)
     frontier = analytic_frontier(cfg, graph)
-
-    outputs: dict[str, str] = {}
-
-    frontier_path = os.path.join(target, "frontier.csv")
-    write_frontier_csv(frontier_path, frontier)
-    outputs["frontier"] = frontier_path
-
+    sweep = dyn = None
     if cfg.sweep_betas and cfg.sweep_alphas:
         sweep = sweep_heatmap(graph, cfg.sweep_betas, cfg.sweep_alphas, sim_cfg, workers=workers)
-        sweep_path = os.path.join(target, "sweep.csv")
-        write_sweep_csv(sweep_path, sweep)
-        outputs["sweep"] = sweep_path
-
     if cfg.dynamics_settings:
         dyn = dynamics(graph, cfg.dynamics_settings, sim_cfg)
-        dyn_path = os.path.join(target, "dynamics.csv")
-        write_dynamics_csv(dyn_path, dyn, cumulative=False)
-        outputs["dynamics"] = dyn_path
-        cum_path = os.path.join(target, "dynamics_cumulative.csv")
-        write_dynamics_csv(cum_path, dyn, cumulative=True)
-        outputs["dynamics_cumulative"] = cum_path
+
+    os.makedirs(target, exist_ok=True)
+    outputs = {"frontier": os.path.join(target, "frontier.csv")}
+    write_frontier_csv(outputs["frontier"], frontier)
+    if sweep is not None:
+        outputs["sweep"] = os.path.join(target, "sweep.csv")
+        write_sweep_csv(outputs["sweep"], sweep)
+    if dyn is not None:
+        outputs["dynamics"] = os.path.join(target, "dynamics.csv")
+        write_dynamics_csv(outputs["dynamics"], dyn, cumulative=False)
+        outputs["dynamics_cumulative"] = os.path.join(target, "dynamics_cumulative.csv")
+        write_dynamics_csv(outputs["dynamics_cumulative"], dyn, cumulative=True)
 
     manifest_path = os.path.join(target, MANIFEST_NAME)
     write_manifest(manifest_path, cfg, sorted(os.path.basename(p) for p in outputs.values()))

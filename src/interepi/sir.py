@@ -117,38 +117,44 @@ def _stream(master_seed: int, cell_index: int, realization_index: int) -> np.ran
     )
 
 
-def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator) -> np.ndarray:
+def check_seeds(g: LayeredGraph, policy: SeedPolicy) -> None:
+    """Raise ValueError unless ``policy`` can seed a realization on ``g``."""
     if policy.kind == "uniform":
         if not 1 <= policy.count <= g.n:
             raise ValueError(f"seed count {policy.count} outside [1, {g.n}]")
-        return np.sort(rng.choice(g.n, size=policy.count, replace=False))
-    if policy.kind == "per_layer":
+    elif policy.kind == "per_layer":
         if len(policy.per_layer) != g.num_layers:
             raise ValueError("one seed count per layer required")
-        picks = []
-        for layer, count in enumerate(policy.per_layer):
-            if count == 0:
-                continue
-            size = g.layer_sizes[layer]
+        for layer, (count, size) in enumerate(zip(policy.per_layer, g.layer_sizes)):
             if not 0 <= count <= size:
                 raise ValueError(f"layer {layer} cannot seed {count} of {size}")
-            local = rng.choice(size, size=count, replace=False)
-            picks.append(local + int(g.offsets[layer]))
-        if not picks:
+        if not any(policy.per_layer):
             raise ValueError("seed policy selects no nodes")
-        return np.sort(np.concatenate(picks))
-    if policy.kind == "explicit":
+    elif policy.kind == "explicit":
         if not policy.nodes:
             raise ValueError("explicit seed policy without nodes")
         sizes = g.layer_sizes
         for layer, index in policy.nodes:
             if not (0 <= layer < len(sizes) and 0 <= index < sizes[layer]):
                 raise ValueError(f"explicit seed {(layer, index)} outside layer sizes {sizes}")
-        flat = np.asarray([g.flat(l, i) for l, i in policy.nodes], dtype=np.int64)
-        if len(np.unique(flat)) != len(flat):
+        if len(set(policy.nodes)) != len(policy.nodes):
             raise ValueError("explicit seeds must be distinct")
-        return np.sort(flat)
-    raise ValueError(f"unknown seed policy kind {policy.kind!r}")
+    else:
+        raise ValueError(f"unknown seed policy kind {policy.kind!r}")
+
+
+def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator) -> np.ndarray:
+    check_seeds(g, policy)
+    if policy.kind == "uniform":
+        return np.sort(rng.choice(g.n, size=policy.count, replace=False))
+    if policy.kind == "per_layer":
+        picks = [
+            rng.choice(size, size=count, replace=False) + int(g.offsets[layer])
+            for layer, (count, size) in enumerate(zip(policy.per_layer, g.layer_sizes))
+            if count
+        ]
+        return np.sort(np.concatenate(picks))
+    return np.sort(np.asarray([g.flat(l, i) for l, i in policy.nodes], dtype=np.int64))
 
 
 EdgeLaw = tuple[np.ndarray, np.ndarray]

@@ -5,7 +5,8 @@ R = 1 - (1-beta)^tau -> percolation-thinned degree moments -> a non-negative
 Jacobian whose Perron root theta decides whether the diffusion network grows
 a giant component (theta >= 1). On top of that sits the multidimensional
 threshold: the Pareto-minimal set of rate tuples on the epidemic boundary,
-found by a monotone grid search.
+found by a monotone grid search that bisects coarse grid lines first and
+brackets every other line between its coarse neighbours' crossings.
 
 Two Jacobian routes are provided. ``jacobian_closed_form`` is the two-layer
 matrix built from per-layer degree moments under the assumption that colored
@@ -29,7 +30,7 @@ the Perron roots of whole stacks B * R with one batched eigenvalue call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -309,25 +310,43 @@ def dominates(t1: Sequence[float], t2: Sequence[float]) -> bool:
     return all(a <= b for a, b in zip(t1, t2)) and any(a < b for a, b in zip(t1, t2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontierSet:
     """Approximate multidimensional epidemic threshold on a rate grid.
 
     ``points`` is a Pareto antichain of full-length rate tuples with
     theta >= 1; reducing any searched component of a member by one grid step
     drops theta below 1 or leaves [0, 1]^C. Empty when no grid tuple is
-    epidemic. ``evaluations`` counts the Perron roots the search computed; it
-    is a diagnostic and takes no part in equality.
+    epidemic. They are held as one read-only (N, C) array ``rates`` and
+    their thetas as ``theta``; ``points`` and ``thetas`` give them as tuples.
+    ``evaluations`` counts the Perron roots the search computed; it is a
+    diagnostic and takes no part in equality.
     """
 
-    points: tuple[RateTuple, ...]
-    thetas: tuple[float, ...]
+    rates: np.ndarray
+    theta: np.ndarray
     grid_step: float
     num_colors: int
-    evaluations: int = field(compare=False)
+    evaluations: int
+
+    def __post_init__(self):
+        self.rates.flags.writeable = self.theta.flags.writeable = False
+
+    @property
+    def points(self) -> tuple[RateTuple, ...]:
+        return tuple(map(tuple, self.rates.tolist()))
+
+    @property
+    def thetas(self) -> tuple[float, ...]:
+        return tuple(self.theta.tolist())
+
+    def __eq__(self, other):
+        return (isinstance(other, FrontierSet) and self.grid_step == other.grid_step
+                and np.array_equal(self.rates, other.rates)
+                and np.array_equal(self.theta, other.theta))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.theta)
 
     def __iter__(self):
         return iter(self.points)
@@ -364,22 +383,19 @@ def _rates_at(
     return rates
 
 
-def _undominated(prefixes: np.ndarray, last: np.ndarray, tol: float, size: int) -> np.ndarray:
-    """Mask of the crossings that no immediate predecessor prefix dominates.
+def _undominated(crossing: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the lines whose crossing no immediate predecessor dominates.
 
-    The prefix one step down on a leading axis dominates when it is a
-    crossing too, at ``last`` <= this one's + ``tol``. Theta is monotone, so a
+    ``crossing`` holds each line's crossing over the grid of prefixes, inf
+    where it never crosses. The line one step down on a leading axis
+    dominates when it crosses at most ``tol`` higher. Theta is monotone, so a
     predecessor never crosses lower; the local test is therefore equivalent
     to full pairwise non-domination.
     """
-    strides = size ** np.arange(prefixes.shape[1])[::-1]
-    flat = prefixes @ strides
-    crossing = np.full(size ** prefixes.shape[1], np.inf)
-    crossing[flat] = last
-    keep = np.ones(len(last), dtype=bool)
-    for axis, stride in enumerate(strides):
-        has_pred = prefixes[:, axis] > 0
-        keep[has_pred] &= crossing[flat[has_pred] - stride] > last[has_pred] + tol
+    keep = np.isfinite(crossing)
+    for axis in range(crossing.ndim):
+        c = np.moveaxis(crossing, axis, 0)
+        np.moveaxis(keep, axis, 0)[1:] &= c[:-1] > c[1:] + tol
     return keep
 
 
@@ -394,57 +410,65 @@ def _frontier_search(
 
     ``theta_fn`` maps rate rows, shape (N, C), to their thetas. Every grid
     point of the leading group axes (a prefix) spans a line along the last
-    axis; theta is non-decreasing in every rate, so each line crosses 1 at
-    most once. All lines are bisected together, one ``theta_fn`` call per
-    round, and ``refine_tol`` bisects the kept crossings the same way. Only
-    the lines are held, never the full rate grid.
+    axis. Theta is non-decreasing in every rate, so a line crosses 1 at most
+    once, at the least grid index with theta >= 1 (``size`` if none), and no
+    later than any line below it. The coarse lines, every k-th prefix value
+    on each axis (k about sqrt(size)) and the last, are bisected from the
+    bracket [-1, size]; every other line only between the crossings of its
+    coarse cell's upper and lower corners, for free once those agree. Each
+    round is one ``theta_fn`` call, ``refine_tol`` bisects the kept crossings
+    the same way, and one last call gives their thetas. Only the lines are
+    held, never the full rate grid.
     """
     vals = np.asarray(_grid_values(grid_step))
     size = len(vals)
-    dims = len(groups)
+    shape = (size,) * (len(groups) - 1)
+    lines = np.indices(shape).reshape(len(shape), -1).T
     evaluations = 0
 
-    def theta_at(prefixes: np.ndarray, last: np.ndarray) -> np.ndarray:
+    def theta_at(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += len(last)
-        return theta_fn(_rates_at(prefixes, last, groups, vals, num_colors))
+        return theta_fn(_rates_at(lines[rows], last, groups, vals, num_colors))
 
-    prefixes = np.indices((size,) * (dims - 1)).reshape(dims - 1, size ** (dims - 1)).T
-    theta = theta_at(prefixes, np.full(len(prefixes), vals[-1]))
-    prefixes, theta = prefixes[theta >= 1.0], theta[theta >= 1.0]
-    theta_origin = theta_at(prefixes, np.full(len(prefixes), vals[0]))
-    at_origin = theta_origin >= 1.0
-    theta = np.where(at_origin, theta_origin, theta)
-    # on open lines theta(vals[lo]) < 1 <= theta(vals[hi])
-    lo = np.zeros(len(prefixes), dtype=int)
-    hi = np.where(at_origin, 0, size - 1)
-    while (live := np.flatnonzero(hi - lo > 1)).size:
-        mid = (lo[live] + hi[live]) // 2
-        theta_mid = theta_at(prefixes[live], vals[mid])
-        up = theta_mid >= 1.0
-        hi[live[up]], theta[live[up]] = mid[up], theta_mid[up]
-        lo[live[~up]] = mid[~up]
+    def bisect(rows: np.ndarray) -> None:
+        # on each line theta(vals[lo]) < 1 <= theta(vals[hi]), -1 and size virtual
+        while (live := rows[hi[rows] - lo[rows] > 1]).size:
+            mid = (lo[live] + hi[live]) // 2
+            up = theta_at(live, vals[mid]) >= 1.0
+            hi[live[up]] = mid[up]
+            lo[live[~up]] = mid[~up]
 
-    keep = _undominated(prefixes, hi.astype(float), 0.0, size)
-    prefixes, hi, theta = prefixes[keep], hi[keep], theta[keep]
-    last = vals[hi]
+    lo, hi = np.full(len(lines), -1), np.full(len(lines), size)
+    coarse = np.unique(np.r_[0:size:round(math.sqrt(size)), size - 1])
+    fine = ~np.isin(lines, coarse).all(axis=1)
+    bisect(np.flatnonzero(~fine))
+    strides = size ** np.arange(len(shape))[::-1]
+    lo[fine] = hi[coarse[np.searchsorted(coarse, lines[fine])] @ strides] - 1
+    hi[fine] = hi[coarse[np.searchsorted(coarse, lines[fine], side="right") - 1] @ strides]
+    bisect(np.flatnonzero(fine))
+
+    crossing = np.append(vals, np.inf)[hi]
+    rows = np.flatnonzero(_undominated(crossing.reshape(shape), 0.0))
+    last = crossing[rows]
     if refine_tol:
-        below = vals[np.maximum(hi - 1, 0)]
+        below = vals[np.maximum(hi[rows] - 1, 0)]
         while (live := np.flatnonzero(last - below > refine_tol)).size:
             mid = 0.5 * (below[live] + last[live])
-            up = theta_at(prefixes[live], mid) >= 1.0
+            up = theta_at(rows[live], mid) >= 1.0
             last[live[up]] = mid[up]
             below[live[~up]] = mid[~up]
-        refined = hi > 0
-        theta[refined] = theta_at(prefixes[refined], last[refined])
-        keep = _undominated(prefixes, last, refine_tol, size)
-        prefixes, last, theta = prefixes[keep], last[keep], theta[keep]
+        crossing = np.full(len(lines), np.inf)
+        crossing[rows] = last
+        keep = _undominated(crossing.reshape(shape), refine_tol).ravel()[rows]
+        rows, last = rows[keep], last[keep]
 
-    rates = _rates_at(prefixes, last, groups, vals, num_colors)
+    theta = theta_at(rows, last)
+    rates = _rates_at(lines[rows], last, groups, vals, num_colors)
     order = np.lexsort(rates.T[::-1])
     return FrontierSet(
-        points=tuple(map(tuple, rates[order].tolist())),
-        thetas=tuple(theta[order].tolist()),
+        rates=rates[order],
+        theta=theta[order],
         grid_step=grid_step,
         num_colors=num_colors,
         evaluations=evaluations,

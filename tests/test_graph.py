@@ -365,7 +365,7 @@ class TestInt32Indices:
         path.write_text(f"#layers 35000 35000\n0 0 0 1\n1 {index} 0 5\n")
         with pytest.raises(UnknownNode) as exc:
             load_graph(path)
-        assert str(exc.value) == f"node (1, {index}) outside layer of size 35000"
+        assert str(exc.value) == f"line 3: node (1, {index}) outside layer of size 35000"
 
     def test_node_count_beyond_int32_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="int32"):

@@ -17,6 +17,7 @@ from interepi import (
     ErLayerSpec,
     ParseError,
     PowerLawSpec,
+    SelfLoop,
     UnknownNode,
     build_interdependent,
     graphs_equal,
@@ -135,6 +136,24 @@ class TestGraphFiles:
             load_graph(path)
         assert exc.value.line_no == line_no
         assert exc.value.reason == reason
+
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            ("0 5 1 1", UnknownNode, "node (0, 5) outside layer of size 2"),
+            # past int64: read line by line, not by np.loadtxt
+            ("0 9223372036854775808 1 1", UnknownNode,
+             "node (0, 9223372036854775807) outside layer of size 2"),
+            ("1 1 1 1", SelfLoop, "self-loop at (1, 1)"),
+            ("1 1 0 0", DuplicateEdge, "duplicate edge (1,1)-(0,0)"),
+        ],
+    )
+    def test_validation_error_names_its_line(self, tmp_path, bad, error, message):
+        path = tmp_path / "b.edges"
+        path.write_text(f"# made by hand\n\n#layers 2 2\n0 0 1 1\n\n   # note\n{bad}\n1 0 1 1\n")
+        with pytest.raises(error) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"line 7: {message}"
 
     def test_first_malformed_line_raises(self, tmp_path):
         # a line-by-line reader stops at line 3, before the duplicate header
@@ -413,6 +432,9 @@ class TestCli:
             "--tie-intra", "--out", str(csv_path),
         ])
         assert rc == 0
+        summary = capsys.readouterr().out
+        assert re.fullmatch(r"wrote \S+ \(\d+ frontier tuples, grid step 0.05, "
+                            r"[1-9]\d* Perron roots\)\n", summary), summary
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "beta_1,beta_2,beta_3,theta"
         assert len(lines) > 2
@@ -519,6 +541,10 @@ class TestCli:
             ("simulate --beta 0.3 --alpha 0.2", "--master-seed", "x"),
             ("sweep --betas 0:0.2:0.2 --alphas 0:0.2:0.2", "--seed-policy", "per-layer:x"),
             ("dynamics --settings 0.1:0.1", "--seed-policy", "bogus:1"),
+            ("simulate --beta 0.3 --alpha 0.2", "--seed-policy", "uniform:0"),
+            ("sweep --betas 0:0.2:0.2 --alphas 0:0.2:0.2", "--seed-policy", "per-layer:"),
+            ("dynamics --settings 0.1:0.1", "--seed-policy", "per-layer:1,301"),
+            ("dynamics --settings 0.1:0.1", "--seed-policy", "explicit:0/1,0/1"),
             ("classify --alpha 0.1", "--beta", "1.5"),
         ],
     )
@@ -582,7 +608,8 @@ class TestCli:
         )
         assert proc.returncode == 2, proc.stderr
         record = json.loads(proc.stderr.strip())
-        assert record["error"] == "ValueError"
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("--seed-policy: ")
         assert f"({seed.replace('/', ', ')})" in record["message"]
 
     def test_run_stops_at_an_explicit_seed_outside_the_graph(self, tmp_path, capsys):
@@ -592,8 +619,41 @@ class TestCli:
                             .replace("sim.seeds_per_layer = 1 1", "sim.seed_nodes = 1:0 0:120"))
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "(0, 120)" in json.loads(capsys.readouterr().err.strip())["message"]
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message.startswith("sim.seed_nodes: ") and "(0, 120)" in message
         assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert not (tmp_path / "out" / "frontier.csv").exists()
+
+    def test_seed_policy_is_checked_before_any_realization(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a realization ran")
+
+        for name in ("run_sir", "sweep_heatmap", "dynamics"):
+            monkeypatch.setattr(cli_module, name, fail)
+        graph = self._graph(tmp_path)
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text("network.source = file\nnetwork.file = g.edges\n"
+                            "sim.seed_count = 601\n")
+        for args in (["simulate", "--beta", "0.3", "--alpha", "0.2"],
+                     ["sweep", "--betas", "0:0.2:0.2", "--alphas", "0:0.2:0.2"],
+                     ["dynamics", "--settings", "0.1:0.1"]):
+            assert main([*args, "--config", str(cfg_path)]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record == {"error": "ConfigError",
+                              "message": "sim.seed_count: seed count 601 outside [1, 600]"}
+            assert main([*args, "--graph", str(graph), "--seed-policy", "uniform:601"]) == 2
+            assert json.loads(capsys.readouterr().err.strip())["message"].startswith(
+                "--seed-policy: seed count 601")
+
+    def test_run_writes_nothing_when_a_later_stage_fails(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("dynamics failed")
+
+        monkeypatch.setattr(io_module, "dynamics", fail)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_classify(self, tmp_path, capsys):
         layers = [ErLayerSpec(400, 1.5), ErLayerSpec(400, 6.0)]

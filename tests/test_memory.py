@@ -7,17 +7,30 @@ degrees 1.5 and 6.0, interconnection 1.5: 52 500 edges). With int64 arrays
 and lexsorted adjacency the peaks were 311 B (build) and 387 B (load) per
 edge, and a graph kept 62 B per edge. The byte tokenizer that np.loadtxt
 replaced peaked at 172 B per edge in load_graph.
+
+A frontier kept after its search is budgeted in bytes per point: about 166 B
+when a FrontierSet held its points and thetas as tuples of floats, 52 B with
+one rate array and one theta array.
 """
 
 import tracemalloc
 
 import pytest
 
-from interepi import ErLayerSpec, build_interdependent, load_graph, write_graph
+from interepi import (
+    ErLayerSpec,
+    MomentSet,
+    build_interdependent,
+    er_color_moments,
+    load_graph,
+    multi_threshold,
+    write_graph,
+)
 
 BUILD_PEAK_PER_EDGE = 220
 LOAD_PEAK_PER_EDGE = 150
 KEPT_PER_EDGE = 32
+KEPT_PER_FRONTIER_POINT = 80
 
 LAYERS = [ErLayerSpec(10_000, 1.5), ErLayerSpec(10_000, 6.0)]
 INTER = {(0, 1): 1.5}
@@ -70,3 +83,19 @@ def test_write_graph_memory_does_not_grow_with_edges(traced, tmp_path):
         _, peak, _ = _measure(write_graph, g, tmp_path / "g.edges")
         peaks.append(peak)
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_kept_frontier_bytes_per_point(traced):
+    # twenty frontiers kept at once, as a benchmark keeps its repetitions'
+    # outputs, so numpy's small-buffer cache and the float and tuple free
+    # lists weigh little against what the frontiers hold
+    moments = MomentSet((er_color_moments(1.5, 10_000), er_color_moments(6.0, 10_000),
+                         er_color_moments(1.5, 20_000)))
+
+    def frontiers():
+        return [multi_threshold(moments, (10_000, 10_000), 5, 0.01) for _ in range(20)]
+
+    kept_frontiers, _, kept = _measure(frontiers)
+    points = sum(len(f) for f in kept_frontiers)
+    assert points == 20 * 79
+    assert kept / points <= KEPT_PER_FRONTIER_POINT

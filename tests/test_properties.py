@@ -1,8 +1,11 @@
 """Randomized invariant checks (hypothesis)."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from interepi import (
     ColorTable,
@@ -18,11 +21,19 @@ from interepi import (
     jacobian_closed_form,
     kappa,
     load_graph,
+    spectral_radius,
+    transmissibility,
     write_graph,
 )
 from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
 from interepi.graph import ColorMoments
-from oracles import brute_force_component_labels, sequential_parse_graph, sequential_validate
+from interepi.threshold import _frontier_search, _grid_values, _thetas_of_rates, _tie_groups
+from oracles import (
+    brute_force_component_labels,
+    exhaustive_frontier,
+    sequential_parse_graph,
+    sequential_validate,
+)
 
 
 @st.composite
@@ -155,7 +166,17 @@ def test_load_graph_matches_line_by_line_parse(tmp_path_factory, sizes, lines, a
         # load_graph clamps values past int64, which only error messages show
         clamp = lambda v: min(max(v, -(2**63)), 2**63 - 1)
         triples = [((a, clamp(i)), (b, clamp(j)), c) for (a, i), (b, j), c in triples]
-        return sequential_validate(layer_sizes, triples)
+        try:
+            return sequential_validate(layer_sizes, triples)
+        except GraphValidationError as exc:
+            # load_graph names the line of the first edge that fails
+            edge_lines = [no for no, raw in enumerate(text.split("\n"), start=1)
+                          if raw.strip() and not raw.strip().startswith("#")]
+            for row in range(len(triples)):
+                try:
+                    sequential_validate(layer_sizes, triples[: row + 1])
+                except GraphValidationError:
+                    raise type(exc)(f"line {edge_lines[row]}: {exc}") from None
 
     _same_outcome(lambda: load_graph(path), reference)
 
@@ -245,3 +266,66 @@ def test_thinning_identities(mean, r1, r2):
     direct = jacobian_closed_form(m, sizes, Transmissibilities((r1 * r2,) * 3))
     assert np.allclose(once * r2, direct, rtol=1e-12, atol=1e-12)
     assert np.allclose(base * r1 * r2, direct, rtol=1e-12, atol=1e-12)
+
+
+# uneven grid steps (1 / step is no integer, so the grid ends on a shorter step)
+_UNEVEN_STEPS = (0.07, 0.09, 0.11, 0.13, 0.17, 0.23, 0.3, 0.45)
+
+
+@st.composite
+def frontier_searches(draw):
+    """A non-negative base B of C = 2-4 colors, tau, tie groups over 1 to C-1
+    layers, tied or not, an uneven grid step whose full grid has at most 3000
+    points, and refine_tol None or 1e-3."""
+    c = draw(st.integers(2, 4))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=c * c,
+                       max_size=c * c)
+    base = np.array(draw(entries)).reshape(c, c)
+    groups = _tie_groups(c, draw(st.integers(1, c - 1)), draw(st.booleans()))
+    steps = [s for s in _UNEVEN_STEPS if len(_grid_values(s)) ** len(groups) <= 3000]
+    return (base, draw(st.integers(1, 9)), groups, draw(st.sampled_from(steps)),
+            draw(st.sampled_from([None, 1e-3])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frontier_searches())
+def test_frontier_search_matches_exhaustive_scan(search):
+    base, tau, groups, step, refine_tol = search
+    c = len(base)
+
+    def full(reduced):
+        rates = [0.0] * c
+        for colors, rate in zip(groups, reduced):
+            for color in colors:
+                rates[color] = rate
+        return tuple(rates)
+
+    @functools.cache
+    def theta(rates):
+        return spectral_radius(base * np.array([transmissibility(b, tau) for b in rates]))
+
+    # the search presumes that theta >= 1 is monotone on the grid; rounding
+    # breaks that at an exact tie theta = 1, where a triangular matrix gets
+    # the exact diagonal and a nearby full one an eigvals root just below 1
+    vals = _grid_values(step)
+    shape = (len(vals),) * len(groups)
+    epidemic = np.array([theta(full(r)) >= 1.0 for r in itertools.product(vals, repeat=len(shape))])
+    assume(all((np.diff(epidemic.reshape(shape).astype(int), axis=a) >= 0).all()
+               for a in range(len(shape))))
+
+    front = _frontier_search(_thetas_of_rates(base, tau), c, step, groups, refine_tol)
+    grid = {full(r) for r in exhaustive_frontier(lambda r: theta(full(r)), len(groups), step)}
+    assert front.thetas == tuple(theta(p) for p in front.points)
+    if refine_tol is None:
+        assert set(front.points) == grid
+        return
+    # refinement moves each crossing down inside its grid step and may merge
+    # crossings within refine_tol; rounded up to the grid, each is a grid point
+    assert bool(front) == bool(grid)
+    searched = list(groups[-1])
+    for point in front.points:
+        last = point[searched[0]]
+        up = int(np.searchsorted(vals, last))
+        assert up == 0 or vals[up - 1] < last
+        assert full([*[point[g[0]] for g in groups[:-1]], vals[up]]) in grid
+        assert all(point[k] == last for k in searched)

@@ -539,13 +539,32 @@ class TestMultiThreshold:
         k = len(_grid_values(step))
         lines = k * k  # untied: one line per grid point of the two leading axes
         front = multi_threshold(m, sizes, tau=5, grid_step=step)
-        assert lines <= front.evaluations <= lines * (math.ceil(math.log2(k)) + 2)
+        # most lines inherit a collapsed bracket from the coarse lines and cost nothing
+        assert front.evaluations < lines
         refined = multi_threshold(m, sizes, tau=5, grid_step=step, refine_tol=tol)
         rounds = math.ceil(math.log2(step / tol)) + 1  # bisection, then theta at the end
         assert front.evaluations < refined.evaluations
         assert refined.evaluations <= front.evaluations + len(front) * rounds
         # a diagnostic only: equality ignores it
         assert dataclasses.replace(front, evaluations=0) == front
+
+    def test_benchmark_model_takes_few_roots(self):
+        # the all-lines bisection took 22 447 roots here, 2.2 per line
+        m, sizes = er_set(1.5, 6.0, 1.5, 10_000, 10_000)
+        front = multi_threshold(m, sizes, tau=5, grid_step=0.01)
+        assert len(front) == 79
+        assert front.evaluations < 5_000
+
+    def test_frontier_holds_arrays(self):
+        m, sizes = er_set(1.5, 6.0, 1.5)
+        front = multi_threshold(m, sizes, tau=5, grid_step=0.05)
+        assert front.rates.shape == (len(front), 3) and front.theta.shape == (len(front),)
+        assert front.points == tuple(map(tuple, front.rates.tolist()))
+        assert front.thetas == tuple(front.theta.tolist())
+        with pytest.raises(ValueError):
+            front.rates[0, 0] = 1.0
+        other = multi_threshold(m, sizes, tau=5, grid_step=0.05, tie_intra=True)
+        assert front != other and front != front.points
 
     def test_empirical_untied_matches_exhaustive(self):
         layers = [ErLayerSpec(60, 0.8), ErLayerSpec(60, 1.6)]
