@@ -150,7 +150,7 @@ def cmd_threshold(args) -> int:
     out = args.out or "frontier.csv"
     write_frontier_csv(out, frontier)
     print(f"wrote {out} ({len(frontier)} frontier tuples, grid step {cfg.grid_step}, "
-          f"{frontier.evaluations} Perron roots)")
+          f"{frontier.evaluations} Jacobians)")
     return 0
 
 

@@ -313,12 +313,6 @@ def _density(counts: Sequence[int], gcc_sizes: tuple[int, tuple[int, ...]]) -> D
     )
 
 
-def _two_layer_rates(g: LayeredGraph, beta: float, alpha: float) -> tuple[float, ...]:
-    if g.num_layers != 2:
-        raise NotTwoLayers("beta/alpha convention requires two layers")
-    return (beta, beta, alpha)
-
-
 def mean_cell_densities(
     g: LayeredGraph,
     cfg: SirConfig,
@@ -353,7 +347,7 @@ class SweepResult:
 
 
 def _sweep_cell(g, cfg, gcc_sizes, cell_index, beta, alpha):
-    cell_cfg = replace(cfg, rates=_two_layer_rates(g, beta, alpha))
+    cell_cfg = replace(cfg, rates=(beta, beta, alpha))
     layers, whole = mean_cell_densities(g, cell_cfg, cell_index, gcc_sizes)
     return cell_index, layers, whole
 
@@ -445,7 +439,7 @@ def dynamics(
     infected_out = []
     ever_out = []
     for s_idx, (beta, alpha) in enumerate(settings):
-        run_cfg = replace(cfg, rates=_two_layer_rates(g, beta, alpha))
+        run_cfg = replace(cfg, rates=(beta, beta, alpha))
         law = _edge_law(g, run_cfg)
         runs = [_run_sir(g, run_cfg, law, r, s_idx) for r in range(cfg.realizations)]
         horizon = max(r.per_step_infected.shape[0] for r in runs)

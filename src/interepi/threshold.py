@@ -23,8 +23,8 @@ thinned moment gains one factor R per degree it involves:
 second moment by <x'_i>, which cancels R_i and leaves R_j times the
 unthinned entry. The closed form puts R_c in column c by construction. An
 edgeless color is known from the unthinned moments, so its zero row and
-column belong to B. The frontier search therefore builds B once and takes
-the Perron roots of whole stacks B * R with one batched eigenvalue call.
+column belong to B. The frontier search therefore builds B once and tests
+whole stacks B * R with ``_epidemic``, which never computes theta.
 """
 
 from __future__ import annotations
@@ -259,11 +259,9 @@ def jacobian_empirical(g: LayeredGraph, t: Transmissibilities) -> np.ndarray:
 def perron_roots(jacs: np.ndarray) -> np.ndarray:
     """Perron roots of a stack of non-negative matrices, shape (N, C, C) -> (N,).
 
-    Each root is the largest eigenvalue modulus from ``np.linalg.eigvals``. A
-    triangular matrix (every 1x1 and zero matrix among them) gets the maximum
-    of its diagonal instead, which is its spectrum exactly, so a rate tuple
-    lying exactly on theta = 1 there stays epidemic. Raises NonConvergence
-    when the eigenvalue iteration fails.
+    Each root is the largest eigenvalue modulus from ``np.linalg.eigvals``;
+    LAPACK's balancing leaves a triangular matrix's diagonal exact. Raises
+    NonConvergence when the eigenvalue iteration fails.
     """
     a = np.asarray(jacs, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -273,13 +271,28 @@ def perron_roots(jacs: np.ndarray) -> np.ndarray:
     if (a < 0).any():
         raise ValueError("matrix must be non-negative")
     try:
-        roots = np.abs(np.linalg.eigvals(a)).max(axis=-1, initial=0.0)
+        return np.abs(np.linalg.eigvals(a)).max(axis=-1, initial=0.0)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalues did not converge: {exc}") from exc
-    below = np.arange(a.shape[1])[:, None] > np.arange(a.shape[1])
-    triangular = ~a[:, below].any(axis=1) | ~a[:, below.T].any(axis=1)
-    diag = np.diagonal(a, axis1=1, axis2=2).max(axis=-1, initial=0.0)
-    return np.where(triangular, diag, roots)
+
+
+def _epidemic(jacs: np.ndarray) -> np.ndarray:
+    """theta >= 1 for a stack of non-negative matrices, shape (N, C, C) -> (N,).
+
+    theta < 1 exactly when I - J is a nonsingular M-matrix: when Gaussian
+    elimination without pivoting keeps every pivot > 0 (Berman & Plemmons,
+    ch. 6). Updates subtract non-negative products, so the test is monotone
+    in every entry of J, rounding included; a matrix stops at a pivot <= 0.
+    """
+    a, live = np.eye(jacs.shape[-1]) - jacs, np.arange(len(jacs))
+    for k in range(a.shape[-1]):
+        keep = a[:, k, k] > 0.0
+        a, live = a[keep], live[keep]
+        rest = slice(k + 1, None)
+        a[:, rest, rest] -= a[:, rest, k, None] * a[:, None, k, rest] / a[:, k, k, None, None]
+    epidemic = np.ones(len(jacs), dtype=bool)
+    epidemic[live] = False
+    return epidemic
 
 
 def spectral_radius(jac: np.ndarray) -> float:
@@ -293,10 +306,9 @@ def epidemic_indicator(
     rates: Sequence[float],
     tau: int,
 ) -> tuple[float, bool]:
-    """theta of the closed-form Jacobian at these rates, and theta >= 1."""
-    t = Transmissibilities.from_rates(rates, tau)
-    theta = spectral_radius(jacobian_closed_form(m, layer_sizes, t))
-    return theta, theta >= 1.0
+    """theta of the closed-form Jacobian at these rates, and ``_epidemic`` of it."""
+    jac = jacobian_closed_form(m, layer_sizes, Transmissibilities.from_rates(rates, tau))
+    return spectral_radius(jac), bool(_epidemic(jac[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +326,13 @@ def dominates(t1: Sequence[float], t2: Sequence[float]) -> bool:
 class FrontierSet:
     """Approximate multidimensional epidemic threshold on a rate grid.
 
-    ``points`` is a Pareto antichain of full-length rate tuples with
-    theta >= 1; reducing any searched component of a member by one grid step
-    drops theta below 1 or leaves [0, 1]^C. Empty when no grid tuple is
-    epidemic. They are held as one read-only (N, C) array ``rates`` and
-    their thetas as ``theta``; ``points`` and ``thetas`` give them as tuples.
-    ``evaluations`` counts the Perron roots the search computed; it is a
-    diagnostic and takes no part in equality.
+    ``points`` is a Pareto antichain of full-length epidemic rate tuples;
+    reducing any searched component of a member by one grid step makes it
+    not epidemic or leaves [0, 1]^C. Empty when no grid tuple is epidemic.
+    They are held as one read-only (N, C) array ``rates`` and their thetas
+    as ``theta``; ``points`` and ``thetas`` give them as tuples.
+    ``evaluations`` counts the Jacobians the search tested or reported a
+    theta of; it is a diagnostic and takes no part in equality.
     """
 
     rates: np.ndarray
@@ -388,9 +400,9 @@ def _undominated(crossing: np.ndarray, tol: float) -> np.ndarray:
 
     ``crossing`` holds each line's crossing over the grid of prefixes, inf
     where it never crosses. The line one step down on a leading axis
-    dominates when it crosses at most ``tol`` higher. Theta is monotone, so a
-    predecessor never crosses lower; the local test is therefore equivalent
-    to full pairwise non-domination.
+    dominates when it crosses at most ``tol`` higher. ``_epidemic`` is
+    monotone, so a predecessor never crosses lower; the local test is
+    therefore equivalent to full pairwise non-domination.
     """
     keep = np.isfinite(crossing)
     for axis in range(crossing.ndim):
@@ -400,7 +412,7 @@ def _undominated(crossing: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _frontier_search(
-    theta_fn: Callable[[np.ndarray], np.ndarray],
+    jacobians: Callable[[np.ndarray], np.ndarray],
     num_colors: int,
     grid_step: float,
     groups: tuple[tuple[int, ...], ...],
@@ -408,17 +420,16 @@ def _frontier_search(
 ) -> FrontierSet:
     """Monotone grid search for the Pareto-minimal epidemic tuples.
 
-    ``theta_fn`` maps rate rows, shape (N, C), to their thetas. Every grid
-    point of the leading group axes (a prefix) spans a line along the last
-    axis. Theta is non-decreasing in every rate, so a line crosses 1 at most
-    once, at the least grid index with theta >= 1 (``size`` if none), and no
-    later than any line below it. The coarse lines, every k-th prefix value
-    on each axis (k about sqrt(size)) and the last, are bisected from the
-    bracket [-1, size]; every other line only between the crossings of its
-    coarse cell's upper and lower corners, for free once those agree. Each
-    round is one ``theta_fn`` call, ``refine_tol`` bisects the kept crossings
-    the same way, and one last call gives their thetas. Only the lines are
-    held, never the full rate grid.
+    ``jacobians`` maps rate rows to their Jacobian stack. Every grid point of
+    the leading group axes (a prefix) spans a line along the last axis.
+    ``_epidemic`` is monotone in every rate, so a line crosses at most once,
+    at the least epidemic grid index (``size`` if none), and no later than
+    any line below it. The coarse lines, every k-th prefix value on each
+    axis (k about sqrt(size)) and the last, are bisected from the bracket
+    [-1, size]; every other line only between the crossings of its coarse
+    cell's upper and lower corners, for free once those agree. Each round
+    tests one stack, as does each ``refine_tol`` round on the kept crossings;
+    one last stack gives their thetas. The rate grid is never held whole.
     """
     vals = np.asarray(_grid_values(grid_step))
     size = len(vals)
@@ -426,16 +437,16 @@ def _frontier_search(
     lines = np.indices(shape).reshape(len(shape), -1).T
     evaluations = 0
 
-    def theta_at(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
+    def jacobians_at(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += len(last)
-        return theta_fn(_rates_at(lines[rows], last, groups, vals, num_colors))
+        return jacobians(_rates_at(lines[rows], last, groups, vals, num_colors))
 
     def bisect(rows: np.ndarray) -> None:
-        # on each line theta(vals[lo]) < 1 <= theta(vals[hi]), -1 and size virtual
+        # each line is epidemic at vals[hi] but not at vals[lo], -1 and size virtual
         while (live := rows[hi[rows] - lo[rows] > 1]).size:
             mid = (lo[live] + hi[live]) // 2
-            up = theta_at(live, vals[mid]) >= 1.0
+            up = _epidemic(jacobians_at(live, vals[mid]))
             hi[live[up]] = mid[up]
             lo[live[~up]] = mid[~up]
 
@@ -455,7 +466,7 @@ def _frontier_search(
         below = vals[np.maximum(hi[rows] - 1, 0)]
         while (live := np.flatnonzero(last - below > refine_tol)).size:
             mid = 0.5 * (below[live] + last[live])
-            up = theta_at(rows[live], mid) >= 1.0
+            up = _epidemic(jacobians_at(rows[live], mid))
             last[live[up]] = mid[up]
             below[live[~up]] = mid[~up]
         crossing = np.full(len(lines), np.inf)
@@ -463,7 +474,7 @@ def _frontier_search(
         keep = _undominated(crossing.reshape(shape), refine_tol).ravel()[rows]
         rows, last = rows[keep], last[keep]
 
-    theta = theta_at(rows, last)
+    theta = perron_roots(jacobians_at(rows, last))
     rates = _rates_at(lines[rows], last, groups, vals, num_colors)
     order = np.lexsort(rates.T[::-1])
     return FrontierSet(
@@ -475,20 +486,20 @@ def _frontier_search(
     )
 
 
-def _thetas_of_rates(base: np.ndarray, tau: int) -> Callable[[np.ndarray], np.ndarray]:
-    """theta over rate rows: the Perron roots of J(R) = base * diag(R(rates)).
+def _jacobians_of_rates(base: np.ndarray, tau: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The Jacobians J(R) = base * diag(R(rates)) of rate rows, (N, C) -> (N, C, C).
 
     Each distinct rate is mapped once by ``transmissibility``, so the rows get
     the scalar route's values bit for bit (numpy's vectorized power may
     differ from it in the last place).
     """
 
-    def thetas(rates: np.ndarray) -> np.ndarray:
+    def jacobians(rates: np.ndarray) -> np.ndarray:
         distinct, where = np.unique(rates, return_inverse=True)
         r = np.array([transmissibility(b, tau) for b in distinct.tolist()])
-        return perron_roots(base * r[where].reshape(rates.shape)[:, None, :])
+        return base * r[where].reshape(rates.shape)[:, None, :]
 
-    return thetas
+    return jacobians
 
 
 def _check_search(grid_step: float, refine_tol: Optional[float]) -> None:
@@ -517,8 +528,8 @@ def multi_threshold(
     """
     _check_search(grid_step, refine_tol)
     groups = _tie_groups(m.num_colors, len(layer_sizes), tie_intra)
-    thetas = _thetas_of_rates(_closed_form_base(m, layer_sizes), tau)
-    return _frontier_search(thetas, m.num_colors, grid_step, groups, refine_tol)
+    jacobians = _jacobians_of_rates(_closed_form_base(m, layer_sizes), tau)
+    return _frontier_search(jacobians, m.num_colors, grid_step, groups, refine_tol)
 
 
 def multi_threshold_empirical(
@@ -535,8 +546,8 @@ def multi_threshold_empirical(
     if not stats.mean.any():
         raise EmptyColor("graph has no edges on any color")
     groups = _tie_groups(g.num_colors, g.num_layers, tie_intra)
-    thetas = _thetas_of_rates(_cross_moment_base(stats), tau)
-    return _frontier_search(thetas, g.num_colors, grid_step, groups, refine_tol)
+    jacobians = _jacobians_of_rates(_cross_moment_base(stats), tau)
+    return _frontier_search(jacobians, g.num_colors, grid_step, groups, refine_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,11 @@ def quiet_layer_density_bound(
 # ---------------------------------------------------------------------------
 
 def exhaustive_frontier(theta_fn, num_colors: int, grid_step: float) -> set:
-    """Full grid scan plus pairwise Pareto-minimality filter."""
+    """Full grid scan plus pairwise Pareto-minimality filter.
+
+    A tuple is epidemic where ``theta_fn(rates) >= 1``; a function that
+    returns the epidemic decision as a bool serves as well.
+    """
     vals = _grid_values(grid_step)
     k = len(vals)
     idx_grid = np.stack(

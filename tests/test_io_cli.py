@@ -434,7 +434,7 @@ class TestCli:
         assert rc == 0
         summary = capsys.readouterr().out
         assert re.fullmatch(r"wrote \S+ \(\d+ frontier tuples, grid step 0.05, "
-                            r"[1-9]\d* Perron roots\)\n", summary), summary
+                            r"[1-9]\d* Jacobians\)\n", summary), summary
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "beta_1,beta_2,beta_3,theta"
         assert len(lines) > 2

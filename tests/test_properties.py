@@ -1,11 +1,8 @@
 """Randomized invariant checks (hypothesis)."""
 
-import functools
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from interepi import (
     ColorTable,
@@ -21,13 +18,20 @@ from interepi import (
     jacobian_closed_form,
     kappa,
     load_graph,
+    perron_roots,
     spectral_radius,
     transmissibility,
     write_graph,
 )
 from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
 from interepi.graph import ColorMoments
-from interepi.threshold import _frontier_search, _grid_values, _thetas_of_rates, _tie_groups
+from interepi.threshold import (
+    _epidemic,
+    _frontier_search,
+    _grid_values,
+    _jacobians_of_rates,
+    _tie_groups,
+)
 from oracles import (
     brute_force_component_labels,
     exhaustive_frontier,
@@ -300,22 +304,16 @@ def test_frontier_search_matches_exhaustive_scan(search):
                 rates[color] = rate
         return tuple(rates)
 
-    @functools.cache
-    def theta(rates):
-        return spectral_radius(base * np.array([transmissibility(b, tau) for b in rates]))
+    def jacobian(rates):
+        return base * np.array([transmissibility(b, tau) for b in rates])
 
-    # the search presumes that theta >= 1 is monotone on the grid; rounding
-    # breaks that at an exact tie theta = 1, where a triangular matrix gets
-    # the exact diagonal and a nearby full one an eigvals root just below 1
+    def epidemic(reduced):
+        return bool(_epidemic(jacobian(full(reduced))[None])[0])
+
     vals = _grid_values(step)
-    shape = (len(vals),) * len(groups)
-    epidemic = np.array([theta(full(r)) >= 1.0 for r in itertools.product(vals, repeat=len(shape))])
-    assume(all((np.diff(epidemic.reshape(shape).astype(int), axis=a) >= 0).all()
-               for a in range(len(shape))))
-
-    front = _frontier_search(_thetas_of_rates(base, tau), c, step, groups, refine_tol)
-    grid = {full(r) for r in exhaustive_frontier(lambda r: theta(full(r)), len(groups), step)}
-    assert front.thetas == tuple(theta(p) for p in front.points)
+    front = _frontier_search(_jacobians_of_rates(base, tau), c, step, groups, refine_tol)
+    grid = {full(r) for r in exhaustive_frontier(epidemic, len(groups), step)}
+    assert front.thetas == tuple(spectral_radius(jacobian(p)) for p in front.points)
     if refine_tol is None:
         assert set(front.points) == grid
         return
@@ -329,3 +327,37 @@ def test_frontier_search_matches_exhaustive_scan(search):
         assert up == 0 or vals[up - 1] < last
         assert full([*[point[g[0]] for g in groups[:-1]], vals[up]]) in grid
         assert all(point[k] == last for k in searched)
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """A C x C matrix, C = 1-9, with entries in [0, 1e3], many of them zero."""
+    c = draw(st.integers(1, 9))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=c * c,
+                       max_size=c * c)
+    return np.array(draw(entries)).reshape(c, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonnegative_matrices(), st.floats(0.5, 2.0), st.integers(1, 4), st.data())
+def test_pivot_test_is_the_perron_root_test(jac, scale, ulps, data):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        epidemic = bool(_epidemic(jac[None])[0])
+    theta = spectral_radius(jac)
+    if abs(theta - 1.0) > 1e-9:
+        assert epidemic == (theta >= 1.0)
+    if theta < 1e-3:  # scaling to theta = 1 would leave the entries' range
+        return
+    # scaled near theta = 1 the test still agrees with the root off the tie
+    stack = np.stack([jac / theta, jac / theta * scale])
+    roots = perron_roots(stack)
+    decided = _epidemic(stack)
+    away = np.abs(roots - 1.0) > 1e-9
+    assert (decided[away] == (roots[away] >= 1.0)).all()
+    # and at the tie raising entries by a few ulps never ends an epidemic
+    raised = stack[0].copy()
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=raised.size,
+                                       max_size=raised.size))).reshape(raised.shape)
+    for _ in range(ulps):
+        raised[mask] = np.nextafter(raised[mask], np.inf)
+    assert _epidemic(raised[None])[0] or not decided[0]

@@ -36,7 +36,13 @@ from interepi import (
 )
 from interepi.graph import ColorMoments, MomentSet
 import interepi.threshold as threshold_module
-from interepi.threshold import _frontier_search, _grid_values, jacobian_from_cross_moments
+from interepi.threshold import (
+    _epidemic,
+    _frontier_search,
+    _grid_values,
+    _jacobians_of_rates,
+    jacobian_from_cross_moments,
+)
 from oracles import (
     cardano_radius_3x3,
     chain_plus_layer2,
@@ -424,10 +430,10 @@ class TestMultiThreshold:
         assert len(front) == 0
 
     def test_origin_frontier_degenerate_search(self):
-        # unreachable through rates (R(0)=0) but the search must handle a
-        # theta function that is already supercritical at the origin
+        # unreachable through rates (R(0)=0) but the search must handle
+        # Jacobians that are already supercritical at the origin
         front = _frontier_search(
-            lambda rates: np.full(len(rates), 2.0), 3, 0.5, ((0,), (1,), (2,)), None
+            lambda rates: np.full((len(rates), 1, 1), 2.0), 3, 0.5, ((0,), (1,), (2,)), None
         )
         assert front.points == ((0.0, 0.0, 0.0),)
         assert front.thetas == (2.0,)
@@ -435,17 +441,33 @@ class TestMultiThreshold:
     def test_refinement_merges_crossings_within_tol(self):
         # the r0 = 0 line crosses at 0.50001 and the r0 = 0.5 line at 0.49999:
         # different grid cells, one refined point once refine_tol = 1e-4
-        def theta_fn(rates):
-            return 1.0 + rates[:, 1] - (0.50001 - 4e-5 * rates[:, 0])
+        def jacobians(rates):  # 1x1 Jacobians, so theta is the entry
+            return (1.0 + rates[:, 1] - (0.50001 - 4e-5 * rates[:, 0]))[:, None, None]
 
         groups = ((0,), (1,))
-        grid = _frontier_search(theta_fn, 2, 0.5, groups, None)
+        grid = _frontier_search(jacobians, 2, 0.5, groups, None)
         assert grid.points == ((0.0, 1.0), (0.5, 0.5))
-        front = _frontier_search(theta_fn, 2, 0.5, groups, 1e-4)
+        front = _frontier_search(jacobians, 2, 0.5, groups, 1e-4)
         assert len(front) == 1
         assert front.points[0][0] == 0.0
         assert front.points[0][1] == pytest.approx(0.50001, abs=1e-4)
         assert front.thetas[0] >= 1.0
+
+    def test_tie_on_a_triangular_neighbour_keeps_an_antichain(self):
+        # (0, 1, 0) gives a triangular Jacobian with theta exactly 1 while full
+        # ones next to it got eigvals roots just below 1, so a search deciding
+        # by those roots also kept the dominated (0.9, 1, 0)
+        base = np.array([[0.0, 0.0, 1.0], [5.66e-161, 1.0, 0.0], [3.0, 1.0, 0.0]])
+        groups = ((0,), (1,), (2,))
+        front = _frontier_search(_jacobians_of_rates(base, 2), 3, 0.09, groups, None)
+
+        def epidemic(rates):
+            jac = base * np.array([transmissibility(b, 2) for b in rates])
+            return _epidemic(jac[None])[0]
+
+        assert (0.0, 1.0, 0.0) in front.points
+        assert set(front.points) == exhaustive_frontier(epidemic, 3, 0.09)
+        assert not any(dominates(p, q) for p in front.points for q in front.points)
 
     def test_invalid_grid_step(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
