@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     DuplicateEdge,
     EmptyColor,
-    ExponentSingularity,
     GraphValidationError,
     InterepiError,
     KappaAtMostOne,

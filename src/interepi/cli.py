@@ -24,6 +24,7 @@ from .errors import (
 )
 from .graph import classify_coupling, compute_moments, kappa
 from .io import (
+    SEED_PLACEMENTS,
     ExperimentConfig,
     analytic_frontier,
     load_network,
@@ -44,52 +45,53 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# the run-parameter flags and the config keys they override
-_FLAG_KEYS = {
-    "--tau": "analysis.tau",
-    "--grid-step": "analysis.grid_step",
-    "--tie-intra": "analysis.tie_intra",
-    "--refine": "analysis.refine_tol",
-    "--realizations": "sim.realizations",
-    "--max-steps": "sim.max_steps",
-    "--master-seed": "master_seed",
-    "--betas": "sweep.beta",
-    "--alphas": "sweep.alpha",
-    "--settings": "dynamics.settings",
-}
-# --seed-policy KIND:DETAIL sets sim.seed_placement = KIND and this key to DETAIL
-# ('/' read as ':'), or to the default when DETAIL is empty
-_SEED_DETAIL = {
-    "uniform": ("sim.seed_count", "1"),
-    "per-layer": ("sim.seeds_per_layer", ""),
-    "explicit": ("sim.seed_nodes", ""),
+# every flag: the config key it overrides (None for none), its help, and any
+# further argparse options
+_FLAGS = {
+    "--config": (None, "experiment config file"),
+    "--graph": (None, "edge-list graph file, in place of the config's network"),
+    "--out": (None, "output file or directory"),
+    "--threads": (None, "worker processes for sweep cells", dict(type=int, default=1)),
+    "--empirical": (None, "with a graph file: use measured colored cross-moments",
+                    dict(action="store_true")),
+    "--beta": (None, "intra-layer rate in [0, 1]"),
+    "--alpha": (None, "inter-layer rate in [0, 1]"),
+    "--cumulative-out": (None, "file for the ever-infected series"),
+    "--tau": ("analysis.tau", "recovery steps"),
+    "--grid-step": ("analysis.grid_step", "frontier grid step"),
+    "--tie-intra": ("analysis.tie_intra", "search with all intra-layer rates equal",
+                    dict(action="store_const", const="true")),
+    "--refine": ("analysis.refine_tol", "bisection refinement tolerance, 0 disables"),
+    "--realizations": ("sim.realizations", "Monte Carlo runs per cell or setting"),
+    "--max-steps": ("sim.max_steps", "step cap, 0 for none"),
+    "--seed-policy": ("sim.seed_placement",
+                      "uniform:K | per-layer:K0,K1 | explicit:L/I,L/I,...; also sets "
+                      "sim.seed_count, sim.seeds_per_layer or sim.seed_nodes"),
+    "--master-seed": ("master_seed", "the single source of randomness"),
+    "--betas": ("sweep.beta", "start:stop:step"),
+    "--alphas": ("sweep.alpha", "start:stop:step"),
+    "--settings": ("dynamics.settings", "beta:alpha list"),
 }
 # without --config the frontier search is untied
 _NO_CONFIG = ExperimentConfig(source="file", items=(("analysis.tie_intra", "false"),))
 
 
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """Add --config and those of --out, --master-seed, --threads in ``flags``."""
-    p.add_argument("--config", help="experiment config file")
-    if "--out" in flags:
-        p.add_argument("--out", help="output file or directory")
-    if "--master-seed" in flags:
-        p.add_argument("--master-seed")
-    if "--threads" in flags:
-        p.add_argument("--threads", type=int, default=1)
-
-
 def _config(args) -> ExperimentConfig:
     """The config with the run-parameter flags given put in place of its keys,
     and --graph, if given, in place of its network."""
-    given = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in _FLAG_KEYS}
-    overrides = {_FLAG_KEYS[f]: (f, value) for f, value in given.items() if value is not None}
-    if getattr(args, "seed_policy", None) is not None:
-        kind, _, detail = args.seed_policy.partition(":")
-        overrides["sim.seed_placement"] = ("--seed-policy", kind)
-        if kind in _SEED_DETAIL:
-            key, default = _SEED_DETAIL[kind]
-            overrides[key] = ("--seed-policy", detail.replace("/", ":") or default)
+    overrides = {}
+    for flag, (key, *_) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if key and value is not None:
+            overrides[key] = (flag, value)
+    if "sim.seed_placement" in overrides:
+        # --seed-policy PLACEMENT:DETAIL also sets the placement's detail key
+        # to DETAIL ('/' read as ':'), or to its default when DETAIL is empty
+        placement, _, detail = args.seed_policy.partition(":")
+        overrides["sim.seed_placement"] = ("--seed-policy", placement)
+        if placement in SEED_PLACEMENTS:
+            key, default, _ = SEED_PLACEMENTS[placement]
+            overrides[key] = ("--seed-policy", detail.replace("/", ":") or default or "")
     cfg = with_overrides(parse_config(args.config) if args.config else _NO_CONFIG, overrides)
     if getattr(args, "graph", None):
         return replace(cfg, source="file", graph_file=args.graph)
@@ -217,6 +219,27 @@ def cmd_run(args) -> int:
     return 0
 
 
+_SIM_FLAGS = "--config --master-seed --graph --tau --realizations --max-steps --seed-policy"
+# subcommand: (handler, help, its optional flags, its required flags)
+_COMMANDS = {
+    "generate": (cmd_generate, "generate a network from a config and write it",
+                 "--config --out --master-seed", ""),
+    "info": (cmd_info, "summarize a graph file", "--config --master-seed --graph", ""),
+    "threshold": (cmd_threshold, "multidimensional threshold frontier CSV",
+                  "--config --out --graph --empirical --tau --grid-step --tie-intra --refine", ""),
+    "simulate": (cmd_simulate, "simulate SIR on a two-layer network",
+                 _SIM_FLAGS, "--beta --alpha"),
+    "sweep": (cmd_sweep, "sweep SIR on a two-layer network",
+              f"{_SIM_FLAGS} --out --threads", "--betas --alphas"),
+    "dynamics": (cmd_dynamics, "dynamics SIR on a two-layer network",
+                 f"{_SIM_FLAGS} --out --cumulative-out", "--settings"),
+    "classify": (cmd_classify, "coupling class and optional diffusion state",
+                 "--config --master-seed --graph --beta --alpha --tau", ""),
+    "run": (cmd_run, "full experiment from a config file",
+            "--config --out --master-seed --threads", ""),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="interepi",
@@ -224,63 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"interepi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a network from a config and write it")
-    _add_common(p, "--out", "--master-seed")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("info", help="summarize a graph file")
-    _add_common(p, "--master-seed")
-    p.add_argument("--graph", help="edge-list graph file")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("threshold", help="multidimensional threshold frontier CSV")
-    _add_common(p, "--out")
-    p.add_argument("--graph", help="edge-list graph file (measured moments)")
-    p.add_argument("--empirical", action="store_true",
-                   help="with a graph file: use measured colored cross-moments")
-    p.add_argument("--tau", help="recovery steps (default 5 or config)")
-    p.add_argument("--grid-step", help="default 0.01 or config")
-    p.add_argument("--tie-intra", action="store_const", const="true",
-                   help="search with all intra-layer rates equal")
-    p.add_argument("--refine", help="bisection refinement tolerance (0 disables)")
-    p.set_defaults(func=cmd_threshold)
-
-    for name, fn, flags in (("simulate", cmd_simulate, ("--master-seed",)),
-                            ("sweep", cmd_sweep, ("--out", "--master-seed", "--threads")),
-                            ("dynamics", cmd_dynamics, ("--out", "--master-seed"))):
-        p = sub.add_parser(name, help=f"{name} SIR on a two-layer network")
-        _add_common(p, *flags)
-        p.add_argument("--graph", help="edge-list graph file")
-        p.add_argument("--tau", help="default 5 or config")
-        p.add_argument("--realizations", help="default 100 or config")
-        p.add_argument("--max-steps", help="0 = no cap (default) or config")
-        p.add_argument("--seed-policy",
-                       help="uniform:K | per-layer:K0,K1 | explicit:L/I,L/I,... "
-                            "(default uniform:1 or config)")
-        if name == "simulate":
-            p.add_argument("--beta", required=True)
-            p.add_argument("--alpha", required=True)
-        elif name == "sweep":
-            p.add_argument("--betas", required=True, help="start:stop:step")
-            p.add_argument("--alphas", required=True, help="start:stop:step")
-        else:
-            p.add_argument("--settings", required=True, help="beta:alpha list")
-            p.add_argument("--cumulative-out", default=None)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("classify", help="coupling class and optional diffusion state")
-    _add_common(p, "--master-seed")
-    p.add_argument("--graph", help="edge-list graph file")
-    p.add_argument("--beta")
-    p.add_argument("--alpha")
-    p.add_argument("--tau", help="default 5 or config")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("run", help="full experiment from a config file")
-    _add_common(p, "--out", "--master-seed", "--threads")
-    p.set_defaults(func=cmd_run)
-
+    for command, (func, text, flags, required) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in f"{flags} {required}".split():
+            key, help_text, *options = _FLAGS[flag]
+            p.add_argument(flag, help=f"{help_text} (overrides {key})" if key else help_text,
+                           required=flag in required.split(), **dict(*options))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -59,10 +59,6 @@ class KappaAtMostOne(InterepiError):
     """Single-layer threshold is undefined for kappa <= 1."""
 
 
-class ExponentSingularity(InterepiError):
-    """Power-law moment formula hits a removable singularity (gamma in {2, 3})."""
-
-
 class NonConvergence(InterepiError):
     """The eigenvalue computation behind a Perron root did not converge."""
 

@@ -176,35 +176,6 @@ def _parse_lines(text: str) -> tuple[list[int], np.ndarray]:
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-_LAYER_KEY = re.compile(r"^layer\.(\d+)\.(type|n|mean_degree|gamma|y_min)$")
-# the layer keys each layer type reads; a layer that sets another is rejected
-_LAYER_TYPE_KEYS = {
-    "er": {"type", "n", "mean_degree"},
-    "powerlaw": {"type", "n", "gamma", "y_min"},
-}
-_INTER_KEY = re.compile(r"^inter\.(\d+)\.(\d+)\.mean_degree$")
-
-_SCALAR_KEYS = {
-    "network.source",
-    "network.file",
-    "analysis.tau",
-    "analysis.grid_step",
-    "analysis.tie_intra",
-    "analysis.refine_tol",
-    "sim.realizations",
-    "sim.max_steps",
-    "sim.seed_count",
-    "sim.seed_placement",
-    "sim.seeds_per_layer",
-    "sim.seed_nodes",
-    "sweep.beta",
-    "sweep.alpha",
-    "dynamics.settings",
-    "output.dir",
-    "master_seed",
-}
-
-
 @dataclass
 class ExperimentConfig:
     source: str  # "generate" | "file"
@@ -280,12 +251,15 @@ def parse_grid(spec: str) -> tuple[float, ...]:
     return tuple(v for v in vals if v <= stop + 1e-12)
 
 
+def _tokens(value: str) -> list[str]:
+    """The fields of ``value``, separated by whitespace or commas."""
+    return [token for token in re.split(r"[,\s]+", value) if token]
+
+
 def parse_settings(spec: str) -> tuple[tuple[float, float], ...]:
     """'beta:alpha' pairs separated by whitespace or commas."""
     out = []
-    for token in re.split(r"[,\s]+", spec.strip()):
-        if not token:
-            continue
+    for token in _tokens(spec):
         parts = token.split(":")
         if len(parts) != 2:
             raise ConfigError(f"setting {token!r} must be beta:alpha")
@@ -307,62 +281,62 @@ def parse_rate(name: str, value: str) -> float:
     return rate
 
 
-def _run_params(raw: dict[str, str], flags: dict[str, str]) -> dict:
-    """The ExperimentConfig fields that the run-parameter keys set (analysis.*,
-    sim.*, sweep.*, dynamics.settings and master_seed), read from ``raw`` or
-    defaulted. A ConfigError names the key, or the flag that ``flags`` says
-    gave its value."""
-
-    def read(key, parse, default=None, ok=lambda v: True, rule=""):
-        name = flags.get(key, key)
-        if key not in raw and default is None:
-            return None
-        value = parse(name, raw.get(key, default))
-        if not ok(value):
-            raise ConfigError(f"{name} must {rule}")
-        return value
-
-    params = dict(
-        tau=read("analysis.tau", _parse_int, "5", lambda v: v >= 1, "be at least 1"),
-        grid_step=read("analysis.grid_step", _parse_float, "0.01",
-                       lambda v: 0.0 < v <= 0.5, "be in (0, 0.5]"),
-        tie_intra=read("analysis.tie_intra", _parse_bool, "true"),
-        refine_tol=read("analysis.refine_tol", _parse_float, "0",
-                        lambda v: 0.0 <= v < float("inf"), "be finite and >= 0"),
-        realizations=read("sim.realizations", _parse_int, "100", lambda v: v >= 1,
-                          "be at least 1"),
-        # 0 is no cap
-        max_steps=read("sim.max_steps", _parse_int, "0", lambda v: v >= 0, "be at least 0")
-        or None,
-        sweep_betas=read("sweep.beta", _keyed(parse_grid), None, _in_unit,
-                         "hold rates in [0, 1]") or (),
-        sweep_alphas=read("sweep.alpha", _keyed(parse_grid), None, _in_unit,
-                          "hold rates in [0, 1]") or (),
-        dynamics_settings=read("dynamics.settings", _keyed(parse_settings), None, _in_unit,
-                               "hold rates in [0, 1]") or (),
-        master_seed=read("master_seed", _parse_int, "0"),
-    )
-    placement = read("sim.seed_placement", lambda name, value: value, "uniform",
-                     lambda v: v in ("uniform", "per-layer", "explicit"),
-                     "be uniform, per-layer or explicit")
-    if placement == "uniform":
-        params["seeds"] = SeedPolicy.uniform(read("sim.seed_count", _parse_int, "1"))
-        return params
-    key = "sim.seeds_per_layer" if placement == "per-layer" else "sim.seed_nodes"
-    if key not in raw:
-        raise ConfigError(f"sim.seed_placement={placement} requires {key}")
-    name, tokens = flags.get(key, key), [t for t in re.split(r"[,\s]+", raw[key]) if t]
-    if placement == "per-layer":
-        params["seeds"] = SeedPolicy.in_layers([_parse_int(name, t) for t in tokens])
-        return params
+def _seed_nodes(name: str, value: str) -> SeedPolicy:
     nodes = []
-    for token in tokens:
+    for token in _tokens(value):
         parts = token.split(":")
         if len(parts) != 2:
             raise ConfigError(f"{name}: seed node {token!r} must be a layer and an index")
         nodes.append([_parse_int(name, part) for part in parts])
-    params["seeds"] = SeedPolicy.explicit(nodes)
-    return params
+    return SeedPolicy.explicit(nodes)
+
+
+# The run-parameter keys: key -> (ExperimentConfig field, reader of the value,
+# and, for a key with a range, its check and the rule the check enforces). A
+# key that is not set leaves the field's default.
+_RUN_KEYS = {
+    "analysis.tau": ("tau", _parse_int, lambda v: v >= 1, "be at least 1"),
+    "analysis.grid_step": ("grid_step", _parse_float, lambda v: 0.0 < v <= 0.5,
+                           "be in (0, 0.5]"),
+    "analysis.tie_intra": ("tie_intra", _parse_bool),
+    "analysis.refine_tol": ("refine_tol", _parse_float, lambda v: 0.0 <= v < float("inf"),
+                            "be finite and >= 0"),
+    "sim.realizations": ("realizations", _parse_int, lambda v: v >= 1, "be at least 1"),
+    # 0 is no cap
+    "sim.max_steps": ("max_steps", lambda name, value: _parse_int(name, value) or None,
+                      lambda v: v is None or v >= 0, "be at least 0"),
+    "sweep.beta": ("sweep_betas", _keyed(parse_grid), _in_unit, "hold rates in [0, 1]"),
+    "sweep.alpha": ("sweep_alphas", _keyed(parse_grid), _in_unit, "hold rates in [0, 1]"),
+    "dynamics.settings": ("dynamics_settings", _keyed(parse_settings), _in_unit,
+                          "hold rates in [0, 1]"),
+    "output.dir": ("out_dir", lambda name, value: value),
+    "master_seed": ("master_seed", _parse_int),
+}
+# sim.seed_placement -> (the key that holds the placement's detail, the
+# detail's default, None where the placement requires the key, and the
+# reader of the detail into a SeedPolicy). An unset sim.seed_placement is
+# uniform. --seed-policy PLACEMENT:DETAIL sets the same two keys.
+SEED_PLACEMENTS = {
+    "uniform": ("sim.seed_count", "1",
+                lambda name, value: SeedPolicy.uniform(_parse_int(name, value))),
+    "per-layer": ("sim.seeds_per_layer", None,
+                  lambda name, value: SeedPolicy.in_layers(
+                      [_parse_int(name, token) for token in _tokens(value)])),
+    "explicit": ("sim.seed_nodes", None, _seed_nodes),
+}
+# layer.<i>.type -> (its spec class, and the keys layer.<i>.<field> it reads,
+# each with its reader and default, None where the key is required)
+_LAYER_TYPES = {
+    "er": (ErLayerSpec, {"n": (_parse_int, None), "mean_degree": (_parse_mean, None)}),
+    "powerlaw": (PowerLawSpec, {"n": (_parse_int, None), "gamma": (_parse_float, None),
+                                "y_min": (_parse_int, 1)}),
+}
+_LAYER_KEY = re.compile(r"^layer\.(\d+)\.(\w+)$")
+_LAYER_FIELDS = {"type"}.union(*(keys for _, keys in _LAYER_TYPES.values()))
+_INTER_KEY = re.compile(r"^inter\.(\d+)\.(\d+)\.mean_degree$")
+# the keys besides layer.<i>.* and inter.<i>.<j>.mean_degree
+_KEYS = {"network.source", "network.file", "sim.seed_placement", *_RUN_KEYS,
+         *(key for key, _, _ in SEED_PLACEMENTS.values())}
 
 
 def with_overrides(
@@ -370,12 +344,32 @@ def with_overrides(
 ) -> ExperimentConfig:
     """A copy of cfg with its run parameters re-read from its key echo, with
     ``overrides`` ({key: (flag, value)}) in place of those keys: a flag wins
-    over the config, and the config over the defaults. A ConfigError on an
-    overriding value names its flag. ``items`` stays the config's own echo."""
+    over the config, and the config over the defaults. A ConfigError names
+    the key, or the flag that gave its value. A seed key that the placement
+    does not read is an error unless a flag set the placement. ``items``
+    stays the config's own echo."""
     raw = dict(cfg.items)
     raw.update((key, value) for key, (_, value) in overrides.items())
     flags = {key: flag for key, (flag, _) in overrides.items()}
-    return replace(cfg, **_run_params(raw, flags), flags=flags)
+    params = {}
+    for key, (field_name, read, *check) in _RUN_KEYS.items():
+        if key in raw:
+            name = flags.get(key, key)
+            params[field_name] = value = read(name, raw[key])
+            if check and not check[0](value):
+                raise ConfigError(f"{name} must {check[1]}")
+    placement = raw.get("sim.seed_placement", "uniform")
+    if placement not in SEED_PLACEMENTS:
+        name = flags.get("sim.seed_placement", "sim.seed_placement")
+        raise ConfigError(f"{name} must be uniform, per-layer or explicit")
+    key, default, read = SEED_PLACEMENTS[placement]
+    if raw.get(key, default) is None:
+        raise ConfigError(f"sim.seed_placement={placement} requires {key}")
+    params["seeds"] = read(flags.get(key, key), raw.get(key, default))
+    unused = sorted({k for k, _, _ in SEED_PLACEMENTS.values()}.intersection(raw) - {key})
+    if unused and "sim.seed_placement" not in flags:
+        raise ConfigError(f"{unused[0]} is not used by sim.seed_placement={placement}")
+    return replace(cfg, **params, flags=flags)
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
@@ -397,10 +391,10 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     inter_fields: dict[tuple[int, int], str] = {}
     unknown = []
     for key in raw:
-        if key in _SCALAR_KEYS:
+        if key in _KEYS:
             continue
         m = _LAYER_KEY.match(key)
-        if m:
+        if m and m.group(2) in _LAYER_FIELDS:
             layer_fields.setdefault(int(m.group(1)), {})[m.group(2)] = raw[key]
             continue
         m = _INTER_KEY.match(key)
@@ -439,38 +433,24 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         for i in indices:
             fields = layer_fields[i]
             kind = fields.get("type")
-            unused = sorted(set(fields) - _LAYER_TYPE_KEYS.get(kind, set(fields)))
+            if kind not in _LAYER_TYPES:
+                raise ConfigError(f"layer.{i}.type must be 'er' or 'powerlaw'")
+            spec, keys = _LAYER_TYPES[kind]
+            unused = sorted(set(fields) - {"type", *keys})
             if unused:
                 raise ConfigError(f"layer.{i}.{unused[0]} is not used by type={kind}")
-            if kind == "er":
-                for need in ("n", "mean_degree"):
-                    if need not in fields:
-                        raise ConfigError(f"layer.{i}.{need} is required for type=er")
-                cfg.layers.append(
-                    ErLayerSpec(
-                        n=_parse_int(f"layer.{i}.n", fields["n"]),
-                        mean_degree=_parse_mean(f"layer.{i}.mean_degree", fields["mean_degree"]),
-                    )
-                )
-            elif kind == "powerlaw":
-                for need in ("n", "gamma"):
-                    if need not in fields:
-                        raise ConfigError(f"layer.{i}.{need} is required for type=powerlaw")
-                cfg.layers.append(
-                    PowerLawSpec(
-                        gamma=_parse_float(f"layer.{i}.gamma", fields["gamma"]),
-                        y_min=_parse_int(f"layer.{i}.y_min", fields.get("y_min", "1")),
-                        n=_parse_int(f"layer.{i}.n", fields["n"]),
-                    )
-                )
-            else:
-                raise ConfigError(f"layer.{i}.type must be 'er' or 'powerlaw'")
+            for name, (_, default) in keys.items():
+                if name not in fields and default is None:
+                    raise ConfigError(f"layer.{i}.{name} is required for type={kind}")
+            cfg.layers.append(spec(**{
+                name: read(f"layer.{i}.{name}", fields[name]) if name in fields else default
+                for name, (read, default) in keys.items()
+            }))
         for (i, j), value in inter_fields.items():
             if j >= len(indices):
                 raise ConfigError(f"inter.{i}.{j} references undeclared layer {j}")
             cfg.inter_means[(i, j)] = _parse_mean(f"inter.{i}.{j}.mean_degree", value)
 
-    cfg.out_dir = raw.get("output.dir", "out")
     cfg.items = tuple(sorted(raw.items()))
     return with_overrides(cfg, {})
 
@@ -531,10 +511,6 @@ def analytic_frontier(
     return multi_threshold(moments, layer_sizes, cfg.tau, cfg.grid_step, **options)
 
 
-_SEED_KEYS = dict(uniform="sim.seed_count", per_layer="sim.seeds_per_layer",
-                  explicit="sim.seed_nodes")
-
-
 def sir_config(
     cfg: ExperimentConfig, graph: LayeredGraph, beta: float = 0.0, alpha: float = 0.0
 ) -> SirConfig:
@@ -546,7 +522,7 @@ def sir_config(
     try:
         check_seeds(graph, cfg.seeds)
     except ValueError as exc:
-        key = _SEED_KEYS[cfg.seeds.kind]
+        key = SEED_PLACEMENTS[cfg.seeds.kind.replace("_", "-")][0]  # SeedPolicy spells per_layer
         raise ConfigError(f"{cfg.flags.get(key, key)}: {exc}") from None
     return SirConfig(
         rates=(beta, beta, alpha),
@@ -632,7 +608,6 @@ def write_manifest(path, cfg: ExperimentConfig, outputs: Sequence[str]) -> None:
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: Optional[str] = None,
-    master_seed: Optional[int] = None,
     workers: int = 1,
 ) -> dict[str, str]:
     """Produce frontier.csv, sweep.csv, dynamics.csv(+cumulative) and manifest.
@@ -641,8 +616,6 @@ def run_experiment(
     written before every result is computed. Returns a mapping from logical
     name to written path.
     """
-    if master_seed is not None:
-        cfg.master_seed = master_seed
     target = out_dir if out_dir is not None else cfg.out_dir
 
     graph = load_network(cfg)

@@ -39,7 +39,6 @@ import numpy as np
 from .errors import (
     DomainError,
     EmptyColor,
-    ExponentSingularity,
     KappaAtMostOne,
     LengthMismatch,
     NonConvergence,
@@ -107,13 +106,12 @@ def single_layer_threshold(kappa: float, tau: int) -> ThresholdResult:
 # Model moments
 # ---------------------------------------------------------------------------
 
-def powerlaw_moments(spec: PowerLawSpec, allow_limits: bool = False) -> tuple[float, float]:
+def powerlaw_moments(spec: PowerLawSpec) -> tuple[float, float]:
     """Continuous power-law mean and moment ratio (<y^2>-<y>)/<y>.
 
     Moments are integrals of y^m * c * y^-gamma over [y_min, y_max]. The
-    exponents vanish at gamma = 2 (mean) and gamma = 3 (second moment);
-    those points raise ExponentSingularity unless ``allow_limits`` enables
-    the logarithmic antiderivative.
+    exponents vanish at gamma = 2 (mean) and gamma = 3 (second moment),
+    where the integral is the logarithmic limit.
     """
     if spec.y_max == spec.y_min:
         # zero-width support: point mass at y_min
@@ -125,10 +123,6 @@ def powerlaw_moments(spec: PowerLawSpec, allow_limits: bool = False) -> tuple[fl
     def raw_moment(order: int) -> float:
         e = order - spec.gamma + 1.0
         if abs(e) < 1e-12:
-            if not allow_limits:
-                raise ExponentSingularity(
-                    f"moment of order {order} singular at gamma={spec.gamma}"
-                )
             return c * math.log(b / a)
         return c * (b**e - a**e) / e
 

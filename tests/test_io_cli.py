@@ -26,6 +26,7 @@ from interepi import (
     run_experiment,
     write_graph,
 )
+from interepi.io import with_overrides
 import interepi.io as io_module
 from interepi.cli import main
 from interepi.io import parse_grid, parse_settings
@@ -314,6 +315,23 @@ inter.0.1.mean_degree = 0.5
             parse_config_text("\n".join([*keep, lines]) + "\n")
         assert str(exc.value).startswith(key)
 
+    @pytest.mark.parametrize(
+        "lines,key,placement",
+        [
+            ("sim.seed_placement = uniform\nsim.seed_nodes = 9:9", "sim.seed_nodes", "uniform"),
+            ("sim.seeds_per_layer = 1 1", "sim.seeds_per_layer", "uniform"),
+            ("sim.seed_placement = per-layer\nsim.seeds_per_layer = 1 1\nsim.seed_count = -4",
+             "sim.seed_count", "per-layer"),
+            ("sim.seed_placement = explicit\nsim.seed_nodes = 0:1\nsim.seeds_per_layer = 1 1",
+             "sim.seeds_per_layer", "explicit"),
+        ],
+    )
+    def test_seed_key_unused_by_its_placement(self, lines, key, placement):
+        keep = [line for line in BASE_CONFIG.splitlines() if not line.startswith("sim.seed")]
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("\n".join([*keep, lines]) + "\n")
+        assert str(exc.value) == f"{key} is not used by sim.seed_placement={placement}"
+
     def test_missing_source(self):
         with pytest.raises(ConfigError):
             parse_config_text("layer.0.type = er\n")
@@ -406,10 +424,13 @@ class TestRunExperiment:
 
     def test_master_seed_override_changes_results(self, tmp_path):
         cfg = parse_config_text(BASE_CONFIG)
-        out1 = run_experiment(cfg, out_dir=str(tmp_path / "a"), master_seed=1)
-        cfg2 = parse_config_text(BASE_CONFIG)
-        out2 = run_experiment(cfg2, out_dir=str(tmp_path / "b"), master_seed=2)
+        out1, out2 = (
+            run_experiment(with_overrides(cfg, {"master_seed": ("--master-seed", seed)}),
+                           out_dir=str(tmp_path / seed))
+            for seed in ("1", "2")
+        )
         assert Path(out1["sweep"]).read_text() != Path(out2["sweep"]).read_text()
+        assert cfg.master_seed == 12
 
 
 class TestCli:
@@ -612,6 +633,29 @@ class TestCli:
         assert record["message"].startswith("--seed-policy: ")
         assert f"({seed.replace('/', ', ')})" in record["message"]
 
+    def test_seed_policy_overrides_the_config_placement(self, tmp_path):
+        # the config's per-layer keys do not stop --seed-policy from replacing them
+        per_layer, uniform = tmp_path / "per-layer.cfg", tmp_path / "uniform.cfg"
+        per_layer.write_text(BASE_CONFIG)
+        uniform.write_text(BASE_CONFIG.replace(
+            "sim.seed_placement = per-layer\nsim.seeds_per_layer = 1 1", "sim.seed_count = 3"))
+        args = ["dynamics", "--settings", "0.3:0.3", "--realizations", "3"]
+        by_flag, by_key = tmp_path / "flag.csv", tmp_path / "key.csv"
+        assert main([*args, "--config", str(per_layer), "--seed-policy", "uniform:3",
+                     "--out", str(by_flag)]) == 0
+        assert main([*args, "--config", str(uniform), "--out", str(by_key)]) == 0
+        assert by_flag.read_bytes() == by_key.read_bytes()
+
+    def test_threshold_at_gamma_three_exits_0(self, tmp_path):
+        # the second moment of a gamma = 3 layer is its logarithmic limit
+        cfg_path, out = tmp_path / "sf.cfg", tmp_path / "f.csv"
+        cfg_path.write_text("network.source = generate\nlayer.0.type = powerlaw\n"
+                            "layer.0.n = 300\nlayer.0.gamma = 3\nlayer.1.type = er\n"
+                            "layer.1.n = 300\nlayer.1.mean_degree = 3\n"
+                            "inter.0.1.mean_degree = 1\nanalysis.grid_step = 0.05\n")
+        assert main(["threshold", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) > 2
+
     def test_run_stops_at_an_explicit_seed_outside_the_graph(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(BASE_CONFIG.replace("sim.seed_placement = per-layer",
@@ -749,3 +793,39 @@ def test_readme_python_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert "DensityResult(" in capsys.readouterr().out
+
+
+def _readme_keys() -> set[str]:
+    """The keys of the README's 'Recognized keys' table, one per key."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("Recognized keys:", 1)[1].split("\n\n")[1]
+    return {key for row in table.splitlines()[2:]
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+
+
+def _accepted(key: str) -> bool:
+    """Whether parse_config_text knows ``key`` (layer <i> = 0, <j> = 1)."""
+    key = key.replace("<i>", "0").replace("<j>", "1")
+    lines = {line.split(" = ")[0]: line for line in BASE_CONFIG.strip().splitlines()}
+    lines[key] = f"{key} = 1"
+    try:
+        parse_config_text("\n".join(lines.values()))
+    except ConfigError as exc:
+        return not str(exc).startswith("unknown config key")
+    return True
+
+
+class TestConfigKeyDocs:
+    def test_readme_lists_exactly_the_accepted_keys(self):
+        declared = ({*io_module._KEYS, "inter.<i>.<j>.mean_degree"}
+                    | {f"layer.<i>.{name}" for name in io_module._LAYER_FIELDS})
+        readme = _readme_keys()
+        assert {key for key in readme | declared if _accepted(key)} == readme
+        assert all(_accepted(key) for key in declared)
+        for key in ("analysis.gridstep", "layer.<i>.foo", "inter.<i>.<j>.n", "seed_count"):
+            assert not _accepted(key)
+
+    def test_every_flag_overrides_an_accepted_key(self):
+        keys = [key for key, *_ in cli_module._FLAGS.values() if key is not None]
+        assert len(keys) == 11
+        assert all(key in _readme_keys() and _accepted(key) for key in keys)
