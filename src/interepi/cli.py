@@ -172,10 +172,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _required(command: str, values: tuple, key: str) -> tuple:
+    """``values`` unless it is empty, when neither ``key`` nor its flag set it."""
+    if not values:
+        flag = next(flag for flag, (flag_key, *_) in _FLAGS.items() if flag_key == key)
+        raise ConfigError(f"{command} requires {key} in the config or {flag}")
+    return values
+
+
 def cmd_sweep(args) -> int:
     cfg = _config(args)
+    betas = _required("sweep", cfg.sweep_betas, "sweep.beta")
+    alphas = _required("sweep", cfg.sweep_alphas, "sweep.alpha")
     g = load_network(cfg)
-    betas, alphas = cfg.sweep_betas, cfg.sweep_alphas
     sweep = sweep_heatmap(g, betas, alphas, sir_config(cfg, g), workers=args.threads)
     out = args.out or "sweep.csv"
     write_sweep_csv(out, sweep)
@@ -185,11 +194,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_dynamics(args) -> int:
     cfg = _config(args)
+    settings = _required("dynamics", cfg.dynamics_settings, "dynamics.settings")
     g = load_network(cfg)
-    result = dynamics(g, cfg.dynamics_settings, sir_config(cfg, g))
+    result = dynamics(g, settings, sir_config(cfg, g))
     out = args.out or "dynamics.csv"
     write_dynamics_csv(out, result, cumulative=False)
-    print(f"wrote {out} ({len(cfg.dynamics_settings)} settings)")
+    print(f"wrote {out} ({len(settings)} settings)")
     if args.cumulative_out:
         write_dynamics_csv(args.cumulative_out, result, cumulative=True)
         print(f"wrote {args.cumulative_out}")
@@ -230,9 +240,9 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "simulate SIR on a two-layer network",
                  _SIM_FLAGS, "--beta --alpha"),
     "sweep": (cmd_sweep, "sweep SIR on a two-layer network",
-              f"{_SIM_FLAGS} --out --threads", "--betas --alphas"),
+              f"{_SIM_FLAGS} --out --threads --betas --alphas", ""),
     "dynamics": (cmd_dynamics, "dynamics SIR on a two-layer network",
-                 f"{_SIM_FLAGS} --out --cumulative-out", "--settings"),
+                 f"{_SIM_FLAGS} --out --cumulative-out --settings", ""),
     "classify": (cmd_classify, "coupling class and optional diffusion state",
                  "--config --master-seed --graph --beta --alpha --tau", ""),
     "run": (cmd_run, "full experiment from a config file",

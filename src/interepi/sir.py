@@ -10,14 +10,19 @@ trials and the per-edge transmissibility is 1 - (1-beta)^tau.
 It is sampled without stepping, as first passage over edge delays (Newman
 2002, PRE 66; Kenah & Robins 2007, PRE 76). Each directed edge u -> v gets
 the step G_uv of the first success among u's tau trials on it, a geometric
-delay, and is dropped when none of the trials succeeds. The trials on
-distinct edges are independent and do not depend on when u was infected,
+delay, and transmits nothing when none of the trials succeeds. The trials
+on distinct edges are independent and do not depend on when u was infected,
 so they can all be drawn up front: a susceptible v is infected at
 t_v = min over u of (t_u + G_uv), the shortest-path distance from the seeds
-over the kept edges. Trials on an edge after its target was infected are
-drawn but never looked at, where a stepped simulation would not make them,
-so both have the same law. The ever-infected set is the set
-the seeds reach, and the per-step series follow from the times t_v alone.
+over the transmitting edges. Trials on an edge after its target was
+infected are drawn but never looked at, where a stepped simulation would not
+make them, so both have the same law. The ever-infected set is the set the
+seeds reach, and the per-step series follow from the times t_v alone.
+
+The search runs on the network's own adjacency rows: every directed entry
+stays, and one that does not transmit becomes a self-loop on its source,
+which no search uses. Only the time readout (:func:`run_sir`, dynamics,
+step-capped cells) computes delays; final sizes search with unit weights.
 
 Randomness is counter-based: realization r of cell c under master seed s
 draws from the stream (s, c, r), seeds first and then one uniform per
@@ -144,7 +149,6 @@ def check_seeds(g: LayeredGraph, policy: SeedPolicy) -> None:
 
 
 def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator) -> np.ndarray:
-    check_seeds(g, policy)
     if policy.kind == "uniform":
         return np.sort(rng.choice(g.n, size=policy.count, replace=False))
     if policy.kind == "per_layer":
@@ -157,58 +161,103 @@ def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator)
     return np.sort(np.asarray([g.flat(l, i) for l, i in policy.nodes], dtype=np.int64))
 
 
-EdgeLaw = tuple[np.ndarray, np.ndarray]
+EdgeLaw = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _edge_law(g: LayeredGraph, cfg: SirConfig) -> EdgeLaw:
-    """Per directed adjacency entry, from its color's rate: the probability
-    that one of the tau trials succeeds, and log(1 - rate) (-inf at rate 1).
+    """Per directed adjacency entry: the probability that one of its tau
+    trials succeeds, log(1 - rate) of its color (-inf at rate 1, and where
+    1 - rate rounds to 1, so that the entry never transmits), its source
+    node, and its target minus its source.
 
-    It depends on the rates alone, so a cell or a dynamics setting computes it
-    once for all of its realizations.
+    It depends on the rates alone, so a cell, a dynamics setting or a
+    :func:`run_sir` call computes it once for all of its realizations, after
+    checking the rate count and the seed policy against the network.
     """
     if len(cfg.rates) != g.num_colors:
         raise ValueError(
             f"{g.num_colors} colors need {g.num_colors} rates, got {len(cfg.rates)}"
         )
-    rate = np.asarray(cfg.rates, dtype=float)
-    keep = 1.0 - (1.0 - rate) ** cfg.tau
-    log_miss = np.log(1.0 - rate, out=np.full_like(rate, -np.inf), where=rate < 1.0)
-    _, _, adj_color = g.adjacency()
-    return keep[adj_color], log_miss[adj_color]
+    check_seeds(g, cfg.seeds)
+    miss = 1.0 - np.asarray(cfg.rates, dtype=float)
+    keep = 1.0 - miss**cfg.tau
+    log_miss = np.log(miss, out=np.full_like(miss, -np.inf), where=(0 < miss) & (miss < 1))
+    indptr, adj, adj_color = g.adjacency()
+    source = np.repeat(np.arange(g.n, dtype=adj.dtype), np.diff(indptr))
+    return keep[adj_color], log_miss[adj_color], source, adj - source
 
 
 def _transmission_graph(
-    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
+    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int,
+    delays: bool,
 ) -> csr_matrix:
-    """The edges that transmit in one realization, weighted by their delays.
+    """One realization's transmission graph, on the rows of the adjacency.
 
     Draws the seeds, then one uniform per directed adjacency entry, from the
-    stream (master_seed, cell, realization). Entry u -> v is kept when u's
-    tau trials on it contain a success, with weight the step of the first
-    one. Node n is a super-source with zero-weight edges to the seeds.
+    stream (master_seed, cell, realization). Entry u -> v transmits when u's
+    tau trials on it contain a success; one that does not points back at u
+    instead, a self-loop that no search can use. With ``delays`` a
+    transmitting entry weighs the step of its first success and a self-loop
+    weighs tau; without, every entry weighs 1. Node n is a super-source with
+    zero-weight edges to the seeds.
     """
     rng = _stream(cfg.master_seed, cell_index, realization_index)
     seeds = _choose_seeds(g, cfg.seeds, rng)
-    indptr, adj, _ = g.adjacency()
-    keep, log_miss = law
-    u = rng.random(adj.size)
+    indptr = g.adjacency()[0]
+    keep, log_miss, source, step = law
+    size = keep.size + len(seeds)
+    weights = np.zeros(size)
+    u = rng.random(out=weights[: keep.size])
     transmits = u < keep
-    kept = np.flatnonzero(transmits)
-    # first success: the least k with (1 - rate)^k < 1 - u, which is <= tau
-    # exactly for the kept entries (the clip only absorbs rounding); 1 - u is
-    # exact for the generator's multiples of 2^-53
-    delay = np.floor(np.log(1.0 - u[kept]) / log_miss[kept]) + 1.0
-    np.minimum(delay, cfg.tau, out=delay)
-
-    kept_before = np.zeros(adj.size + 1, dtype=np.int32)
-    np.cumsum(transmits, out=kept_before[1:])
-    ptr = np.empty(g.n + 2, dtype=np.int32)
-    ptr[:-1] = kept_before[indptr]
-    ptr[-1] = len(kept) + len(seeds)
-    targets = np.concatenate([adj[kept], seeds], dtype=np.int32)
-    weights = np.concatenate([delay, np.zeros(len(seeds))])
+    # branch-free select: a random mask makes np.where several times slower
+    targets = np.empty(size, dtype=source.dtype)
+    np.multiply(transmits, step, out=targets[: keep.size])
+    targets[: keep.size] += source
+    targets[keep.size :] = seeds
+    if delays:
+        # first success: the least k with (1 - rate)^k < 1 - u, which is <= tau
+        # exactly for the transmitting entries (the clip only absorbs
+        # rounding); 1 - u is exact for the generator's multiples of 2^-53.
+        # Every entry is computed and the self-loops then set to tau, which
+        # is cheaper than gathering the transmitting ones.
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        np.divide(u, log_miss, out=u)
+        np.floor(u, out=u)
+        u += 1.0
+        np.minimum(u, cfg.tau, out=u)
+        u -= cfg.tau
+        u *= transmits
+        u += cfg.tau
+    else:
+        u.fill(1.0)
+    ptr = np.concatenate([indptr, [size]], dtype=indptr.dtype)
     return csr_matrix((weights, targets, ptr), shape=(g.n + 1, g.n + 1))
+
+
+def _first_passage(
+    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes one realization infects, ascending, and their infection steps."""
+    graph = _transmission_graph(g, cfg, law, realization_index, cell_index, delays=True)
+    limit = np.inf if cfg.max_steps is None else cfg.max_steps
+    dist = dijkstra(graph, indices=g.n, limit=limit)[: g.n]
+    reached = np.flatnonzero(dist < np.inf)
+    return reached, dist[reached].astype(np.int32)
+
+
+def _step_series(cfg: SirConfig, num_layers: int, new: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-step (currently infected, ever infected) counts by layer, from the
+    count of infections per key step * num_layers + layer up to the last one.
+    The series run tau steps past the last infection, or to the step cap."""
+    steps = (new.size - 1) // num_layers + cfg.tau
+    if cfg.max_steps is not None:
+        steps = min(steps, cfg.max_steps)
+    new = np.pad(new, (0, (steps + 1) * num_layers - new.size)).reshape(steps + 1, num_layers)
+    ever = np.cumsum(new, axis=0)
+    infected = ever.copy()
+    infected[cfg.tau :] -= ever[: -cfg.tau]
+    return infected, ever
 
 
 def run_sir(
@@ -218,29 +267,10 @@ def run_sir(
     cell_index: int = 0,
 ) -> SimSummary:
     """One realization, fully determined by (graph, config, indices)."""
-    return _run_sir(g, cfg, _edge_law(g, cfg), realization_index, cell_index)
-
-
-def _run_sir(
-    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
-) -> SimSummary:
-    """:func:`run_sir` with the caller's ``_edge_law(g, cfg)``."""
-    graph = _transmission_graph(g, cfg, law, realization_index, cell_index)
-    limit = np.inf if cfg.max_steps is None else cfg.max_steps
-    dist = dijkstra(graph, indices=g.n, limit=limit)[: g.n]
-    reached = np.flatnonzero(dist < np.inf)
-    t = dist[reached].astype(np.int64)
-    steps = int(t.max()) + cfg.tau
-    if cfg.max_steps is not None:
-        steps = min(steps, cfg.max_steps)
-
+    reached, t = _first_passage(g, cfg, _edge_law(g, cfg), realization_index, cell_index)
     num_layers = g.num_layers
-    new = np.bincount(
-        t * num_layers + g.node_layer[reached], minlength=(steps + 1) * num_layers
-    ).reshape(steps + 1, num_layers)
-    ever = np.cumsum(new, axis=0)
-    infected = ever.copy()
-    infected[cfg.tau :] -= ever[: -cfg.tau]
+    new = np.bincount(t * num_layers + g.node_layer[reached])
+    infected, ever = _step_series(cfg, num_layers, new)
     bounds = np.searchsorted(reached, g.offsets)
     return SimSummary(
         per_step_infected=infected,
@@ -250,18 +280,21 @@ def _run_sir(
         ever_infected=tuple(
             reached[bounds[l] : bounds[l + 1]] - g.offsets[l] for l in range(num_layers)
         ),
-        steps_run=steps,
+        steps_run=infected.shape[0] - 1,
     )
 
 
 def _final_counts(
     g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
 ) -> tuple[int, ...]:
-    """Per-layer ever-infected counts of an uncapped realization: the nodes
-    the super-source reaches, which is the set :func:`run_sir` returns."""
-    graph = _transmission_graph(g, cfg, law, realization_index, cell_index)
-    order = breadth_first_order(graph, g.n, return_predecessors=False)
-    return tuple(np.bincount(g.node_layer[order[1:]], minlength=g.num_layers).tolist())
+    """Per-layer ever-infected counts of one realization, the set :func:`run_sir`
+    returns: without a step cap, the nodes the super-source reaches."""
+    if cfg.max_steps is None:
+        graph = _transmission_graph(g, cfg, law, realization_index, cell_index, delays=False)
+        reached = breadth_first_order(graph, g.n, return_predecessors=False)[1:]
+    else:
+        reached = _first_passage(g, cfg, law, realization_index, cell_index)[0]
+    return tuple(np.bincount(g.node_layer[reached], minlength=g.num_layers).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +357,7 @@ def mean_cell_densities(
     acc_layers = np.zeros(g.num_layers)
     acc_whole = 0.0
     for r in range(cfg.realizations):
-        if cfg.max_steps is None:
-            counts = _final_counts(g, cfg, law, r, cell_index)
-        else:
-            counts = _run_sir(g, cfg, law, r, cell_index).ever_counts
-        dens = _density(counts, gcc_sizes)
+        dens = _density(_final_counts(g, cfg, law, r, cell_index), gcc_sizes)
         acc_layers += np.asarray(dens.per_layer)
         acc_whole += dens.whole
     return acc_layers / cfg.realizations, acc_whole / cfg.realizations
@@ -441,23 +470,17 @@ def dynamics(
     for s_idx, (beta, alpha) in enumerate(settings):
         run_cfg = replace(cfg, rates=(beta, beta, alpha))
         law = _edge_law(g, run_cfg)
-        runs = [_run_sir(g, run_cfg, law, r, s_idx) for r in range(cfg.realizations)]
-        horizon = max(r.per_step_infected.shape[0] for r in runs)
-        acc_inf = np.zeros((horizon, g.num_layers + 1))
-        acc_ever = np.zeros((horizon, g.num_layers + 1))
-        for run in runs:
-            t = run.per_step_infected.shape[0]
-            acc_inf[:t, : g.num_layers] += run.per_step_infected
-            acc_inf[:t, -1] += run.per_step_infected_total
-            # infected counts after extinction stay 0 (no padding needed);
-            # ever-infected counts persist at their final value
-            acc_ever[:t, : g.num_layers] += run.per_step_ever
-            acc_ever[:t, -1] += run.per_step_ever_total
-            if t < horizon:
-                acc_ever[t:, : g.num_layers] += run.per_step_ever[-1]
-                acc_ever[t:, -1] += run.per_step_ever_total[-1]
-        infected_out.append(acc_inf / cfg.realizations)
-        ever_out.append(acc_ever / cfg.realizations)
+        new = np.zeros(0, dtype=np.int64)
+        for r in range(cfg.realizations):
+            reached, t = _first_passage(g, run_cfg, law, r, s_idx)
+            run_new = np.bincount(t * g.num_layers + g.node_layer[reached], minlength=new.size)
+            run_new[: new.size] += new
+            new = run_new
+        # the series of the summed counts are the sums of the runs' series,
+        # each run padded with its final state: no infected, ever-infected kept
+        infected, ever = _step_series(run_cfg, g.num_layers, new)
+        infected_out.append(np.column_stack([infected, infected.sum(axis=1)]) / cfg.realizations)
+        ever_out.append(np.column_stack([ever, ever.sum(axis=1)]) / cfg.realizations)
     return DynamicsResult(
         settings=tuple((float(b), float(a)) for b, a in settings),
         infected=tuple(infected_out),

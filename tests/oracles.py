@@ -1,13 +1,15 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately written from first principles (dense
-reachability, Cardano's cubic, hash-driven bond percolation, exhaustive grid
-scans) so that agreement with the package is meaningful.
+reachability, Cardano's cubic, hash-driven bond percolation, heapq first
+passage over the documented random stream, exhaustive grid scans) so that
+agreement with the package is meaningful.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 
 import numpy as np
@@ -19,10 +21,12 @@ from interepi import (
     LayeredGraph,
     ParseError,
     SelfLoop,
+    SirConfig,
     UnknownNode,
     build_graph,
     layer_gcc_size,
 )
+from interepi.sir import _stream
 from interepi.threshold import _grid_values
 
 # ---------------------------------------------------------------------------
@@ -139,6 +143,53 @@ def percolation_ever_infected(
                 visited.add(w)
                 stack.append(w)
     return frozenset(visited)
+
+
+# ---------------------------------------------------------------------------
+# First passage over the documented random stream, by heapq Dijkstra
+# ---------------------------------------------------------------------------
+
+def first_passage_steps(
+    g: LayeredGraph, cfg: SirConfig, realization_index: int, cell_index: int
+) -> dict[int, int]:
+    """Infection step of every node one realization infects, keyed by flat node.
+
+    The stream (master_seed, cell, realization) gives the seeds first, then
+    one uniform u per directed adjacency entry in CSR order. Entry x -> y
+    transmits when one of its tau trials succeeds, u < 1 - (1 - rate)^tau,
+    after the first success: the least k with (1 - rate)^k < 1 - u (tau when
+    rounding leaves none). Nodes past ``cfg.max_steps`` are not infected.
+    """
+    rng = _stream(cfg.master_seed, cell_index, realization_index)
+    policy = cfg.seeds
+    if policy.kind == "uniform":
+        seeds = rng.choice(g.n, size=policy.count, replace=False).tolist()
+    elif policy.kind == "per_layer":
+        seeds = []
+        for layer, count in enumerate(policy.per_layer):
+            if count:
+                picks = rng.choice(g.layer_sizes[layer], size=count, replace=False)
+                seeds += [g.flat(layer, int(i)) for i in picks]
+    else:
+        seeds = [g.flat(layer, index) for layer, index in policy.nodes]
+    indptr, adj, adj_color = g.adjacency()
+    uniforms = rng.random(adj.size).tolist()
+
+    cap = math.inf if cfg.max_steps is None else cfg.max_steps
+    steps = {}
+    heap = [(0, int(s)) for s in seeds]
+    heapq.heapify(heap)
+    while heap:
+        step, node = heapq.heappop(heap)
+        if node in steps or step > cap:
+            continue
+        steps[node] = step
+        for pos in range(int(indptr[node]), int(indptr[node + 1])):
+            miss, u = 1.0 - cfg.rates[int(adj_color[pos])], uniforms[pos]
+            if u < 1.0 - miss**cfg.tau:
+                delay = next((k for k in range(1, cfg.tau) if miss**k < 1.0 - u), cfg.tau)
+                heapq.heappush(heap, (step + delay, int(adj[pos])))
+    return steps
 
 
 def quiet_layer_density_bound(

@@ -533,6 +533,53 @@ class TestCli:
         assert main([*sweep, "--realizations", "2", "--out", str(tmp_path / "s2.csv")]) == 0
         assert (tmp_path / "s2.csv").read_bytes() != (run_dir / "sweep.csv").read_bytes()
 
+    def test_sweep_and_dynamics_take_their_grids_from_the_config(self, tmp_path):
+        # --betas, --alphas and --settings only override sweep.beta,
+        # sweep.alpha and dynamics.settings, so a config that sets them needs none
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "s.csv").read_bytes() == (run_dir / "sweep.csv").read_bytes()
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "d.csv"),
+                     "--cumulative-out", str(tmp_path / "dc.csv")]) == 0
+        assert (tmp_path / "d.csv").read_bytes() == (run_dir / "dynamics.csv").read_bytes()
+        assert (tmp_path / "dc.csv").read_bytes() == (
+            run_dir / "dynamics_cumulative.csv").read_bytes()
+        # and a flag replaces the config's grid
+        assert main(["sweep", "--config", str(cfg_path), "--alphas", "0.2:0.2:0.1",
+                     "--out", str(tmp_path / "s1.csv")]) == 0
+        rows = (tmp_path / "s1.csv").read_text().splitlines()[1:-1]
+        assert [row.split(",")[:2] for row in rows] == [[b, "0.2"] for b in ("0", "0.2", "0.4")]
+
+    @pytest.mark.parametrize(
+        "args,key,flag",
+        [
+            ("sweep", "sweep.beta", "--betas"),
+            ("sweep --betas 0:0.2:0.2", "sweep.alpha", "--alphas"),
+            ("sweep --alphas 0:0.2:0.2", "sweep.beta", "--betas"),
+            ("dynamics", "dynamics.settings", "--settings"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["config", "graph"])
+    def test_sweep_and_dynamics_without_a_grid_exit_2(
+        self, tmp_path, capsys, monkeypatch, args, key, flag, source
+    ):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("\n".join(line for line in BASE_CONFIG.splitlines()
+                                      if not line.startswith(("sweep.", "dynamics."))))
+        if source == "config":
+            given = ["--config", str(cfg_path)]
+        else:
+            given = ["--graph", str(self._graph(tmp_path))]
+        monkeypatch.chdir(tmp_path)
+        assert main([*args.split(), *given]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigError",
+                          "message": f"{args.split()[0]} requires {key} in the config or {flag}"}
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("tol", ["-0.01", "nan", "inf"])
     def test_invalid_refine_exits_2(self, tmp_path, capsys, tol):
         cfg_path = tmp_path / "exp.cfg"

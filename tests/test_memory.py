@@ -1,4 +1,5 @@
-"""Memory budgets of graph construction, measured with tracemalloc.
+"""Memory budgets of graph construction, kept frontiers and the SIR sampler,
+measured with tracemalloc.
 
 tracemalloc counts the bytes Python and numpy allocate, so these numbers are
 the same on every run of a seed and need no wall clock. The budgets are bytes
@@ -11,6 +12,15 @@ replaced peaked at 172 B per edge in load_graph.
 A frontier kept after its search is budgeted in bytes per point: about 166 B
 when a FrontierSet held its points and thetas as tuples of floats, 52 B with
 one rate array and one theta array.
+
+The SIR sampler is budgeted in bytes per directed adjacency entry (105 000 on
+the same pair), over one sweep cell and one dynamics setting of 5
+realizations at rates (0.16, 0.16, 0.2), one seed per layer, master seed 7.
+When each realization compacted its transmitting entries into a new CSR and
+computed delays for final sizes too, the cell peaked at 46.8 B and the
+dynamics setting, which held every realization's summary, at 52.4 B. On the
+adjacency's own rows, with self-loops for the entries that do not transmit
+and counts summed as the realizations run, they peak at 39.6 B and 43.8 B.
 """
 
 import tracemalloc
@@ -20,20 +30,32 @@ import pytest
 from interepi import (
     ErLayerSpec,
     MomentSet,
+    SeedPolicy,
+    SirConfig,
     build_interdependent,
+    dynamics,
     er_color_moments,
     load_graph,
     multi_threshold,
+    structural_gcc_sizes,
     write_graph,
 )
+from interepi.sir import mean_cell_densities
 
 BUILD_PEAK_PER_EDGE = 220
+CELL_PEAK_PER_ENTRY = 42
+DYNAMICS_PEAK_PER_ENTRY = 46
 LOAD_PEAK_PER_EDGE = 150
 KEPT_PER_EDGE = 32
 KEPT_PER_FRONTIER_POINT = 80
 
 LAYERS = [ErLayerSpec(10_000, 1.5), ErLayerSpec(10_000, 6.0)]
 INTER = {(0, 1): 1.5}
+
+
+@pytest.fixture(scope="module")
+def strong_pair():
+    return build_interdependent(LAYERS, INTER, 7)
 
 
 @pytest.fixture
@@ -99,3 +121,22 @@ def test_kept_frontier_bytes_per_point(traced):
     points = sum(len(f) for f in kept_frontiers)
     assert points == 20 * 79
     assert kept / points <= KEPT_PER_FRONTIER_POINT
+
+
+def _sir_config():
+    return SirConfig(rates=(0.16, 0.16, 0.2), tau=5, seeds=SeedPolicy.in_layers([1, 1]),
+                     realizations=5, master_seed=7)
+
+
+def test_sweep_cell_peak_per_entry(strong_pair, traced):
+    g = strong_pair
+    entries = g.adjacency()[1].size
+    assert entries == 2 * 52_500
+    _, peak, _ = _measure(mean_cell_densities, g, _sir_config(), 0, structural_gcc_sizes(g))
+    assert peak / entries <= CELL_PEAK_PER_ENTRY
+
+
+def test_dynamics_peak_per_entry(strong_pair, traced):
+    g = strong_pair
+    _, peak, _ = _measure(dynamics, g, [(0.16, 0.2)], _sir_config())
+    assert peak / g.adjacency()[1].size <= DYNAMICS_PEAK_PER_ENTRY

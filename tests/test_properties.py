@@ -1,12 +1,17 @@
 """Randomized invariant checks (hypothesis)."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from interepi import (
     ColorTable,
     MomentSet,
+    SeedPolicy,
+    SirConfig,
     Transmissibilities,
     build_graph,
     compute_moments,
@@ -19,12 +24,14 @@ from interepi import (
     kappa,
     load_graph,
     perron_roots,
+    run_sir,
     spectral_radius,
     transmissibility,
     write_graph,
 )
 from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
 from interepi.graph import ColorMoments
+from interepi.sir import _edge_law, _final_counts, _first_passage
 from interepi.threshold import (
     _epidemic,
     _frontier_search,
@@ -35,6 +42,8 @@ from interepi.threshold import (
 from oracles import (
     brute_force_component_labels,
     exhaustive_frontier,
+    first_passage_steps,
+    random_layered_graph,
     sequential_parse_graph,
     sequential_validate,
 )
@@ -361,3 +370,57 @@ def test_pivot_test_is_the_perron_root_test(jac, scale, ulps, data):
     for _ in range(ulps):
         raised[mask] = np.nextafter(raised[mask], np.inf)
     assert _epidemic(raised[None])[0] or not decided[0]
+
+
+@st.composite
+def sir_realizations(draw):
+    """A random layered graph and a SirConfig on it: every color's rate 0, 1
+    or in between, tau 1-6, an optional step cap, and each seed policy."""
+    g = random_layered_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    rate = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    rates = tuple(draw(st.lists(rate, min_size=g.num_colors, max_size=g.num_colors)))
+    kind = draw(st.sampled_from(["uniform", "per_layer", "explicit"]))
+    if kind == "uniform":
+        seeds = SeedPolicy.uniform(draw(st.integers(1, g.n)))
+    elif kind == "per_layer":
+        counts = [draw(st.integers(0, size)) for size in g.layer_sizes]
+        assume(any(counts))
+        seeds = SeedPolicy.in_layers(counts)
+    else:
+        nodes = draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+        layers = g.node_layer[nodes]
+        seeds = SeedPolicy.explicit(zip(layers, np.asarray(nodes) - g.offsets[layers]))
+    cfg = SirConfig(rates=rates, tau=draw(st.integers(1, 6)), seeds=seeds,
+                    max_steps=draw(st.one_of(st.none(), st.integers(0, 8))),
+                    master_seed=draw(st.integers(0, 2**31)))
+    return g, cfg, draw(st.integers(0, 50)), draw(st.integers(0, 50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sir_realizations())
+def test_sampler_follows_the_stream_contract(case):
+    # seeds, then one uniform per CSR entry, then first passage over the
+    # transmitting entries: however the sampler assembles its graph, it must
+    # infect the oracle's nodes at the oracle's steps
+    g, cfg, realization, cell = case
+    steps = first_passage_steps(g, cfg, realization, cell)
+    nodes = np.array(sorted(steps), dtype=np.int64)
+    times = np.array([steps[v] for v in nodes], dtype=np.int64)
+    summary = run_sir(g, cfg, realization, cell)
+    for layer, ever in enumerate(summary.ever_infected):
+        in_layer = nodes[g.node_layer[nodes] == layer]
+        assert ever.tolist() == (in_layer - g.offsets[layer]).tolist()
+    last = min(int(times.max()) + cfg.tau, math.inf if cfg.max_steps is None else cfg.max_steps)
+    assert summary.steps_run == last
+    new = np.zeros((last + 1, g.num_layers), dtype=np.int64)
+    np.add.at(new, (times, g.node_layer[nodes]), 1)
+    assert np.array_equal(summary.per_step_ever, np.cumsum(new, axis=0))
+    law = _edge_law(g, cfg)
+    reached, t = _first_passage(g, cfg, law, realization, cell)
+    assert reached.tolist() == nodes.tolist() and t.tolist() == times.tolist()
+    counts = np.bincount(g.node_layer[nodes], minlength=g.num_layers)
+    assert _final_counts(g, cfg, law, realization, cell) == tuple(counts.tolist())
+    uncapped = replace(cfg, max_steps=None)
+    counts = np.bincount(g.node_layer[list(first_passage_steps(g, uncapped, realization, cell))],
+                         minlength=g.num_layers)
+    assert _final_counts(g, uncapped, law, realization, cell) == tuple(counts.tolist())

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -419,6 +420,33 @@ class TestDynamics:
         assert curve.shape == (5, 3)
         assert curve[:4, 2].tolist() == [2.0] * 4  # both seeds for tau steps
         assert curve[4, 2] == 0.0
+
+    @pytest.mark.parametrize("max_steps", [None, 6])
+    def test_equals_the_padded_mean_of_run_sir_series(self, max_steps):
+        # the reference: every run's series, a finished run padded with its
+        # final state, summed in float64 and divided; sums of counts are exact
+        g = build_interdependent(
+            [ErLayerSpec(300, 1.5), ErLayerSpec(300, 4.0)], {(0, 1): 1.0}, master_seed=2
+        )
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=3, seeds=SeedPolicy.in_layers([1, 1]),
+                        max_steps=max_steps, realizations=12, master_seed=9)
+        settings = [(0.05, 0.05), (0.3, 0.1), (0.6, 0.6)]
+        result = dynamics(g, settings, cfg)
+        for k, (beta, alpha) in enumerate(settings):
+            setting_cfg = replace(cfg, rates=(beta, beta, alpha))
+            runs = [run_sir(g, setting_cfg, r, k) for r in range(cfg.realizations)]
+            horizon = max(run.steps_run for run in runs) + 1
+            infected, ever = np.zeros((horizon, 3)), np.zeros((horizon, 3))
+            for run in runs:
+                steps = run.steps_run + 1
+                infected[:steps, :2] += run.per_step_infected
+                infected[:steps, 2] += run.per_step_infected_total
+                ever[:steps, :2] += run.per_step_ever
+                ever[:steps, 2] += run.per_step_ever_total
+                ever[steps:, :2] += run.per_step_ever[-1]
+                ever[steps:, 2] += run.per_step_ever_total[-1]
+            assert np.array_equal(result.infected[k], infected / cfg.realizations)
+            assert np.array_equal(result.cumulative[k], ever / cfg.realizations)
 
     def test_integral_identity(self):
         g = chain_plus_layer2()
