@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import MeanDegreeTooLarge, WiringFailed
-from .graph import INDEX, LayeredGraph, build_graph_array
+from .graph import INDEX, ColorTable, LayeredGraph, build_graph_array
 
 RngLike = Union[int, np.random.Generator]
 
@@ -262,16 +262,13 @@ def build_interdependent(
         else:
             pairs = gen_powerlaw_layer(spec, rng)
         parts.append(np.insert(pairs.astype(INDEX), [0, 1, 2], (i, i, i), axis=1))
-    table_pairs = [
-        (i, j) for i in range(len(layers)) for j in range(i + 1, len(layers))
-    ]
-    for color_offset, (i, j) in enumerate(table_pairs):
+    colors = ColorTable(len(layers))
+    for color in range(len(layers), colors.num_colors):
+        i, j = colors.members(color)
         mean = inter_means.get((i, j), inter_means.get((j, i), 0.0))
         if mean == 0.0:
             continue
         rng = child_rng(master_seed, 1, i, j)
         pairs = gen_er_interlayer(sizes[i], sizes[j], mean, rng)
-        parts.append(
-            np.insert(pairs.astype(INDEX), [0, 1, 2], (i, j, len(layers) + color_offset), axis=1)
-        )
+        parts.append(np.insert(pairs.astype(INDEX), [0, 1, 2], (i, j, color), axis=1))
     return build_graph_array(sizes, np.concatenate(parts or [np.empty((0, 5), dtype=INDEX)]))

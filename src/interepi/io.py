@@ -614,10 +614,13 @@ def run_experiment(
 
     Identical config and master seed give byte-identical outputs. Nothing is
     written before every result is computed. Returns a mapping from logical
-    name to written path.
+    name to written path. A sweep runs when both of its grids are set; a
+    ConfigError names the missing one when only one is.
     """
     target = out_dir if out_dir is not None else cfg.out_dir
-
+    if bool(cfg.sweep_betas) != bool(cfg.sweep_alphas):
+        missing = "sweep.alpha" if cfg.sweep_betas else "sweep.beta"
+        raise ConfigError(f"a sweep needs both sweep.beta and sweep.alpha; {missing} is not set")
     graph = load_network(cfg)
     sim_cfg = sir_config(cfg, graph)
     frontier = analytic_frontier(cfg, graph)

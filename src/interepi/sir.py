@@ -21,8 +21,10 @@ seeds reach, and the per-step series follow from the times t_v alone.
 
 The search runs on the network's own adjacency rows: every directed entry
 stays, and one that does not transmit becomes a self-loop on its source,
-which no search uses. Only the time readout (:func:`run_sir`, dynamics,
-step-capped cells) computes delays; final sizes search with unit weights.
+which no search uses whatever its weight. The graph's weights are the
+realization's uniforms. The final-size readout is a breadth-first search,
+which reads none of them; only the time readout (:func:`run_sir`, dynamics,
+step-capped cells) turns them into delays, in place.
 
 Randomness is counter-based: realization r of cell c under master seed s
 draws from the stream (s, c, r), seeds first and then one uniform per
@@ -188,58 +190,51 @@ def _edge_law(g: LayeredGraph, cfg: SirConfig) -> EdgeLaw:
 
 
 def _transmission_graph(
-    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int,
-    delays: bool,
-) -> csr_matrix:
-    """One realization's transmission graph, on the rows of the adjacency.
+    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
+) -> tuple[csr_matrix, np.ndarray]:
+    """One realization's transmission graph, on the rows of the adjacency,
+    and its uniforms, which are the graph's weights on the adjacency entries.
 
     Draws the seeds, then one uniform per directed adjacency entry, from the
     stream (master_seed, cell, realization). Entry u -> v transmits when u's
     tau trials on it contain a success; one that does not points back at u
-    instead, a self-loop that no search can use. With ``delays`` a
-    transmitting entry weighs the step of its first success and a self-loop
-    weighs tau; without, every entry weighs 1. Node n is a super-source with
-    zero-weight edges to the seeds.
+    instead, a self-loop that no search can use, so its weight never
+    matters. Node n is a super-source with zero-weight edges to the seeds.
+    A breadth-first search reads no weight; :func:`_first_passage` turns
+    the uniforms into delays in place.
     """
     rng = _stream(cfg.master_seed, cell_index, realization_index)
     seeds = _choose_seeds(g, cfg.seeds, rng)
     indptr = g.adjacency()[0]
-    keep, log_miss, source, step = law
+    keep, _, source, step = law
     size = keep.size + len(seeds)
     weights = np.zeros(size)
     u = rng.random(out=weights[: keep.size])
-    transmits = u < keep
     # branch-free select: a random mask makes np.where several times slower
     targets = np.empty(size, dtype=source.dtype)
-    np.multiply(transmits, step, out=targets[: keep.size])
+    np.multiply(u < keep, step, out=targets[: keep.size])
     targets[: keep.size] += source
     targets[keep.size :] = seeds
-    if delays:
-        # first success: the least k with (1 - rate)^k < 1 - u, which is <= tau
-        # exactly for the transmitting entries (the clip only absorbs
-        # rounding); 1 - u is exact for the generator's multiples of 2^-53.
-        # Every entry is computed and the self-loops then set to tau, which
-        # is cheaper than gathering the transmitting ones.
-        np.subtract(1.0, u, out=u)
-        np.log(u, out=u)
-        np.divide(u, log_miss, out=u)
-        np.floor(u, out=u)
-        u += 1.0
-        np.minimum(u, cfg.tau, out=u)
-        u -= cfg.tau
-        u *= transmits
-        u += cfg.tau
-    else:
-        u.fill(1.0)
     ptr = np.concatenate([indptr, [size]], dtype=indptr.dtype)
-    return csr_matrix((weights, targets, ptr), shape=(g.n + 1, g.n + 1))
+    return csr_matrix((weights, targets, ptr), shape=(g.n + 1, g.n + 1)), u
 
 
 def _first_passage(
     g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The nodes one realization infects, ascending, and their infection steps."""
-    graph = _transmission_graph(g, cfg, law, realization_index, cell_index, delays=True)
+    graph, u = _transmission_graph(g, cfg, law, realization_index, cell_index)
+    # the graph's weights become delays in place. First success: the least k
+    # with (1 - rate)^k < 1 - u, which is <= tau exactly for the transmitting
+    # entries; 1 - u is exact for the generator's multiples of 2^-53. The
+    # self-loops are converted too, cheaper than gathering the rest, and the
+    # clip keeps every delay in [1, tau] (a -inf log_miss gives 1, not NaN).
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    np.divide(u, law[1], out=u)
+    np.floor(u, out=u)
+    u += 1.0
+    np.minimum(u, cfg.tau, out=u)
     limit = np.inf if cfg.max_steps is None else cfg.max_steps
     dist = dijkstra(graph, indices=g.n, limit=limit)[: g.n]
     reached = np.flatnonzero(dist < np.inf)
@@ -290,7 +285,7 @@ def _final_counts(
     """Per-layer ever-infected counts of one realization, the set :func:`run_sir`
     returns: without a step cap, the nodes the super-source reaches."""
     if cfg.max_steps is None:
-        graph = _transmission_graph(g, cfg, law, realization_index, cell_index, delays=False)
+        graph = _transmission_graph(g, cfg, law, realization_index, cell_index)[0]
         reached = breadth_first_order(graph, g.n, return_predecessors=False)[1:]
     else:
         reached = _first_passage(g, cfg, law, realization_index, cell_index)[0]
@@ -376,9 +371,7 @@ class SweepResult:
 
 
 def _sweep_cell(g, cfg, gcc_sizes, cell_index, beta, alpha):
-    cell_cfg = replace(cfg, rates=(beta, beta, alpha))
-    layers, whole = mean_cell_densities(g, cell_cfg, cell_index, gcc_sizes)
-    return cell_index, layers, whole
+    return mean_cell_densities(g, replace(cfg, rates=(beta, beta, alpha)), cell_index, gcc_sizes)
 
 
 _worker_context: tuple = ()
@@ -419,8 +412,6 @@ def sweep_heatmap(
         for i, beta in enumerate(betas)
         for j, alpha in enumerate(alphas)
     ]
-    density_layers = np.zeros((len(betas), len(alphas), g.num_layers))
-    density_whole = np.zeros((len(betas), len(alphas)))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(g, cfg, gcc_sizes)
@@ -428,15 +419,13 @@ def sweep_heatmap(
             results = list(pool.map(_worker_cell, tasks))
     else:
         results = [_sweep_cell(g, cfg, gcc_sizes, *t) for t in tasks]
-    for cell_index, layers, whole in results:
-        i, j = divmod(cell_index, len(alphas))
-        density_layers[i, j] = layers
-        density_whole[i, j] = whole
+    # both return the cells in task order, which is cell order
+    shape = (len(betas), len(alphas))
     return SweepResult(
         betas=betas,
         alphas=alphas,
-        density_per_layer=density_layers,
-        density_whole=density_whole,
+        density_per_layer=np.array([r[0] for r in results], float).reshape(*shape, g.num_layers),
+        density_whole=np.array([r[1] for r in results], float).reshape(shape),
     )
 
 

@@ -567,7 +567,7 @@ def classify_state(
     layer_epi = [
         t.values[c] * m.per_color[c].ratio_restricted() >= 1.0 for c in (0, 1)
     ]
-    _, whole = epidemic_indicator(m, layer_sizes, rates, tau)
+    whole = _epidemic(jacobian_closed_form(m, layer_sizes, t)[None])[0]
     if whole and all(layer_epi):
         return NetworkState.EPIDEMIC
     if not whole and not any(layer_epi):

@@ -432,6 +432,24 @@ class TestRunExperiment:
         assert Path(out1["sweep"]).read_text() != Path(out2["sweep"]).read_text()
         assert cfg.master_seed == 12
 
+    @pytest.mark.parametrize("missing", ["sweep.beta", "sweep.alpha"])
+    def test_one_sweep_grid_is_a_config_error(self, tmp_path, monkeypatch, missing):
+        def fail(*args, **kwargs):
+            raise AssertionError("the network was built")
+
+        monkeypatch.setattr(io_module, "load_network", fail)
+        cfg = parse_config_text("\n".join(line for line in BASE_CONFIG.splitlines()
+                                          if not line.startswith(missing)))
+        with pytest.raises(ConfigError, match=f"; {missing} is not set$"):
+            run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_no_sweep_grid_runs_without_a_sweep(self, tmp_path):
+        cfg = parse_config_text("\n".join(line for line in BASE_CONFIG.splitlines()
+                                          if not line.startswith("sweep.")))
+        out = run_experiment(cfg, out_dir=str(tmp_path))
+        assert set(out) == {"frontier", "dynamics", "dynamics_cumulative", "manifest"}
+
 
 class TestCli:
     def test_generate_info_threshold_simulate(self, tmp_path, capsys):
@@ -714,6 +732,17 @@ class TestCli:
         assert message.startswith("sim.seed_nodes: ") and "(0, 120)" in message
         assert not (tmp_path / "out" / "sweep.csv").exists()
         assert not (tmp_path / "out" / "frontier.csv").exists()
+
+    def test_run_with_one_sweep_grid_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG.replace("sweep.alpha = 0:0.4:0.2\n", ""))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {
+            "error": "ConfigError",
+            "message": "a sweep needs both sweep.beta and sweep.alpha; sweep.alpha is not set",
+        }
+        assert not (tmp_path / "out").exists()
 
     def test_seed_policy_is_checked_before_any_realization(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -19,7 +19,7 @@ from interepi import (
     sweep_heatmap,
     transmissibility,
 )
-from interepi.sir import _edge_law, _final_counts
+from interepi.sir import _edge_law, _final_counts, mean_cell_densities
 from oracles import (
     chain_plus_layer2,
     percolation_ever_infected,
@@ -396,6 +396,34 @@ class TestSweep:
         cfg = SirConfig(rates=(0.1,), tau=2, realizations=1)
         with pytest.raises(NotTwoLayers):
             sweep_heatmap(g, [0.1], [0.1], cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_come_back_in_cell_order(self, workers):
+        # a 3 x 2 grid, so a transposed placement cannot pass
+        g = build_interdependent(
+            [ErLayerSpec(150, 2.0), ErLayerSpec(150, 3.0)], {(0, 1): 1.0}, master_seed=3
+        )
+        gcc = structural_gcc_sizes(g)
+        betas, alphas = [0.05, 0.2, 0.6], [0.1, 0.5]
+        cfg = SirConfig(
+            rates=(0.0, 0.0, 0.0), tau=3, seeds=SeedPolicy.uniform(2),
+            realizations=5, master_seed=21,
+        )
+        sweep = sweep_heatmap(g, betas, alphas, cfg, workers=workers)
+        for i, beta in enumerate(betas):
+            for j, alpha in enumerate(alphas):
+                cell_cfg = replace(cfg, rates=(beta, beta, alpha))
+                layers, whole = mean_cell_densities(g, cell_cfg, i * len(alphas) + j, gcc)
+                assert np.array_equal(sweep.density_per_layer[i, j], layers)
+                assert sweep.density_whole[i, j] == whole
+
+    @pytest.mark.parametrize("betas, alphas", [([], []), ([0.1, 0.2], []), ([], [0.3])])
+    def test_empty_grid_shapes(self, betas, alphas):
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=1)
+        sweep = sweep_heatmap(self.graph(), betas, alphas, cfg)
+        assert sweep.density_per_layer.shape == (len(betas), len(alphas), 2)
+        assert sweep.density_whole.shape == (len(betas), len(alphas))
+        assert sweep.density_per_layer.dtype == sweep.density_whole.dtype == np.float64
 
     def test_monotone_in_beta_on_average(self):
         g = self.graph()
