@@ -35,7 +35,6 @@ from .graph import (
     giant_component,
     graphs_equal,
     kappa,
-    layer_gcc_size,
 )
 from .generate import (
     ErLayerSpec,

@@ -51,9 +51,9 @@ _FLAGS = {
     "--config": (None, "experiment config file"),
     "--graph": (None, "edge-list graph file, in place of the config's network"),
     "--out": (None, "output file or directory"),
-    "--threads": (None, "worker processes for sweep cells", dict(type=int, default=1)),
-    "--empirical": (None, "with a graph file: use measured colored cross-moments",
-                    dict(action="store_true")),
+    "--threads": (None, "worker processes for sweep cells, at least 1", dict(type=int, default=1)),
+    "--empirical": (None, "use the measured colored cross-moments of the network, "
+                    "generated or loaded", dict(action="store_true")),
     "--beta": (None, "intra-layer rate in [0, 1]"),
     "--alpha": (None, "inter-layer rate in [0, 1]"),
     "--cumulative-out": (None, "file for the ever-infected series"),
@@ -92,6 +92,8 @@ def _config(args) -> ExperimentConfig:
         if placement in SEED_PLACEMENTS:
             key, default, _ = SEED_PLACEMENTS[placement]
             overrides[key] = ("--seed-policy", detail.replace("/", ":") or default or "")
+    if getattr(args, "threads", 1) < 1:
+        raise ConfigError("--threads must be at least 1")
     cfg = with_overrides(parse_config(args.config) if args.config else _NO_CONFIG, overrides)
     if getattr(args, "graph", None):
         return replace(cfg, source="file", graph_file=args.graph)
@@ -207,6 +209,9 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if (args.beta is None) != (args.alpha is None):
+        missing, given = ("--beta", "--alpha") if args.beta is None else ("--alpha", "--beta")
+        raise ConfigError(f"{missing} is required with {given}")
     cfg = _config(args)
     g = load_network(cfg)
     coupling = classify_coupling(g)
@@ -215,7 +220,7 @@ def cmd_classify(args) -> int:
         print(f"kappa(network)={kappa(g):.4f} kappa(0)={kappa(g, 0):.4f} kappa(1)={kappa(g, 1):.4f}")
     except InterepiError:
         pass
-    if args.beta is not None and args.alpha is not None:
+    if args.beta is not None:
         beta, alpha = parse_rate("--beta", args.beta), parse_rate("--alpha", args.alpha)
         state = classify_state(compute_moments(g), g.layer_sizes, (beta, beta, alpha), cfg.tau)
         print(f"state at beta={beta} alpha={alpha}: {state.value}")

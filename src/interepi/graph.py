@@ -405,15 +405,6 @@ def giant_component(
     return ComponentResult(comp_id, sizes, int(sizes.max()), tuple(by_layer.max(axis=0).tolist()))
 
 
-def layer_gcc_size(g: LayeredGraph, layer: int) -> int:
-    """Size of the giant component of one layer taken as its own network.
-
-    Returns 0 when the layer has no intra-layer edges.
-    """
-    mask = g.edge_colors == g.colors.intra(layer)
-    return giant_component(g, mask).largest_size_by_layer[layer] if mask.any() else 0
-
-
 # ---------------------------------------------------------------------------
 # Coupling strength
 # ---------------------------------------------------------------------------

@@ -52,11 +52,7 @@ from .threshold import (
 )
 
 MANIFEST_NAME = "manifest"
-_FLOAT_FMT = ".10g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FMT)
+_FLOAT = "%.10g"  # the format of every float in a CSV output
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +492,13 @@ def load_network(cfg: ExperimentConfig) -> LayeredGraph:
 def analytic_frontier(
     cfg: ExperimentConfig, graph: Optional[LayeredGraph] = None, empirical: bool = False
 ) -> FrontierSet:
-    """The frontier at the config's analysis keys. A generated network gives
-    the model moments of its layer specs; a graph file gives the measured
-    moments of ``graph`` (loaded if not passed), or with ``empirical`` its
-    colored cross-moments."""
+    """The frontier at the config's analysis keys. With ``empirical`` it
+    takes the measured colored cross-moments of the config's network,
+    ``graph`` (built or loaded if not passed). Otherwise a generated network
+    gives the model moments of its layer specs, and a graph file the
+    measured moments of ``graph``."""
     options = dict(tie_intra=cfg.tie_intra, refine_tol=cfg.refine_tol or None)
-    if cfg.source == "generate":
+    if cfg.source == "generate" and not empirical:
         moments, layer_sizes = model_moments(cfg)
     else:
         graph = load_network(cfg) if graph is None else graph
@@ -538,56 +535,42 @@ def sir_config(
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header: Sequence[str], rows) -> None:
+def _write_csv(path, header: Sequence[str], tables) -> None:
+    """The header, each (row format, 2-D table) by np.savetxt, then the
+    manifest line. A format with one field is repeated across the columns;
+    "%.10g" prints a float64 as format(x, ".10g") does."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for fmt, table in tables:
+            np.savetxt(fh, table, fmt, delimiter=",")
         fh.write(f"# manifest: {MANIFEST_NAME}\n")
 
 
 def write_frontier_csv(path, frontier: FrontierSet) -> None:
     header = [f"beta_{i + 1}" for i in range(frontier.num_colors)] + ["theta"]
-    rows = (
-        [_fmt(v) for v in point] + [_fmt(theta)]
-        for point, theta in zip(frontier.points, frontier.thetas)
-    )
-    _write_csv(path, header, rows)
+    _write_csv(path, header, [(_FLOAT, np.column_stack([frontier.rates, frontier.theta]))])
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
     header = ["beta", "alpha", "density_L1", "density_L2", "density_all"]
-    rows = (
-        [
-            _fmt(beta),
-            _fmt(alpha),
-            _fmt(sweep.density_per_layer[i, j, 0]),
-            _fmt(sweep.density_per_layer[i, j, 1]),
-            _fmt(sweep.density_whole[i, j]),
-        ]
-        for i, beta in enumerate(sweep.betas)
-        for j, alpha in enumerate(sweep.alphas)
-    )
-    _write_csv(path, header, rows)
-
-
-def _dynamics_rows(result: DynamicsResult, series: tuple[np.ndarray, ...]):
-    for (beta, alpha), table in zip(result.settings, series):
-        label = f"beta={_fmt(beta)};alpha={_fmt(alpha)}"
-        for step in range(table.shape[0]):
-            yield [
-                label,
-                str(step),
-                _fmt(table[step, 0]),
-                _fmt(table[step, 1]),
-                _fmt(table[step, 2]),
-            ]
+    betas, alphas = np.meshgrid(sweep.betas, sweep.alphas, indexing="ij")
+    table = np.column_stack([
+        betas.ravel(),
+        alphas.ravel(),
+        sweep.density_per_layer.reshape(-1, sweep.density_per_layer.shape[-1]),
+        sweep.density_whole.ravel(),
+    ])
+    _write_csv(path, header, [(_FLOAT, table)])
 
 
 def write_dynamics_csv(path, result: DynamicsResult, cumulative: bool = False) -> None:
     header = ["setting", "step", "infected_L1", "infected_L2", "infected_all"]
     series = result.cumulative if cumulative else result.infected
-    _write_csv(path, header, _dynamics_rows(result, series))
+    _write_csv(path, header, [
+        (f"beta={_FLOAT % beta};alpha={_FLOAT % alpha},%d" + f",{_FLOAT}" * table.shape[1],
+         np.column_stack([np.arange(table.shape[0]), table]))
+        for (beta, alpha), table in zip(result.settings, series)
+    ])
 
 
 def write_manifest(path, cfg: ExperimentConfig, outputs: Sequence[str]) -> None:

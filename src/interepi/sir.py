@@ -43,7 +43,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import NotTwoLayers, ZeroGcc
-from .graph import LayeredGraph, giant_component, layer_gcc_size
+from .graph import LayeredGraph, giant_component
 
 
 @dataclass(frozen=True)
@@ -310,10 +310,21 @@ class DensityResult:
 
 
 def structural_gcc_sizes(g: LayeredGraph) -> tuple[int, tuple[int, ...]]:
-    """Gcc size of the full coupled graph and of each layer on its own."""
-    whole = giant_component(g).largest_size
-    per_layer = tuple(layer_gcc_size(g, l) for l in range(g.num_layers))
-    return whole, per_layer
+    """Gcc size of the full coupled graph and of each layer on its own, 0 for
+    a layer without intra-layer edges. Components of the intra-layer edges
+    never cross layers, so one pass over them gives every layer's gcc."""
+    per_layer = giant_component(g, g.edge_colors < g.num_layers).largest_size_by_layer
+    has_edges = g.edge_count_by_color()[: g.num_layers] > 0
+    return giant_component(g).largest_size, tuple(np.where(has_edges, per_layer, 0).tolist())
+
+
+def _gcc_divisors(gcc_sizes: tuple[int, tuple[int, ...]]) -> np.ndarray:
+    """Each layer's gcc size, then the whole network's: what divides a row of
+    per-layer ever-infected counts followed by its sum into densities."""
+    whole_gcc, layer_gcc = gcc_sizes
+    if 0 in layer_gcc:
+        raise ZeroGcc(f"layer {list(layer_gcc).index(0)} has no edges; density undefined")
+    return np.array([*layer_gcc, whole_gcc])
 
 
 def infection_density(
@@ -323,21 +334,12 @@ def infection_density(
 ) -> DensityResult:
     if gcc_sizes is None:
         gcc_sizes = structural_gcc_sizes(g)
-    return _density(summary.ever_counts, gcc_sizes)
-
-
-def _density(counts: Sequence[int], gcc_sizes: tuple[int, tuple[int, ...]]) -> DensityResult:
-    whole_gcc, layer_gcc = gcc_sizes
-    per_layer = []
-    for layer, count in enumerate(counts):
-        if layer_gcc[layer] == 0:
-            raise ZeroGcc(f"layer {layer} has no edges; density undefined")
-        per_layer.append(count / layer_gcc[layer])
-    whole = sum(counts) / whole_gcc
+    counts = np.array(summary.ever_counts)
+    dens = np.append(counts, counts.sum()) / _gcc_divisors(gcc_sizes)
     return DensityResult(
-        per_layer=tuple(per_layer),
-        whole=whole,
-        exceeds_gcc=whole > 1.0 or any(d > 1.0 for d in per_layer),
+        per_layer=tuple(dens[:-1].tolist()),
+        whole=float(dens[-1]),
+        exceeds_gcc=bool((dens > 1.0).any()),
     )
 
 
@@ -349,13 +351,12 @@ def mean_cell_densities(
 ) -> tuple[np.ndarray, float]:
     """Mean per-layer and whole-network densities over cfg.realizations runs."""
     law = _edge_law(g, cfg)
-    acc_layers = np.zeros(g.num_layers)
-    acc_whole = 0.0
-    for r in range(cfg.realizations):
-        dens = _density(_final_counts(g, cfg, law, r, cell_index), gcc_sizes)
-        acc_layers += np.asarray(dens.per_layer)
-        acc_whole += dens.whole
-    return acc_layers / cfg.realizations, acc_whole / cfg.realizations
+    divisors = _gcc_divisors(gcc_sizes)
+    counts = np.array([_final_counts(g, cfg, law, r, cell_index) for r in range(cfg.realizations)])
+    # a sum along axis 0 adds the realizations in run order, as a running sum would
+    dens = np.column_stack([counts, counts.sum(axis=1)]) / divisors
+    means = dens.sum(axis=0) / cfg.realizations
+    return means[:-1], float(means[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +399,13 @@ def sweep_heatmap(
     intra colors and alpha on the interconnection.
 
     Cell (i, j) uses cell index i * len(alpha_grid) + j for seed derivation,
-    so the result is independent of scheduling and of ``workers``.
+    so the result is independent of scheduling and of ``workers``, of which
+    at most one per cell is started.
     """
     if g.num_layers != 2:
         raise NotTwoLayers("sweep requires two layers")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     betas = tuple(float(b) for b in beta_grid)
     alphas = tuple(float(a) for a in alpha_grid)
     if any(not 0.0 <= b <= 1.0 for b in betas + alphas):
@@ -412,6 +416,7 @@ def sweep_heatmap(
         for i, beta in enumerate(betas)
         for j, alpha in enumerate(alphas)
     ]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(g, cfg, gcc_sizes)

@@ -24,7 +24,7 @@ from interepi import (
     SirConfig,
     UnknownNode,
     build_graph,
-    layer_gcc_size,
+    structural_gcc_sizes,
 )
 from interepi.sir import _stream
 from interepi.threshold import _grid_values
@@ -240,7 +240,7 @@ def quiet_layer_density_bound(
             f"R(beta)(kappa-1) = {offspring:.3f}"
         )
     cluster = 1.0 + r_beta * mean_deg / (1.0 - offspring)
-    return num_inter * r_alpha * cluster / layer_gcc_size(g, layer)
+    return num_inter * r_alpha * cluster / structural_gcc_sizes(g)[1][layer]
 
 
 # ---------------------------------------------------------------------------

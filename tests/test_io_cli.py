@@ -26,10 +26,19 @@ from interepi import (
     run_experiment,
     write_graph,
 )
-from interepi.io import with_overrides
+from interepi.io import (
+    analytic_frontier,
+    load_network,
+    with_overrides,
+    write_dynamics_csv,
+    write_frontier_csv,
+    write_sweep_csv,
+)
 import interepi.io as io_module
 from interepi.cli import main
 from interepi.io import parse_grid, parse_settings
+from interepi.sir import DynamicsResult, SweepResult
+from interepi.threshold import FrontierSet, multi_threshold_empirical
 from oracles import chain_plus_layer2
 
 
@@ -451,6 +460,80 @@ class TestRunExperiment:
         assert set(out) == {"frontier", "dynamics", "dynamics_cumulative", "manifest"}
 
 
+def _frontier(rates, theta):
+    rates = np.asarray(rates, dtype=float).reshape(-1, 3)
+    return FrontierSet(rates=rates, theta=np.asarray(theta, dtype=float), grid_step=0.01,
+                       num_colors=3, evaluations=0)
+
+
+class TestCsvWriters:
+    def test_frontier_bytes(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_frontier_csv(path, _frontier([[1 / 3, 1.0, 0.05], [0.5, 0.0, 2e-5]],
+                                           [1.0, 1.25]))
+        assert path.read_bytes() == (
+            b"beta_1,beta_2,beta_3,theta\n"
+            b"0.3333333333,1,0.05,1\n"
+            b"0.5,0,2e-05,1.25\n"
+            b"# manifest: manifest\n"
+        )
+
+    def test_empty_frontier_bytes(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_frontier_csv(path, _frontier([], []))
+        assert path.read_bytes() == b"beta_1,beta_2,beta_3,theta\n# manifest: manifest\n"
+
+    def test_sweep_bytes(self, tmp_path):
+        # cells in (beta, alpha) order, beta outermost
+        path = tmp_path / "s.csv"
+        per_layer = np.array([[[0.1, 0.2], [1 / 3, 1.0]], [[2.0, 0.0], [0.25, 0.75]]])
+        sweep = SweepResult(betas=(0.0, 0.5), alphas=(0.1, 0.2), density_per_layer=per_layer,
+                            density_whole=per_layer.mean(axis=2))
+        write_sweep_csv(path, sweep)
+        assert path.read_bytes() == (
+            b"beta,alpha,density_L1,density_L2,density_all\n"
+            b"0,0.1,0.1,0.2,0.15\n"
+            b"0,0.2,0.3333333333,1,0.6666666667\n"
+            b"0.5,0.1,2,0,1\n"
+            b"0.5,0.2,0.25,0.75,0.5\n"
+            b"# manifest: manifest\n"
+        )
+
+    def test_empty_sweep_bytes(self, tmp_path):
+        path = tmp_path / "s.csv"
+        sweep = SweepResult(betas=(), alphas=(0.3,), density_per_layer=np.empty((0, 1, 2)),
+                            density_whole=np.empty((0, 1)))
+        write_sweep_csv(path, sweep)
+        assert path.read_bytes() == (
+            b"beta,alpha,density_L1,density_L2,density_all\n# manifest: manifest\n"
+        )
+
+    def test_dynamics_bytes(self, tmp_path):
+        result = DynamicsResult(
+            settings=((0.1, 0.05), (1 / 3, 1.0)),
+            infected=(np.array([[1.0, 1.0, 2.0], [0.5, 2 / 3, 7 / 6]]),
+                      np.array([[2.0, 0.0, 2.0]])),
+            cumulative=(np.array([[1.0, 1.0, 2.0], [1.5, 5 / 3, 19 / 6]]),
+                        np.array([[2.0, 0.0, 2.0]])),
+        )
+        header = b"setting,step,infected_L1,infected_L2,infected_all\n"
+        infected, cumulative = tmp_path / "d.csv", tmp_path / "c.csv"
+        write_dynamics_csv(infected, result)
+        write_dynamics_csv(cumulative, result, cumulative=True)
+        assert infected.read_bytes() == header + (
+            b"beta=0.1;alpha=0.05,0,1,1,2\n"
+            b"beta=0.1;alpha=0.05,1,0.5,0.6666666667,1.166666667\n"
+            b"beta=0.3333333333;alpha=1,0,2,0,2\n"
+            b"# manifest: manifest\n"
+        )
+        assert cumulative.read_bytes() == header + (
+            b"beta=0.1;alpha=0.05,0,1,1,2\n"
+            b"beta=0.1;alpha=0.05,1,1.5,1.666666667,3.166666667\n"
+            b"beta=0.3333333333;alpha=1,0,2,0,2\n"
+            b"# manifest: manifest\n"
+        )
+
+
 class TestCli:
     def test_generate_info_threshold_simulate(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -496,6 +579,22 @@ class TestCli:
         ])
         assert rc == 0
         assert out_path.exists()
+
+    def test_empirical_threshold_of_a_generated_network(self, tmp_path):
+        # --empirical measures the network that the config generates
+        cfg = parse_config_text(BASE_CONFIG)
+        measured = multi_threshold_empirical(load_network(cfg), cfg.tau, cfg.grid_step,
+                                             tie_intra=cfg.tie_intra)
+        assert analytic_frontier(cfg, empirical=True) == measured
+        assert analytic_frontier(cfg) != measured
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        model, empirical, expected = (tmp_path / f"{n}.csv" for n in ("m", "e", "x"))
+        assert main(["threshold", "--config", str(cfg_path), "--out", str(model)]) == 0
+        assert main(["threshold", "--config", str(cfg_path), "--empirical",
+                     "--out", str(empirical)]) == 0
+        write_frontier_csv(expected, measured)
+        assert empirical.read_bytes() == expected.read_bytes() != model.read_bytes()
 
     def test_threshold_config_with_graph_file(self, tmp_path):
         # a file-source config gives the measured moments of its graph file
@@ -632,6 +731,8 @@ class TestCli:
             ("dynamics --settings 0.1:0.1", "--seed-policy", "per-layer:1,301"),
             ("dynamics --settings 0.1:0.1", "--seed-policy", "explicit:0/1,0/1"),
             ("classify --alpha 0.1", "--beta", "1.5"),
+            ("sweep --betas 0:0.2:0.2 --alphas 0:0.2:0.2", "--threads", "0"),
+            ("sweep --betas 0:0.2:0.2 --alphas 0:0.2:0.2", "--threads", "-3"),
         ],
     )
     def test_bad_flag_value_exits_2_naming_the_flag(
@@ -785,6 +886,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "coupling: strongly-coupled" in out
         assert "state at" in out
+
+    @pytest.mark.parametrize("given,missing", [("--alpha", "--beta"), ("--beta", "--alpha")])
+    def test_classify_with_one_rate_exits_2(self, tmp_path, capsys, given, missing):
+        graph_path = tmp_path / "g.edges"
+        write_graph(chain_plus_layer2(), graph_path)
+        assert main(["classify", "--graph", str(graph_path), given, "0.2"]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["message"] == f"{missing} is required with {given}"
+        assert "state at" not in captured.out
 
     def test_run_subcommand(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

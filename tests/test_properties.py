@@ -26,11 +26,12 @@ from interepi import (
     perron_roots,
     run_sir,
     spectral_radius,
+    structural_gcc_sizes,
     transmissibility,
     write_graph,
 )
 from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
-from interepi.graph import ColorMoments
+from interepi.graph import ColorMoments, build_graph_array
 from interepi.sir import _edge_law, _final_counts, _first_passage
 from interepi.threshold import (
     _epidemic,
@@ -81,6 +82,23 @@ def test_components_match_brute_force(data):
         assert mapping.setdefault(mine, theirs) == theirs
     assert len(set(mapping.values())) == len(mapping)
     assert res.largest_size == np.bincount(labels).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_graphs(), st.booleans())
+def test_structural_gcc_sizes_match_brute_force(data, strip_layer_0):
+    g, pairs = data
+    if strip_layer_0:
+        # leave layer 0 without an intra-layer edge
+        rows = np.column_stack([g.local_edges(), g.edge_colors])
+        g = build_graph_array(g.layer_sizes, rows[g.edge_colors != 0])
+        pairs = [(a, b) for a, b in pairs if not g.node_layer[a] == g.node_layer[b] == 0]
+    whole, per_layer = structural_gcc_sizes(g)
+    assert whole == np.bincount(brute_force_component_labels(g.n, pairs)).max()
+    for layer in range(g.num_layers):
+        intra = [(a, b) for a, b in pairs if g.node_layer[a] == g.node_layer[b] == layer]
+        labels = brute_force_component_labels(g.n, intra)[g.layer_slice(layer)]
+        assert per_layer[layer] == (np.bincount(labels).max() if intra else 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ from interepi import (
     sweep_heatmap,
     transmissibility,
 )
+import interepi.sir as sir_module
 from interepi.sir import _edge_law, _final_counts, mean_cell_densities
 from oracles import (
     chain_plus_layer2,
@@ -344,6 +345,17 @@ class TestInfectionDensity:
         with pytest.raises(ZeroGcc):
             infection_density(s, g)
 
+    def test_cell_zero_gcc_before_any_realization(self, monkeypatch):
+        # layer 1 has no intra-layer edge, so no realization can give it a density
+        def fail(*args, **kwargs):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(sir_module, "_final_counts", fail)
+        g = two_layer_graph(3, 3, [(0, 1)], [], [(0, 0)])
+        cfg = SirConfig(rates=(0.5, 0.5, 0.5), tau=1, seeds=SeedPolicy.explicit([(0, 0)]))
+        with pytest.raises(ZeroGcc, match="^layer 1 has no edges; density undefined$"):
+            mean_cell_densities(g, cfg, 0, structural_gcc_sizes(g))
+
     def test_density_can_exceed_one(self):
         # two components in layer 0: gcc has 3 nodes, seeding both components
         # with certain transmission infects all 5
@@ -416,6 +428,43 @@ class TestSweep:
                 layers, whole = mean_cell_densities(g, cell_cfg, i * len(alphas) + j, gcc)
                 assert np.array_equal(sweep.density_per_layer[i, j], layers)
                 assert sweep.density_whole[i, j] == whole
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_raise(self, workers):
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=1)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            sweep_heatmap(self.graph(), [0.1], [0.1], cfg, workers=workers)
+
+    def test_pool_asks_for_at_most_one_process_per_cell(self, monkeypatch):
+        # a recorder in place of the pool maps in this process, so no process starts
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sir_module, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(sir_module, "_worker_context", ())
+        g = self.graph()
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=3, master_seed=4)
+        pooled = sweep_heatmap(g, [0.2, 0.6], [0.3], cfg, workers=8)
+        assert asked == [2]
+        serial = sweep_heatmap(g, [0.2, 0.6], [0.3], cfg)
+        assert np.array_equal(pooled.density_per_layer, serial.density_per_layer)
+        assert np.array_equal(pooled.density_whole, serial.density_whole)
+        sweep_heatmap(g, [0.2], [0.3], cfg, workers=8)
+        sweep_heatmap(g, [], [0.3], cfg, workers=8)
+        assert asked == [2]  # one cell or none runs in this process
 
     @pytest.mark.parametrize("betas, alphas", [([], []), ([0.1, 0.2], []), ([], [0.3])])
     def test_empty_grid_shapes(self, betas, alphas):
