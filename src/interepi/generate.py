@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import MeanDegreeTooLarge, WiringFailed
-from .graph import INDEX, ColorTable, LayeredGraph, build_graph_array
+from .graph import INDEX, ColorTable, LayeredGraph, build_graph_array, first_occurrences
 
 RngLike = Union[int, np.random.Generator]
 
@@ -42,7 +42,8 @@ def _distinct_pairs(
 ) -> np.ndarray:
     """The first m distinct pairs, in draw order, among uniform draws of
     (a, b) in [0, n_u) x [0, n_v), taken in batches of 2 * (m - accepted) + 64.
-    With ``same_layer`` self-loops are skipped and pairs kept as (min, max)."""
+    With ``same_layer`` self-loops are skipped and pairs kept as (min, max).
+    Each batch's first draw of every pair comes from :func:`first_occurrences`."""
     chunks, count = [np.empty((0, 2), dtype=np.int64)], 0
     # sorted keys of the accepted pairs, above a sentinel that no key reaches
     seen = np.array([np.iinfo(np.int64).max])
@@ -54,7 +55,8 @@ def _distinct_pairs(
             keep = a != b
             a, b = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
         keys = a * n_v + b
-        fresh, first = np.unique(keys, return_index=True)
+        first = first_occurrences(keys)
+        fresh = keys[first]
         first = np.sort(first[seen[np.searchsorted(seen, fresh)] != fresh])[: m - count]
         chunks.append(np.column_stack([a[first], b[first]]))
         count += len(first)

@@ -128,16 +128,22 @@ class LayeredGraph:
         self.edges_v = np.asarray(edges_v, dtype=INDEX)
         self.edge_colors = np.asarray(edge_colors, dtype=INDEX)
 
-        # a stable sort on (source, color) of the entries u -> v then v -> u
+        # the entries u -> v then v -> u in (source, color) order, ties in list
+        # order: a key packs source * C + color above the entry's position, so
+        # one unstable sort orders them and the mask leaves the positions
+        m = self.num_edges
+        shift = (2 * m - 1).bit_length()
         key = np.concatenate([self.edges_u, self.edges_v]).astype(np.int64)
         key *= self.num_colors
-        key[: self.num_edges] += self.edge_colors
-        key[self.num_edges :] += self.edge_colors
-        order = np.argsort(key, kind="stable")
+        key[:m] += self.edge_colors
+        key[m:] += self.edge_colors
+        key <<= shift
+        key |= np.arange(2 * m, dtype=np.int64)
+        key.sort()
+        key &= (1 << shift) - 1
+        self._adj = np.concatenate([self.edges_v, self.edges_u])[key]
+        self._adj_color = np.concatenate([self.edge_colors, self.edge_colors])[key]
         del key
-        self._adj = np.concatenate([self.edges_v, self.edges_u])[order]
-        self._adj_color = np.concatenate([self.edge_colors, self.edge_colors])[order]
-        del order
         deg = np.bincount(self.edges_u, minlength=self.n)
         deg += np.bincount(self.edges_v, minlength=self.n)
         self._indptr = np.zeros(self.n + 1, dtype=INDEX)
@@ -234,16 +240,22 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     the error's ``row`` is its index. Rows are read as int64 unless they are
     already int32, and are narrowed to :data:`INDEX` only once they are
     valid. ValueError when the layers hold 2**31 nodes or more, or the rows
-    2**30 edges or more, which :data:`INDEX` cannot number.
+    2**30 edges or more, which :data:`INDEX` cannot number, and when
+    n * C * 2**b > 2**63 (C colors, b = (2m - 1).bit_length()), which the
+    int64 adjacency sort key (source * C + color) << b | position cannot
+    hold: two layers of about 1.4e9 nodes and 1e9 edges, or more layers.
     """
     sizes = [int(s) for s in layer_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("layer sizes must be positive")
     edges = np.asarray(edges)
     edges = edges.reshape(-1, 5).astype(INDEX if edges.dtype == INDEX else np.int64, copy=False)
-    n = sum(sizes)
-    if max(n, 2 * len(edges)) > np.iinfo(INDEX).max:
-        raise ValueError(f"{n} nodes and {len(edges)} edges exceed the int32 index range")
+    n, m = sum(sizes), len(edges)
+    if max(n, 2 * m) > np.iinfo(INDEX).max:
+        raise ValueError(f"{n} nodes and {m} edges exceed the int32 index range")
+    num_colors = len(sizes) * (len(sizes) + 1) // 2
+    if (n * num_colors) << (2 * m - 1).bit_length() > 2**63:
+        raise ValueError(f"{n} nodes, {num_colors} colors and {m} edges overflow the sort key")
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     colors = ColorTable(len(sizes)).color_matrix()
     bad_layer, bad_idx, layer, ends = [], [], [], []
@@ -266,8 +278,9 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     bad = bad_layer[0] | bad_idx[0] | bad_layer[1] | bad_idx[1] | loop | mismatch
     canonical = np.sort(keys)
     if (canonical[1:] == canonical[:-1]).any():
-        order = np.argsort(keys, kind="stable")  # equal keys stay in input order
-        bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+        repeat = np.ones_like(bad)  # rows whose key an earlier row has
+        repeat[first_occurrences(keys)] = False
+        bad |= repeat
     if bad.any():
         i = int(np.argmax(bad))
         lu, iu, lv, iv, c = edges[i].tolist()
@@ -295,6 +308,18 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     del canonical
     node_layer = np.repeat(np.arange(len(sizes), dtype=INDEX), sizes)
     return LayeredGraph(sizes, lo, hi, colors.astype(INDEX)[node_layer[lo], node_layer[hi]])
+
+
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Index of each distinct key's first occurrence, in key order, as
+    ``np.unique(keys, return_index=True)`` gives it: one unstable argsort
+    groups equal keys into runs, and a run's least index is its first."""
+    order = np.argsort(keys)
+    run = keys[order]
+    # a run starts at 0 unless there are no keys
+    starts = np.flatnonzero(np.concatenate((run[:1] == run[:1], run[1:] != run[:-1])))
+    del run
+    return np.minimum.reduceat(order, starts)
 
 
 def graphs_equal(a: LayeredGraph, b: LayeredGraph) -> bool:

@@ -331,6 +331,28 @@ def sequential_er_interlayer(
 
 
 # ---------------------------------------------------------------------------
+# Adjacency built entry by entry
+# ---------------------------------------------------------------------------
+
+def sequential_adjacency(g: LayeredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR (indptr, neighbors, colors) of g, one entry at a time: each node
+    lists its entries of [u -> v for every edge, then v -> u for every edge]
+    sorted by (color, position in that list)."""
+    ends = list(zip(g.edges_u.tolist(), g.edges_v.tolist(), g.edge_colors.tolist()))
+    entries = ends + [(v, u, c) for u, v, c in ends]
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for pos, (source, target, color) in enumerate(entries):
+        rows[source].append((color, pos, target))
+    indptr, adj, adj_color = [0], [], []
+    for row in rows:
+        for color, _, target in sorted(row):
+            adj.append(target)
+            adj_color.append(color)
+        indptr.append(len(adj))
+    return np.array(indptr), np.array(adj, dtype=np.int64), np.array(adj_color, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # Edge-by-edge validation and line-by-line graph-file parsing
 # ---------------------------------------------------------------------------
 

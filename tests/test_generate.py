@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -262,3 +263,47 @@ class TestComposition:
         assert m.per_color[0].mean_restricted == pytest.approx(1.5, rel=0.02)
         assert m.per_color[1].mean_restricted == pytest.approx(6.0, rel=0.02)
         assert m.per_color[2].mean_restricted == pytest.approx(1.5, rel=0.02)
+
+
+class TestPinnedArrays:
+    """SHA-256 of the int32 graph arrays of two builds, so that a change to
+    generation, validation or the adjacency sort cannot move a byte unseen."""
+
+    CASES = {
+        "strong-pair": (
+            [ErLayerSpec(10_000, 1.5), ErLayerSpec(10_000, 6.0)], {(0, 1): 1.5}, 7,
+            {
+                "edges_u": "05a7af4cdaf5feeb528817067d7d854f152f4a2b62457ddf1800e5f90cce4ad8",
+                "edges_v": "b5a240485ae90b49d5f5acd11e99921e3c69e4028cf1da789fd20e69566da4b3",
+                "edge_colors": "9eb1c0c951a4f5dca646b0412e0b8837f875657b47ba9eda5f2768fa56425636",
+                "indptr": "1e8e5401bd4e492b6827098ecf2ad8b17d1f5649480dc673144e0e18ea8cc711",
+                "adj": "33e0eb84fe211b22dd0ddbc38e03266f64efcbe31fbb132983fd468f0a70291f",
+                "adj_color": "e91709cda428e703da867ab138ccfeb96d681c7ca0d76375b3dfbc09e4040143",
+            },
+        ),
+        "three-layers": (
+            [ErLayerSpec(300, 2.0), ErLayerSpec(200, 4.0), ErLayerSpec(100, 3.0)],
+            {(0, 1): 1.0, (0, 2): 0.5, (1, 2): 2.0}, 3,
+            {
+                "edges_u": "e25e3448fcef916c4f2bb80b4560d32d75309adc63dd16b978ca9c2929ce4964",
+                "edges_v": "482c62e216463ac3d3e127a068ea7c619e99b807fedde16e0745e730110d3677",
+                "edge_colors": "a896116f42dec8636ba4882235ce88a7078619c217533b63244490dd1185099f",
+                "indptr": "70c8717640beaa4c079ca3c12cf6fc39d64c4cc81c7a99c3f00050acafedeaa8",
+                "adj": "dcb5a94b5d961b4c8d3d773ae4a9a8bc6a499c5c026798571bbb4d7b5857245c",
+                "adj_color": "d724cc53d865086c625736e893737b15244b7ebd73c47d706cbaebc3ddf7955c",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sha256(self, case):
+        layers, inter, seed, want = self.CASES[case]
+        g = build_interdependent(layers, inter, seed)
+        indptr, adj, adj_color = g.adjacency()
+        arrays = {"edges_u": g.edges_u, "edges_v": g.edges_v, "edge_colors": g.edge_colors,
+                  "indptr": indptr, "adj": adj, "adj_color": adj_color}
+        got = {}
+        for name, arr in arrays.items():
+            assert arr.dtype == np.int32
+            got[name] = hashlib.sha256(arr.astype("<i4").tobytes()).hexdigest()
+        assert got == want

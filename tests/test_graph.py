@@ -22,9 +22,12 @@ from interepi import (
     load_graph,
     write_graph,
 )
+from interepi.graph import build_graph_array, first_occurrences
 from oracles import (
     brute_force_component_labels,
     chain_plus_layer2,
+    random_layered_graph,
+    sequential_adjacency,
     single_layer_graph,
     two_layer_graph,
 )
@@ -67,6 +70,73 @@ class TestBuildGraph:
         indptr, adj, adj_color = g.adjacency()
         cols = adj_color[indptr[0]:indptr[1]]
         assert list(cols) == sorted(cols)
+
+
+class TestAdjacencyOrder:
+    """Each node's entries come in (color, position in [u -> v..., v -> u...])
+    order, exactly as the entry-by-entry oracle lists them."""
+
+    @staticmethod
+    def _check(g):
+        got = g.adjacency()
+        want = sequential_adjacency(g)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(11)
+        layer_counts = set()
+        for _ in range(150):
+            g = random_layered_graph(rng, max_nodes=30)
+            layer_counts.add(g.num_layers)
+            self._check(g)
+        assert layer_counts == {1, 2, 3}
+
+    @pytest.mark.parametrize("sizes", [[1], [4], [3, 2], [2, 1, 3]])
+    def test_zero_edges(self, sizes):
+        g = build_graph(sizes, [])
+        self._check(g)
+        assert g.adjacency()[0].tolist() == [0] * (sum(sizes) + 1)
+
+    def test_isolated_nodes_and_ties(self):
+        # node 3's color-0 entries come in list position order, 3 -> 5 from
+        # the u -> v half before 3 -> 0 from the v -> u half; 1, 4 and 8 are isolated
+        g = two_layer_graph(6, 4, [(0, 5), (0, 2), (3, 0), (3, 5)], [(1, 3)], [(3, 1), (0, 0)])
+        self._check(g)
+        indptr, adj, adj_color = g.adjacency()
+        assert adj[indptr[3]:indptr[4]].tolist() == [5, 0, 7]
+        assert adj_color[indptr[3]:indptr[4]].tolist() == [0, 0, 2]
+        assert (g.degrees()[[1, 4, 8]] == 0).all()
+
+
+@pytest.mark.parametrize("size,high", [(0, 1), (1, 1), (50, 3), (200, 50), (200, 10**12)])
+def test_first_occurrences_match_unique(size, high):
+    keys = np.random.default_rng(size + high).integers(-high, high, size=size)
+    assert np.array_equal(first_occurrences(keys), np.unique(keys, return_index=True)[1])
+
+
+class TestAdjacencyKeyBound:
+    """The adjacency sort key (source * C + color) << b | position must fit in
+    int64; rows broadcast from one row hold no memory for their length."""
+
+    @staticmethod
+    def _rows(m):
+        return np.broadcast_to(np.zeros(5, dtype=np.int32), (m, 5))
+
+    def test_two_huge_layers(self):
+        n = 2**30 - 1
+        with pytest.raises(ValueError, match="overflow the sort key"):
+            build_graph_array([n, n], self._rows(2**30 - 1))
+
+    def test_many_layers(self):
+        # 2**16 one-node layers have 2**15 * (2**16 + 1) colors, so n * C is
+        # just above 2**47 and b = 16 bits, from 16 385 edges, overflows
+        with pytest.raises(ValueError, match="overflow the sort key"):
+            build_graph_array([1] * 2**16, self._rows(16_385))
+
+    def test_index_range_checked_first(self):
+        with pytest.raises(ValueError, match="int32 index range"):
+            build_graph_array([2**31], self._rows(1))
 
 
 class TestBuildGraphErrorOrder:
