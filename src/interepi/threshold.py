@@ -5,8 +5,9 @@ R = 1 - (1-beta)^tau -> percolation-thinned degree moments -> a non-negative
 Jacobian whose Perron root theta decides whether the diffusion network grows
 a giant component (theta >= 1). On top of that sits the multidimensional
 threshold: the Pareto-minimal set of rate tuples on the epidemic boundary,
-found by a monotone grid search that bisects coarse grid lines first and
-brackets every other line between its coarse neighbours' crossings.
+found on a rate grid line by line: each line's crossing comes from the last
+pivot of I - J, the only one that moves along the line, and is confirmed on
+the grid with the arithmetic of the epidemic test.
 
 Two Jacobian routes are provided. ``jacobian_closed_form`` is the two-layer
 matrix built from per-layer degree moments under the assumption that colored
@@ -23,8 +24,10 @@ thinned moment gains one factor R per degree it involves:
 second moment by <x'_i>, which cancels R_i and leaves R_j times the
 unthinned entry. The closed form puts R_c in column c by construction. An
 edgeless color is known from the unthinned moments, so its zero row and
-column belong to B. The frontier search therefore builds B once and tests
-whole stacks B * R with ``_epidemic``, which never computes theta.
+column belong to B. The frontier search therefore builds B once; along a
+line only the searched color's column of B diag(R) moves, so the pivots of
+the other columns are eliminated once per line and theta is never computed
+to decide.
 """
 
 from __future__ import annotations
@@ -270,6 +273,28 @@ def perron_roots(jacs: np.ndarray) -> np.ndarray:
         raise NonConvergence(f"eigenvalues did not converge: {exc}") from exc
 
 
+def _eliminate(
+    a: list[list[np.ndarray]], pivots: range, cols: Sequence[int], live: np.ndarray
+) -> tuple[list[list[np.ndarray]], np.ndarray]:
+    """Gaussian elimination without pivoting on a stack held entry by entry.
+
+    ``a[i][j]`` is entry (i, j) of every matrix of the stack, one vector each.
+    Each pivot k drops the matrices whose a_kk <= 0 (from ``a`` and from
+    their indices ``live``), then sets a_ij -= (a_ik * a_kj) / a_kk for
+    every row i > k and every column j > k in ``cols``. Entries of other
+    columns keep their values, so a column can be eliminated later, alone.
+    """
+    for k in pivots:
+        keep = a[k][k] > 0.0
+        if not keep.all():
+            a, live = [[v[keep] for v in row] for row in a], live[keep]
+        for i in range(k + 1, len(a)):
+            for j in cols:
+                if j > k:
+                    a[i][j] = a[i][j] - a[i][k] * a[k][j] / a[k][k]
+    return a, live
+
+
 def _epidemic(jacs: np.ndarray) -> np.ndarray:
     """theta >= 1 for a stack of non-negative matrices, shape (N, C, C) -> (N,).
 
@@ -278,12 +303,9 @@ def _epidemic(jacs: np.ndarray) -> np.ndarray:
     ch. 6). Updates subtract non-negative products, so the test is monotone
     in every entry of J, rounding included; a matrix stops at a pivot <= 0.
     """
-    a, live = np.eye(jacs.shape[-1]) - jacs, np.arange(len(jacs))
-    for k in range(a.shape[-1]):
-        keep = a[:, k, k] > 0.0
-        a, live = a[keep], live[keep]
-        rest = slice(k + 1, None)
-        a[:, rest, rest] -= a[:, rest, k, None] * a[:, None, k, rest] / a[:, k, k, None, None]
+    c = jacs.shape[-1]
+    a = [[float(i == j) - jacs[:, i, j] for j in range(c)] for i in range(c)]
+    _, live = _eliminate(a, range(c), range(c), np.arange(len(jacs)))
     epidemic = np.ones(len(jacs), dtype=bool)
     epidemic[live] = False
     return epidemic
@@ -325,8 +347,9 @@ class FrontierSet:
     not epidemic or leaves [0, 1]^C. Empty when no grid tuple is epidemic.
     They are held as one read-only (N, C) array ``rates`` and their thetas
     as ``theta``; ``points`` and ``thetas`` give them as tuples.
-    ``evaluations`` counts the Jacobians the search tested or reported a
-    theta of; it is a diagnostic and takes no part in equality.
+    ``evaluations`` counts the last pivots the line search evaluated, the
+    Jacobians the refinement tested and the thetas reported; it is a
+    diagnostic and takes no part in equality.
     """
 
     rates: np.ndarray
@@ -405,53 +428,74 @@ def _undominated(crossing: np.ndarray, tol: float) -> np.ndarray:
     return keep
 
 
+def _candidates(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Index of the least grid transmissibility in ``r`` at or above x* = 1/c,
+    one per slope c; ``len(r)`` where c <= 0 or x* > r[-1]."""
+    return np.searchsorted(r, np.divide(1.0, c, out=np.full(len(c), np.inf), where=c > 0.0))
+
+
 def _frontier_search(
-    jacobians: Callable[[np.ndarray], np.ndarray],
+    base: np.ndarray,
+    tau: int,
     num_colors: int,
     grid_step: float,
     groups: tuple[tuple[int, ...], ...],
     refine_tol: Optional[float],
 ) -> FrontierSet:
-    """Monotone grid search for the Pareto-minimal epidemic tuples.
+    """Monotone grid search for the Pareto-minimal epidemic tuples of J(R) = base diag(R).
 
-    ``jacobians`` maps rate rows to their Jacobian stack. Every grid point of
-    the leading group axes (a prefix) spans a line along the last axis.
-    ``_epidemic`` is monotone in every rate, so a line crosses at most once,
-    at the least epidemic grid index (``size`` if none), and no later than
-    any line below it. The coarse lines, every k-th prefix value on each
-    axis (k about sqrt(size)) and the last, are bisected from the bracket
-    [-1, size]; every other line only between the crossings of its coarse
-    cell's upper and lower corners, for free once those agree. Each round
-    tests one stack, as does each ``refine_tol`` round on the kept crossings;
-    one last stack gives their thetas. The rate grid is never held whole.
+    Every grid point of the leading group axes (a prefix) spans a line along
+    the last group, which must be the last color g alone. ``_epidemic`` is
+    monotone in every rate, so a line crosses at most once, at the least
+    epidemic grid index (``size`` if none). Only column g of I - J moves
+    along a line, so its first g pivots are eliminated once; one <= 0 makes
+    it cross at index 0. Otherwise its last pivot is p(x) = 1 - c x in
+    x = R_g: p(1) gives c, and the least grid R >= 1/c the candidate. Each
+    candidate is confirmed with ``_epidemic``'s arithmetic (epidemic at its
+    index, not one below) and stepped where rounding disagrees, until none
+    steps. ``evaluations`` counts these last pivots, each ``refine_tol``
+    round's Jacobians and the thetas. The rate grid is never held whole.
     """
+    g = num_colors - 1
     vals = np.asarray(_grid_values(grid_step))
     size = len(vals)
     shape = (size,) * (len(groups) - 1)
-    lines = np.indices(shape).reshape(len(shape), -1).T
-    evaluations = 0
+    lines = np.indices(shape).reshape(len(shape), math.prod(shape)).T
+    r = np.array([transmissibility(b, tau) for b in vals.tolist()])
+    t = np.ones((num_colors, len(lines)))  # each line's R, with R_g = 1
+    for axis, colors in enumerate(groups[:-1]):
+        t[list(colors)] = r[lines[:, axis]]
+    a = [[float(i == j) - base[i, j] * t[j] for j in range(num_colors)]
+         for i in range(num_colors)]
+    a, live = _eliminate(a, range(g), range(num_colors), np.arange(len(lines)))
+    at = _candidates(r, 1.0 - a[g][g])
+    evaluations = len(live)
+
+    def epidemic_at(pos: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # the live lines at positions pos, with column g at x = r[idx]
+        m = [[v[pos] for v in row[:g]] + [float(i == g) - base[i, g] * r[idx]]
+             for i, row in enumerate(a)]
+        return ~(_eliminate(m, range(g), (g,), pos)[0][g][g] > 0.0)
+
+    pending = np.arange(len(live))
+    while pending.size:
+        i = at[pending]
+        epidemic = epidemic_at(np.r_[pending, pending],
+                               np.r_[np.minimum(i, size - 1), np.maximum(i - 1, 0)])
+        evaluations += 2 * len(pending)
+        up, down = epidemic[:len(i)] | (i == size), epidemic[len(i):] & (i > 0)
+        step = (~up).astype(int) - (up & down)
+        at[pending] += step
+        pending = pending[step != 0]
+    hi = np.zeros(len(lines), dtype=int)
+    hi[live] = at
+
+    jacobians = _jacobians_of_rates(base, tau)
 
     def jacobians_at(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += len(last)
         return jacobians(_rates_at(lines[rows], last, groups, vals, num_colors))
-
-    def bisect(rows: np.ndarray) -> None:
-        # each line is epidemic at vals[hi] but not at vals[lo], -1 and size virtual
-        while (live := rows[hi[rows] - lo[rows] > 1]).size:
-            mid = (lo[live] + hi[live]) // 2
-            up = _epidemic(jacobians_at(live, vals[mid]))
-            hi[live[up]] = mid[up]
-            lo[live[~up]] = mid[~up]
-
-    lo, hi = np.full(len(lines), -1), np.full(len(lines), size)
-    coarse = np.unique(np.r_[0:size:round(math.sqrt(size)), size - 1])
-    fine = ~np.isin(lines, coarse).all(axis=1)
-    bisect(np.flatnonzero(~fine))
-    strides = size ** np.arange(len(shape))[::-1]
-    lo[fine] = hi[coarse[np.searchsorted(coarse, lines[fine])] @ strides] - 1
-    hi[fine] = hi[coarse[np.searchsorted(coarse, lines[fine], side="right") - 1] @ strides]
-    bisect(np.flatnonzero(fine))
 
     crossing = np.append(vals, np.inf)[hi]
     rows = np.flatnonzero(_undominated(crossing.reshape(shape), 0.0))
@@ -522,8 +566,8 @@ def multi_threshold(
     """
     _check_search(grid_step, refine_tol)
     groups = _tie_groups(m.num_colors, len(layer_sizes), tie_intra)
-    jacobians = _jacobians_of_rates(_closed_form_base(m, layer_sizes), tau)
-    return _frontier_search(jacobians, m.num_colors, grid_step, groups, refine_tol)
+    base = _closed_form_base(m, layer_sizes)
+    return _frontier_search(base, tau, m.num_colors, grid_step, groups, refine_tol)
 
 
 def multi_threshold_empirical(
@@ -540,8 +584,8 @@ def multi_threshold_empirical(
     if not stats.mean.any():
         raise EmptyColor("graph has no edges on any color")
     groups = _tie_groups(g.num_colors, g.num_layers, tie_intra)
-    jacobians = _jacobians_of_rates(_cross_moment_base(stats), tau)
-    return _frontier_search(jacobians, g.num_colors, grid_step, groups, refine_tol)
+    base = _cross_moment_base(stats)
+    return _frontier_search(base, tau, g.num_colors, grid_step, groups, refine_tol)
 
 
 # ---------------------------------------------------------------------------

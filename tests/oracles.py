@@ -244,6 +244,29 @@ def quiet_layer_density_bound(
 
 
 # ---------------------------------------------------------------------------
+# The pivot test on an (N, C, C) stack, one broadcast update per pivot
+# ---------------------------------------------------------------------------
+
+def stacked_epidemic(jacs: np.ndarray) -> np.ndarray:
+    """theta >= 1 for a stack of non-negative matrices, shape (N, C, C) -> (N,).
+
+    theta < 1 exactly when I - J is a nonsingular M-matrix: when Gaussian
+    elimination without pivoting keeps every pivot > 0 (Berman & Plemmons,
+    ch. 6). Updates subtract non-negative products, so the test is monotone
+    in every entry of J, rounding included; a matrix stops at a pivot <= 0.
+    """
+    a, live = np.eye(jacs.shape[-1]) - jacs, np.arange(len(jacs))
+    for k in range(a.shape[-1]):
+        keep = a[:, k, k] > 0.0
+        a, live = a[keep], live[keep]
+        rest = slice(k + 1, None)
+        a[:, rest, rest] -= a[:, rest, k, None] * a[:, None, k, rest] / a[:, k, k, None, None]
+    epidemic = np.ones(len(jacs), dtype=bool)
+    epidemic[live] = False
+    return epidemic
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive frontier scan
 # ---------------------------------------------------------------------------
 

@@ -580,6 +580,17 @@ class TestCli:
         assert rc == 0
         assert out_path.exists()
 
+    def test_empirical_threshold_of_one_layer(self, tmp_path, capsys):
+        # one layer leaves no leading axis: the search runs one line
+        graph_path, out_path = tmp_path / "g.edges", tmp_path / "f.csv"
+        write_graph(build_interdependent([ErLayerSpec(300, 3.0)], {}, master_seed=3), graph_path)
+        rc = main(["threshold", "--graph", str(graph_path), "--empirical",
+                   "--out", str(out_path)])
+        assert rc == 0, capsys.readouterr().err
+        rows = [line for line in out_path.read_text().splitlines() if not line.startswith("#")]
+        assert rows[0] == "beta_1,theta"
+        assert len(rows) == 2 and rows[1].startswith("0.08,")
+
     def test_empirical_threshold_of_a_generated_network(self, tmp_path):
         # --empirical measures the network that the config generates
         cfg = parse_config_text(BASE_CONFIG)

@@ -37,7 +37,6 @@ from interepi.threshold import (
     _epidemic,
     _frontier_search,
     _grid_values,
-    _jacobians_of_rates,
     _tie_groups,
 )
 from oracles import (
@@ -47,6 +46,7 @@ from oracles import (
     random_layered_graph,
     sequential_parse_graph,
     sequential_validate,
+    stacked_epidemic,
 )
 
 
@@ -338,7 +338,7 @@ def test_frontier_search_matches_exhaustive_scan(search):
         return bool(_epidemic(jacobian(full(reduced))[None])[0])
 
     vals = _grid_values(step)
-    front = _frontier_search(_jacobians_of_rates(base, tau), c, step, groups, refine_tol)
+    front = _frontier_search(base, tau, c, step, groups, refine_tol)
     grid = {full(r) for r in exhaustive_frontier(epidemic, len(groups), step)}
     assert front.thetas == tuple(spectral_radius(jacobian(p)) for p in front.points)
     if refine_tol is None:
@@ -388,6 +388,37 @@ def test_pivot_test_is_the_perron_root_test(jac, scale, ulps, data):
     for _ in range(ulps):
         raised[mask] = np.nextafter(raised[mask], np.inf)
     assert _epidemic(raised[None])[0] or not decided[0]
+
+
+@st.composite
+def pivot_stacks(draw):
+    """An (N, C, C) stack, C = 1-6, of non-negative matrices: raw, scaled to
+    theta = 1 with relative noise of a few 1e-16, or with a diagonal entry of
+    J at or above 1 (a zero or negative pivot), with zero entries mixed in."""
+    c, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 10.0))
+    jacs = np.array(draw(st.lists(entry, min_size=n * c * c, max_size=n * c * c)))
+    jacs = jacs.reshape(n, c, c)
+    kind = draw(st.sampled_from(["raw", "tie", "dead"]))
+    if kind == "tie":
+        roots = perron_roots(jacs)
+        noise = np.array(draw(st.lists(st.integers(-4, 4), min_size=n * c * c,
+                                       max_size=n * c * c))).reshape(jacs.shape)
+        jacs = jacs / np.where(roots > 0, roots, 1.0)[:, None, None] * (1.0 + 2.5e-16 * noise)
+    elif kind == "dead":
+        k = draw(st.integers(0, c - 1))
+        jacs[:, k, k] = draw(st.sampled_from([1.0, 1.5]))
+    return jacs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_stacks())
+def test_epidemic_matches_the_stacked_reference(jacs):
+    # the entry-by-entry elimination decides every matrix as the broadcast one
+    # did, bit for bit, and a dead pivot never divides
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        decided = _epidemic(jacs)
+    assert np.array_equal(decided, stacked_epidemic(jacs))
 
 
 @st.composite

@@ -39,7 +39,6 @@ from interepi.threshold import (
     _epidemic,
     _frontier_search,
     _grid_values,
-    _jacobians_of_rates,
     jacobian_from_cross_moments,
 )
 from oracles import (
@@ -426,24 +425,23 @@ class TestMultiThreshold:
         assert len(front) == 0
 
     def test_origin_frontier_degenerate_search(self):
-        # unreachable through rates (R(0)=0) but the search must handle
-        # Jacobians that are already supercritical at the origin
-        front = _frontier_search(
-            lambda rates: np.full((len(rates), 1, 1), 2.0), 3, 0.5, ((0,), (1,), (2,)), None
-        )
-        assert front.points == ((0.0, 0.0, 0.0),)
+        # every line with r0 > 0 is epidemic in its prefix alone, so it
+        # crosses at index 0 of the searched axis; r0 = 1 is dominated
+        base = np.diag([4.0, 0.0, 0.0])  # tau = 1: R = rate, theta = 4 r0
+        front = _frontier_search(base, 1, 3, 0.5, ((0,), (1,), (2,)), None)
+        assert front.points == ((0.5, 0.0, 0.0),)
         assert front.thetas == (2.0,)
 
     def test_refinement_merges_crossings_within_tol(self):
-        # the r0 = 0 line crosses at 0.50001 and the r0 = 0.5 line at 0.49999:
-        # different grid cells, one refined point once refine_tol = 1e-4
-        def jacobians(rates):  # 1x1 Jacobians, so theta is the entry
-            return (1.0 + rates[:, 1] - (0.50001 - 4e-5 * rates[:, 0]))[:, None, None]
-
+        # tau = 1 and J = [[0, x], [s r0, b x]] cross at x = 1 / (b + s r0): the
+        # r0 = 0 line at 0.50001 and the r0 = 0.5 line at 0.49999, different
+        # grid cells, one refined point once refine_tol = 1e-4
+        b = 1.0 / 0.50001
+        base = np.array([[0.0, 1.0], [2.0 * (1.0 / 0.49999 - b), b]])
         groups = ((0,), (1,))
-        grid = _frontier_search(jacobians, 2, 0.5, groups, None)
+        grid = _frontier_search(base, 1, 2, 0.5, groups, None)
         assert grid.points == ((0.0, 1.0), (0.5, 0.5))
-        front = _frontier_search(jacobians, 2, 0.5, groups, 1e-4)
+        front = _frontier_search(base, 1, 2, 0.5, groups, 1e-4)
         assert len(front) == 1
         assert front.points[0][0] == 0.0
         assert front.points[0][1] == pytest.approx(0.50001, abs=1e-4)
@@ -455,7 +453,7 @@ class TestMultiThreshold:
         # by those roots also kept the dominated (0.9, 1, 0)
         base = np.array([[0.0, 0.0, 1.0], [5.66e-161, 1.0, 0.0], [3.0, 1.0, 0.0]])
         groups = ((0,), (1,), (2,))
-        front = _frontier_search(_jacobians_of_rates(base, 2), 3, 0.09, groups, None)
+        front = _frontier_search(base, 2, 3, 0.09, groups, None)
 
         def epidemic(rates):
             jac = base * np.array([transmissibility(b, 2) for b in rates])
@@ -554,24 +552,32 @@ class TestMultiThreshold:
     def test_evaluations_counted_and_bounded(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
         step, tol = 0.05, 1e-4
-        k = len(_grid_values(step))
-        lines = k * k  # untied: one line per grid point of the two leading axes
+        vals = _grid_values(step)
+        # a line is live when its prefix alone is not epidemic: at alpha = 0
+        live = sum(not epidemic_indicator(m, sizes, (b1, b2, 0.0), 5)[1]
+                   for b1 in vals for b2 in vals)
+        assert (len(vals), live) == (21, 24)
         front = multi_threshold(m, sizes, tau=5, grid_step=step)
-        # most lines inherit a collapsed bracket from the coarse lines and cost nothing
-        assert front.evaluations < lines
+        # each live line: p(1), then its candidate and the index below it,
+        # and no line steps; then one theta per point
+        assert len(front) == 7
+        assert front.evaluations == 3 * live + len(front) == 79
         refined = multi_threshold(m, sizes, tau=5, grid_step=step, refine_tol=tol)
-        rounds = math.ceil(math.log2(step / tol)) + 1  # bisection, then theta at the end
-        assert front.evaluations < refined.evaluations
-        assert refined.evaluations <= front.evaluations + len(front) * rounds
+        rounds = math.ceil(math.log2(step / tol))  # bisection rounds per point
+        assert len(refined) == 7
+        assert refined.evaluations == 124  # 72 pivots, 45 refine Jacobians, 7 thetas
+        assert refined.evaluations - front.evaluations <= len(front) * rounds
         # a diagnostic only: equality ignores it
         assert dataclasses.replace(front, evaluations=0) == front
 
     def test_benchmark_model_takes_few_roots(self):
-        # the all-lines bisection took 22 447 roots here, 2.2 per line
+        # 10 201 lines; the bisection tested 3 157 Jacobians here, and
+        # bisecting every line 22 447. 311 lines are live: p(1) and two
+        # confirming pivots each, then 79 thetas
         m, sizes = er_set(1.5, 6.0, 1.5, 10_000, 10_000)
         front = multi_threshold(m, sizes, tau=5, grid_step=0.01)
         assert len(front) == 79
-        assert front.evaluations < 5_000
+        assert front.evaluations == 3 * 311 + 79
 
     def test_frontier_holds_arrays(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
@@ -603,6 +609,61 @@ class TestMultiThreshold:
         assert len(front) > 0
         for theta in front.thetas:
             assert theta >= 1.0
+
+
+class TestLineSearch:
+    """Each line's crossing from its last pivot, confirmed on the grid."""
+
+    # tau = 1, so R = rate. Color 0 alone is epidemic from r0 = 1/3 on; the
+    # last color with color 1 from x = 1 / (0.8 + r1) on, never when r1 = 0.
+    BASE = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.8]])
+    GROUPS = ((0,), (1,), (2,))
+
+    @staticmethod
+    def scan(base, tau, num_colors, step):
+        def epidemic(rates):
+            r = [transmissibility(b, tau) for b in rates]
+            return bool(_epidemic((base * np.array(r))[None])[0])
+
+        return exhaustive_frontier(epidemic, num_colors, step)
+
+    def test_prefix_epidemic_and_never_crossing_lines(self):
+        front = _frontier_search(self.BASE, 1, 3, 0.25, self.GROUPS, None)
+        # r0 >= 0.5: the prefix is epidemic, index 0; r1 = 0 never crosses;
+        # r1 = 0.25 crosses at 1 (x* = 0.95), r1 = 0.75 at 0.75 (x* = 0.65)
+        assert front.points == ((0.0, 0.25, 1.0), (0.0, 0.75, 0.75), (0.5, 0.0, 0.0))
+        assert set(front.points) == self.scan(self.BASE, 1, 3, 0.25)
+        # 10 live lines (r0 <= 0.25), 3 pivots each, no step, 3 thetas
+        assert front.evaluations == 3 * 10 + 3
+
+    def test_confirming_loop_corrects_candidates(self, monkeypatch):
+        m, sizes = er_set(1.5, 6.0, 1.5)
+        cases = [(self.BASE, 1, 3, 0.25, self.GROUPS),
+                 (threshold_module._closed_form_base(m, sizes), 5, 3, 0.05, self.GROUPS)]
+        expected = [_frontier_search(*case, None) for case in cases]
+        for case, want in zip(cases, expected):
+            assert set(want.points) == self.scan(*case[:4])
+        exact = threshold_module._candidates
+        for offset in ([-3], [-1], [1], [3], [-3, -1, 0, 1, 3]):
+            # every candidate off by the offset (cycled over the lines), kept in [0, size]
+            monkeypatch.setattr(threshold_module, "_candidates", lambda r, c: np.clip(
+                exact(r, c) + np.resize(offset, len(c)), 0, len(r)))
+            for case, want in zip(cases, expected):
+                front = _frontier_search(*case, None)
+                assert front == want
+                assert front.evaluations > want.evaluations
+
+    @pytest.mark.parametrize("tie_intra", [False, True])
+    def test_one_layer_graph_runs_one_line(self, tie_intra):
+        g = build_interdependent([ErLayerSpec(300, 3.0)], {}, master_seed=3)
+        step = 0.01
+        front = multi_threshold_empirical(g, tau=5, grid_step=step, tie_intra=tie_intra)
+        base = threshold_module._cross_moment_base(colored_cross_moments(g))
+        assert set(front.points) == self.scan(base, 5, 1, step) == {(0.08,)}
+        # one line: p(1), its candidate and the index below it, one theta
+        assert front.evaluations == 4
+        refined = multi_threshold_empirical(g, tau=5, grid_step=step, refine_tol=1e-4)
+        assert len(refined) == 1 and 0.07 < refined.points[0][0] <= 0.08
 
 
 class TestGrid:
