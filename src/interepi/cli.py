@@ -51,7 +51,8 @@ _FLAGS = {
     "--config": (None, "experiment config file"),
     "--graph": (None, "edge-list graph file, in place of the config's network"),
     "--out": (None, "output file or directory"),
-    "--threads": (None, "worker processes for sweep cells, at least 1", dict(type=int, default=1)),
+    "--threads": (None, "worker processes for sweep cells and dynamics settings, at least 1 "
+                  "(default: every usable CPU)", dict(type=int)),
     "--empirical": (None, "use the measured colored cross-moments of the network, "
                     "generated or loaded", dict(action="store_true")),
     "--beta": (None, "intra-layer rate in [0, 1]"),
@@ -92,7 +93,7 @@ def _config(args) -> ExperimentConfig:
         if placement in SEED_PLACEMENTS:
             key, default, _ = SEED_PLACEMENTS[placement]
             overrides[key] = ("--seed-policy", detail.replace("/", ":") or default or "")
-    if getattr(args, "threads", 1) < 1:
+    if getattr(args, "threads", None) is not None and args.threads < 1:
         raise ConfigError("--threads must be at least 1")
     cfg = with_overrides(parse_config(args.config) if args.config else _NO_CONFIG, overrides)
     if getattr(args, "graph", None):
@@ -198,7 +199,7 @@ def cmd_dynamics(args) -> int:
     cfg = _config(args)
     settings = _required("dynamics", cfg.dynamics_settings, "dynamics.settings")
     g = load_network(cfg)
-    result = dynamics(g, settings, sir_config(cfg, g))
+    result = dynamics(g, settings, sir_config(cfg, g), workers=args.threads)
     out = args.out or "dynamics.csv"
     write_dynamics_csv(out, result, cumulative=False)
     print(f"wrote {out} ({len(settings)} settings)")
@@ -247,7 +248,7 @@ _COMMANDS = {
     "sweep": (cmd_sweep, "sweep SIR on a two-layer network",
               f"{_SIM_FLAGS} --out --threads --betas --alphas", ""),
     "dynamics": (cmd_dynamics, "dynamics SIR on a two-layer network",
-                 f"{_SIM_FLAGS} --out --cumulative-out --settings", ""),
+                 f"{_SIM_FLAGS} --out --cumulative-out --threads --settings", ""),
     "classify": (cmd_classify, "coupling class and optional diffusion state",
                  "--config --master-seed --graph --beta --alpha --tau", ""),
     "run": (cmd_run, "full experiment from a config file",

@@ -535,23 +535,28 @@ def sir_config(
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header: Sequence[str], tables) -> None:
-    """The header, each (row format, 2-D table) by np.savetxt, then the
-    manifest line. A format with one field is repeated across the columns;
-    "%.10g" prints a float64 as format(x, ".10g") does."""
+def _write_csv(path, header: Sequence[str], tables, manifest: Optional[str]) -> None:
+    """The header, each (row format, 2-D table) by np.savetxt, then, for a
+    file written beside a manifest, a line naming it. A format with one field
+    is repeated across the columns; "%.10g" prints a float64 as
+    format(x, ".10g") does."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for fmt, table in tables:
             np.savetxt(fh, table, fmt, delimiter=",")
-        fh.write(f"# manifest: {MANIFEST_NAME}\n")
+        if manifest is not None:
+            fh.write(f"# manifest: {manifest}\n")
 
 
-def write_frontier_csv(path, frontier: FrontierSet) -> None:
+# Each writer's ``manifest`` names the manifest written beside the file, if any.
+
+def write_frontier_csv(path, frontier: FrontierSet, manifest: Optional[str] = None) -> None:
     header = [f"beta_{i + 1}" for i in range(frontier.num_colors)] + ["theta"]
-    _write_csv(path, header, [(_FLOAT, np.column_stack([frontier.rates, frontier.theta]))])
+    _write_csv(path, header, [(_FLOAT, np.column_stack([frontier.rates, frontier.theta]))],
+               manifest)
 
 
-def write_sweep_csv(path, sweep: SweepResult) -> None:
+def write_sweep_csv(path, sweep: SweepResult, manifest: Optional[str] = None) -> None:
     header = ["beta", "alpha", "density_L1", "density_L2", "density_all"]
     betas, alphas = np.meshgrid(sweep.betas, sweep.alphas, indexing="ij")
     table = np.column_stack([
@@ -560,17 +565,19 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
         sweep.density_per_layer.reshape(-1, sweep.density_per_layer.shape[-1]),
         sweep.density_whole.ravel(),
     ])
-    _write_csv(path, header, [(_FLOAT, table)])
+    _write_csv(path, header, [(_FLOAT, table)], manifest)
 
 
-def write_dynamics_csv(path, result: DynamicsResult, cumulative: bool = False) -> None:
+def write_dynamics_csv(
+    path, result: DynamicsResult, cumulative: bool = False, manifest: Optional[str] = None
+) -> None:
     header = ["setting", "step", "infected_L1", "infected_L2", "infected_all"]
     series = result.cumulative if cumulative else result.infected
     _write_csv(path, header, [
         (f"beta={_FLOAT % beta};alpha={_FLOAT % alpha},%d" + f",{_FLOAT}" * table.shape[1],
          np.column_stack([np.arange(table.shape[0]), table]))
         for (beta, alpha), table in zip(result.settings, series)
-    ])
+    ], manifest)
 
 
 def write_manifest(path, cfg: ExperimentConfig, outputs: Sequence[str]) -> None:
@@ -591,11 +598,12 @@ def write_manifest(path, cfg: ExperimentConfig, outputs: Sequence[str]) -> None:
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: Optional[str] = None,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> dict[str, str]:
     """Produce frontier.csv, sweep.csv, dynamics.csv(+cumulative) and manifest.
 
-    Identical config and master seed give byte-identical outputs. Nothing is
+    Identical config and master seed give byte-identical outputs, whatever
+    the number of worker processes (default: every usable CPU). Nothing is
     written before every result is computed. Returns a mapping from logical
     name to written path. A sweep runs when both of its grids are set; a
     ConfigError names the missing one when only one is.
@@ -611,19 +619,20 @@ def run_experiment(
     if cfg.sweep_betas and cfg.sweep_alphas:
         sweep = sweep_heatmap(graph, cfg.sweep_betas, cfg.sweep_alphas, sim_cfg, workers=workers)
     if cfg.dynamics_settings:
-        dyn = dynamics(graph, cfg.dynamics_settings, sim_cfg)
+        dyn = dynamics(graph, cfg.dynamics_settings, sim_cfg, workers=workers)
 
     os.makedirs(target, exist_ok=True)
     outputs = {"frontier": os.path.join(target, "frontier.csv")}
-    write_frontier_csv(outputs["frontier"], frontier)
+    write_frontier_csv(outputs["frontier"], frontier, MANIFEST_NAME)
     if sweep is not None:
         outputs["sweep"] = os.path.join(target, "sweep.csv")
-        write_sweep_csv(outputs["sweep"], sweep)
+        write_sweep_csv(outputs["sweep"], sweep, MANIFEST_NAME)
     if dyn is not None:
         outputs["dynamics"] = os.path.join(target, "dynamics.csv")
-        write_dynamics_csv(outputs["dynamics"], dyn, cumulative=False)
+        write_dynamics_csv(outputs["dynamics"], dyn, manifest=MANIFEST_NAME)
         outputs["dynamics_cumulative"] = os.path.join(target, "dynamics_cumulative.csv")
-        write_dynamics_csv(outputs["dynamics_cumulative"], dyn, cumulative=True)
+        write_dynamics_csv(outputs["dynamics_cumulative"], dyn, cumulative=True,
+                           manifest=MANIFEST_NAME)
 
     manifest_path = os.path.join(target, MANIFEST_NAME)
     write_manifest(manifest_path, cfg, sorted(os.path.basename(p) for p in outputs.values()))

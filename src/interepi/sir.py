@@ -30,10 +30,16 @@ Randomness is counter-based: realization r of cell c under master seed s
 draws from the stream (s, c, r), seeds first and then one uniform per
 directed adjacency entry, so sweeps are reproducible bit-for-bit no matter
 how cells are scheduled or parallelized.
+
+Sweep cells and dynamics settings are tasks of one process pool
+(:func:`_map_tasks`), by default on every CPU this process may use. A task is
+the unit a serial run computes, and results come back in task order, so every
+result is the same whatever the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -360,6 +366,46 @@ def mean_cell_densities(
 
 
 # ---------------------------------------------------------------------------
+# Process pool
+# ---------------------------------------------------------------------------
+
+def _worker_count(workers: Optional[int]) -> int:
+    """``workers``, checked, or by default the number of CPUs this process may use."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
+_worker_context: tuple = ()
+
+
+def _init_worker(fn, g):
+    # the graph crosses the process boundary once per worker, not per task
+    global _worker_context
+    _worker_context = (fn, g)
+
+
+def _worker_task(task):
+    fn, g = _worker_context
+    return fn(g, *task)
+
+
+def _map_tasks(fn, g: LayeredGraph, tasks: list, workers: int) -> list:
+    """[fn(g, *task) for task in tasks], on min(workers, len(tasks)) processes
+    when that is more than one and in this process otherwise. Both return
+    the results in task order."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(g, *task) for task in tasks]
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(fn, g)) as pool:
+        return list(pool.map(_worker_task, tasks))
+
+
+# ---------------------------------------------------------------------------
 # Heat-map sweep
 # ---------------------------------------------------------------------------
 
@@ -371,60 +417,34 @@ class SweepResult:
     density_whole: np.ndarray  # (len(betas), len(alphas))
 
 
-def _sweep_cell(g, cfg, gcc_sizes, cell_index, beta, alpha):
-    return mean_cell_densities(g, replace(cfg, rates=(beta, beta, alpha)), cell_index, gcc_sizes)
-
-
-_worker_context: tuple = ()
-
-
-def _init_worker(g, cfg, gcc_sizes):
-    # the graph crosses the process boundary once per worker, not per cell
-    global _worker_context
-    _worker_context = (g, cfg, gcc_sizes)
-
-
-def _worker_cell(task):
-    return _sweep_cell(*_worker_context, *task)
-
-
 def sweep_heatmap(
     g: LayeredGraph,
     beta_grid: Sequence[float],
     alpha_grid: Sequence[float],
     cfg: SirConfig,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> SweepResult:
     """Mean infection densities on a (beta, alpha) grid, beta shared by both
     intra colors and alpha on the interconnection.
 
     Cell (i, j) uses cell index i * len(alpha_grid) + j for seed derivation,
-    so the result is independent of scheduling and of ``workers``, of which
-    at most one per cell is started.
+    so the result is independent of scheduling and of ``workers`` (default:
+    every usable CPU), of which at most one per cell is started.
     """
     if g.num_layers != 2:
         raise NotTwoLayers("sweep requires two layers")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = _worker_count(workers)
     betas = tuple(float(b) for b in beta_grid)
     alphas = tuple(float(a) for a in alpha_grid)
     if any(not 0.0 <= b <= 1.0 for b in betas + alphas):
         raise ValueError("grid rates must lie in [0, 1]")
     gcc_sizes = structural_gcc_sizes(g)
     tasks = [
-        (i * len(alphas) + j, beta, alpha)
+        (replace(cfg, rates=(beta, beta, alpha)), i * len(alphas) + j, gcc_sizes)
         for i, beta in enumerate(betas)
         for j, alpha in enumerate(alphas)
     ]
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(g, cfg, gcc_sizes)
-        ) as pool:
-            results = list(pool.map(_worker_cell, tasks))
-    else:
-        results = [_sweep_cell(g, cfg, gcc_sizes, *t) for t in tasks]
-    # both return the cells in task order, which is cell order
+    results = _map_tasks(mean_cell_densities, g, tasks, workers)
     shape = (len(betas), len(alphas))
     return SweepResult(
         betas=betas,
@@ -452,27 +472,38 @@ class DynamicsResult:
     cumulative: tuple[np.ndarray, ...]
 
 
+def _setting_counts(g: LayeredGraph, cfg: SirConfig, setting_index: int) -> np.ndarray:
+    """One dynamics setting's infections over its realizations, counted by
+    key step * num_layers + layer up to the last one."""
+    law = _edge_law(g, cfg)
+    new = np.zeros(0, dtype=np.int64)
+    for r in range(cfg.realizations):
+        reached, t = _first_passage(g, cfg, law, r, setting_index)
+        run_new = np.bincount(t * g.num_layers + g.node_layer[reached], minlength=new.size)
+        run_new[: new.size] += new
+        new = run_new
+    return new
+
+
 def dynamics(
     g: LayeredGraph,
     settings: Sequence[tuple[float, float]],
     cfg: SirConfig,
+    workers: Optional[int] = None,
 ) -> DynamicsResult:
+    """Mean series for each (beta, alpha) setting. Setting k draws from the
+    streams of cell index k, so the result is independent of ``workers``
+    (default: every usable CPU), of which at most one per setting is started."""
     if g.num_layers != 2:
         raise NotTwoLayers("dynamics convention requires two layers")
+    workers = _worker_count(workers)
+    tasks = [(replace(cfg, rates=(b, b, a)), k) for k, (b, a) in enumerate(settings)]
     infected_out = []
     ever_out = []
-    for s_idx, (beta, alpha) in enumerate(settings):
-        run_cfg = replace(cfg, rates=(beta, beta, alpha))
-        law = _edge_law(g, run_cfg)
-        new = np.zeros(0, dtype=np.int64)
-        for r in range(cfg.realizations):
-            reached, t = _first_passage(g, run_cfg, law, r, s_idx)
-            run_new = np.bincount(t * g.num_layers + g.node_layer[reached], minlength=new.size)
-            run_new[: new.size] += new
-            new = run_new
+    for new in _map_tasks(_setting_counts, g, tasks, workers):
         # the series of the summed counts are the sums of the runs' series,
         # each run padded with its final state: no infected, ever-infected kept
-        infected, ever = _step_series(run_cfg, g.num_layers, new)
+        infected, ever = _step_series(cfg, g.num_layers, new)
         infected_out.append(np.column_stack([infected, infected.sum(axis=1)]) / cfg.realizations)
         ever_out.append(np.column_stack([ever, ever.sum(axis=1)]) / cfg.realizations)
     return DynamicsResult(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -62,6 +63,12 @@ sweep.alpha = 0:0.4:0.2
 dynamics.settings = 0.1:0.05 0.3:0.3
 master_seed = 12
 """
+
+
+def _as_run_writes(path) -> bytes:
+    """A standalone CSV's bytes with the line that names the manifest `run`
+    writes beside its own CSVs."""
+    return Path(path).read_bytes() + b"# manifest: manifest\n"
 
 
 class TestGraphFiles:
@@ -475,13 +482,12 @@ class TestCsvWriters:
             b"beta_1,beta_2,beta_3,theta\n"
             b"0.3333333333,1,0.05,1\n"
             b"0.5,0,2e-05,1.25\n"
-            b"# manifest: manifest\n"
         )
 
     def test_empty_frontier_bytes(self, tmp_path):
         path = tmp_path / "f.csv"
         write_frontier_csv(path, _frontier([], []))
-        assert path.read_bytes() == b"beta_1,beta_2,beta_3,theta\n# manifest: manifest\n"
+        assert path.read_bytes() == b"beta_1,beta_2,beta_3,theta\n"
 
     def test_sweep_bytes(self, tmp_path):
         # cells in (beta, alpha) order, beta outermost
@@ -496,7 +502,6 @@ class TestCsvWriters:
             b"0,0.2,0.3333333333,1,0.6666666667\n"
             b"0.5,0.1,2,0,1\n"
             b"0.5,0.2,0.25,0.75,0.5\n"
-            b"# manifest: manifest\n"
         )
 
     def test_empty_sweep_bytes(self, tmp_path):
@@ -505,7 +510,7 @@ class TestCsvWriters:
                             density_whole=np.empty((0, 1)))
         write_sweep_csv(path, sweep)
         assert path.read_bytes() == (
-            b"beta,alpha,density_L1,density_L2,density_all\n# manifest: manifest\n"
+            b"beta,alpha,density_L1,density_L2,density_all\n"
         )
 
     def test_dynamics_bytes(self, tmp_path):
@@ -524,13 +529,11 @@ class TestCsvWriters:
             b"beta=0.1;alpha=0.05,0,1,1,2\n"
             b"beta=0.1;alpha=0.05,1,0.5,0.6666666667,1.166666667\n"
             b"beta=0.3333333333;alpha=1,0,2,0,2\n"
-            b"# manifest: manifest\n"
         )
         assert cumulative.read_bytes() == header + (
             b"beta=0.1;alpha=0.05,0,1,1,2\n"
             b"beta=0.1;alpha=0.05,1,1.5,1.666666667,3.166666667\n"
             b"beta=0.3333333333;alpha=1,0,2,0,2\n"
-            b"# manifest: manifest\n"
         )
 
 
@@ -650,12 +653,12 @@ class TestCli:
         sweep = ["sweep", "--config", str(cfg_path),
                  "--betas", "0:0.4:0.2", "--alphas", "0:0.4:0.2"]
         assert main([*sweep, "--out", str(tmp_path / "s.csv")]) == 0
-        assert (tmp_path / "s.csv").read_bytes() == (run_dir / "sweep.csv").read_bytes()
+        assert _as_run_writes(tmp_path / "s.csv") == (run_dir / "sweep.csv").read_bytes()
         assert main(["dynamics", "--config", str(cfg_path), "--settings", "0.1:0.05 0.3:0.3",
                      "--out", str(tmp_path / "d.csv"),
                      "--cumulative-out", str(tmp_path / "dc.csv")]) == 0
-        assert (tmp_path / "d.csv").read_bytes() == (run_dir / "dynamics.csv").read_bytes()
-        assert (tmp_path / "dc.csv").read_bytes() == (
+        assert _as_run_writes(tmp_path / "d.csv") == (run_dir / "dynamics.csv").read_bytes()
+        assert _as_run_writes(tmp_path / "dc.csv") == (
             run_dir / "dynamics_cumulative.csv").read_bytes()
         # a flag still wins over the config
         assert main([*sweep, "--realizations", "2", "--out", str(tmp_path / "s2.csv")]) == 0
@@ -669,16 +672,16 @@ class TestCli:
         run_dir = tmp_path / "run"
         assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")]) == 0
-        assert (tmp_path / "s.csv").read_bytes() == (run_dir / "sweep.csv").read_bytes()
+        assert _as_run_writes(tmp_path / "s.csv") == (run_dir / "sweep.csv").read_bytes()
         assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "d.csv"),
                      "--cumulative-out", str(tmp_path / "dc.csv")]) == 0
-        assert (tmp_path / "d.csv").read_bytes() == (run_dir / "dynamics.csv").read_bytes()
-        assert (tmp_path / "dc.csv").read_bytes() == (
+        assert _as_run_writes(tmp_path / "d.csv") == (run_dir / "dynamics.csv").read_bytes()
+        assert _as_run_writes(tmp_path / "dc.csv") == (
             run_dir / "dynamics_cumulative.csv").read_bytes()
         # and a flag replaces the config's grid
         assert main(["sweep", "--config", str(cfg_path), "--alphas", "0.2:0.2:0.1",
                      "--out", str(tmp_path / "s1.csv")]) == 0
-        rows = (tmp_path / "s1.csv").read_text().splitlines()[1:-1]
+        rows = (tmp_path / "s1.csv").read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [[b, "0.2"] for b in ("0", "0.2", "0.4")]
 
     @pytest.mark.parametrize(
@@ -744,6 +747,8 @@ class TestCli:
             ("classify --alpha 0.1", "--beta", "1.5"),
             ("sweep --betas 0:0.2:0.2 --alphas 0:0.2:0.2", "--threads", "0"),
             ("sweep --betas 0:0.2:0.2 --alphas 0:0.2:0.2", "--threads", "-3"),
+            ("dynamics --settings 0.1:0.1", "--threads", "0"),
+            ("dynamics --settings 0.1:0.1", "--threads", "-3"),
         ],
     )
     def test_bad_flag_value_exits_2_naming_the_flag(
@@ -917,6 +922,41 @@ class TestCli:
         assert (tmp_path / "out" / "frontier.csv").exists()
         assert (tmp_path / "out" / "manifest").exists()
 
+    # sha256 of every file `run` writes for BASE_CONFIG, the same bytes as
+    # when every CSV, standalone or not, ended with the manifest line
+    RUN_SHA256 = {
+        "dynamics.csv": "ee992700e655fae5240b0d996c9ae0a152f2f2a036e31de082a8419edfaf6e30",
+        "dynamics_cumulative.csv":
+            "7bf466b816266fcb058a4f16c65be40f742094f0fa63abb2cda4376ebdb8d038",
+        "frontier.csv": "2b3bb3c983c6253163df9118462e6c8c5f4b6a608e8d3d31fbdd709b320e7be2",
+        "manifest": "e9acb1423bd28af494bef9565469fa6e6d93669789531c9f7a8da71ae6791824",
+        "sweep.csv": "b2df2e3a013eeac34a48b82a6db47d12cb07c16a7e7d3108f051dd3562683aeb",
+    }
+
+    @pytest.mark.parametrize("threads", [(), ("--threads", "1"), ("--threads", "2")])
+    def test_run_files_keep_their_bytes(self, tmp_path, capsys, threads):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), *threads]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.iterdir()}
+        assert digests == self.RUN_SHA256
+
+    def test_standalone_csvs_end_without_a_manifest_line(self, tmp_path, capsys, monkeypatch):
+        # no manifest is written beside them; otherwise they are run's files
+        (tmp_path / "exp.cfg").write_text(BASE_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "exp.cfg", "--out", "run"]) == 0
+        for args in (["threshold", "--out", "frontier.csv"], ["sweep", "--out", "sweep.csv"],
+                     ["dynamics", "--out", "dynamics.csv",
+                      "--cumulative-out", "dynamics_cumulative.csv"]):
+            assert main([*args, "--config", "exp.cfg"]) == 0
+        for name in ("frontier.csv", "sweep.csv", "dynamics.csv", "dynamics_cumulative.csv"):
+            standalone = (tmp_path / name).read_bytes()
+            assert b"manifest" not in standalone
+            assert _as_run_writes(tmp_path / name) == (tmp_path / "run" / name).read_bytes()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(BASE_CONFIG + "\nbogus.key = 1\n")
@@ -972,7 +1012,6 @@ class TestCli:
             ("threshold", ("--master-seed", "3")),
             ("simulate --beta 0.1 --alpha 0.1", ("--threads", "2")),
             ("simulate --beta 0.1 --alpha 0.1", ("--out", "x")),
-            ("dynamics --settings 0.1:0.1", ("--threads", "2")),
             ("classify", ("--threads", "2")),
             ("classify", ("--out", "x")),
         ],

@@ -23,6 +23,9 @@ computed delays for final sizes too, the cell peaked at 46.8 B and the
 dynamics setting, which held every realization's summary, at 52.4 B. On the
 adjacency's own rows, with self-loops for the entries that do not transmit
 and counts summed as the realizations run, they peak at 39.6 B and 43.8 B.
+tracemalloc sees only this process, so the dynamics budget passes workers=1,
+which keeps every realization in this process whatever the pool would do;
+the budgets are unchanged.
 """
 
 import tracemalloc
@@ -72,12 +75,12 @@ def traced():
             tracemalloc.stop()
 
 
-def _measure(fn, *args):
-    """fn(*args), the peak bytes allocated during the call and the bytes its
-    result still holds, both above what was allocated before it."""
+def _measure(fn, *args, **kwargs):
+    """fn(*args, **kwargs), the peak bytes allocated during the call and the
+    bytes its result still holds, both above what was allocated before it."""
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    result = fn(*args)
+    result = fn(*args, **kwargs)
     current, peak = tracemalloc.get_traced_memory()
     return result, peak - base, current - base
 
@@ -140,5 +143,5 @@ def test_sweep_cell_peak_per_entry(strong_pair, traced):
 
 def test_dynamics_peak_per_entry(strong_pair, traced):
     g = strong_pair
-    _, peak, _ = _measure(dynamics, g, [(0.16, 0.2)], _sir_config())
+    _, peak, _ = _measure(dynamics, g, [(0.16, 0.2)], _sir_config(), workers=1)
     assert peak / g.adjacency()[1].size <= DYNAMICS_PEAK_PER_ENTRY

@@ -404,7 +404,11 @@ def pivot_stacks(draw):
         roots = perron_roots(jacs)
         noise = np.array(draw(st.lists(st.integers(-4, 4), min_size=n * c * c,
                                        max_size=n * c * c))).reshape(jacs.shape)
-        jacs = jacs / np.where(roots > 0, roots, 1.0)[:, None, None] * (1.0 + 2.5e-16 * noise)
+        with np.errstate(over="ignore"):
+            jacs = jacs / np.where(roots > 0, roots, 1.0)[:, None, None] * (1.0 + 2.5e-16 * noise)
+        # a root far below the largest entry (a subnormal diagonal under a large
+        # off-diagonal entry) cannot be scaled to 1 in float64
+        assume(np.isfinite(jacs).all())
     elif kind == "dead":
         k = draw(st.integers(0, c - 1))
         jacs[:, k, k] = draw(st.sampled_from([1.0, 1.5]))

@@ -369,6 +369,31 @@ class TestInfectionDensity:
         assert d.exceeds_gcc
 
 
+@pytest.fixture
+def pool_recorder(monkeypatch):
+    """The process counts asked of the pool, by a recorder in its place that
+    maps in this process, so no process starts."""
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sir_module, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(sir_module, "_worker_context", ())
+    return asked
+
+
 class TestSweep:
     def graph(self):
         return two_layer_graph(
@@ -435,36 +460,25 @@ class TestSweep:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             sweep_heatmap(self.graph(), [0.1], [0.1], cfg, workers=workers)
 
-    def test_pool_asks_for_at_most_one_process_per_cell(self, monkeypatch):
-        # a recorder in place of the pool maps in this process, so no process starts
-        asked = []
-
-        class Recorder:
-            def __init__(self, max_workers, initializer, initargs):
-                asked.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(sir_module, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(sir_module, "_worker_context", ())
+    def test_pool_asks_for_at_most_one_process_per_cell(self, pool_recorder):
         g = self.graph()
         cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=3, master_seed=4)
         pooled = sweep_heatmap(g, [0.2, 0.6], [0.3], cfg, workers=8)
-        assert asked == [2]
-        serial = sweep_heatmap(g, [0.2, 0.6], [0.3], cfg)
+        assert pool_recorder == [2]
+        serial = sweep_heatmap(g, [0.2, 0.6], [0.3], cfg, workers=1)
         assert np.array_equal(pooled.density_per_layer, serial.density_per_layer)
         assert np.array_equal(pooled.density_whole, serial.density_whole)
         sweep_heatmap(g, [0.2], [0.3], cfg, workers=8)
         sweep_heatmap(g, [], [0.3], cfg, workers=8)
-        assert asked == [2]  # one cell or none runs in this process
+        assert pool_recorder == [2]  # one cell or none runs in this process
+
+    def test_default_workers_are_the_usable_cpus(self, pool_recorder, monkeypatch):
+        monkeypatch.setattr(sir_module.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=2, master_seed=4)
+        sweep_heatmap(self.graph(), [0.2, 0.6], [0.1, 0.3], cfg)
+        sweep_heatmap(self.graph(), [0.2, 0.6], [0.3], cfg)
+        assert pool_recorder == [3, 2]
 
     @pytest.mark.parametrize("betas, alphas", [([], []), ([0.1, 0.2], []), ([], [0.3])])
     def test_empty_grid_shapes(self, betas, alphas):
@@ -524,6 +538,49 @@ class TestDynamics:
                 ever[steps:, 2] += run.per_step_ever_total[-1]
             assert np.array_equal(result.infected[k], infected / cfg.realizations)
             assert np.array_equal(result.cumulative[k], ever / cfg.realizations)
+
+    SETTINGS = [(0.05, 0.05), (0.3, 0.1), (0.6, 0.6)]
+
+    @staticmethod
+    def pool_graph():
+        return build_interdependent(
+            [ErLayerSpec(300, 1.5), ErLayerSpec(300, 4.0)], {(0, 1): 1.0}, master_seed=2
+        )
+
+    def test_worker_independent(self):
+        g = self.pool_graph()
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=3, seeds=SeedPolicy.in_layers([1, 1]),
+                        realizations=6, master_seed=9)
+        serial = dynamics(g, self.SETTINGS, cfg, workers=1)
+        for workers in (2, None):
+            pooled = dynamics(g, self.SETTINGS, cfg, workers=workers)
+            assert pooled.settings == serial.settings
+            for a, b in zip(pooled.infected + pooled.cumulative,
+                            serial.infected + serial.cumulative):
+                assert np.array_equal(a, b)
+
+    def test_pool_asks_for_at_most_one_process_per_setting(self, pool_recorder, monkeypatch):
+        g = self.pool_graph()
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=3, seeds=SeedPolicy.in_layers([1, 1]),
+                        realizations=3, master_seed=9)
+        dynamics(g, self.SETTINGS, cfg, workers=8)
+        dynamics(g, self.SETTINGS, cfg, workers=2)
+        assert pool_recorder == [3, 2]
+        dynamics(g, self.SETTINGS, cfg, workers=1)
+        dynamics(g, self.SETTINGS[:1], cfg, workers=8)
+        dynamics(g, [], cfg, workers=8)
+        assert pool_recorder == [3, 2]  # one setting or none runs in this process
+        monkeypatch.setattr(sir_module.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        dynamics(g, self.SETTINGS * 2, cfg)
+        dynamics(g, self.SETTINGS[:2], cfg)
+        assert pool_recorder == [3, 2, 3, 2]  # by default min(usable CPUs, settings)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_raise(self, workers):
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=1)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            dynamics(chain_plus_layer2(), [(0.1, 0.1)], cfg, workers=workers)
 
     def test_integral_identity(self):
         g = chain_plus_layer2()
