@@ -40,8 +40,7 @@ from .sir import (
     SirConfig,
     SweepResult,
     check_seeds,
-    dynamics,
-    sweep_heatmap,
+    sweep_and_dynamics,
 )
 from .threshold import (
     FrontierSet,
@@ -603,7 +602,8 @@ def run_experiment(
     """Produce frontier.csv, sweep.csv, dynamics.csv(+cumulative) and manifest.
 
     Identical config and master seed give byte-identical outputs, whatever
-    the number of worker processes (default: every usable CPU). Nothing is
+    the number of worker processes (default: every usable CPU) in the one
+    pool that the sweep cells and dynamics settings share. Nothing is
     written before every result is computed. Returns a mapping from logical
     name to written path. A sweep runs when both of its grids are set; a
     ConfigError names the missing one when only one is.
@@ -615,19 +615,16 @@ def run_experiment(
     graph = load_network(cfg)
     sim_cfg = sir_config(cfg, graph)
     frontier = analytic_frontier(cfg, graph)
-    sweep = dyn = None
-    if cfg.sweep_betas and cfg.sweep_alphas:
-        sweep = sweep_heatmap(graph, cfg.sweep_betas, cfg.sweep_alphas, sim_cfg, workers=workers)
-    if cfg.dynamics_settings:
-        dyn = dynamics(graph, cfg.dynamics_settings, sim_cfg, workers=workers)
+    sweep, dyn = sweep_and_dynamics(graph, sim_cfg, cfg.sweep_betas, cfg.sweep_alphas,
+                                    cfg.dynamics_settings, workers)
 
     os.makedirs(target, exist_ok=True)
     outputs = {"frontier": os.path.join(target, "frontier.csv")}
     write_frontier_csv(outputs["frontier"], frontier, MANIFEST_NAME)
-    if sweep is not None:
+    if cfg.sweep_betas:
         outputs["sweep"] = os.path.join(target, "sweep.csv")
         write_sweep_csv(outputs["sweep"], sweep, MANIFEST_NAME)
-    if dyn is not None:
+    if cfg.dynamics_settings:
         outputs["dynamics"] = os.path.join(target, "dynamics.csv")
         write_dynamics_csv(outputs["dynamics"], dyn, manifest=MANIFEST_NAME)
         outputs["dynamics_cumulative"] = os.path.join(target, "dynamics_cumulative.csv")

@@ -31,10 +31,11 @@ draws from the stream (s, c, r), seeds first and then one uniform per
 directed adjacency entry, so sweeps are reproducible bit-for-bit no matter
 how cells are scheduled or parallelized.
 
-Sweep cells and dynamics settings are tasks of one process pool
-(:func:`_map_tasks`), by default on every CPU this process may use. A task is
-the unit a serial run computes, and results come back in task order, so every
-result is the same whatever the worker count.
+A run's sweep cells and dynamics settings are the tasks of one process pool
+(:func:`sweep_and_dynamics`), by default on every CPU this process may use,
+which starts the longest tasks first. A task is the unit a serial run
+computes, and results come back in task order, so every result is the same
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -380,33 +381,43 @@ def _worker_count(workers: Optional[int]) -> int:
     return workers
 
 
-_worker_context: tuple = ()
+_worker_context: Optional[LayeredGraph] = None
 
 
-def _init_worker(fn, g):
+def _init_worker(g):
     # the graph crosses the process boundary once per worker, not per task
     global _worker_context
-    _worker_context = (fn, g)
+    _worker_context = g
 
 
 def _worker_task(task):
-    fn, g = _worker_context
-    return fn(g, *task)
+    fn, *args = task
+    return fn(_worker_context, *args)
 
 
-def _map_tasks(fn, g: LayeredGraph, tasks: list, workers: int) -> list:
-    """[fn(g, *task) for task in tasks], on min(workers, len(tasks)) processes
-    when that is more than one and in this process otherwise. Both return
-    the results in task order."""
+def _map_tasks(g: LayeredGraph, tasks: list, workers: int) -> list:
+    """[fn(g, *args) for fn, *args in tasks], in task order. On
+    min(workers, len(tasks)) processes when that is more than one, and in
+    this process otherwise. The pool starts the longest tasks first: each
+    task's SirConfig (its first argument) gives its expected work, the
+    realizations times the expected transmitting adjacency entries, and a
+    stable sort keeps equal work in task order."""
     workers = min(workers, len(tasks))
     if workers <= 1:
-        return [fn(g, *task) for task in tasks]
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(fn, g)) as pool:
-        return list(pool.map(_worker_task, tasks))
+        return [fn(g, *args) for fn, *args in tasks]
+    entries = 2 * g.edge_count_by_color()
+    work = [
+        cfg.realizations * float((1.0 - (1.0 - np.asarray(cfg.rates)) ** cfg.tau) @ entries)
+        for _, cfg, *_ in tasks
+    ]
+    order = sorted(range(len(tasks)), key=work.__getitem__, reverse=True)
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(g,)) as pool:
+        done = dict(zip(order, pool.map(_worker_task, [tasks[k] for k in order])))
+    return [done[k] for k in range(len(tasks))]
 
 
 # ---------------------------------------------------------------------------
-# Heat-map sweep
+# Heat-map sweep and dynamics time series
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -416,47 +427,6 @@ class SweepResult:
     density_per_layer: np.ndarray  # (len(betas), len(alphas), L)
     density_whole: np.ndarray  # (len(betas), len(alphas))
 
-
-def sweep_heatmap(
-    g: LayeredGraph,
-    beta_grid: Sequence[float],
-    alpha_grid: Sequence[float],
-    cfg: SirConfig,
-    workers: Optional[int] = None,
-) -> SweepResult:
-    """Mean infection densities on a (beta, alpha) grid, beta shared by both
-    intra colors and alpha on the interconnection.
-
-    Cell (i, j) uses cell index i * len(alpha_grid) + j for seed derivation,
-    so the result is independent of scheduling and of ``workers`` (default:
-    every usable CPU), of which at most one per cell is started.
-    """
-    if g.num_layers != 2:
-        raise NotTwoLayers("sweep requires two layers")
-    workers = _worker_count(workers)
-    betas = tuple(float(b) for b in beta_grid)
-    alphas = tuple(float(a) for a in alpha_grid)
-    if any(not 0.0 <= b <= 1.0 for b in betas + alphas):
-        raise ValueError("grid rates must lie in [0, 1]")
-    gcc_sizes = structural_gcc_sizes(g)
-    tasks = [
-        (replace(cfg, rates=(beta, beta, alpha)), i * len(alphas) + j, gcc_sizes)
-        for i, beta in enumerate(betas)
-        for j, alpha in enumerate(alphas)
-    ]
-    results = _map_tasks(mean_cell_densities, g, tasks, workers)
-    shape = (len(betas), len(alphas))
-    return SweepResult(
-        betas=betas,
-        alphas=alphas,
-        density_per_layer=np.array([r[0] for r in results], float).reshape(*shape, g.num_layers),
-        density_whole=np.array([r[1] for r in results], float).reshape(shape),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Dynamics time series
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DynamicsResult:
@@ -485,6 +455,75 @@ def _setting_counts(g: LayeredGraph, cfg: SirConfig, setting_index: int) -> np.n
     return new
 
 
+def sweep_and_dynamics(
+    g: LayeredGraph,
+    cfg: SirConfig,
+    beta_grid: Sequence[float] = (),
+    alpha_grid: Sequence[float] = (),
+    settings: Sequence[tuple[float, float]] = (),
+    workers: Optional[int] = None,
+) -> tuple[SweepResult, DynamicsResult]:
+    """The sweep of :func:`sweep_heatmap` and the series of :func:`dynamics`
+    at once: every sweep cell and dynamics setting is one task of a single
+    pool of at most ``workers`` processes (default: every usable CPU), none
+    when there is at most one task, and the longest tasks start first."""
+    if g.num_layers != 2:
+        raise NotTwoLayers("sweeps and dynamics require two layers")
+    workers = _worker_count(workers)
+    betas = tuple(float(b) for b in beta_grid)
+    alphas = tuple(float(a) for a in alpha_grid)
+    if any(not 0.0 <= b <= 1.0 for b in betas + alphas):
+        raise ValueError("grid rates must lie in [0, 1]")
+    gcc_sizes = structural_gcc_sizes(g) if betas and alphas else None
+    cells = [
+        (mean_cell_densities, replace(cfg, rates=(beta, beta, alpha)), i * len(alphas) + j,
+         gcc_sizes)
+        for i, beta in enumerate(betas)
+        for j, alpha in enumerate(alphas)
+    ]
+    series = [(_setting_counts, replace(cfg, rates=(b, b, a)), k)
+              for k, (b, a) in enumerate(settings)]
+    results = _map_tasks(g, cells + series, workers)
+    shape = (len(betas), len(alphas))
+    densities = results[: len(cells)]
+    sweep = SweepResult(
+        betas=betas,
+        alphas=alphas,
+        density_per_layer=np.array([r[0] for r in densities], float).reshape(*shape, g.num_layers),
+        density_whole=np.array([r[1] for r in densities], float).reshape(shape),
+    )
+    infected_out = []
+    ever_out = []
+    for new in results[len(cells) :]:
+        # the series of the summed counts are the sums of the runs' series,
+        # each run padded with its final state: no infected, ever-infected kept
+        infected, ever = _step_series(cfg, g.num_layers, new)
+        infected_out.append(np.column_stack([infected, infected.sum(axis=1)]) / cfg.realizations)
+        ever_out.append(np.column_stack([ever, ever.sum(axis=1)]) / cfg.realizations)
+    return sweep, DynamicsResult(
+        settings=tuple((float(b), float(a)) for b, a in settings),
+        infected=tuple(infected_out),
+        cumulative=tuple(ever_out),
+    )
+
+
+def sweep_heatmap(
+    g: LayeredGraph,
+    beta_grid: Sequence[float],
+    alpha_grid: Sequence[float],
+    cfg: SirConfig,
+    workers: Optional[int] = None,
+) -> SweepResult:
+    """Mean infection densities on a (beta, alpha) grid, beta shared by both
+    intra colors and alpha on the interconnection.
+
+    Cell (i, j) uses cell index i * len(alpha_grid) + j for seed derivation,
+    so the result is independent of scheduling and of ``workers``; the cells
+    are the tasks of :func:`sweep_and_dynamics`'s pool.
+    """
+    return sweep_and_dynamics(g, cfg, beta_grid, alpha_grid, workers=workers)[0]
+
+
 def dynamics(
     g: LayeredGraph,
     settings: Sequence[tuple[float, float]],
@@ -492,22 +531,6 @@ def dynamics(
     workers: Optional[int] = None,
 ) -> DynamicsResult:
     """Mean series for each (beta, alpha) setting. Setting k draws from the
-    streams of cell index k, so the result is independent of ``workers``
-    (default: every usable CPU), of which at most one per setting is started."""
-    if g.num_layers != 2:
-        raise NotTwoLayers("dynamics convention requires two layers")
-    workers = _worker_count(workers)
-    tasks = [(replace(cfg, rates=(b, b, a)), k) for k, (b, a) in enumerate(settings)]
-    infected_out = []
-    ever_out = []
-    for new in _map_tasks(_setting_counts, g, tasks, workers):
-        # the series of the summed counts are the sums of the runs' series,
-        # each run padded with its final state: no infected, ever-infected kept
-        infected, ever = _step_series(cfg, g.num_layers, new)
-        infected_out.append(np.column_stack([infected, infected.sum(axis=1)]) / cfg.realizations)
-        ever_out.append(np.column_stack([ever, ever.sum(axis=1)]) / cfg.realizations)
-    return DynamicsResult(
-        settings=tuple((float(b), float(a)) for b, a in settings),
-        infected=tuple(infected_out),
-        cumulative=tuple(ever_out),
-    )
+    streams of cell index k, so the result is independent of ``workers``;
+    the settings are the tasks of :func:`sweep_and_dynamics`'s pool."""
+    return sweep_and_dynamics(g, cfg, settings=settings, workers=workers)[1]

@@ -36,6 +36,7 @@ from interepi.io import (
     write_sweep_csv,
 )
 import interepi.io as io_module
+import interepi.sir as sir_module
 from interepi.cli import main
 from interepi.io import parse_grid, parse_settings
 from interepi.sir import DynamicsResult, SweepResult
@@ -63,6 +64,11 @@ sweep.alpha = 0:0.4:0.2
 dynamics.settings = 0.1:0.05 0.3:0.3
 master_seed = 12
 """
+
+
+def _failing_setting(*args):
+    # module level, so that a pool can send it to its workers
+    raise ValueError("dynamics failed")
 
 
 def _as_run_writes(path) -> bytes:
@@ -883,14 +889,15 @@ class TestCli:
                 "--seed-policy: seed count 601")
 
     def test_run_writes_nothing_when_a_later_stage_fails(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise ValueError("dynamics failed")
-
-        monkeypatch.setattr(io_module, "dynamics", fail)
+        # every dynamics setting raises, in this process or in a pool worker
+        monkeypatch.setattr(sir_module, "_setting_counts", _failing_setting)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(BASE_CONFIG)
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        assert not (tmp_path / "out").exists()
+        for threads in (["--threads", "1"], []):
+            out = tmp_path / "out"
+            assert main(["run", "--config", str(cfg_path), "--out", str(out), *threads]) == 2
+            assert not out.exists()
+            assert "dynamics failed" in capsys.readouterr().err
 
     def test_classify(self, tmp_path, capsys):
         layers = [ErLayerSpec(400, 1.5), ErLayerSpec(400, 6.0)]

@@ -16,11 +16,13 @@ from interepi import (
     infection_density,
     run_sir,
     structural_gcc_sizes,
+    sweep_and_dynamics,
     sweep_heatmap,
     transmissibility,
 )
 import interepi.sir as sir_module
-from interepi.sir import _edge_law, _final_counts, mean_cell_densities
+from interepi.io import parse_config_text, run_experiment
+from interepi.sir import _edge_law, _final_counts, _setting_counts, mean_cell_densities
 from oracles import (
     chain_plus_layer2,
     percolation_ever_infected,
@@ -621,3 +623,108 @@ class TestDynamics:
         sparse_peak = curve[:, 0].max()
         assert dense_peak > 100  # dense layer takes off
         assert sparse_peak < dense_peak / 10  # sparse layer stays marginal
+
+
+@pytest.fixture
+def pool_tasks(pool_recorder, monkeypatch):
+    """The tasks the recorded pool maps, in the order it receives them."""
+    seen = []
+    run = sir_module._worker_task
+
+    def record(task):
+        seen.append(task)
+        return run(task)
+
+    monkeypatch.setattr(sir_module, "_worker_task", record)
+    return seen
+
+
+RUN_CONFIG = """
+network.source = generate
+layer.0.type = er
+layer.0.n = 100
+layer.0.mean_degree = 1.5
+layer.1.type = er
+layer.1.n = 100
+layer.1.mean_degree = 4.0
+inter.0.1.mean_degree = 1.0
+analysis.tau = 3
+analysis.grid_step = 0.1
+sim.realizations = 2
+master_seed = 5
+"""
+
+
+class TestOnePool:
+    """A run's sweep cells and dynamics settings are the tasks of one pool,
+    which starts the longest first."""
+
+    BETAS, ALPHAS = [0.05, 0.6, 0.2], [0.1, 0.5]
+    SETTINGS = [(0.2, 0.1), (0.6, 0.5), (0.0, 0.3)]
+
+    @staticmethod
+    def cfg():
+        return SirConfig(rates=(0.0, 0.0, 0.0), tau=3, seeds=SeedPolicy.in_layers([1, 1]),
+                         realizations=3, master_seed=9)
+
+    def test_pool_receives_the_longest_tasks_first(self, pool_tasks):
+        # expected work: realizations times each color's adjacency entries
+        # (two per edge) times its transmissibility
+        g = TestDynamics.pool_graph()
+        cfg = self.cfg()
+        sweep_and_dynamics(g, cfg, self.BETAS, self.ALPHAS, self.SETTINGS, workers=2)
+        tasks = [
+            (mean_cell_densities, (beta, beta, alpha), i * len(self.ALPHAS) + j)
+            for i, beta in enumerate(self.BETAS)
+            for j, alpha in enumerate(self.ALPHAS)
+        ] + [(_setting_counts, (b, b, a), k) for k, (b, a) in enumerate(self.SETTINGS)]
+        entries = 2 * g.edge_count_by_color()
+        work = [
+            cfg.realizations * sum(transmissibility(r, cfg.tau) * m for r, m in zip(rates, entries))
+            for _, rates, _ in tasks
+        ]
+        # equal work (a cell and a setting at the same rates) keeps task order
+        order = sorted(range(len(tasks)), key=lambda k: -work[k])
+        assert [(fn, c.rates, index) for fn, c, index, *_ in pool_tasks] == [
+            tasks[k] for k in order
+        ]
+        assert pool_tasks[0][:3] == (mean_cell_densities, replace(cfg, rates=(0.6, 0.6, 0.5)), 3)
+
+    def test_equal_work_keeps_task_order(self, pool_tasks):
+        sweep_and_dynamics(TestDynamics.pool_graph(), self.cfg(), [0.0, 0.0], [0.0, 0.0],
+                           [(0.0, 0.0)] * 2, workers=2)
+        assert [(task[0], task[2]) for task in pool_tasks] == [
+            *[(mean_cell_densities, k) for k in range(4)], (_setting_counts, 0), (_setting_counts, 1)
+        ]
+
+    def test_results_equal_the_serial_stages_for_any_worker_count(self):
+        g = TestDynamics.pool_graph()
+        cfg = self.cfg()
+        serial_sweep = sweep_heatmap(g, self.BETAS, self.ALPHAS, cfg, workers=1)
+        serial_dyn = dynamics(g, self.SETTINGS, cfg, workers=1)
+        for workers in (1, 2, None):
+            both = sweep_and_dynamics(g, cfg, self.BETAS, self.ALPHAS, self.SETTINGS, workers)
+            for sweep in (both[0], sweep_heatmap(g, self.BETAS, self.ALPHAS, cfg, workers)):
+                assert np.array_equal(sweep.density_per_layer, serial_sweep.density_per_layer)
+                assert np.array_equal(sweep.density_whole, serial_sweep.density_whole)
+            for dyn in (both[1], dynamics(g, self.SETTINGS, cfg, workers)):
+                assert dyn.settings == serial_dyn.settings
+                for a, b in zip(dyn.infected + dyn.cumulative,
+                                serial_dyn.infected + serial_dyn.cumulative):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("workers, asked", [(16, [8]), (3, [3]), (None, [3])])
+    def test_run_starts_one_pool(self, pool_recorder, monkeypatch, tmp_path, workers, asked):
+        monkeypatch.setattr(sir_module.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        cfg = parse_config_text(RUN_CONFIG + "sweep.beta = 0:0.4:0.2\nsweep.alpha = 0.1:0.3:0.2\n"
+                                "dynamics.settings = 0.1:0.05 0.3:0.3\n")
+        outputs = run_experiment(cfg, out_dir=str(tmp_path), workers=workers)
+        assert pool_recorder == asked  # min(workers, 6 cells + 2 settings)
+        assert {"sweep", "dynamics"} <= set(outputs)
+
+    @pytest.mark.parametrize("stages", ["sweep.beta = 0.2:0.2:0.1\nsweep.alpha = 0.1:0.1:0.1\n",
+                                        "dynamics.settings = 0.3:0.3\n"], ids=["cell", "setting"])
+    def test_run_with_one_task_starts_no_pool(self, pool_recorder, tmp_path, stages):
+        run_experiment(parse_config_text(RUN_CONFIG + stages), out_dir=str(tmp_path), workers=8)
+        assert pool_recorder == []
