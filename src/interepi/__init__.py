@@ -78,7 +78,6 @@ from .sir import (
     infection_density,
     run_sir,
     structural_gcc_sizes,
-    sweep_and_dynamics,
     sweep_heatmap,
 )
 from .io import (

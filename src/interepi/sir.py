@@ -33,9 +33,9 @@ how cells are scheduled or parallelized.
 
 A run's sweep cells and dynamics settings are the tasks of one process pool
 (:func:`sweep_and_dynamics`), by default on every CPU this process may use,
-which starts the longest tasks first. A task is the unit a serial run
-computes, and results come back in task order, so every result is the same
-whatever the worker count.
+the settings first. A task is the unit a serial run computes, and results
+come back in task order, so every result is the same whatever the worker
+count.
 """
 
 from __future__ import annotations
@@ -396,24 +396,14 @@ def _worker_task(task):
 
 
 def _map_tasks(g: LayeredGraph, tasks: list, workers: int) -> list:
-    """[fn(g, *args) for fn, *args in tasks], in task order. On
-    min(workers, len(tasks)) processes when that is more than one, and in
-    this process otherwise. The pool starts the longest tasks first: each
-    task's SirConfig (its first argument) gives its expected work, the
-    realizations times the expected transmitting adjacency entries, and a
-    stable sort keeps equal work in task order."""
+    """[fn(g, *args) for fn, *args in tasks], on min(workers, len(tasks))
+    processes when that is more than one and in this process otherwise. Both
+    start the tasks in order and return the results in task order."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(g, *args) for fn, *args in tasks]
-    entries = 2 * g.edge_count_by_color()
-    work = [
-        cfg.realizations * float((1.0 - (1.0 - np.asarray(cfg.rates)) ** cfg.tau) @ entries)
-        for _, cfg, *_ in tasks
-    ]
-    order = sorted(range(len(tasks)), key=work.__getitem__, reverse=True)
     with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(g,)) as pool:
-        done = dict(zip(order, pool.map(_worker_task, [tasks[k] for k in order])))
-    return [done[k] for k in range(len(tasks))]
+        return list(pool.map(_worker_task, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +456,10 @@ def sweep_and_dynamics(
     """The sweep of :func:`sweep_heatmap` and the series of :func:`dynamics`
     at once: every sweep cell and dynamics setting is one task of a single
     pool of at most ``workers`` processes (default: every usable CPU), none
-    when there is at most one task, and the longest tasks start first."""
+    when there is at most one task. The settings start first: a setting's
+    per-step series costs more than a cell's final sizes at the same rates,
+    and a pool whose longest task starts last leaves its other workers idle
+    at the end."""
     if g.num_layers != 2:
         raise NotTwoLayers("sweeps and dynamics require two layers")
     workers = _worker_count(workers)
@@ -483,9 +476,9 @@ def sweep_and_dynamics(
     ]
     series = [(_setting_counts, replace(cfg, rates=(b, b, a)), k)
               for k, (b, a) in enumerate(settings)]
-    results = _map_tasks(g, cells + series, workers)
+    results = _map_tasks(g, series + cells, workers)
     shape = (len(betas), len(alphas))
-    densities = results[: len(cells)]
+    densities = results[len(series) :]
     sweep = SweepResult(
         betas=betas,
         alphas=alphas,
@@ -494,7 +487,7 @@ def sweep_and_dynamics(
     )
     infected_out = []
     ever_out = []
-    for new in results[len(cells) :]:
+    for new in results[: len(series)]:
         # the series of the summed counts are the sums of the runs' series,
         # each run padded with its final state: no infected, ever-infected kept
         infected, ever = _step_series(cfg, g.num_layers, new)

@@ -16,13 +16,18 @@ from interepi import (
     infection_density,
     run_sir,
     structural_gcc_sizes,
-    sweep_and_dynamics,
     sweep_heatmap,
     transmissibility,
 )
 import interepi.sir as sir_module
 from interepi.io import parse_config_text, run_experiment
-from interepi.sir import _edge_law, _final_counts, _setting_counts, mean_cell_densities
+from interepi.sir import (
+    _edge_law,
+    _final_counts,
+    _setting_counts,
+    mean_cell_densities,
+    sweep_and_dynamics,
+)
 from oracles import (
     chain_plus_layer2,
     percolation_ever_infected,
@@ -657,7 +662,7 @@ master_seed = 5
 
 class TestOnePool:
     """A run's sweep cells and dynamics settings are the tasks of one pool,
-    which starts the longest first."""
+    which starts the settings first."""
 
     BETAS, ALPHAS = [0.05, 0.6, 0.2], [0.1, 0.5]
     SETTINGS = [(0.2, 0.1), (0.6, 0.5), (0.0, 0.3)]
@@ -667,34 +672,16 @@ class TestOnePool:
         return SirConfig(rates=(0.0, 0.0, 0.0), tau=3, seeds=SeedPolicy.in_layers([1, 1]),
                          realizations=3, master_seed=9)
 
-    def test_pool_receives_the_longest_tasks_first(self, pool_tasks):
-        # expected work: realizations times each color's adjacency entries
-        # (two per edge) times its transmissibility
-        g = TestDynamics.pool_graph()
+    def test_pool_receives_the_settings_then_the_cells(self, pool_tasks):
         cfg = self.cfg()
-        sweep_and_dynamics(g, cfg, self.BETAS, self.ALPHAS, self.SETTINGS, workers=2)
-        tasks = [
-            (mean_cell_densities, (beta, beta, alpha), i * len(self.ALPHAS) + j)
-            for i, beta in enumerate(self.BETAS)
-            for j, alpha in enumerate(self.ALPHAS)
-        ] + [(_setting_counts, (b, b, a), k) for k, (b, a) in enumerate(self.SETTINGS)]
-        entries = 2 * g.edge_count_by_color()
-        work = [
-            cfg.realizations * sum(transmissibility(r, cfg.tau) * m for r, m in zip(rates, entries))
-            for _, rates, _ in tasks
-        ]
-        # equal work (a cell and a setting at the same rates) keeps task order
-        order = sorted(range(len(tasks)), key=lambda k: -work[k])
-        assert [(fn, c.rates, index) for fn, c, index, *_ in pool_tasks] == [
-            tasks[k] for k in order
-        ]
-        assert pool_tasks[0][:3] == (mean_cell_densities, replace(cfg, rates=(0.6, 0.6, 0.5)), 3)
-
-    def test_equal_work_keeps_task_order(self, pool_tasks):
-        sweep_and_dynamics(TestDynamics.pool_graph(), self.cfg(), [0.0, 0.0], [0.0, 0.0],
-                           [(0.0, 0.0)] * 2, workers=2)
-        assert [(task[0], task[2]) for task in pool_tasks] == [
-            *[(mean_cell_densities, k) for k in range(4)], (_setting_counts, 0), (_setting_counts, 1)
+        sweep_and_dynamics(TestDynamics.pool_graph(), cfg, self.BETAS, self.ALPHAS,
+                           self.SETTINGS, workers=2)
+        assert [(fn, c, index) for fn, c, index, *_ in pool_tasks] == [
+            *[(_setting_counts, replace(cfg, rates=(b, b, a)), k)
+              for k, (b, a) in enumerate(self.SETTINGS)],
+            *[(mean_cell_densities, replace(cfg, rates=(beta, beta, alpha)), i * 2 + j)
+              for i, beta in enumerate(self.BETAS)
+              for j, alpha in enumerate(self.ALPHAS)],  # cell (i, j) is index i * 2 + j
         ]
 
     def test_results_equal_the_serial_stages_for_any_worker_count(self):
