@@ -26,6 +26,7 @@ from . import __version__
 from .errors import ConfigError, GraphValidationError, ParseError
 from .generate import ErLayerSpec, LayerSpec, PowerLawSpec, build_interdependent
 from .graph import (
+    INDEX,
     ColorTable,
     LayeredGraph,
     MomentSet,
@@ -65,8 +66,36 @@ def write_graph(g: LayeredGraph, path: Union[str, os.PathLike]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("#layers " + " ".join(str(s) for s in g.layer_sizes) + "\n")
         for start in range(0, g.num_edges, _WRITE_ROWS):
-            chunk = local_rows(g, slice(start, start + _WRITE_ROWS))
-            fh.write("%d %d %d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+            # graph indices fit INDEX, whose columns take half the bytes of int64 rows
+            cols = local_rows(g, slice(start, start + _WRITE_ROWS)).T.astype(INDEX, order="C")
+            fh.write(_format_columns(cols))
+
+
+def _format_columns(cols: np.ndarray) -> str:
+    """The lines ``"%d %d %d %d\\n" % tuple(row)`` of the rows whose four
+    columns are the rows of ``cols``, non-negative integers.
+
+    Each column is written right-aligned into one fixed-width byte matrix, as
+    wide as the column's largest value, its digits taken by repeated // 10
+    and remainder; the positions before a number's leading digit stay NUL.
+    Spaces and the newline sit in fixed columns, and dropping every NUL leaves
+    the lines.
+    """
+    widths = [len(str(v)) for v in cols.max(axis=1, initial=0).tolist()]
+    text = np.zeros((cols.shape[1], sum(widths) + len(widths)), dtype=np.uint8)
+    end = -1  # the column of the space after a field
+    for v, width in zip(cols, widths):
+        end += width + 1
+        text[:, end] = ord(" ")
+        for at in range(end - 1, end - 1 - width, -1):
+            q = v // 10
+            digit = v - 10 * q
+            # the units digit always; a higher one while digits remain (v > 0)
+            digit += ord("0") if at == end - 1 else np.minimum(v, 1) * ord("0")
+            text[:, at] = digit
+            v = q
+    text[:, -1] = ord("\n")
+    return text[text > 0].tobytes().decode("ascii")
 
 
 def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:

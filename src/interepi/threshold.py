@@ -273,6 +273,18 @@ def perron_roots(jacs: np.ndarray) -> np.ndarray:
         raise NonConvergence(f"eigenvalues did not converge: {exc}") from exc
 
 
+# The largest Jacobian entry the pivot test accepts. An entry is a ratio of
+# degree moments, below 2^31 on any graph with int32 node indices, while two
+# entries of 7.3e298 overflowed float64 in the elimination's products.
+ENTRY_BOUND = 2.0**32
+
+
+def _check_entries(jacs: np.ndarray) -> None:
+    """Raise ValueError unless every entry is at most ``ENTRY_BOUND`` (NaN and inf are not)."""
+    if not jacs.max(initial=0.0) <= ENTRY_BOUND:
+        raise ValueError(f"Jacobian entries must be finite and at most {ENTRY_BOUND:.0f}")
+
+
 def _eliminate(
     a: list[list[np.ndarray]], pivots: range, cols: Sequence[int], live: np.ndarray
 ) -> tuple[list[list[np.ndarray]], np.ndarray]:
@@ -302,7 +314,9 @@ def _epidemic(jacs: np.ndarray) -> np.ndarray:
     elimination without pivoting keeps every pivot > 0 (Berman & Plemmons,
     ch. 6). Updates subtract non-negative products, so the test is monotone
     in every entry of J, rounding included; a matrix stops at a pivot <= 0.
+    Raises ValueError for an entry above ``ENTRY_BOUND``.
     """
+    _check_entries(jacs)
     c = jacs.shape[-1]
     a = [[float(i == j) - jacs[:, i, j] for j in range(c)] for i in range(c)]
     _, live = _eliminate(a, range(c), range(c), np.arange(len(jacs)))
@@ -455,7 +469,10 @@ def _frontier_search(
     index, not one below) and stepped where rounding disagrees, until none
     steps. ``evaluations`` counts these last pivots, each ``refine_tol``
     round's Jacobians and the thetas. The rate grid is never held whole.
+    Raises ValueError for an entry of ``base`` above ``ENTRY_BOUND``; every
+    Jacobian of the search is at most ``base``.
     """
+    _check_entries(base)
     g = num_colors - 1
     vals = np.asarray(_grid_values(grid_step))
     size = len(vals)

@@ -950,6 +950,31 @@ class TestCli:
                    for path in out.iterdir()}
         assert digests == self.RUN_SHA256
 
+    # sha256 of the graph file `generate` writes for a config at a master
+    # seed, the same bytes as when every field was formatted by "%d"
+    GENERATE_SHA256 = {
+        ("configs/er-strong-desk.cfg", 0):
+            "46848c4b509014ef1b6f7605bdce36d9155ab2ee50c3c21759c3da12724416a8",
+        ("configs/er-strong-desk.cfg", 42):
+            "3656a5fbe6df2d2b760c45c4762eeaa502effcc449bfe9a9f28b4dfe4480d50a",
+        ("configs/er-weak-desk.cfg", 0):
+            "97f7348305145bfbf14398b1d7c5fb6e61cd2a3bd09899ae33aea0827bf47688",
+        ("configs/er-weak-desk.cfg", 42):
+            "4e0db8e8a35d0a7e95875ee7807637a688798ecb0077ea1a6dd7af38261e5780",
+        ("perfbench/configs/cli-er.cfg", 0):
+            "46848c4b509014ef1b6f7605bdce36d9155ab2ee50c3c21759c3da12724416a8",
+        ("perfbench/configs/cli-er.cfg", 42):
+            "3656a5fbe6df2d2b760c45c4762eeaa502effcc449bfe9a9f28b4dfe4480d50a",
+    }
+
+    @pytest.mark.parametrize("config,seed", sorted(GENERATE_SHA256))
+    def test_generated_graph_files_keep_their_bytes(self, tmp_path, capsys, config, seed):
+        path = tmp_path / "g.edges"
+        cfg = Path(__file__).resolve().parents[1] / config
+        assert main(["generate", "--config", str(cfg), "--master-seed", str(seed),
+                     "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GENERATE_SHA256[config, seed]
+
     def test_standalone_csvs_end_without_a_manifest_line(self, tmp_path, capsys, monkeypatch):
         # no manifest is written beside them; otherwise they are run's files
         (tmp_path / "exp.cfg").write_text(BASE_CONFIG)

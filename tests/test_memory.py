@@ -11,6 +11,11 @@ replaced peaked at 172 B per edge in load_graph. With int32 arrays and the
 adjacency ordered by one in-place unstable sort of packed keys, the peaks are
 105.7 B (build) and 105.2 B (load), and a graph keeps 31.1 B per edge.
 
+write_graph formats 4096 edges at a time, so its peak is one chunk's whatever
+the edge count: about 693 KiB when every field went through a Python int and
+"%d", 327-329 KiB with one fixed-width byte matrix per chunk (the 2 500 and
+10 000 node pairs of its test).
+
 A frontier kept after its search is budgeted in bytes per point: about 166 B
 when a FrontierSet held its points and thetas as tuples of floats, 52 B with
 one rate array and one theta array.

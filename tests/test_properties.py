@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from interepi import (
     ColorTable,
@@ -32,8 +33,11 @@ from interepi import (
 )
 from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
 from interepi.graph import ColorMoments, build_graph_array
+import interepi.io as io_module
+from interepi.io import _format_columns
 from interepi.sir import _edge_law, _final_counts, _first_passage
 from interepi.threshold import (
+    ENTRY_BOUND,
     _epidemic,
     _frontier_search,
     _grid_values,
@@ -56,19 +60,40 @@ def layered_graphs(draw, max_nodes=16):
     sizes = draw(
         st.lists(st.integers(1, max_nodes // num_layers), min_size=num_layers, max_size=num_layers)
     )
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    n = int(offsets[-1])
-    table = ColorTable(num_layers)
+    n = sum(sizes)
     all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     chosen = draw(st.lists(st.sampled_from(all_pairs), unique=True, max_size=min(40, len(all_pairs)))) if all_pairs else []
+    return _graph_of_pairs(sizes, chosen), chosen
+
+
+def _graph_of_pairs(sizes, pairs):
+    """The graph whose edges join the global node ids of each pair."""
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    table = ColorTable(len(sizes))
     triples = []
-    for a, b in chosen:
+    for a, b in pairs:
         lu = int(np.searchsorted(offsets, a, side="right") - 1)
         lv = int(np.searchsorted(offsets, b, side="right") - 1)
         triples.append(
             ((lu, a - int(offsets[lu])), (lv, b - int(offsets[lv])), table.color_of(lu, lv))
         )
-    return build_graph(sizes, triples), chosen
+    return build_graph(sizes, triples)
+
+
+@st.composite
+def wide_layered_graphs(draw):
+    """A graph of 1-12 layers of up to 1200 nodes each, so a layer field of
+    one or two digits, whose edges favor the node indices at which a field
+    gains a digit, and its global node pairs; no edges at all is one draw."""
+    sizes = draw(st.lists(st.integers(1, 1200), min_size=1, max_size=12))
+    offsets = np.cumsum([0] + sizes).tolist()
+    node = st.tuples(st.integers(0, len(sizes) - 1),
+                     st.one_of(st.sampled_from([0, 9, 10, 99, 100, 999, 1000]),
+                               st.integers(0, 1199)))
+    ends = {tuple(sorted(offsets[layer] + index % sizes[layer] for layer, index in pair))
+            for pair in draw(st.lists(st.tuples(node, node), max_size=60))}
+    pairs = sorted(e for e in ends if e[0] != e[1])
+    return _graph_of_pairs(sizes, pairs), pairs
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,12 +126,16 @@ def test_structural_gcc_sizes_match_brute_force(data, strip_layer_0):
         assert per_layer[layer] == (np.bincount(labels).max() if intra else 0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(layered_graphs())
-def test_graph_file_round_trip(tmp_path_factory, data):
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(layered_graphs(), wide_layered_graphs()), st.sampled_from([1, 3, 4096]))
+@example((_graph_of_pairs([5], []), []), 4096)
+@example((_graph_of_pairs([3] * 11, [(0, 32), (28, 32)]), [(0, 32), (28, 32)]), 1)
+def test_graph_file_round_trip(tmp_path_factory, data, chunk):
     g, pairs = data
     path = tmp_path_factory.mktemp("roundtrip") / "g.edges"
-    write_graph(g, path)
+    # formatted a chunk at a time, each chunk with its own field widths
+    with mock.patch.object(io_module, "_WRITE_ROWS", chunk):
+        write_graph(g, path)
     # reference text: one line per edge, written edge by edge
     offsets = [0] + np.cumsum(g.layer_sizes).tolist()
     lines = ["#layers " + " ".join(str(s) for s in g.layer_sizes)]
@@ -116,6 +145,21 @@ def test_graph_file_round_trip(tmp_path_factory, data):
         lines.append(f"{lu} {u - offsets[lu]} {lv} {v - offsets[lv]}")
     assert path.read_text() == "\n".join(lines) + "\n"
     assert graphs_equal(load_graph(path), g)
+
+
+# the values at which a decimal field gains a digit, up to int64
+_DIGIT_STEPS = sorted({10**k + d for k in range(19) for d in (-1, 0)} - {10**18})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.sampled_from(_DIGIT_STEPS), st.integers(0, 2**63 - 1)),
+                         min_size=4, max_size=4), max_size=40))
+@example([])
+@example([[0, 0, 0, 0]])
+@example([[9, 10, 99, 100], [12345, 999999, 0, 1]])
+def test_format_columns_is_percent_d(rows):
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    assert _format_columns(rows.T) == "%d %d %d %d\n" * len(rows) % tuple(rows.ravel().tolist())
 
 
 @st.composite
@@ -407,19 +451,33 @@ def pivot_stacks(draw):
         with np.errstate(over="ignore"):
             jacs = jacs / np.where(roots > 0, roots, 1.0)[:, None, None] * (1.0 + 2.5e-16 * noise)
         # a root far below the largest entry (a subnormal diagonal under a large
-        # off-diagonal entry) cannot be scaled to 1 in float64
-        assume(np.isfinite(jacs).all())
+        # off-diagonal entry) scales entries past what the pivot test accepts
+        assume(jacs.max() <= ENTRY_BOUND)
     elif kind == "dead":
         k = draw(st.integers(0, c - 1))
         jacs[:, k, k] = draw(st.sampled_from([1.0, 1.5]))
     return jacs
 
 
+# a tie stack whose two entries of 7.3e298 overflowed in their product, found
+# before the pivot test bounded its entries
+_OVERFLOWING_TIE = np.concatenate([
+    [[[0.0, 7.26364165e298, 0.0], [0.0, 1.0, 0.0], [7.26364165e298, 0.0, 0.0]]],
+    np.zeros((5, 3, 3)),
+])
+
+
 @settings(max_examples=300, deadline=None)
 @given(pivot_stacks())
+@example(_OVERFLOWING_TIE)
 def test_epidemic_matches_the_stacked_reference(jacs):
     # the entry-by-entry elimination decides every matrix as the broadcast one
-    # did, bit for bit, and a dead pivot never divides
+    # did, bit for bit, and a dead pivot never divides; a stack beyond the
+    # bound is refused before any arithmetic
+    if jacs.max() > ENTRY_BOUND:
+        with pytest.raises(ValueError, match="at most"):
+            _epidemic(jacs)
+        return
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         decided = _epidemic(jacs)
     assert np.array_equal(decided, stacked_epidemic(jacs))

@@ -463,6 +463,17 @@ class TestMultiThreshold:
         assert set(front.points) == exhaustive_frontier(epidemic, 3, 0.09)
         assert not any(dominates(p, q) for p in front.points for q in front.points)
 
+    def test_entries_beyond_the_bound_are_refused(self):
+        # the search checks its base once; a stack is checked where it enters
+        m, sizes = er_set(1.5, 2.0**34, 1.5)  # entries of half the mean
+        with pytest.raises(ValueError, match="at most 4294967296"):
+            multi_threshold(m, sizes, tau=5, grid_step=0.1)
+        at_bound = np.full((1, 2, 2), threshold_module.ENTRY_BOUND)
+        assert _epidemic(at_bound).tolist() == [True]
+        for bad in (np.nextafter(at_bound, np.inf), np.full((1, 2, 2), np.nan)):
+            with pytest.raises(ValueError, match="finite and at most"):
+                _epidemic(bad)
+
     def test_invalid_grid_step(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
         with pytest.raises(DomainError):
