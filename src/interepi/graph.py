@@ -105,8 +105,8 @@ class LayeredGraph:
     Construct through :func:`build_graph`; the constructor trusts its inputs.
     Edge arrays are canonical: each edge stored with flat ids (u < v), sorted
     lexicographically. Adjacency is CSR with neighbor lists grouped by color
-    within each node, which is the order the SIR inner loop consumes. Every
-    index array, the CSR index pointer included, has dtype :data:`INDEX`.
+    within each node, the order the SIR inner loop consumes. Every index
+    array, the layer offsets and CSR index pointer included, is :data:`INDEX`.
     """
 
     def __init__(
@@ -119,7 +119,7 @@ class LayeredGraph:
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.colors = ColorTable(len(self.layer_sizes))
         self.n = sum(self.layer_sizes)
-        self.offsets = np.concatenate(([0], np.cumsum(self.layer_sizes)))
+        self.offsets = np.concatenate(([0], np.cumsum(self.layer_sizes)), dtype=INDEX)
         self.node_layer = np.repeat(
             np.arange(len(self.layer_sizes), dtype=INDEX), self.layer_sizes
         )
@@ -238,9 +238,9 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     v's), SelfLoop, CrossLayerColorMismatch, then DuplicateEdge (an earlier
     row has the same pair in either orientation). Messages name the row, and
     the error's ``row`` is its index. Rows are read as int64 unless they are
-    already int32, and are narrowed to :data:`INDEX` only once they are
-    valid. ValueError when the layers hold 2**31 nodes or more, or the rows
-    2**30 edges or more, which :data:`INDEX` cannot number, and when
+    int32; endpoints are :data:`INDEX` once unknown ones are masked, and only
+    pair keys are int64. ValueError when the layers hold 2**31 nodes or more,
+    or the rows 2**30 edges or more, which :data:`INDEX` cannot number, and when
     n * C * 2**b > 2**63 (C colors, b = (2m - 1).bit_length()), which the
     int64 adjacency sort key (source * C + color) << b | position cannot
     hold: two layers of about 1.4e9 nodes and 1e9 edges, or more layers.
@@ -256,7 +256,7 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     num_colors = len(sizes) * (len(sizes) + 1) // 2
     if (n * num_colors) << (2 * m - 1).bit_length() > 2**63:
         raise ValueError(f"{n} nodes, {num_colors} colors and {m} edges overflow the sort key")
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    offsets = np.concatenate(([0], np.cumsum(sizes)), dtype=INDEX)
     colors = ColorTable(len(sizes)).color_matrix()
     bad_layer, bad_idx, layer, ends = [], [], [], []
     for col in (0, 2):
@@ -265,13 +265,13 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
         lay = np.where(no_layer, 0, lay)
         no_node = ~no_layer & ((idx < 0) | (idx >= np.asarray(sizes)[lay]))
         # an unknown endpoint, or an earlier row, raises before its key is read
-        ends.append(offsets[lay] + np.where(no_layer | no_node, 0, idx))
+        ends.append(offsets[lay] + np.where(no_layer | no_node, 0, idx).astype(INDEX, copy=False))
         bad_layer.append(no_layer)
         bad_idx.append(no_node)
         layer.append(lay)
     mismatch = edges[:, 4] != colors[layer[0], layer[1]]
     loop = ends[0] == ends[1]
-    keys = np.minimum(ends[0], ends[1])
+    keys = np.minimum(ends[0], ends[1]).astype(np.int64)
     keys *= n
     keys += np.maximum(ends[0], ends[1])
     del layer, ends

@@ -66,9 +66,7 @@ def write_graph(g: LayeredGraph, path: Union[str, os.PathLike]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("#layers " + " ".join(str(s) for s in g.layer_sizes) + "\n")
         for start in range(0, g.num_edges, _WRITE_ROWS):
-            # graph indices fit INDEX, whose columns take half the bytes of int64 rows
-            cols = local_rows(g, slice(start, start + _WRITE_ROWS)).T.astype(INDEX, order="C")
-            fh.write(_format_columns(cols))
+            fh.write(_format_columns(local_rows(g, slice(start, start + _WRITE_ROWS)).T.copy()))
 
 
 def _format_columns(cols: np.ndarray) -> str:
@@ -106,7 +104,7 @@ def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:
         read = _loadtxt(text, fh) if fh.seekable() else None
     layer_sizes, values = read or _parse_lines(text)
     del text, read
-    rows = np.empty((len(values), 5), dtype=np.int64)
+    rows = np.empty((len(values), 5), dtype=values.dtype)
     rows[:, :4] = values
     del values
     rows[:, 4] = ColorTable(len(layer_sizes)).color_matrix()[rows[:, 0], rows[:, 2]]
@@ -122,7 +120,8 @@ def _loadtxt(text: str, fh: TextIO) -> Optional[tuple[list[int], np.ndarray]]:
     """Layer sizes and (m, 4) edge rows read by np.loadtxt, or None unless it
     reads them as :func:`_parse_lines` would: an ASCII file whose every '#'
     starts a comment line and whose one valid ``#layers`` header precedes the
-    edges, read without error or warning into four columns of declared layers."""
+    edges, read without error or warning into four :data:`INDEX` columns of
+    declared layers (a field beyond int32 is an error)."""
     if not text.isascii():
         return None
     header, end, at = "", 0, text.find("#")
@@ -142,7 +141,7 @@ def _loadtxt(text: str, fh: TextIO) -> Optional[tuple[list[int], np.ndarray]]:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            values = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+            values = np.loadtxt(fh, dtype=INDEX, comments="#", ndmin=2)
         except (ValueError, OverflowError, Warning):
             return None
     layers = values[:, 0:3:2]

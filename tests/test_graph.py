@@ -388,8 +388,8 @@ class TestInt32Indices:
 
     def test_arrays_are_int32(self):
         g = build_graph([self.N, self.N], self._edges())
-        indptr, adj, adj_color = g.adjacency()
-        for arr in (g.edges_u, g.edges_v, g.edge_colors, g.node_layer, indptr, adj, adj_color):
+        for arr in (g.edges_u, g.edges_v, g.edge_colors, g.offsets, g.node_layer,
+                    g.local_edges(), *g.adjacency()):
             assert arr.dtype == np.int32
 
     def test_wide_keys_are_distinct_and_canonical(self):

@@ -210,6 +210,26 @@ class TestGraphFiles:
         with pytest.raises(UnknownNode):
             load_graph(path)
 
+    @pytest.mark.parametrize("index, reader", [
+        (2**31 - 1, "loadtxt"), (2**31, "lines"), (-2**31 - 1, "lines"),
+    ])
+    def test_int32_boundary_of_the_fast_reader(self, tmp_path, monkeypatch, index, reader):
+        # np.loadtxt reads int32 fields; one beyond int32 leaves the file to the
+        # line reader, and either way the validator names the node and its line
+        real, read_edges = io_module._parse_lines, []
+
+        def record(text):
+            read_edges.append(any(line.strip()[:1] not in ("", "#") for line in text.split("\n")))
+            return real(text)
+
+        monkeypatch.setattr(io_module, "_parse_lines", record)
+        path = tmp_path / "b.edges"
+        path.write_text(f"#layers 2 2\n0 0 1 1\n0 {index} 1 0\n")
+        with pytest.raises(UnknownNode) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"line 3: node (0, {index}) outside layer of size 2"
+        assert ("lines" if any(read_edges) else "loadtxt") == reader
+
     def test_non_positive_layer_size(self, tmp_path):
         path = tmp_path / "b.edges"
         path.write_text("# sizes\n#layers 0 2\n0 0 1 1\n")

@@ -9,12 +9,14 @@ and lexsorted adjacency the peaks were 311 B (build) and 387 B (load) per
 edge, and a graph kept 62 B per edge. The byte tokenizer that np.loadtxt
 replaced peaked at 172 B per edge in load_graph. With int32 arrays and the
 adjacency ordered by one in-place unstable sort of packed keys, the peaks are
-105.7 B (build) and 105.2 B (load), and a graph keeps 31.1 B per edge.
+105.7 B (build) and 105.2 B (load), and a graph keeps 31.1 B per edge. With
+int32 layer offsets, and files read by np.loadtxt into int32 rows, load_graph
+peaks at 81.1 B per edge.
 
 write_graph formats 4096 edges at a time, so its peak is one chunk's whatever
 the edge count: about 693 KiB when every field went through a Python int and
 "%d", 327-329 KiB with one fixed-width byte matrix per chunk (the 2 500 and
-10 000 node pairs of its test).
+10 000 node pairs of its test), 268-272 KiB once local_rows gave int32 rows.
 
 A frontier kept after its search is budgeted in bytes per point: about 166 B
 when a FrontierSet held its points and thetas as tuples of floats, 52 B with
@@ -55,7 +57,7 @@ from interepi.sir import mean_cell_densities
 BUILD_PEAK_PER_EDGE = 220
 CELL_PEAK_PER_ENTRY = 42
 DYNAMICS_PEAK_PER_ENTRY = 46
-LOAD_PEAK_PER_EDGE = 150
+LOAD_PEAK_PER_EDGE = 90
 KEPT_PER_EDGE = 32
 KEPT_PER_FRONTIER_POINT = 80
 
