@@ -53,11 +53,8 @@ from .threshold import (
     Transmissibilities,
     classify_state,
     colored_cross_moments,
-    dominates,
-    epidemic_indicator,
     er_color_moments,
     jacobian_closed_form,
-    jacobian_empirical,
     multi_threshold,
     multi_threshold_empirical,
     perron_roots,

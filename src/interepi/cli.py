@@ -53,8 +53,8 @@ _FLAGS = {
     "--out": (None, "output file or directory"),
     "--threads": (None, "worker processes for sweep cells and dynamics settings, at least 1 "
                   "(default: every usable CPU)", dict(type=int)),
-    "--empirical": (None, "use the measured colored cross-moments of the network, "
-                    "generated or loaded", dict(action="store_true")),
+    "--empirical": (None, "use the colored degree moments measured on each layer of the "
+                    "network, generated or loaded", dict(action="store_true")),
     "--beta": (None, "intra-layer rate in [0, 1]"),
     "--alpha": (None, "inter-layer rate in [0, 1]"),
     "--cumulative-out": (None, "file for the ever-infected series"),

@@ -489,19 +489,15 @@ def parse_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def model_moments(cfg: ExperimentConfig) -> tuple[MomentSet, tuple[int, ...]]:
-    """Closed-form two-layer moment set implied by generator specs."""
-    if len(cfg.layers) != 2:
-        raise ConfigError("analytic route requires exactly two layers")
-    n0, n1 = cfg.layers[0].n, cfg.layers[1].n
-    intra = []
-    for spec, pop in zip(cfg.layers, (n0, n1)):
-        if isinstance(spec, ErLayerSpec):
-            intra.append(er_color_moments(spec.mean_degree, pop))
-        else:
-            intra.append(powerlaw_color_moments(spec, pop))
-    inter_mean = cfg.inter_means.get((0, 1), 0.0)
-    inter = er_color_moments(inter_mean, n0 + n1)
-    return MomentSet((intra[0], intra[1], inter)), (n0, n1)
+    """The per-color moment set implied by generator specs, and the layer sizes."""
+    sizes = tuple(spec.n for spec in cfg.layers)
+    colors = ColorTable(len(sizes))
+    moments = [er_color_moments(spec.mean_degree, spec.n) if isinstance(spec, ErLayerSpec)
+               else powerlaw_color_moments(spec, spec.n) for spec in cfg.layers]
+    for i, j in map(colors.members, range(len(sizes), colors.num_colors)):
+        mean = cfg.inter_means.get((i, j), cfg.inter_means.get((j, i), 0.0))
+        moments.append(er_color_moments(mean, sizes[i] + sizes[j]))
+    return MomentSet(tuple(moments)), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +516,10 @@ def analytic_frontier(
     cfg: ExperimentConfig, graph: Optional[LayeredGraph] = None, empirical: bool = False
 ) -> FrontierSet:
     """The frontier at the config's analysis keys. With ``empirical`` it
-    takes the measured colored cross-moments of the config's network,
-    ``graph`` (built or loaded if not passed). Otherwise a generated network
-    gives the model moments of its layer specs, and a graph file the
-    measured moments of ``graph``."""
+    takes the colored degree moments measured on each layer of the config's
+    network, ``graph`` (built or loaded if not passed). Otherwise a generated
+    network gives the model moments of its layer specs, and a graph file the
+    measured per-color moments of ``graph``, colors taken as independent."""
     options = dict(tie_intra=cfg.tie_intra, refine_tol=cfg.refine_tol or None)
     if cfg.source == "generate" and not empirical:
         moments, layer_sizes = model_moments(cfg)

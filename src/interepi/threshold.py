@@ -5,29 +5,29 @@ R = 1 - (1-beta)^tau -> percolation-thinned degree moments -> a non-negative
 Jacobian whose Perron root theta decides whether the diffusion network grows
 a giant component (theta >= 1). On top of that sits the multidimensional
 threshold: the Pareto-minimal set of rate tuples on the epidemic boundary,
-found on a rate grid line by line: each line's crossing comes from the last
-pivot of I - J, the only one that moves along the line, and is confirmed on
-the grid with the arithmetic of the epidemic test.
+found on a rate grid line by line: each line's crossing comes from the
+pivots of I - J that move along the line, and is confirmed on the grid with
+the arithmetic of the epidemic test.
 
-Two Jacobian routes are provided. ``jacobian_closed_form`` is the two-layer
-matrix built from per-layer degree moments under the assumption that colored
-degrees are independent; ``jacobian_empirical`` instead measures the colored
-degree cross-moments on a concrete graph (any layer count) and so quantifies
-the gap that the independence assumption opens.
+One builder makes every Jacobian, for any layer count, over types (color c,
+arrival layer h): an edge's far end lies in the layer it arrives at, whose
+nodes have their own moments (multitype branching, as in Allard et al.
+2009, PRE 79, and Leicht & D'Souza 2009). It reads one per-layer table of
+colored degree moments, from per-color model moments with colors
+independent (``multi_threshold``) or measured on a graph
+(``multi_threshold_empirical``).
 
-Both routes are linear in the transmissibilities, column by column:
-J(R) = B diag(R), where B is the Jacobian at R = 1. This holds exactly.
-Thinning keeps each color-c edge independently with probability R_c, so a
-thinned moment gains one factor R per degree it involves:
+The Jacobian is linear in the transmissibilities, column by column:
+J(R) = B diag(R), where B is the Jacobian at R = 1 and each type's column
+carries its color's R. This holds exactly. Thinning keeps each color-c edge
+independently with probability R_c, so over any layer's nodes
 <x'_i> = R_i <x_i>, <x'_i x'_j> = R_i R_j <x_i x_j> for i != j, and
 <x'_i (x'_i - 1)> = R_i^2 <x_i (x_i - 1)>. Entry (i, j) divides such a
 second moment by <x'_i>, which cancels R_i and leaves R_j times the
-unthinned entry. The closed form puts R_c in column c by construction. An
-edgeless color is known from the unthinned moments, so its zero row and
-column belong to B. The frontier search therefore builds B once; along a
-line only the searched color's column of B diag(R) moves, so the pivots of
-the other columns are eliminated once per line and theta is never computed
-to decide.
+unthinned entry. An edgeless color's zero rows and columns belong to B.
+The frontier search therefore builds B once; along a line only the
+searched color's columns of B diag(R) move, so the pivots of the other
+columns are eliminated once per line and theta is never computed to decide.
 """
 
 from __future__ import annotations
@@ -39,16 +39,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyColor,
-    KappaAtMostOne,
-    LengthMismatch,
-    NonConvergence,
-    NotTwoLayers,
-)
+from .errors import DomainError, EmptyColor, KappaAtMostOne, LengthMismatch, NonConvergence
 from .generate import PowerLawSpec
-from .graph import ColorMoments, LayeredGraph, MomentSet
+from .graph import ColorMoments, ColorTable, LayeredGraph, MomentSet
 
 RateTuple = tuple[float, ...]
 
@@ -158,95 +151,91 @@ def powerlaw_color_moments(spec: PowerLawSpec, population: int) -> ColorMoments:
 # Jacobians
 # ---------------------------------------------------------------------------
 
-def _closed_form_base(m: MomentSet, layer_sizes: Sequence[int]) -> np.ndarray:
-    """The closed-form Jacobian at R = 1; see ``jacobian_closed_form``.
-
-    An edgeless color's column is zero already (its mean and ratio are 0);
-    its row is zeroed here.
-    """
-    if len(layer_sizes) != 2 or m.num_colors != 3:
-        raise NotTwoLayers("closed-form Jacobian requires two layers / three colors")
-    n = sum(layer_sizes)
-    return np.array([
-        [
-            (cj.population_restricted / n)
-            * (cj.ratio_restricted() if i == j else cj.mean_restricted)
-            if ci.mean_restricted != 0 else 0.0
-            for j, cj in enumerate(m.per_color)
-        ]
-        for i, ci in enumerate(m.per_color)
-    ])
-
-
-def jacobian_closed_form(
-    m: MomentSet, layer_sizes: Sequence[int], t: Transmissibilities
-) -> np.ndarray:
-    """Two-layer thinned Jacobian from per-layer moments.
-
-    Column c carries the factor (pop_c / n) * R_c (the interconnection color
-    has pop = n, so its factor is R alone); the diagonal entry uses the moment
-    ratio (<y^2>-<y>)/<y> of the column's color, off-diagonal entries its
-    mean. Colors with zero mean degree cannot propagate, so their row and
-    column are dropped (zeroed).
-    """
-    base = _closed_form_base(m, layer_sizes)
-    if len(t.values) != 3:
-        raise LengthMismatch("need three transmissibilities")
-    return base * np.asarray(t.values)
-
-
 @dataclass(frozen=True)
-class ColorCrossMoments:
-    """Empirical colored-degree moments over all n nodes of a graph."""
+class DegreeTable:
+    """Colored degree moments over each layer's own nodes, colors numbered by
+    ``ColorTable``: ``mean[h, c]`` is E_h[x_c], shape (L, C), and
+    ``second[h, c, c']`` is E_h[x_c x_c'], shape (L, C, C), with the factorial
+    moment E_h[x_c (x_c - 1)] on the diagonal."""
 
-    mean: np.ndarray  # <x_i>, shape (C,)
-    cross: np.ndarray  # <x_i x_j>, shape (C, C)
-    factorial: np.ndarray  # <x_i^2 - x_i>, shape (C,)
+    mean: np.ndarray
+    second: np.ndarray
 
 
-def colored_cross_moments(g: LayeredGraph) -> ColorCrossMoments:
+def moment_table(m: MomentSet, layer_sizes: Sequence[int]) -> DegreeTable:
+    """The table of independent colors with these per-color moments.
+
+    A color's moments are over its own layer(s). An inter color's pop * mean
+    edge ends lie half in each of its layers, so on layer h each degree factor
+    scales by f = pop / (2 n_h): exact for ER coupling, 1 for equal layers.
+    """
+    colors = ColorTable(len(layer_sizes))
+    if m.num_colors != colors.num_colors:
+        raise LengthMismatch(f"{len(layer_sizes)} layers have {colors.num_colors} colors")
+    mean = np.zeros((len(layer_sizes), m.num_colors))
+    factorial = np.zeros_like(mean)
+    for c, cm in enumerate(m.per_color):
+        members = colors.members(c)
+        for h in members:
+            f = cm.population_restricted / (len(members) * layer_sizes[h])
+            mean[h, c] = f * cm.mean_restricted
+            factorial[h, c] = f * f * (cm.second_restricted - cm.mean_restricted)
+    second = mean[:, :, None] * mean[:, None, :]
+    second[:, range(m.num_colors), range(m.num_colors)] = factorial
+    return DegreeTable(mean, second)
+
+
+def colored_cross_moments(g: LayeredGraph) -> DegreeTable:
+    """The table measured on a graph: its ``color_degrees`` grouped by layer."""
     x = g.color_degrees().astype(float)
-    n = g.n
-    return ColorCrossMoments(
-        mean=x.sum(axis=1) / n,
-        cross=(x @ x.T) / n,
-        factorial=((x * x - x).sum(axis=1)) / n,
-    )
+    mean = np.empty((g.num_layers, g.num_colors))
+    second = np.empty((g.num_layers, g.num_colors, g.num_colors))
+    for h, size in enumerate(g.layer_sizes):
+        xh = x[:, g.layer_slice(h)]
+        total = xh.sum(axis=1)
+        mean[h] = total / size
+        second[h] = (np.einsum("ci,di->cd", xh, xh) - np.diag(total)) / size
+    return DegreeTable(mean, second)
 
 
-def _cross_moment_base(stats: ColorCrossMoments) -> np.ndarray:
-    """The cross-moment Jacobian at R = 1; see ``jacobian_from_cross_moments``.
+def _type_base(table: DegreeTable) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian B at R = 1 over types (color c, arrival layer h), and each
+    type's color.
 
-    An edgeless color has zero cross moments with every color, so dividing
-    its row by 1 instead of its zero mean leaves its row and column zero.
+    Types are ordered by color, then layer: L + 2 (layer pairs) of them. A node
+    reached on a color-c edge in layer h sends its other edges out of h; a
+    color c' that leaves h arrives at h' = h if intra, at its far layer if
+    inter. Entry (c, h) -> (c', h') is E_h[x_c (x_c' - delta_cc')] / E_h[x_c];
+    every other entry, and the row of a type that no edge reaches
+    (E_h[x_c] = 0), is 0.
     """
-    mean = np.where(stats.mean != 0, stats.mean, 1.0)
-    base = stats.cross / mean[:, None]
-    np.fill_diagonal(base, stats.factorial / mean)
-    return base
+    num_layers, num_colors = table.mean.shape
+    colors = ColorTable(num_layers)
+    types = [(c, h) for c in range(num_colors) for h in colors.members(c)]
+    index = {t: k for k, t in enumerate(types)}
+    mean, second = table.mean.tolist(), table.second.tolist()
+    base = np.zeros((len(types), len(types)))
+    for k, (c, h) in enumerate(types):
+        if mean[h][c]:
+            for far in range(num_layers):
+                out = colors.color_of(h, far)
+                base[k, index[out, far]] = second[h][c][out] / mean[h][c]
+    return base, np.array([c for c, _ in types])
 
 
-def jacobian_from_cross_moments(
-    stats: ColorCrossMoments, t: Transmissibilities
-) -> np.ndarray:
-    """J = T E(1) with E measured rather than assumed independent: the entry
-    (i, j) is R_j <x_i x_j> / <x_i> off the diagonal and R_i <x_i^2 - x_i> / <x_i>
-    on it (the 1/R_i of T cancels one thinning factor). Edgeless colors are
-    dropped (zero row and column)."""
-    if len(t.values) != len(stats.mean):
+def jacobian_from_cross_moments(table: DegreeTable, t: Transmissibilities) -> np.ndarray:
+    """J(R) = B diag(R) over the types of ``_type_base``, each type's column
+    carrying its color's R."""
+    base, type_color = _type_base(table)
+    if len(t.values) != table.mean.shape[1]:
         raise LengthMismatch("one transmissibility per color required")
-    return _cross_moment_base(stats) * np.asarray(t.values)
+    return base * np.asarray(t.values)[type_color]
 
 
-def jacobian_empirical(g: LayeredGraph, t: Transmissibilities) -> np.ndarray:
-    """Measured-cross-moment Jacobian of a concrete graph (any layer count).
-
-    Raises EmptyColor when no color carries an edge at all.
-    """
-    stats = colored_cross_moments(g)
-    if not stats.mean.any():
-        raise EmptyColor("graph has no edges on any color")
-    return jacobian_from_cross_moments(stats, t)
+def jacobian_closed_form(m: MomentSet, layer_sizes: Sequence[int],
+                         t: Transmissibilities) -> np.ndarray:
+    """The Jacobian of independent colors with these per-color moments (``moment_table``)."""
+    return jacobian_from_cross_moments(moment_table(m, layer_sizes), t)
 
 
 # ---------------------------------------------------------------------------
@@ -286,24 +275,29 @@ def _check_entries(jacs: np.ndarray) -> None:
 
 
 def _eliminate(
-    a: list[list[np.ndarray]], pivots: range, cols: Sequence[int], live: np.ndarray
-) -> tuple[list[list[np.ndarray]], np.ndarray]:
+    a: list[list], pivots: range, cols: Sequence[int], live: np.ndarray
+) -> tuple[list[list], np.ndarray]:
     """Gaussian elimination without pivoting on a stack held entry by entry.
 
-    ``a[i][j]`` is entry (i, j) of every matrix of the stack, one vector each.
+    ``a[i][j]`` is entry (i, j) of every matrix of the stack, one vector each,
+    or the scalar 0.0 off the diagonal where every matrix has a structural 0.
     Each pivot k drops the matrices whose a_kk <= 0 (from ``a`` and from
     their indices ``live``), then sets a_ij -= (a_ik * a_kj) / a_kk for
-    every row i > k and every column j > k in ``cols``. Entries of other
-    columns keep their values, so a column can be eliminated later, alone.
+    every row i > k and every column j > k in ``cols``, skipping products
+    with a scalar factor: subtracting an exact 0 changes no pivot's sign.
+    Entries of other columns keep their values, so a column can be
+    eliminated later, alone.
     """
     for k in pivots:
         keep = a[k][k] > 0.0
         if not keep.all():
-            a, live = [[v[keep] for v in row] for row in a], live[keep]
+            a = [[v[keep] if isinstance(v, np.ndarray) else v for v in row] for row in a]
+            live = live[keep]
         for i in range(k + 1, len(a)):
-            for j in cols:
-                if j > k:
-                    a[i][j] = a[i][j] - a[i][k] * a[k][j] / a[k][k]
+            if isinstance(a[i][k], np.ndarray):
+                for j in cols:
+                    if j > k and isinstance(a[k][j], np.ndarray):
+                        a[i][j] = a[i][j] - a[i][k] * a[k][j] / a[k][k]
     return a, live
 
 
@@ -320,9 +314,7 @@ def _epidemic(jacs: np.ndarray) -> np.ndarray:
     c = jacs.shape[-1]
     a = [[float(i == j) - jacs[:, i, j] for j in range(c)] for i in range(c)]
     _, live = _eliminate(a, range(c), range(c), np.arange(len(jacs)))
-    epidemic = np.ones(len(jacs), dtype=bool)
-    epidemic[live] = False
-    return epidemic
+    return np.bincount(live, minlength=len(jacs)) == 0
 
 
 def spectral_radius(jac: np.ndarray) -> float:
@@ -330,27 +322,9 @@ def spectral_radius(jac: np.ndarray) -> float:
     return float(perron_roots(np.asarray(jac, dtype=float)[None])[0])
 
 
-def epidemic_indicator(
-    m: MomentSet,
-    layer_sizes: Sequence[int],
-    rates: Sequence[float],
-    tau: int,
-) -> tuple[float, bool]:
-    """theta of the closed-form Jacobian at these rates, and ``_epidemic`` of it."""
-    jac = jacobian_closed_form(m, layer_sizes, Transmissibilities.from_rates(rates, tau))
-    return spectral_radius(jac), bool(_epidemic(jac[None])[0])
-
-
 # ---------------------------------------------------------------------------
-# Dominance and the multidimensional threshold
+# The multidimensional threshold
 # ---------------------------------------------------------------------------
-
-def dominates(t1: Sequence[float], t2: Sequence[float]) -> bool:
-    """t1 dominates t2 when it is componentwise <= with at least one strict."""
-    if len(t1) != len(t2):
-        raise LengthMismatch(f"tuple lengths {len(t1)} != {len(t2)}")
-    return all(a <= b for a, b in zip(t1, t2)) and any(a < b for a, b in zip(t1, t2))
-
 
 @dataclass(frozen=True, eq=False)
 class FrontierSet:
@@ -361,9 +335,9 @@ class FrontierSet:
     not epidemic or leaves [0, 1]^C. Empty when no grid tuple is epidemic.
     They are held as one read-only (N, C) array ``rates`` and their thetas
     as ``theta``; ``points`` and ``thetas`` give them as tuples.
-    ``evaluations`` counts the last pivots the line search evaluated, the
-    Jacobians the refinement tested and the thetas reported; it is a
-    diagnostic and takes no part in equality.
+    ``evaluations`` counts the crossing roots and confirming pivots the line
+    search evaluated, the Jacobians the refinement tested and the thetas
+    reported; it is a diagnostic and takes no part in equality.
     """
 
     rates: np.ndarray
@@ -444,36 +418,59 @@ def _undominated(crossing: np.ndarray, tol: float) -> np.ndarray:
 
 def _candidates(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Index of the least grid transmissibility in ``r`` at or above x* = 1/c,
-    one per slope c; ``len(r)`` where c <= 0 or x* > r[-1]."""
+    one per root c; ``len(r)`` where c <= 0 or x* > r[-1]."""
     return np.searchsorted(r, np.divide(1.0, c, out=np.full(len(c), np.inf), where=c > 0.0))
+
+
+def _entries(base: np.ndarray, cols: Sequence[int], r: Sequence) -> list[list]:
+    """Rows of I - base diag(R) on columns ``cols`` for ``_eliminate``, with
+    R of column cols[k] in r[k] (one vector over the stack); an off-diagonal
+    0 of ``base`` is the scalar 0.0."""
+    return [[float(i == j) - base[i, j] * rj if i == j or base[i, j] else 0.0
+             for j, rj in zip(cols, r)] for i in range(len(base))]
+
+
+def _block_root(e: list[list]) -> np.ndarray:
+    """rho(K) of K = I - E >= 0 for a k x k block E held entry by entry, k <= 2:
+    (a+b)/2 + sqrt(((a-b)/2)^2 + cd) for K = [[a, c], [d, b]]."""
+    if len(e) == 1:
+        return 1.0 - e[0][0]
+    mid, half = 1.0 - 0.5 * (e[0][0] + e[1][1]), 0.5 * (e[1][1] - e[0][0])
+    return mid + np.sqrt(half * half + e[0][1] * e[1][0])
 
 
 def _frontier_search(
     base: np.ndarray,
+    type_color: Sequence[int],
     tau: int,
-    num_colors: int,
     grid_step: float,
     groups: tuple[tuple[int, ...], ...],
     refine_tol: Optional[float],
 ) -> FrontierSet:
-    """Monotone grid search for the Pareto-minimal epidemic tuples of J(R) = base diag(R).
+    """Monotone grid search for the Pareto-minimal epidemic tuples of
+    J(R) = base diag(R[type_color]), whose T types are ordered by color.
 
     Every grid point of the leading group axes (a prefix) spans a line along
-    the last group, which must be the last color g alone. ``_epidemic`` is
-    monotone in every rate, so a line crosses at most once, at the least
-    epidemic grid index (``size`` if none). Only column g of I - J moves
-    along a line, so its first g pivots are eliminated once; one <= 0 makes
-    it cross at index 0. Otherwise its last pivot is p(x) = 1 - c x in
-    x = R_g: p(1) gives c, and the least grid R >= 1/c the candidate. Each
-    candidate is confirmed with ``_epidemic``'s arithmetic (epidemic at its
-    index, not one below) and stepped where rounding disagrees, until none
-    steps. ``evaluations`` counts these last pivots, each ``refine_tol``
-    round's Jacobians and the thetas. The rate grid is never held whole.
-    Raises ValueError for an entry of ``base`` above ``ENTRY_BOUND``; every
-    Jacobian of the search is at most ``base``.
+    the last group, which must be the last color g alone, on the last k <= 2
+    types. ``_epidemic`` is monotone in every rate, so a line crosses at most
+    once, at the least epidemic grid index (``size`` if none). Only the k
+    columns of I - J move along a line, so its first p = T - k pivots are
+    eliminated once (a line whose first pivot is <= 0 is dropped before its
+    other entries are built); one <= 0 makes it cross at index 0. Otherwise
+    the eliminated k x k block is I - x K in x = R_g, whose pivots stay > 0
+    exactly while x rho(K) < 1: the block at x = 1 gives K, and the least
+    grid R >= 1/rho(K) the candidate. Each candidate is confirmed with
+    ``_epidemic``'s arithmetic (epidemic at its index, not one below) and
+    stepped where rounding disagrees, until none steps. ``evaluations``
+    counts the roots rho(K), the confirming tests, each ``refine_tol``
+    round's Jacobians and the thetas. The rate grid is never held whole. Raises ValueError for an
+    entry of ``base`` above ``ENTRY_BOUND``; every Jacobian of the search is
+    at most ``base``.
     """
     _check_entries(base)
-    g = num_colors - 1
+    type_color = np.asarray(type_color)
+    num_types, num_colors = len(type_color), int(type_color[-1]) + 1
+    p = int(np.count_nonzero(type_color < num_colors - 1))
     vals = np.asarray(_grid_values(grid_step))
     size = len(vals)
     shape = (size,) * (len(groups) - 1)
@@ -482,17 +479,21 @@ def _frontier_search(
     t = np.ones((num_colors, len(lines)))  # each line's R, with R_g = 1
     for axis, colors in enumerate(groups[:-1]):
         t[list(colors)] = r[lines[:, axis]]
-    a = [[float(i == j) - base[i, j] * t[j] for j in range(num_colors)]
-         for i in range(num_colors)]
-    a, live = _eliminate(a, range(g), range(num_colors), np.arange(len(lines)))
-    at = _candidates(r, 1.0 - a[g][g])
+    live = np.arange(len(lines))
+    if p:
+        live = live[1.0 - base[0, 0] * t[type_color[0]] > 0.0]
+    a = _entries(base, range(num_types), t[:, live][type_color])
+    a, live = _eliminate(a, range(p), range(num_types), live)
+    at = _candidates(r, _block_root([row[p:] for row in a[p:]]))
     evaluations = len(live)
 
     def epidemic_at(pos: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # the live lines at positions pos, with column g at x = r[idx]
-        m = [[v[pos] for v in row[:g]] + [float(i == g) - base[i, g] * r[idx]]
+        # the live lines at positions pos, with the last k columns at x = r[idx]
+        moving = _entries(base, range(p, num_types), [r[idx]] * (num_types - p))
+        m = [[v[pos] if isinstance(v, np.ndarray) else v for v in row[:p]] + moving[i]
              for i, row in enumerate(a)]
-        return ~(_eliminate(m, range(g), (g,), pos)[0][g][g] > 0.0)
+        _, kept = _eliminate(m, range(num_types), range(p, num_types), np.arange(len(pos)))
+        return np.bincount(kept, minlength=len(pos)) == 0
 
     pending = np.arange(len(live))
     while pending.size:
@@ -507,7 +508,7 @@ def _frontier_search(
     hi = np.zeros(len(lines), dtype=int)
     hi[live] = at
 
-    jacobians = _jacobians_of_rates(base, tau)
+    jacobians = _jacobians_of_rates(base, tau, type_color)
 
     def jacobians_at(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
         nonlocal evaluations
@@ -541,8 +542,11 @@ def _frontier_search(
     )
 
 
-def _jacobians_of_rates(base: np.ndarray, tau: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The Jacobians J(R) = base * diag(R(rates)) of rate rows, (N, C) -> (N, C, C).
+def _jacobians_of_rates(
+    base: np.ndarray, tau: int, type_color: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The Jacobians J(R) = base * diag(R(rates)[type_color]) of rate rows,
+    (N, C) -> (N, T, T).
 
     Each distinct rate is mapped once by ``transmissibility``, so the rows get
     the scalar route's values bit for bit (numpy's vectorized power may
@@ -552,7 +556,7 @@ def _jacobians_of_rates(base: np.ndarray, tau: int) -> Callable[[np.ndarray], np
     def jacobians(rates: np.ndarray) -> np.ndarray:
         distinct, where = np.unique(rates, return_inverse=True)
         r = np.array([transmissibility(b, tau) for b in distinct.tolist()])
-        return base * r[where].reshape(rates.shape)[:, None, :]
+        return base * r[where].reshape(rates.shape)[:, None, type_color]
 
     return jacobians
 
@@ -573,7 +577,8 @@ def multi_threshold(
     tie_intra: bool = False,
     refine_tol: Optional[float] = None,
 ) -> FrontierSet:
-    """Multidimensional epidemic threshold of the closed-form model.
+    """Multidimensional epidemic threshold of independent colors with these
+    per-color moments (``moment_table``), any layer count.
 
     ``tie_intra`` searches with all intra-layer rates equal (the usual
     beta / alpha convention), which reduces the grid dimension by one;
@@ -583,8 +588,8 @@ def multi_threshold(
     """
     _check_search(grid_step, refine_tol)
     groups = _tie_groups(m.num_colors, len(layer_sizes), tie_intra)
-    base = _closed_form_base(m, layer_sizes)
-    return _frontier_search(base, tau, m.num_colors, grid_step, groups, refine_tol)
+    return _frontier_search(*_type_base(moment_table(m, layer_sizes)), tau, grid_step, groups,
+                            refine_tol)
 
 
 def multi_threshold_empirical(
@@ -595,14 +600,13 @@ def multi_threshold_empirical(
     tie_intra: bool = False,
     refine_tol: Optional[float] = None,
 ) -> FrontierSet:
-    """Frontier of the measured-cross-moment Jacobian (any layer count)."""
+    """Frontier of the table measured on a graph (``colored_cross_moments``)."""
     _check_search(grid_step, refine_tol)
-    stats = colored_cross_moments(g)
-    if not stats.mean.any():
+    table = colored_cross_moments(g)
+    if not table.mean.any():
         raise EmptyColor("graph has no edges on any color")
     groups = _tie_groups(g.num_colors, g.num_layers, tie_intra)
-    base = _cross_moment_base(stats)
-    return _frontier_search(base, tau, g.num_colors, grid_step, groups, refine_tol)
+    return _frontier_search(*_type_base(table), tau, grid_step, groups, refine_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -619,16 +623,13 @@ def classify_state(
 
     A layer is epidemic when its own percolated branching factor
     R_c (<y^2>-<y>)/<y> reaches 1; the whole network when theta does.
-    Epidemic requires both; infection-free requires neither; everything
-    in between is mixed.
+    Epidemic requires both for every layer; infection-free requires
+    neither anywhere; everything in between is mixed.
     """
-    if len(layer_sizes) != 2 or m.num_colors != 3:
-        raise NotTwoLayers("state classification requires two layers")
     t = Transmissibilities.from_rates(rates, tau)
-    layer_epi = [
-        t.values[c] * m.per_color[c].ratio_restricted() >= 1.0 for c in (0, 1)
-    ]
     whole = _epidemic(jacobian_closed_form(m, layer_sizes, t)[None])[0]
+    layer_epi = [t.values[c] * m.per_color[c].ratio_restricted() >= 1.0
+                 for c in range(len(layer_sizes))]
     if whole and all(layer_epi):
         return NetworkState.EPIDEMIC
     if not whole and not any(layer_epi):

@@ -19,15 +19,19 @@ from interepi import (
     CrossLayerColorMismatch,
     DuplicateEdge,
     LayeredGraph,
+    LengthMismatch,
     ParseError,
     SelfLoop,
     SirConfig,
+    Transmissibilities,
     UnknownNode,
     build_graph,
+    jacobian_closed_form,
+    spectral_radius,
     structural_gcc_sizes,
 )
 from interepi.sir import _stream
-from interepi.threshold import _grid_values
+from interepi.threshold import _epidemic, _grid_values
 
 # ---------------------------------------------------------------------------
 # Connected components by O(n^3) transitive closure
@@ -264,6 +268,23 @@ def stacked_epidemic(jacs: np.ndarray) -> np.ndarray:
     epidemic = np.ones(len(jacs), dtype=bool)
     epidemic[live] = False
     return epidemic
+
+
+# ---------------------------------------------------------------------------
+# Dominance and the closed-form epidemic decision at one rate tuple
+# ---------------------------------------------------------------------------
+
+def dominates(t1, t2) -> bool:
+    """t1 dominates t2 when it is componentwise <= with at least one strict."""
+    if len(t1) != len(t2):
+        raise LengthMismatch(f"tuple lengths {len(t1)} != {len(t2)}")
+    return all(a <= b for a, b in zip(t1, t2)) and any(a < b for a, b in zip(t1, t2))
+
+
+def epidemic_indicator(m, layer_sizes, rates, tau) -> tuple[float, bool]:
+    """theta of the closed-form Jacobian at these rates, and ``_epidemic`` of it."""
+    jac = jacobian_closed_form(m, layer_sizes, Transmissibilities.from_rates(rates, tau))
+    return spectral_radius(jac), bool(_epidemic(jac[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,16 @@ from interepi import (
     DomainError,
     DuplicateEdge,
     ErLayerSpec,
+    MomentSet,
     ParseError,
     PowerLawSpec,
     SelfLoop,
     UnknownNode,
     build_interdependent,
+    er_color_moments,
     graphs_equal,
     load_graph,
+    multi_threshold,
     parse_config_text,
     run_experiment,
     write_graph,
@@ -649,7 +652,27 @@ class TestCli:
         assert main(["threshold", "--graph", str(graph_path), "--grid-step", "0.05",
                      "--tie-intra", "--out", str(by_graph)]) == 0
         assert by_config.read_bytes() == by_graph.read_bytes()
-        assert len(by_config.read_text().splitlines()) > 2
+        # a header and one point: the graph's inter ratio (<y^2> - <y>) / <y> is
+        # 0.995 < 1, so beta = 0 stays subcritical at every alpha, and at
+        # alpha = 0 the dense layer's ratio 5.006 crosses at beta 0.0436 -> 0.05
+        assert len(by_config.read_text().splitlines()) == 2
+
+    def test_threshold_of_a_three_layer_config(self, tmp_path):
+        # the model route takes any layer count: six colors, inter colors in
+        # pair order (0, 1), (0, 2), (1, 2), each over its two layers' nodes
+        cfg_path, out, expected = tmp_path / "three.cfg", tmp_path / "f.csv", tmp_path / "x.csv"
+        cfg_path.write_text("network.source = generate\n" + "".join(
+            f"layer.{i}.type = er\nlayer.{i}.n = {n}\nlayer.{i}.mean_degree = {mean}\n"
+            for i, (n, mean) in enumerate([(50, 3.0), (60, 2.0), (70, 1.0)]))
+            + "inter.0.2.mean_degree = 1.0\ninter.1.2.mean_degree = 0.5\n"
+            "analysis.grid_step = 0.1\n")
+        assert main(["threshold", "--config", str(cfg_path), "--out", str(out)]) == 0
+        m = MomentSet((er_color_moments(3.0, 50), er_color_moments(2.0, 60),
+                       er_color_moments(1.0, 70), er_color_moments(0.0, 110),
+                       er_color_moments(1.0, 120), er_color_moments(0.5, 130)))
+        write_frontier_csv(expected, multi_threshold(m, (50, 60, 70), 5, 0.1, tie_intra=True))
+        assert out.read_bytes() == expected.read_bytes()
+        assert out.read_text().startswith("beta_1,beta_2,beta_3,beta_4,beta_5,beta_6,theta\n")
 
     def test_sweep_and_dynamics_cli(self, tmp_path):
         g = chain_plus_layer2()
@@ -950,12 +973,17 @@ class TestCli:
         assert (tmp_path / "out" / "manifest").exists()
 
     # sha256 of every file `run` writes for BASE_CONFIG, the same bytes as
-    # when every CSV, standalone or not, ended with the manifest line
+    # when every CSV, standalone or not, ended with the manifest line.
+    # frontier.csv is "beta_1,beta_2,beta_3,theta\n0,0,1,1\n0.05,0.05,0,
+    # 1.131095313\n# manifest: manifest\n": equal ER layers lump the Jacobian
+    # to [[1.5 R(b), R(a)], [R(a), 5 R(b)]], so b = 0 crosses at R(a) = 1,
+    # a = 1 with theta 1, and a = 0 at 5 R(b) >= 1, b >= 0.0437 -> 0.05 with
+    # theta 5 R(0.05) = 1.1310953125 (printed to 10 digits)
     RUN_SHA256 = {
         "dynamics.csv": "ee992700e655fae5240b0d996c9ae0a152f2f2a036e31de082a8419edfaf6e30",
         "dynamics_cumulative.csv":
             "7bf466b816266fcb058a4f16c65be40f742094f0fa63abb2cda4376ebdb8d038",
-        "frontier.csv": "2b3bb3c983c6253163df9118462e6c8c5f4b6a608e8d3d31fbdd709b320e7be2",
+        "frontier.csv": "4733b45282417ef43cd1cb75c81ba72bc3ffd4c5b3d1a297456fe3a4a8a1979d",
         "manifest": "e9acb1423bd28af494bef9565469fa6e6d93669789531c9f7a8da71ae6791824",
         "sweep.csv": "b2df2e3a013eeac34a48b82a6db47d12cb07c16a7e7d3108f051dd3562683aeb",
     }

@@ -16,8 +16,6 @@ from interepi import (
     Transmissibilities,
     build_graph,
     compute_moments,
-    dominates,
-    epidemic_indicator,
     er_color_moments,
     giant_component,
     graphs_equal,
@@ -45,6 +43,8 @@ from interepi.threshold import (
 )
 from oracles import (
     brute_force_component_labels,
+    dominates,
+    epidemic_indicator,
     exhaustive_frontier,
     first_passage_steps,
     random_layered_graph,
@@ -333,7 +333,8 @@ def test_thinning_identities(mean, r1, r2):
     ))
     sizes = (100, 100)
     base = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3))
-    assert np.allclose(base[0], [0.5 * mean, 0.5 * mean, mean], rtol=1e-12)  # Poisson: ratio = mean
+    # Poisson: a layer-0 node's excess degree of either of its colors is the mean
+    assert np.allclose(base[0], [mean, 0.0, 0.0, mean], rtol=1e-12)
     zero = jacobian_closed_form(m, sizes, Transmissibilities((0.0,) * 3))
     assert np.all(zero == 0.0)
     # composed thinning multiplies: J(r1 r2) = J(r1) r2 = B r1 r2
@@ -349,24 +350,27 @@ _UNEVEN_STEPS = (0.07, 0.09, 0.11, 0.13, 0.17, 0.23, 0.3, 0.45)
 
 @st.composite
 def frontier_searches(draw):
-    """A non-negative base B of C = 2-4 colors, tau, tie groups over 1 to C-1
-    layers, tied or not, an uneven grid step whose full grid has at most 3000
-    points, and refine_tol None or 1e-3."""
+    """A non-negative base B over the types of C = 2-4 colors, the last color
+    on one or two type columns (an inter color's two arrival layers), tau,
+    tie groups over 1 to C-1 layers, tied or not, an uneven grid step whose
+    full grid has at most 3000 points, and refine_tol None or 1e-3."""
     c = draw(st.integers(2, 4))
-    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=c * c,
-                       max_size=c * c)
-    base = np.array(draw(entries)).reshape(c, c)
+    type_color = list(range(c)) + [c - 1] * draw(st.integers(0, 1))
+    t = len(type_color)
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=t * t,
+                       max_size=t * t)
+    base = np.array(draw(entries)).reshape(t, t)
     groups = _tie_groups(c, draw(st.integers(1, c - 1)), draw(st.booleans()))
     steps = [s for s in _UNEVEN_STEPS if len(_grid_values(s)) ** len(groups) <= 3000]
-    return (base, draw(st.integers(1, 9)), groups, draw(st.sampled_from(steps)),
+    return (base, type_color, draw(st.integers(1, 9)), groups, draw(st.sampled_from(steps)),
             draw(st.sampled_from([None, 1e-3])))
 
 
 @settings(max_examples=100, deadline=None)
 @given(frontier_searches())
 def test_frontier_search_matches_exhaustive_scan(search):
-    base, tau, groups, step, refine_tol = search
-    c = len(base)
+    base, type_color, tau, groups, step, refine_tol = search
+    c = type_color[-1] + 1
 
     def full(reduced):
         rates = [0.0] * c
@@ -376,13 +380,13 @@ def test_frontier_search_matches_exhaustive_scan(search):
         return tuple(rates)
 
     def jacobian(rates):
-        return base * np.array([transmissibility(b, tau) for b in rates])
+        return base * np.array([transmissibility(b, tau) for b in rates])[type_color]
 
     def epidemic(reduced):
         return bool(_epidemic(jacobian(full(reduced))[None])[0])
 
     vals = _grid_values(step)
-    front = _frontier_search(base, tau, c, step, groups, refine_tol)
+    front = _frontier_search(base, type_color, tau, step, groups, refine_tol)
     grid = {full(r) for r in exhaustive_frontier(epidemic, len(groups), step)}
     assert front.thetas == tuple(spectral_radius(jacobian(p)) for p in front.points)
     if refine_tol is None:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from interepi import (
+    ColorTable,
     DomainError,
     EmptyColor,
     ErLayerSpec,
@@ -14,20 +15,18 @@ from interepi import (
     LengthMismatch,
     NetworkState,
     NonConvergence,
-    NotTwoLayers,
     PowerLawSpec,
     Transmissibilities,
     build_interdependent,
     classify_state,
     colored_cross_moments,
-    dominates,
-    epidemic_indicator,
     er_color_moments,
     jacobian_closed_form,
-    jacobian_empirical,
+    kappa,
     multi_threshold,
     multi_threshold_empirical,
     perron_roots,
+    powerlaw_color_moments,
     powerlaw_moments,
     single_layer_threshold,
     spectral_radius,
@@ -39,11 +38,15 @@ from interepi.threshold import (
     _epidemic,
     _frontier_search,
     _grid_values,
+    _type_base,
     jacobian_from_cross_moments,
+    moment_table,
 )
 from oracles import (
     cardano_radius_3x3,
     chain_plus_layer2,
+    dominates,
+    epidemic_indicator,
     exhaustive_frontier,
     two_layer_graph,
 )
@@ -154,49 +157,75 @@ class TestModelMoments:
         assert mean == pytest.approx(math.log(spec.y_max), abs=1e-12)
 
 
+def arrival_types(num_layers):
+    """The builder's types (color, arrival layer), ordered by color, then layer."""
+    colors = ColorTable(num_layers)
+    return [(c, h) for c in range(colors.num_colors) for h in colors.members(c)]
+
+
+def empirical_jacobian(g, t):
+    return jacobian_from_cross_moments(colored_cross_moments(g), t)
+
+
 class TestThinning:
-    """J(R) = B diag(R). Keeping each color-c edge with probability R_c gives
+    """J(R) = B diag(R), each type's column carrying its color's R. Keeping
+    each color-c edge with probability R_c gives, over any layer's nodes,
     <x'_i> = R_i <x_i>, <x'_i x'_j> = R_i R_j <x_i x_j> (i != j) and
-    <x'_i (x'_i - 1)> = R_i^2 <x_i (x_i - 1)>, so entry (i, j), a second
-    moment over <x'_i>, keeps the R of its column only."""
+    <x'_i (x'_i - 1)> = R_i^2 <x_i (x_i - 1)>, so entry (i, h) -> (j, h'), a
+    second moment over <x'_i>, keeps the R of its column's color only."""
 
     def test_identity_at_one(self):
-        # at R = 1 the entries are the unthinned moment ratios themselves
+        # at R = 1 entry (c, h) -> (c', h') is the unthinned ratio over layer
+        # h's nodes when c' is the color from h to h', and 0 otherwise
         g = chain_plus_layer2()
         x = g.color_degrees().astype(float)
-        jac = jacobian_from_cross_moments(colored_cross_moments(g), Transmissibilities((1.0,) * 3))
-        for i in range(3):
-            for j in range(3):
-                second = (x[i] * (x[j] - (i == j))).sum()
-                assert jac[i, j] == pytest.approx(second / x[i].sum(), abs=1e-12)
+        jac = empirical_jacobian(g, Transmissibilities((1.0,) * 3))
+        types = arrival_types(2)
+        for row, (c, h) in enumerate(types):
+            xh = x[:, g.layer_slice(h)]
+            for col, (out, far) in enumerate(types):
+                if g.colors.color_of(h, far) != out:
+                    assert jac[row, col] == 0.0
+                    continue
+                second = (xh[c] * (xh[out] - (c == out))).sum()
+                assert jac[row, col] == pytest.approx(second / xh[c].sum(), abs=1e-12)
 
     def test_annihilator_at_zero(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
         t = Transmissibilities((0.0, 0.0, 0.0))
         assert np.all(jacobian_closed_form(m, sizes, t) == 0.0)
-        stats = colored_cross_moments(chain_plus_layer2())
-        assert np.all(jacobian_from_cross_moments(stats, t) == 0.0)
+        assert np.all(empirical_jacobian(chain_plus_layer2(), t) == 0.0)
 
     def test_worked_example(self):
         # <y>=6, <y^2>=48 (ratio 7), R=0.5: <y'>=3, <y'^2>=0.25*42+3=13.5, so
-        # the thinned ratio is (13.5-3)/3 = 3.5. Column c carries pop_c / n:
-        # 1/2 for each layer's color, 1 for the interconnection color.
+        # the thinned ratio is (13.5-3)/3 = 3.5, and a cross moment 36 of
+        # independent colors gives 0.5 * 36 / 6 = 3.0. Equal layers put 6 inter
+        # ends on every node (f = 20 / (2 * 10) = 1). Types: (0, 0), (1, 1),
+        # (2, 0), (2, 1); a layer-0 node sends color 0 to layer 0 and color 2 to
+        # layer 1, a layer-1 node color 1 to layer 1 and color 2 to layer 0.
         m = MomentSet((ColorMoments(6.0, 48.0, 10), ColorMoments(6.0, 48.0, 10),
                        ColorMoments(6.0, 48.0, 20)))
         jac = jacobian_closed_form(m, (10, 10), Transmissibilities((0.5, 0.5, 0.5)))
-        expected = [[1.75, 1.5, 3.0], [1.5, 1.75, 3.0], [1.5, 1.5, 3.5]]
+        expected = [[3.5, 0.0, 0.0, 3.0], [0.0, 3.5, 3.0, 0.0],
+                    [3.0, 0.0, 0.0, 3.5], [0.0, 3.0, 3.5, 0.0]]
         assert jac == pytest.approx(np.array(expected), abs=1e-12)
 
     def test_binomial_thinning_monte_carlo(self):
         # independent oracle: thin a generated graph edge by edge and measure.
-        # Entry (i, j) of J(R) is E[x'_i x'_j] / E[x'_i] (E[x'_i (x'_i - 1)] on
-        # the diagonal), estimated by the ratio of the sample means over 200
+        # Entry (c, h) -> (c', h') of J(R) is E_h[x'_c x'_c'] / E_h[x'_c]
+        # (E_h[x'_c (x'_c - 1)] when c' = c) over layer h's nodes, c' the color
+        # from h to h', estimated by the ratio of the sample means over 200
         # thinnings. Its standard error comes from the delta method, and the
         # ratio's bias, O(1 / (samples * edges)), is far below it. Budget: 4
         # standard errors, which a correct Jacobian exceeds on one of the
-        # nine entries with probability about 6e-4 (normal approximation).
+        # eight nonzero entries with probability about 5e-4 (normal approximation).
         layers = [ErLayerSpec(2000, 1.5), ErLayerSpec(2000, 6.0)]
         g = build_interdependent(layers, {(0, 1): 1.5}, master_seed=5)
+        types = arrival_types(2)
+        rows, cols, layer, color, out = np.array([
+            (row, types.index((g.colors.color_of(h, far), far)), h, c, g.colors.color_of(h, far))
+            for row, (c, h) in enumerate(types) for far in range(2)
+        ]).T
         r = np.array([0.3, 0.6, 0.8])
         rng = np.random.default_rng(23)
         num, den = [], []
@@ -205,28 +234,29 @@ class TestThinning:
             thinned = LayeredGraph(
                 g.layer_sizes, g.edges_u[keep], g.edges_v[keep], g.edge_colors[keep]
             )
-            stats = colored_cross_moments(thinned)
-            second = stats.cross.copy()
-            np.fill_diagonal(second, stats.factorial)
-            num.append(second)
-            den.append(stats.mean[:, None])
+            table = colored_cross_moments(thinned)
+            num.append(table.second[layer, color, out])
+            den.append(table.mean[layer, color])
         num, den = np.array(num), np.array(den)
         sampled = num.mean(axis=0) / den.mean(axis=0)
         se = (num - sampled * den).std(axis=0, ddof=1) / np.sqrt(len(num)) / den.mean(axis=0)
-        jac = jacobian_from_cross_moments(colored_cross_moments(g), Transmissibilities(tuple(r)))
-        assert np.all(np.abs(sampled - jac) <= 4 * se)
-        # and tight: under 1% of each entry, enough to tell R_j from R_i
-        assert np.all(se <= 0.01 * jac)
-        assert np.any(np.abs(sampled - jac / r * r[:, None]) > 10 * se)
+        jac = empirical_jacobian(g, Transmissibilities(tuple(r)))
+        assert np.count_nonzero(jac) == len(rows) == 8
+        want = jac[rows, cols]
+        assert np.all(np.abs(sampled - want) <= 4 * se)
+        # and tight: under 1% of each entry, enough to tell R_c' from R_c
+        assert np.all(se <= 0.01 * want)
+        assert np.any(np.abs(sampled - want / r[out] * r[color]) > 10 * se)
 
     def test_mean_composes_multiplicatively(self):
-        # thinning by R1 and then by R2 is thinning by R1 R2
+        # thinning by R1 and then by R2 is thinning by R1 R2; the inter color's
+        # R scales the columns of both of its types
         m, sizes = er_set(1.5, 6.0, 1.5)
-        stats = colored_cross_moments(chain_plus_layer2())
+        g = chain_plus_layer2()
         r1, r2 = np.array([0.6, 0.3, 0.9]), np.array([0.5, 0.8, 0.2])
         for jac in (lambda r: jacobian_closed_form(m, sizes, Transmissibilities(tuple(r))),
-                    lambda r: jacobian_from_cross_moments(stats, Transmissibilities(tuple(r)))):
-            assert jac(r1 * r2) == pytest.approx(jac(r1) * r2, abs=1e-12)
+                    lambda r: empirical_jacobian(g, Transmissibilities(tuple(r)))):
+            assert jac(r1 * r2) == pytest.approx(jac(r1) * r2[[0, 1, 2, 2]], abs=1e-12)
 
 
 class TestJacobianClosedForm:
@@ -235,18 +265,39 @@ class TestJacobianClosedForm:
         jac = jacobian_closed_form(m, sizes, Transmissibilities((0.0,) * 3))
         assert np.all(jac == 0.0)
 
-    def test_equal_rows_er_case(self):
-        # Poisson moment ratio equals the mean, so every row becomes
-        # ((n1/n) R <y1>, (n2/n) R <y2>, R <y3>) = (0.75, 3, 1.5) at R=1
+    def test_er_root_is_the_2x2_closed_form(self):
+        # equal ER layers: a layer-h node's excess degree of every color is that
+        # color's mean (Poisson), so the rows of a layer's two types are equal,
+        # and theta is the root of [[a, c], [c, b]], a = R0 <y0>, b = R1 <y1>,
+        # c = R2 <y2>: (a+b)/2 + sqrt(((a-b)/2)^2 + c^2), which at R = 1 is
+        # 3.75 + sqrt(2.25^2 + 1.5^2) = 3.75 + sqrt(7.3125) = 6.4541634566
         m, sizes = er_set(1.5, 6.0, 1.5)
         jac = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3))
-        expected_row = np.array([0.75, 3.0, 1.5])
-        for row in jac:
-            assert row == pytest.approx(expected_row)
-        assert spectral_radius(jac) == pytest.approx(5.25, abs=1e-10)
+        layer0, layer1 = [1.5, 0.0, 0.0, 1.5], [0.0, 6.0, 1.5, 0.0]
+        assert jac.tolist() == [layer0, layer1, layer0, layer1]
+        assert spectral_radius(jac) == pytest.approx(6.4541634566, abs=1e-10)
+        for r in np.random.default_rng(8).random((20, 3)):
+            a, b, c = r * (1.5, 6.0, 1.5)
+            root = (a + b) / 2 + math.sqrt(((a - b) / 2) ** 2 + c * c)
+            jac = jacobian_closed_form(m, sizes, Transmissibilities(tuple(r)))
+            assert spectral_radius(jac) == pytest.approx(root, abs=1e-10)
+
+    def test_inter_moments_split_over_unequal_layers(self):
+        # inter mean 1.5 over 10 + 30 nodes is 30 edges: 3 ends per layer-0
+        # node and 1 per layer-1 node (f = 40 / 20 = 2 and 40 / 60 = 2/3), and
+        # Poisson factorial moments f^2 (<y^2> - <y>) = f^2 1.5^2 = 9 and 1
+        m = MomentSet((er_color_moments(2.0, 10), er_color_moments(4.0, 30),
+                       er_color_moments(1.5, 40)))
+        table = moment_table(m, (10, 30))
+        assert table.mean == pytest.approx(np.array([[2.0, 0.0, 3.0], [0.0, 4.0, 1.0]]))
+        assert table.second == pytest.approx(np.array([
+            [[4.0, 0.0, 6.0], [0.0, 0.0, 0.0], [6.0, 0.0, 9.0]],
+            [[0.0, 0.0, 0.0], [0.0, 16.0, 4.0], [0.0, 4.0, 1.0]],
+        ]))
 
     def test_inter_only_spreading(self):
-        # only the interconnection color active: theta = R3 * ratio3
+        # only the interconnection color active: its two types feed each
+        # other, theta = R3 * ratio3
         m, sizes = er_set(1.5, 6.0, 1.5)
         t = Transmissibilities((0.0, 0.0, 0.5))
         jac = jacobian_closed_form(m, sizes, t)
@@ -256,31 +307,34 @@ class TestJacobianClosedForm:
     def test_zero_mean_color_dropped(self):
         m, sizes = er_set(1.5, 6.0, 0.0)
         jac = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3))
-        assert np.all(jac[2, :] == 0.0)
-        assert np.all(jac[:, 2] == 0.0)
-        # remaining block still intact
-        assert jac[0, 0] == pytest.approx(0.75)
+        # the inter color's two types, rows and columns 2 and 3
+        assert np.all(jac[2:, :] == 0.0)
+        assert np.all(jac[:, 2:] == 0.0)
+        # the layers' own block still intact: a Poisson excess degree is the mean
+        assert jac[0, 0] == pytest.approx(1.5)
 
-    def test_requires_two_layers(self):
+    def test_colors_must_fit_the_layers(self):
         m, _ = er_set(1.5, 6.0, 1.5)
-        with pytest.raises(NotTwoLayers):
+        with pytest.raises(LengthMismatch):
             jacobian_closed_form(m, (5000,), Transmissibilities((1.0,) * 3))
+        with pytest.raises(LengthMismatch):
+            jacobian_closed_form(m, (5000, 5000), Transmissibilities((1.0,) * 2))
 
 
 class TestJacobianEmpirical:
-    def test_disjoint_intra_cross_moments_vanish(self):
-        # no node carries both intra colors, so those off-diagonals are 0
+    def test_edgeless_inter_color_dropped(self):
         g = two_layer_graph(4, 4, [(0, 1), (1, 2)], [(0, 1)], [])
-        jac = jacobian_empirical(g, Transmissibilities((1.0, 1.0, 1.0)))
+        jac = empirical_jacobian(g, Transmissibilities((1.0, 1.0, 1.0)))
+        # no intra edge joins the layers
         assert jac[0, 1] == 0.0
         assert jac[1, 0] == 0.0
-        # edgeless inter color dropped entirely
-        assert np.all(jac[2, :] == 0.0)
-        assert np.all(jac[:, 2] == 0.0)
+        # the edgeless inter color's two types dropped entirely
+        assert np.all(jac[2:, :] == 0.0)
+        assert np.all(jac[:, 2:] == 0.0)
 
     def test_zero_rates(self):
         g = chain_plus_layer2()
-        jac = jacobian_empirical(g, Transmissibilities((0.0,) * 3))
+        jac = empirical_jacobian(g, Transmissibilities((0.0,) * 3))
         assert np.all(jac == 0.0)
 
     def test_gap_to_closed_form_reported(self, capsys):
@@ -290,7 +344,7 @@ class TestJacobianEmpirical:
 
         g = chain_plus_layer2()
         t = Transmissibilities((1.0,) * 3)
-        emp = jacobian_empirical(g, t)
+        emp = empirical_jacobian(g, t)
         closed = jacobian_closed_form(compute_moments(g), g.layer_sizes, t)
         gap = np.abs(emp - closed).max()
         print(f"independence-assumption gap (12-node example): {gap:.4f}")
@@ -301,7 +355,7 @@ class TestJacobianEmpirical:
 
         g = build_graph([2, 2], [])
         with pytest.raises(EmptyColor):
-            jacobian_empirical(g, Transmissibilities((1.0,) * 3))
+            multi_threshold_empirical(g, tau=5)
 
 
 class TestSpectralRadius:
@@ -385,7 +439,8 @@ class TestEpidemicIndicator:
     def test_all_ones(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
         theta, epidemic = epidemic_indicator(m, sizes, (1.0, 1.0, 1.0), 5)
-        assert theta == pytest.approx(5.25, abs=1e-10)
+        # the root of [[1.5, 1.5], [1.5, 6.0]] (test_er_root_is_the_2x2_closed_form)
+        assert theta == pytest.approx(6.4541634566, abs=1e-10)
         assert epidemic
 
     def test_boundary_inclusive(self):
@@ -428,7 +483,7 @@ class TestMultiThreshold:
         # every line with r0 > 0 is epidemic in its prefix alone, so it
         # crosses at index 0 of the searched axis; r0 = 1 is dominated
         base = np.diag([4.0, 0.0, 0.0])  # tau = 1: R = rate, theta = 4 r0
-        front = _frontier_search(base, 1, 3, 0.5, ((0,), (1,), (2,)), None)
+        front = _frontier_search(base, range(3), 1, 0.5, ((0,), (1,), (2,)), None)
         assert front.points == ((0.5, 0.0, 0.0),)
         assert front.thetas == (2.0,)
 
@@ -439,9 +494,9 @@ class TestMultiThreshold:
         b = 1.0 / 0.50001
         base = np.array([[0.0, 1.0], [2.0 * (1.0 / 0.49999 - b), b]])
         groups = ((0,), (1,))
-        grid = _frontier_search(base, 1, 2, 0.5, groups, None)
+        grid = _frontier_search(base, range(2), 1, 0.5, groups, None)
         assert grid.points == ((0.0, 1.0), (0.5, 0.5))
-        front = _frontier_search(base, 1, 2, 0.5, groups, 1e-4)
+        front = _frontier_search(base, range(2), 1, 0.5, groups, 1e-4)
         assert len(front) == 1
         assert front.points[0][0] == 0.0
         assert front.points[0][1] == pytest.approx(0.50001, abs=1e-4)
@@ -453,7 +508,7 @@ class TestMultiThreshold:
         # by those roots also kept the dominated (0.9, 1, 0)
         base = np.array([[0.0, 0.0, 1.0], [5.66e-161, 1.0, 0.0], [3.0, 1.0, 0.0]])
         groups = ((0,), (1,), (2,))
-        front = _frontier_search(base, 2, 3, 0.09, groups, None)
+        front = _frontier_search(base, range(3), 2, 0.09, groups, None)
 
         def epidemic(rates):
             jac = base * np.array([transmissibility(b, 2) for b in rates])
@@ -465,7 +520,7 @@ class TestMultiThreshold:
 
     def test_entries_beyond_the_bound_are_refused(self):
         # the search checks its base once; a stack is checked where it enters
-        m, sizes = er_set(1.5, 2.0**34, 1.5)  # entries of half the mean
+        m, sizes = er_set(1.5, 2.0**34, 1.5)  # the dense layer's entry is its mean
         with pytest.raises(ValueError, match="at most 4294967296"):
             multi_threshold(m, sizes, tau=5, grid_step=0.1)
         at_bound = np.full((1, 2, 2), threshold_module.ENTRY_BOUND)
@@ -497,10 +552,12 @@ class TestMultiThreshold:
         for (b1, b2, a3), theta in zip(front.points, front.thetas):
             assert b1 == b2  # tied intra rates
             assert theta >= 1.0
-        # frontier endpoints: pure-inter crossing at R=2/3 -> alpha=0.2,
-        # pure-intra crossing at 3.75 R = 1 -> beta=0.07 on the 0.01 grid
+        # frontier endpoints: pure-inter crossing at 1.5 R = 1, R = 2/3 ->
+        # alpha = 1 - 3^(-1/5) = 0.197 -> 0.2; at alpha = 0 the layers decouple
+        # and the dense one crosses at 6 R = 1, beta = 1 - (5/6)^(1/5) = 0.0358
+        # -> 0.04 on the 0.01 grid
         assert (0.0, 0.0, 0.2) in front.points
-        assert (0.07, 0.07, 0.0) in front.points
+        assert (0.04, 0.04, 0.0) in front.points
 
     def test_antichain_and_one_step_down(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
@@ -547,7 +604,9 @@ class TestMultiThreshold:
         m, sizes = er_set(1.5, 6.0, 1.5)
         step, tol = 0.05, 1e-4
         front = multi_threshold(m, sizes, tau=5, grid_step=step, refine_tol=tol)
-        assert len(front) > 5
+        # the five grid points of test_evaluations_counted_and_bounded, three
+        # of them refined
+        assert len(front) == 5
         for point, theta in zip(front.points, front.thetas):
             assert theta >= 1.0
             assert epidemic_indicator(m, sizes, point, 5)[0] == theta
@@ -565,30 +624,40 @@ class TestMultiThreshold:
         step, tol = 0.05, 1e-4
         vals = _grid_values(step)
         # a line is live when its prefix alone is not epidemic: at alpha = 0
+        # the layers decouple, so 1.5 R(b1) < 1 (b1 < 0.197: 0 to 0.15) and
+        # 6 R(b2) < 1 (b2 < 0.0358: 0 alone), 4 lines
         live = sum(not epidemic_indicator(m, sizes, (b1, b2, 0.0), 5)[1]
                    for b1 in vals for b2 in vals)
-        assert (len(vals), live) == (21, 24)
+        assert (len(vals), live) == (21, 4)
         front = multi_threshold(m, sizes, tau=5, grid_step=step)
-        # each live line: p(1), then its candidate and the index below it,
-        # and no line steps; then one theta per point
-        assert len(front) == 7
-        assert front.evaluations == 3 * live + len(front) == 79
+        # the live lines cross where 2.25 R(alpha)^2 = 1 - 1.5 R(b1) (the 2x2
+        # root of test_er_root_is_the_2x2_closed_form at b2 = 0): alpha 0.197,
+        # 0.145, 0.101, 0.061 -> 0.2, 0.15, 0.15, 0.1, so b1 = 0.1 is dominated;
+        # (0.2, 0, 0) and (0, 0.05, 0) cross at index 0. Each live line: rho(K),
+        # then its candidate and the index below it, and no line steps; then
+        # one theta per point
+        assert len(front) == 5
+        assert front.evaluations == 3 * live + len(front) == 17
         refined = multi_threshold(m, sizes, tau=5, grid_step=step, refine_tol=tol)
         rounds = math.ceil(math.log2(step / tol))  # bisection rounds per point
-        assert len(refined) == 7
-        assert refined.evaluations == 124  # 72 pivots, 45 refine Jacobians, 7 thetas
+        assert len(refined) == 5
+        # 12 pivots, 9 rounds for each of the three points off index 0, 5 thetas
+        assert rounds == 9
+        assert refined.evaluations == 12 + 3 * rounds + 5 == 44
         assert refined.evaluations - front.evaluations <= len(front) * rounds
         # a diagnostic only: equality ignores it
         assert dataclasses.replace(front, evaluations=0) == front
 
     def test_benchmark_model_takes_few_roots(self):
         # 10 201 lines; the bisection tested 3 157 Jacobians here, and
-        # bisecting every line 22 447. 311 lines are live: p(1) and two
-        # confirming pivots each, then 79 thetas
+        # bisecting every line 22 447. 80 lines are live (b1 < 0.197: 20 grid
+        # values, b2 < 0.0358: 4): rho(K) and two confirming pivots each, then
+        # 50 thetas, the points of an exhaustive scan of the 2x2 root of
+        # test_er_root_is_the_2x2_closed_form on the 0.01 grid
         m, sizes = er_set(1.5, 6.0, 1.5, 10_000, 10_000)
         front = multi_threshold(m, sizes, tau=5, grid_step=0.01)
-        assert len(front) == 79
-        assert front.evaluations == 3 * 311 + 79
+        assert len(front) == 50
+        assert front.evaluations == 3 * 80 + 50
 
     def test_frontier_holds_arrays(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
@@ -607,7 +676,7 @@ class TestMultiThreshold:
         step = 0.05
 
         def theta_fn(rates):
-            return spectral_radius(jacobian_empirical(g, Transmissibilities.from_rates(rates, 5)))
+            return spectral_radius(empirical_jacobian(g, Transmissibilities.from_rates(rates, 5)))
 
         front = multi_threshold_empirical(g, tau=5, grid_step=step)
         assert len(front) >= 20
@@ -631,26 +700,29 @@ class TestLineSearch:
     GROUPS = ((0,), (1,), (2,))
 
     @staticmethod
-    def scan(base, tau, num_colors, step):
-        def epidemic(rates):
-            r = [transmissibility(b, tau) for b in rates]
-            return bool(_epidemic((base * np.array(r))[None])[0])
+    def scan(base, type_color, tau, step):
+        type_color = np.asarray(type_color)
 
-        return exhaustive_frontier(epidemic, num_colors, step)
+        def epidemic(rates):
+            r = np.array([transmissibility(b, tau) for b in rates])
+            return bool(_epidemic((base * r[type_color])[None])[0])
+
+        return exhaustive_frontier(epidemic, int(type_color[-1]) + 1, step)
 
     def test_prefix_epidemic_and_never_crossing_lines(self):
-        front = _frontier_search(self.BASE, 1, 3, 0.25, self.GROUPS, None)
+        front = _frontier_search(self.BASE, range(3), 1, 0.25, self.GROUPS, None)
         # r0 >= 0.5: the prefix is epidemic, index 0; r1 = 0 never crosses;
         # r1 = 0.25 crosses at 1 (x* = 0.95), r1 = 0.75 at 0.75 (x* = 0.65)
         assert front.points == ((0.0, 0.25, 1.0), (0.0, 0.75, 0.75), (0.5, 0.0, 0.0))
-        assert set(front.points) == self.scan(self.BASE, 1, 3, 0.25)
+        assert set(front.points) == self.scan(self.BASE, range(3), 1, 0.25)
         # 10 live lines (r0 <= 0.25), 3 pivots each, no step, 3 thetas
         assert front.evaluations == 3 * 10 + 3
 
     def test_confirming_loop_corrects_candidates(self, monkeypatch):
         m, sizes = er_set(1.5, 6.0, 1.5)
-        cases = [(self.BASE, 1, 3, 0.25, self.GROUPS),
-                 (threshold_module._closed_form_base(m, sizes), 5, 3, 0.05, self.GROUPS)]
+        base, type_color = _type_base(moment_table(m, sizes))  # the last color on two columns
+        cases = [(self.BASE, range(3), 1, 0.25, self.GROUPS),
+                 (base, type_color, 5, 0.05, self.GROUPS)]
         expected = [_frontier_search(*case, None) for case in cases]
         for case, want in zip(cases, expected):
             assert set(want.points) == self.scan(*case[:4])
@@ -669,12 +741,95 @@ class TestLineSearch:
         g = build_interdependent([ErLayerSpec(300, 3.0)], {}, master_seed=3)
         step = 0.01
         front = multi_threshold_empirical(g, tau=5, grid_step=step, tie_intra=tie_intra)
-        base = threshold_module._cross_moment_base(colored_cross_moments(g))
-        assert set(front.points) == self.scan(base, 5, 1, step) == {(0.08,)}
+        base, type_color = _type_base(colored_cross_moments(g))
+        assert set(front.points) == self.scan(base, type_color, 5, step) == {(0.08,)}
         # one line: p(1), its candidate and the index below it, one theta
         assert front.evaluations == 4
         refined = multi_threshold_empirical(g, tau=5, grid_step=step, refine_tol=1e-4)
         assert len(refined) == 1 and 0.07 < refined.points[0][0] <= 0.08
+
+
+class TestArrivalLayers:
+    """What the (color, arrival layer) types change: the alpha = 0 line, a
+    searched color on two type columns, and more than two layers."""
+
+    TAU, STEP = 5, 0.01
+
+    def grid_threshold(self, kappa):
+        # the least grid rate at or above a single layer's own threshold
+        vals = np.asarray(_grid_values(self.STEP))
+        return vals[np.searchsorted(vals, single_layer_threshold(kappa, self.TAU).beta)]
+
+    @staticmethod
+    def beta_at_alpha0(front):
+        return min(p[0] for p in front.points if p[-1] == 0.0)
+
+    @pytest.mark.parametrize("means,sizes", [((1.5, 6.0), (2000, 2000)),
+                                             ((4.0, 2.5), (1500, 3000))])
+    def test_alpha_zero_gives_the_dense_layers_threshold(self, means, sizes):
+        # at alpha = 0 no inter edge transmits and the layers decouple: the
+        # tied line crosses at the dense layer's own grid threshold, for the
+        # model moments (ER: kappa = <y> + 1) and for the measured graph
+        # (its layer's kappa), whatever the coupling
+        layers = [ErLayerSpec(n, mean) for n, mean in zip(sizes, means)]
+        g = build_interdependent(layers, {(0, 1): 1.5}, master_seed=4)
+        m = MomentSet((er_color_moments(means[0], sizes[0]), er_color_moments(means[1], sizes[1]),
+                       er_color_moments(1.5, sum(sizes))))
+        closed = multi_threshold(m, sizes, self.TAU, self.STEP, tie_intra=True)
+        assert self.beta_at_alpha0(closed) == self.grid_threshold(max(means) + 1.0)
+        empirical = multi_threshold_empirical(g, self.TAU, self.STEP, tie_intra=True)
+        dense = max(kappa(g, 0), kappa(g, 1))
+        assert self.beta_at_alpha0(empirical) == self.grid_threshold(dense)
+
+    def test_alpha_zero_of_power_law_model_moments(self):
+        # the sf-desk model: kappa - 1 is each layer's moment ratio
+        specs = [PowerLawSpec(gamma=2.9, y_min=1, n=1500), PowerLawSpec(gamma=2.1, y_min=1, n=1500)]
+        m = MomentSet((powerlaw_color_moments(specs[0], 1500),
+                       powerlaw_color_moments(specs[1], 1500), er_color_moments(6.0, 3000)))
+        front = multi_threshold(m, (1500, 1500), self.TAU, self.STEP, tie_intra=True)
+        dense = max(powerlaw_moments(spec)[1] for spec in specs) + 1.0
+        assert self.beta_at_alpha0(front) == self.grid_threshold(dense)
+
+    THREE_LAYERS = (60, 90, 120)
+    THREE_MEANS = (1.0, 1.5, 0.8)
+    THREE_INTER = {(0, 1): 0.6, (0, 2): 0.7, (1, 2): 0.8}
+
+    def test_three_layer_frontiers_match_the_exhaustive_scan(self):
+        # 6 colors on 9 types; the searched color (layers 1-2) has two columns.
+        # The grid 0, 0.4, 0.8, 1 ends on a shorter step
+        sizes, step = self.THREE_LAYERS, 0.4
+        layers = [ErLayerSpec(n, mean) for n, mean in zip(sizes, self.THREE_MEANS)]
+        g = build_interdependent(layers, self.THREE_INTER, master_seed=9)
+        m = MomentSet(tuple(er_color_moments(mean, n) for n, mean in zip(sizes, self.THREE_MEANS))
+                      + tuple(er_color_moments(mean, sizes[i] + sizes[j])
+                              for (i, j), mean in self.THREE_INTER.items()))
+        vals = _grid_values(step)
+        grid = list(map(tuple, np.array(np.meshgrid(*[vals] * 6)).reshape(6, -1).T.tolist()))
+        routes = [(multi_threshold(m, sizes, 5, step),
+                   lambda t: jacobian_closed_form(m, sizes, t)),
+                  (multi_threshold_empirical(g, 5, step),
+                   lambda t: empirical_jacobian(g, t))]
+        for front, jacobian in routes:
+            jacs = np.stack([jacobian(Transmissibilities.from_rates(rates, 5)) for rates in grid])
+            assert jacs.shape[1:] == (9, 9)
+            decided = dict(zip(grid, _epidemic(jacs)))
+            assert len(front) >= 8
+            assert set(front.points) == exhaustive_frontier(decided.__getitem__, 6, step)
+            assert front.thetas == tuple(
+                spectral_radius(jacobian(Transmissibilities.from_rates(p, 5))) for p in front.points)
+
+    def test_three_layer_states(self):
+        # equal ER layers with equal inter means: every type's row sums to
+        # R (<y_intra> + 2 <y_inter>) with all R equal, so theta is that sum
+        sizes = (100, 100, 100)
+        m = MomentSet((er_color_moments(1.0, 100),) * 3 + (er_color_moments(0.5, 200),) * 3)
+        tau = 1  # R = rate
+        at = {rate: classify_state(m, sizes, (rate,) * 6, tau) for rate in (0.4, 0.6, 1.0)}
+        # a layer alone needs R <y_intra> = R >= 1; the network R 2 >= 1
+        assert at == {0.4: NetworkState.INFECTION_FREE, 0.6: NetworkState.MIXED,
+                      1.0: NetworkState.EPIDEMIC}
+        assert spectral_radius(jacobian_closed_form(m, sizes, Transmissibilities((0.5,) * 6))) \
+            == pytest.approx(0.5 * (1.0 + 2 * 0.5), abs=1e-12)
 
 
 class TestGrid:
@@ -719,7 +874,7 @@ class TestClassifyState:
         assert crossing is not None
         assert abs(crossing - expected) <= step
 
-    def test_requires_two_layers(self):
+    def test_colors_must_fit_the_layers(self):
         m, _ = er_set(1.5, 6.0, 1.5)
-        with pytest.raises(NotTwoLayers):
+        with pytest.raises(LengthMismatch):
             classify_state(m, (10000,), (0.1, 0.1, 0.1), 5)
