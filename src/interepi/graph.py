@@ -102,20 +102,21 @@ class ColorTable:
 class LayeredGraph:
     """Validated edge-colored interdependent network.
 
-    Construct through :func:`build_graph`; the constructor trusts its inputs.
-    Edge arrays are canonical: each edge stored with flat ids (u < v), sorted
-    lexicographically. Adjacency is CSR with neighbor lists grouped by color
-    within each node, the order the SIR inner loop consumes. Every index
-    array, the layer offsets and CSR index pointer included, is :data:`INDEX`.
+    Construct through :func:`build_graph`; the constructor trusts its inputs,
+    the canonical edges: flat ids (u < v), sorted lexicographically. A graph
+    keeps its layers and its adjacency alone: CSR with neighbor lists grouped
+    by color within each node, the order the SIR inner loop consumes. Every
+    array it keeps, the layer offsets and CSR index pointer included, is
+    :data:`INDEX`, 8 B per edge plus 8 B per node.
+
+    The edge lists and colors are read-only :data:`INDEX` views computed on
+    each request and not kept: the canonical edges are the adjacency entries
+    whose neighbor exceeds their source, in CSR order (see :meth:`edge_ends`),
+    and a color is the ``ColorTable`` color of its endpoints' layers. A caller
+    that reads a view more than once takes it once.
     """
 
-    def __init__(
-        self,
-        layer_sizes: Sequence[int],
-        edges_u: np.ndarray,
-        edges_v: np.ndarray,
-        edge_colors: np.ndarray,
-    ):
+    def __init__(self, layer_sizes: Sequence[int], edges_u: np.ndarray, edges_v: np.ndarray):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.colors = ColorTable(len(self.layer_sizes))
         self.n = sum(self.layer_sizes)
@@ -123,34 +124,33 @@ class LayeredGraph:
         self.node_layer = np.repeat(
             np.arange(len(self.layer_sizes), dtype=INDEX), self.layer_sizes
         )
-
-        self.edges_u = np.asarray(edges_u, dtype=INDEX)
-        self.edges_v = np.asarray(edges_v, dtype=INDEX)
-        self.edge_colors = np.asarray(edge_colors, dtype=INDEX)
+        edges_u = np.asarray(edges_u, dtype=INDEX)
+        edges_v = np.asarray(edges_v, dtype=INDEX)
 
         # the entries u -> v then v -> u in (source, color) order, ties in list
         # order: a key packs source * C + color above the entry's position, so
-        # one unstable sort orders them and the mask leaves the positions
-        m = self.num_edges
+        # one unstable sort orders them and the mask leaves the positions; the
+        # colors come first, so their temporaries never coexist with the key
+        m = len(edges_u)
         shift = (2 * m - 1).bit_length()
-        key = np.concatenate([self.edges_u, self.edges_v]).astype(np.int64)
+        colors = self._layer_colors(self.node_layer.take(edges_u), self.node_layer.take(edges_v))
+        key = np.concatenate([edges_u, edges_v], dtype=np.int64)
         key *= self.num_colors
-        key[:m] += self.edge_colors
-        key[m:] += self.edge_colors
+        key[:m] += colors
+        key[m:] += colors
+        del colors
         key <<= shift
         key |= np.arange(2 * m, dtype=np.int64)
         key.sort()
         key &= (1 << shift) - 1
-        self._adj = np.concatenate([self.edges_v, self.edges_u])[key]
-        self._adj_color = np.concatenate([self.edge_colors, self.edge_colors])[key]
+        self._adj = np.concatenate([edges_v, edges_u])[key]
         del key
-        deg = np.bincount(self.edges_u, minlength=self.n)
-        deg += np.bincount(self.edges_v, minlength=self.n)
+        deg = np.bincount(edges_u, minlength=self.n)
+        deg += np.bincount(edges_v, minlength=self.n)
         self._indptr = np.zeros(self.n + 1, dtype=INDEX)
         np.cumsum(deg, out=self._indptr[1:])
 
-        for arr in (self.edges_u, self.edges_v, self.edge_colors, self.node_layer,
-                    self.offsets, self._indptr, self._adj, self._adj_color):
+        for arr in (self.node_layer, self.offsets, self._indptr, self._adj):
             arr.setflags(write=False)
 
     # -- identity ---------------------------------------------------------
@@ -165,7 +165,7 @@ class LayeredGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges_u)
+        return self._adj.size // 2
 
     def flat(self, layer: int, index: int) -> int:
         return int(self.offsets[layer]) + index
@@ -173,22 +173,81 @@ class LayeredGraph:
     def layer_slice(self, layer: int) -> slice:
         return slice(int(self.offsets[layer]), int(self.offsets[layer + 1]))
 
+    # -- adjacency and its views -------------------------------------------
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept CSR arrays (indptr, neighbors)."""
+        return self._indptr, self._adj
+
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR arrays (indptr, neighbors, neighbor edge colors)."""
-        return self._indptr, self._adj, self._adj_color
+        """CSR arrays (indptr, neighbors, neighbor edge colors); the colors
+        are computed on each call. Rows run in source order, so the source
+        layers are L runs of entries."""
+        per_layer = np.diff(self._indptr[self.offsets])
+        source = np.repeat(np.arange(self.num_layers, dtype=INDEX), per_layer)
+        colors = self._layer_colors(source, self.node_layer.take(self._adj))
+        return self._indptr, self._adj, _read_only(colors)
+
+    def edge_ends(self, nodes: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical edges (edges_u, edges_v) whose lower end is one of a
+        range of flat ids, all of them by default, derived together.
+
+        They are the adjacency entries whose neighbor exceeds their source, in
+        CSR order. Rows run in source order, and a row's entries by color,
+        then by position in the canonical list. Above the source the colors
+        run in neighbor-layer order (the intra color, then the pairs (h, j),
+        j > h, in ``ColorTable`` order), and within a color the canonical
+        positions run in neighbor order.
+        """
+        start, stop, _ = nodes.indices(self.n)
+        ptr = self._indptr[start : stop + 1]
+        targets = self._adj[ptr[0] : ptr[-1]]
+        source = np.repeat(np.arange(start, stop, dtype=INDEX), np.diff(ptr))
+        upper = np.flatnonzero(targets > source)
+        return _read_only(source.take(upper)), _read_only(targets.take(upper))
+
+    @property
+    def edges_u(self) -> np.ndarray:
+        return self.edge_ends()[0]
+
+    @property
+    def edges_v(self) -> np.ndarray:
+        return self.edge_ends()[1]
+
+    @property
+    def edge_colors(self) -> np.ndarray:
+        u, v = self.edge_ends()
+        return _read_only(self._layer_colors(self.node_layer.take(u), self.node_layer.take(v)))
+
+    def _layer_colors(self, layer_a: np.ndarray, layer_b: np.ndarray) -> np.ndarray:
+        """``colors.color_of(layer_a[i], layer_b[i])`` for every i."""
+        pairs = layer_a * self.num_layers
+        pairs += layer_b
+        return self.colors.color_matrix().astype(INDEX).ravel().take(pairs)
 
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
+    def neighbors_in(self, layer: int) -> np.ndarray:
+        """How many neighbors in ``layer`` each node has, shape (n,): the
+        adjacency is symmetric, so how often the node appears in the rows of
+        that layer's nodes, which are one run of entries."""
+        first, last = self._indptr[self.offsets[layer : layer + 2]]
+        return np.bincount(self._adj[first:last], minlength=self.n)
+
     def color_degrees(self) -> np.ndarray:
         """Per-color degree of every node, shape (num_colors, n)."""
-        c, n = self.num_colors, self.n
-        slot = np.tile(self.edge_colors.astype(np.int64), 2) * n
-        slot += np.concatenate([self.edges_u, self.edges_v])
-        return np.bincount(slot, minlength=c * n).reshape(c, n)
+        table = self.colors.color_matrix()
+        deg = np.zeros((self.num_colors, self.n), dtype=np.int64)
+        for j in range(self.num_layers):
+            count = self.neighbors_in(j)
+            for h in range(self.num_layers):
+                nodes = self.layer_slice(h)
+                deg[table[h, j], nodes] = count[nodes]
+        return deg
 
     def edge_count_by_color(self) -> np.ndarray:
-        return np.bincount(self.edge_colors, minlength=self.num_colors)
+        return self.color_degrees().sum(axis=1) // 2
 
     def local_edges(self) -> np.ndarray:
         """Canonical edges as (m, 4) rows (layer_u, index_u, layer_v, index_v)."""
@@ -196,8 +255,10 @@ class LayeredGraph:
 
     def edge_list(self) -> list[EdgeRef]:
         """Canonical ((layer, idx), (layer, idx), color) triples."""
-        lu, iu, lv, iv = self.local_edges().T.tolist()
-        return list(zip(zip(lu, iu), zip(lv, iv), self.edge_colors.tolist()))
+        rows = self.local_edges()
+        colors = self.colors.color_matrix()[rows[:, 0], rows[:, 2]]
+        lu, iu, lv, iv = rows.T.tolist()
+        return list(zip(zip(lu, iu), zip(lv, iv), colors.tolist()))
 
     def __repr__(self) -> str:
         return (
@@ -206,11 +267,21 @@ class LayeredGraph:
         )
 
 
-def local_rows(g: LayeredGraph, edges: slice) -> np.ndarray:
-    """Rows of :meth:`LayeredGraph.local_edges` for a slice of the canonical edges."""
-    ends = np.column_stack([g.edges_u[edges], g.edges_v[edges]])
-    layer = g.node_layer[ends]
-    return np.stack([layer, ends - g.offsets[layer]], axis=2).reshape(-1, 4)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def local_rows(g: LayeredGraph, nodes: slice) -> np.ndarray:
+    """Rows of :meth:`LayeredGraph.local_edges` for the canonical edges whose
+    lower end is one of a range of flat ids, the transpose of a C-ordered
+    (4, m) array."""
+    ends = g.edge_ends(nodes)
+    cols = np.empty((4, ends[0].size), dtype=INDEX)
+    for k, end in enumerate(ends):
+        layer = cols[2 * k] = g.node_layer.take(end)
+        np.subtract(end, g.offsets.take(layer), out=cols[2 * k + 1])
+    return cols.T
 
 
 def build_graph(layer_sizes: Sequence[int], edges: Iterable[EdgeRef]) -> LayeredGraph:
@@ -302,12 +373,11 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
             exc.row = i
             raise
     del keys, bad, bad_layer, bad_idx, loop, mismatch
-    # the sorted keys are the canonical (u, v) order, and the layers fix the colors
+    # the sorted keys are the canonical (u, v) order
     lo = (canonical // n).astype(INDEX)
     hi = (canonical % n).astype(INDEX)
     del canonical
-    node_layer = np.repeat(np.arange(len(sizes), dtype=INDEX), sizes)
-    return LayeredGraph(sizes, lo, hi, colors.astype(INDEX)[node_layer[lo], node_layer[hi]])
+    return LayeredGraph(sizes, lo, hi)
 
 
 def first_occurrences(keys: np.ndarray) -> np.ndarray:
@@ -323,11 +393,9 @@ def first_occurrences(keys: np.ndarray) -> np.ndarray:
 
 
 def graphs_equal(a: LayeredGraph, b: LayeredGraph) -> bool:
-    return (
-        a.layer_sizes == b.layer_sizes
-        and np.array_equal(a.edges_u, b.edges_u)
-        and np.array_equal(a.edges_v, b.edges_v)
-        and np.array_equal(a.edge_colors, b.edge_colors)
+    """Same layers and edges: the adjacency is a function of the canonical edges."""
+    return a.layer_sizes == b.layer_sizes and all(
+        np.array_equal(x, y) for x, y in zip(a.csr(), b.csr())
     )
 
 
@@ -386,7 +454,11 @@ def kappa(g: LayeredGraph, layer: Optional[int] = None) -> float:
     ``layer=None`` scopes the whole coupled network; an integer scopes one
     layer as its own network (intra-layer edges only).
     """
-    deg = (g.degrees() if layer is None else g.color_degrees()[g.colors.intra(layer)]).astype(float)
+    if layer is None:
+        deg = g.degrees().astype(float)
+    else:
+        nodes = g.layer_slice(g.colors.intra(layer))
+        deg = g.neighbors_in(layer)[nodes].astype(float)
     total = deg.sum()
     if total == 0:
         scope = "network" if layer is None else f"layer {layer}"
@@ -415,12 +487,17 @@ def giant_component(
 
     Component ids are an arbitrary labelling 0..k-1 of the components.
     """
-    eu, ev = g.edges_u, g.edges_v
+    eu, ev = g.edge_ends()
     if edge_mask is not None:
         edge_mask = np.asarray(edge_mask, dtype=bool)
         if edge_mask.shape != (g.num_edges,):
             raise ValueError("edge_mask must have one entry per edge")
         eu, ev = eu[edge_mask], ev[edge_mask]
+    return edge_components(g, eu, ev)
+
+
+def edge_components(g: LayeredGraph, eu: np.ndarray, ev: np.ndarray) -> ComponentResult:
+    """Connected components of g's nodes joined by the edges (eu[i], ev[i])."""
     adj = csr_matrix((np.ones(len(eu), dtype=np.int8), (eu, ev)), shape=(g.n, g.n))
     _, comp_id = connected_components(adj, directed=False)
     sizes = np.bincount(comp_id)
@@ -444,7 +521,7 @@ def classify_coupling(g: LayeredGraph) -> Coupling:
     """
     if g.num_layers != 2:
         raise NotTwoLayers("coupling classification needs exactly two layers")
-    if g.edge_count_by_color()[g.colors.inter(0, 1)] == 0:
+    if not g.neighbors_in(1)[g.layer_slice(0)].any():
         return Coupling.OTHER
     try:
         k_total = kappa(g)

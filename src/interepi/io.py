@@ -59,14 +59,31 @@ _FLOAT = "%.10g"  # the format of every float in a CSV output
 # Graph files
 # ---------------------------------------------------------------------------
 
-_WRITE_ROWS = 1 << 12  # edges formatted at a time, which bounds write_graph's memory
+_WRITE_ROWS = 1 << 12  # about how many edges are formatted at a time, which bounds write_graph's memory
 
 
 def write_graph(g: LayeredGraph, path: Union[str, os.PathLike]) -> None:
+    bounds = _edge_runs(g, _WRITE_ROWS)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("#layers " + " ".join(str(s) for s in g.layer_sizes) + "\n")
-        for start in range(0, g.num_edges, _WRITE_ROWS):
-            fh.write(_format_columns(local_rows(g, slice(start, start + _WRITE_ROWS)).T.copy()))
+        for start, stop in zip(bounds, bounds[1:]):
+            fh.write(_format_columns(local_rows(g, slice(start, stop)).T))
+
+
+def _edge_runs(g: LayeredGraph, size: int) -> list[int]:
+    """Bounds of runs of adjacency rows that hold about ``size`` canonical
+    edges each, the edges of the rows' lower ends: a run ends where the edge
+    numbered a multiple of ``size`` starts its row. The edges are counted
+    over blocks of about ``size`` entries, so that neither pass holds more
+    than a block or a run whatever the edge count."""
+    indptr = g.csr()[0]
+    blocks = [0, *np.searchsorted(indptr, np.arange(size, indptr[-1], size)).tolist(), g.n]
+    bounds, before = [0], 0
+    for start, stop in zip(blocks, blocks[1:]):
+        lower = g.edge_ends(slice(start, stop))[0]
+        bounds += lower[-before % size :: size].tolist()
+        before += lower.size
+    return sorted(set(bounds + [g.n]))
 
 
 def _format_columns(cols: np.ndarray) -> str:

@@ -50,7 +50,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import NotTwoLayers, ZeroGcc
-from .graph import LayeredGraph, giant_component
+from .graph import LayeredGraph, edge_components
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def _transmission_graph(
     """
     rng = _stream(cfg.master_seed, cell_index, realization_index)
     seeds = _choose_seeds(g, cfg.seeds, rng)
-    indptr = g.adjacency()[0]
+    indptr = g.csr()[0]
     keep, _, source, step = law
     size = keep.size + len(seeds)
     weights = np.zeros(size)
@@ -320,9 +320,13 @@ def structural_gcc_sizes(g: LayeredGraph) -> tuple[int, tuple[int, ...]]:
     """Gcc size of the full coupled graph and of each layer on its own, 0 for
     a layer without intra-layer edges. Components of the intra-layer edges
     never cross layers, so one pass over them gives every layer's gcc."""
-    per_layer = giant_component(g, g.edge_colors < g.num_layers).largest_size_by_layer
-    has_edges = g.edge_count_by_color()[: g.num_layers] > 0
-    return giant_component(g).largest_size, tuple(np.where(has_edges, per_layer, 0).tolist())
+    eu, ev = g.edge_ends()
+    layer = g.node_layer[eu]
+    intra = layer == g.node_layer[ev]
+    per_layer = edge_components(g, eu[intra], ev[intra]).largest_size_by_layer
+    has_edges = np.bincount(layer[intra], minlength=g.num_layers) > 0
+    whole = edge_components(g, eu, ev).largest_size
+    return whole, tuple(np.where(has_edges, per_layer, 0).tolist())
 
 
 def _gcc_divisors(gcc_sizes: tuple[int, tuple[int, ...]]) -> np.ndarray:

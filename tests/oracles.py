@@ -396,6 +396,23 @@ def sequential_adjacency(g: LayeredGraph) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.array(indptr), np.array(adj, dtype=np.int64), np.array(adj_color, dtype=np.int64)
 
 
+def entry_colors(g: LayeredGraph) -> list[int]:
+    """The color of every adjacency entry in CSR order, one entry at a time,
+    numbered from the layers of its source and neighbor by the documented
+    rule: color l inside layer l, then L + k for the k-th layer pair (i, j),
+    i < j, in lexicographic order."""
+    indptr, adj = g.csr()
+    bounds = np.cumsum(g.layer_sizes).tolist()
+    layer_of = lambda node: next(l for l, end in enumerate(bounds) if node < end)
+    pairs = [(i, j) for i in range(g.num_layers) for j in range(i + 1, g.num_layers)]
+    colors = []
+    for source in range(g.n):
+        for pos in range(int(indptr[source]), int(indptr[source + 1])):
+            a, b = sorted((layer_of(source), layer_of(int(adj[pos]))))
+            colors.append(a if a == b else g.num_layers + pairs.index((a, b)))
+    return colors
+
+
 # ---------------------------------------------------------------------------
 # Edge-by-edge validation and line-by-line graph-file parsing
 # ---------------------------------------------------------------------------

@@ -11,12 +11,17 @@ replaced peaked at 172 B per edge in load_graph. With int32 arrays and the
 adjacency ordered by one in-place unstable sort of packed keys, the peaks are
 105.7 B (build) and 105.2 B (load), and a graph keeps 31.1 B per edge. With
 int32 layer offsets, and files read by np.loadtxt into int32 rows, load_graph
-peaks at 81.1 B per edge.
+peaks at 81.1 B per edge. Once a graph kept only its layers and its CSR
+adjacency, the edge lists and colors being views computed on request, it
+keeps 11.1 B per edge (8 B per edge plus 8 B per node), built or loaded, and
+the peaks are 92.3 B (build) and 67.6 B (load).
 
-write_graph formats 4096 edges at a time, so its peak is one chunk's whatever
+write_graph formats about 4096 edges at a time, so its peak is one chunk's whatever
 the edge count: about 693 KiB when every field went through a Python int and
 "%d", 327-329 KiB with one fixed-width byte matrix per chunk (the 2 500 and
-10 000 node pairs of its test), 268-272 KiB once local_rows gave int32 rows.
+10 000 node pairs of its test), 268-272 KiB once local_rows gave int32 rows,
+and 268-273 KiB with the rows derived from the adjacency a run of about 4096
+edges at a time.
 
 A frontier kept after its search is budgeted in bytes per point: about 166 B
 when a FrontierSet held its points and thetas as tuples of floats, 52 B with
@@ -58,7 +63,7 @@ BUILD_PEAK_PER_EDGE = 220
 CELL_PEAK_PER_ENTRY = 42
 DYNAMICS_PEAK_PER_ENTRY = 46
 LOAD_PEAK_PER_EDGE = 90
-KEPT_PER_EDGE = 32
+KEPT_PER_EDGE = 12
 KEPT_PER_FRONTIER_POINT = 80
 
 LAYERS = [ErLayerSpec(10_000, 1.5), ErLayerSpec(10_000, 6.0)]

@@ -44,6 +44,7 @@ from interepi.threshold import (
 from oracles import (
     brute_force_component_labels,
     dominates,
+    entry_colors,
     epidemic_indicator,
     exhaustive_frontier,
     first_passage_steps,
@@ -94,6 +95,39 @@ def wide_layered_graphs(draw):
             for pair in draw(st.lists(st.tuples(node, node), max_size=60))}
     pairs = sorted(e for e in ends if e[0] != e[1])
     return _graph_of_pairs(sizes, pairs), pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(layered_graphs(), wide_layered_graphs()))
+def test_edge_views_are_the_drawn_edges(data):
+    g, pairs = data
+    indptr, adj, adj_color = g.adjacency()
+    views = {"edges_u": g.edges_u, "edges_v": g.edges_v, "edge_colors": g.edge_colors,
+             "adj_color": adj_color}
+    for name, view in views.items():
+        assert view.dtype == np.int32, name
+        assert not view.flags.writeable, name
+    want = sorted(pairs)
+    assert list(zip(g.edges_u.tolist(), g.edges_v.tolist())) == want
+    layer = g.node_layer.tolist()
+    assert g.edge_colors.tolist() == [g.colors.color_of(layer[a], layer[b]) for a, b in want]
+    assert adj_color.tolist() == entry_colors(g)
+    assert g.num_edges == len(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(layered_graphs(), wide_layered_graphs()), st.data())
+def test_graphs_equal_is_edge_set_equality(data, draws):
+    g, pairs = data
+    if draws.draw(st.booleans()):
+        other = draws.draw(st.permutations(pairs))
+    else:
+        other = draws.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    grow = draws.draw(st.booleans())  # one more node in the last layer
+    sizes = [*g.layer_sizes[:-1], g.layer_sizes[-1] + grow]
+    h = _graph_of_pairs(sizes, other)
+    assert graphs_equal(g, h) == (not grow and set(pairs) == set(other))
+    assert graphs_equal(h, g) == graphs_equal(g, h)
 
 
 @settings(max_examples=60, deadline=None)

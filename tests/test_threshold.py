@@ -232,7 +232,7 @@ class TestThinning:
         for _ in range(200):
             keep = rng.random(g.num_edges) < r[g.edge_colors]
             thinned = LayeredGraph(
-                g.layer_sizes, g.edges_u[keep], g.edges_v[keep], g.edge_colors[keep]
+                g.layer_sizes, g.edges_u[keep], g.edges_v[keep]
             )
             table = colored_cross_moments(thinned)
             num.append(table.second[layer, color, out])
