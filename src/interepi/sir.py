@@ -13,18 +13,22 @@ the step G_uv of the first success among u's tau trials on it, a geometric
 delay, and transmits nothing when none of the trials succeeds. The trials
 on distinct edges are independent and do not depend on when u was infected,
 so they can all be drawn up front: a susceptible v is infected at
-t_v = min over u of (t_u + G_uv), the shortest-path distance from the seeds
+t_v = min over u of (t_u + G_uv), the first-passage time from the seeds
 over the transmitting edges. Trials on an edge after its target was
 infected are drawn but never looked at, where a stepped simulation would not
 make them, so both have the same law. The ever-infected set is the set the
 seeds reach, and the per-step series follow from the times t_v alone.
 
-The search runs on the network's own adjacency rows: every directed entry
-stays, and one that does not transmit becomes a self-loop on its source,
-which no search uses whatever its weight. The graph's weights are the
-realization's uniforms. The final-size readout is a breadth-first search,
-which reads none of them; only the time readout (:func:`run_sir`, dynamics,
-step-capped cells) turns them into delays, in place.
+Every readout is a breadth-first search. The final-size readout (sweep
+cells without a step cap) searches the network's own adjacency rows: every
+directed entry stays, and one that does not transmit becomes a self-loop on
+its source, which no search uses. The time readout (:func:`run_sir`,
+dynamics, step-capped cells) searches the same entries pointed into
+per-target delay chains, tau - 1 extra nodes in front of each node, so that
+an edge with delay d is d breadth-first steps long; a clock chain from the
+super-source marks where each level starts, and t_v is v's level. Both read
+the same uniforms, so they infect the same nodes. The chains add (tau - 1)*n
+nodes and entries, built once per setting, cell or call.
 
 Randomness is counter-based: realization r of cell c under master seed s
 draws from the stream (s, c, r), seeds first and then one uniform per
@@ -47,10 +51,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import NotTwoLayers, ZeroGcc
-from .graph import LayeredGraph, edge_components
+from .graph import INDEX, LayeredGraph, edge_components
 
 
 @dataclass(frozen=True)
@@ -170,14 +174,10 @@ def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator)
     return np.sort(np.asarray([g.flat(l, i) for l, i in policy.nodes], dtype=np.int64))
 
 
-EdgeLaw = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _edge_law(g: LayeredGraph, cfg: SirConfig) -> EdgeLaw:
-    """Per directed adjacency entry: the probability that one of its tau
-    trials succeeds, log(1 - rate) of its color (-inf at rate 1, and where
-    1 - rate rounds to 1, so that the entry never transmits), its source
-    node, and its target minus its source.
+def _color_law(g: LayeredGraph, cfg: SirConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per color: the probability that one of an edge's tau trials succeeds,
+    and log(1 - rate), -inf at rate 1 and where 1 - rate rounds to 1, so that
+    such an entry's delay is 1.
 
     It depends on the rates alone, so a cell, a dynamics setting or a
     :func:`run_sir` call computes it once for all of its realizations, after
@@ -191,29 +191,38 @@ def _edge_law(g: LayeredGraph, cfg: SirConfig) -> EdgeLaw:
     miss = 1.0 - np.asarray(cfg.rates, dtype=float)
     keep = 1.0 - miss**cfg.tau
     log_miss = np.log(miss, out=np.full_like(miss, -np.inf), where=(0 < miss) & (miss < 1))
+    return keep, log_miss
+
+
+EdgeLaw = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _edge_law(g: LayeredGraph, cfg: SirConfig) -> EdgeLaw:
+    """The final-size law, per directed adjacency entry: the probability
+    that one of its tau trials succeeds, its source node, and its target
+    minus its source. No final-size readout needs a delay."""
+    keep = _color_law(g, cfg)[0]
     indptr, adj, adj_color = g.adjacency()
     source = np.repeat(np.arange(g.n, dtype=adj.dtype), np.diff(indptr))
-    return keep[adj_color], log_miss[adj_color], source, adj - source
+    return keep[adj_color], source, adj - source
 
 
 def _transmission_graph(
     g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
-) -> tuple[csr_matrix, np.ndarray]:
-    """One realization's transmission graph, on the rows of the adjacency,
-    and its uniforms, which are the graph's weights on the adjacency entries.
+) -> csr_matrix:
+    """One realization's transmission graph, on the rows of the adjacency.
 
     Draws the seeds, then one uniform per directed adjacency entry, from the
     stream (master_seed, cell, realization). Entry u -> v transmits when u's
     tau trials on it contain a success; one that does not points back at u
-    instead, a self-loop that no search can use, so its weight never
-    matters. Node n is a super-source with zero-weight edges to the seeds.
-    A breadth-first search reads no weight; :func:`_first_passage` turns
-    the uniforms into delays in place.
+    instead, a self-loop that no search can use. Node n is a super-source
+    with edges to the seeds. The uniforms are the graph's weights, which a
+    breadth-first search never reads.
     """
     rng = _stream(cfg.master_seed, cell_index, realization_index)
     seeds = _choose_seeds(g, cfg.seeds, rng)
     indptr = g.csr()[0]
-    keep, _, source, step = law
+    keep, source, step = law
     size = keep.size + len(seeds)
     weights = np.zeros(size)
     u = rng.random(out=weights[: keep.size])
@@ -223,29 +232,151 @@ def _transmission_graph(
     targets[: keep.size] += source
     targets[keep.size :] = seeds
     ptr = np.concatenate([indptr, [size]], dtype=indptr.dtype)
-    return csr_matrix((weights, targets, ptr), shape=(g.n + 1, g.n + 1)), u
+    return csr_matrix((weights, targets, ptr), shape=(g.n + 1, g.n + 1))
+
+
+# clock nodes of a setting's first realization; the clock doubles while a
+# realization infects a node past its last clock node, up to a step cap's
+_CLOCK_START = 256
+
+
+def _seed_count(policy: SeedPolicy) -> int:
+    if policy.kind == "uniform":
+        return policy.count
+    if policy.kind == "per_layer":
+        return sum(policy.per_layer)
+    return len(policy.nodes)
+
+
+class _DelayChains:
+    """The graph whose breadth-first levels are the infection steps, kept
+    with the buffers that write a realization's entries into it.
+
+    Real nodes keep their ids 0..n-1. Chain node k*n + v (k = 1..tau-1)
+    means "v, k steps early", and its one entry points to (k-1)*n + v. An
+    adjacency entry u -> v that transmits with delay d points to
+    (d-1)*n + v, d breadth-first steps from v; one that does not is a
+    self-loop on u. Node tau*n is the super-source: its row lists the clock
+    node c_0 first, then the seeds, and clock node c_i = tau*n + 1 + i points
+    to c_{i+1}. A breadth-first search discovers a level's nodes in the
+    order it takes their parents, so c_t is the first node of level t + 1,
+    and a real node's infection step is the number of clock nodes before it
+    in the search order, minus one.
+
+    With a step cap the clock grows to at most max_steps + 2 nodes, and the
+    nodes past the last one are dropped. The chain, clock and row pointers
+    are built once per setting, cell or :func:`run_sir` call, never kept on
+    the graph; a realization rewrites only the adjacency entries and the
+    seed slots, in place.
+    """
+
+    def __init__(self, g: LayeredGraph, cfg: SirConfig):
+        self.keep, self.log_miss = _color_law(g, cfg)
+        self.n, self.tau = g.n, cfg.tau
+        indptr, self.adj, adj_color = g.adjacency()
+        # one byte per entry instead of four; the tables are gathered through it
+        self.colors = adj_color.astype(np.min_scalar_type(g.num_colors - 1))
+        del adj_color
+        self.source = np.repeat(np.arange(g.n, dtype=INDEX), np.diff(indptr))
+        self.limit = np.inf if cfg.max_steps is None else cfg.max_steps + 2
+        clock = min(_CLOCK_START, self.limit)
+        chain_end = self.adj.size + (cfg.tau - 1) * g.n
+        self.seed_slots = slice(chain_end + 1, chain_end + 1 + _seed_count(cfg.seeds))
+        self._check_ids(clock)
+        # the rows of the real nodes, the chain nodes and the super-source
+        fixed_rows = np.concatenate(
+            [indptr, np.arange(self.adj.size + 1, chain_end + 1, dtype=INDEX),
+             [self.seed_slots.stop]], dtype=INDEX)
+        self.targets = np.empty(self.seed_slots.stop, dtype=INDEX)
+        self.targets[self.adj.size : chain_end] = np.arange((cfg.tau - 1) * g.n, dtype=INDEX)
+        self.targets[chain_end] = self.tau * g.n + 1
+        self._lay_out(fixed_rows, clock)
+        del fixed_rows
+        # reused by every realization, allocated last: laying out the rows
+        # copies the targets, and does not add to these
+        self.uniform = np.empty(self.adj.size)
+        self.table = np.empty(self.adj.size)
+        self.transmits = np.empty(self.adj.size, dtype=bool)
+
+    def _check_ids(self, clock: int) -> None:
+        """Raise ValueError unless the graph with ``clock`` clock nodes
+        numbers its nodes and entries in :data:`INDEX`."""
+        nodes = self.tau * self.n + 1 + clock
+        if max(nodes, self.seed_slots.stop + clock) > np.iinfo(INDEX).max:
+            raise ValueError(f"{clock} clock steps at tau = {self.tau} over {self.n} nodes "
+                             f"exceed {np.dtype(INDEX).name} node ids")
+
+    def _lay_out(self, fixed_rows: np.ndarray, clock: int) -> None:
+        """The graph with ``clock`` clock nodes after the rows that
+        ``fixed_rows`` points to, keeping the entries written in them."""
+        self._check_ids(clock)
+        source_node = self.tau * self.n
+        fixed = self.seed_slots.stop
+        targets = np.empty(fixed + clock - 1, dtype=INDEX)
+        targets[:fixed] = self.targets[:fixed]
+        targets[fixed:] = np.arange(source_node + 2, source_node + 1 + clock, dtype=INDEX)
+        ends = np.minimum(np.arange(1, clock + 1, dtype=INDEX), clock - 1)
+        indptr = np.concatenate([fixed_rows, ends + fixed], dtype=INDEX)
+        self.targets = targets
+        self.graph = csr_matrix((np.broadcast_to(1.0, targets.size), targets, indptr),
+                                shape=(indptr.size - 1, indptr.size - 1))
+
+    def write(self, rng: np.random.Generator, seeds: np.ndarray) -> None:
+        """Point the adjacency entries at their realization's delay chains,
+        from the uniforms ``rng`` draws next, one per entry, and the seed
+        slots at ``seeds``."""
+        u = rng.random(out=self.uniform)
+        np.take(self.keep, self.colors, out=self.table, mode="clip")
+        np.less(u, self.table, out=self.transmits)
+        # the first success is the least d with (1 - rate)^d < 1 - u, which
+        # is <= tau exactly for the transmitting entries; 1 - u is exact for
+        # the generator's multiples of 2^-53. The self-loops are converted
+        # too, cheaper than gathering the rest, and d - 1 is clipped to
+        # [0, tau - 1] (a -inf log(1 - rate) gives 0, not NaN)
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        np.take(self.log_miss, self.colors, out=self.table, mode="clip")
+        np.divide(u, self.table, out=u)
+        np.floor(u, out=u)
+        np.minimum(u, self.tau - 1, out=u)
+        real = self.targets[: u.size]
+        np.multiply(u, self.n, out=real, casting="unsafe")
+        real += self.adj
+        # branch-free select: a random mask makes np.copyto(where=) several times slower
+        real -= self.source
+        real *= self.transmits
+        real += self.source
+        self.targets[self.seed_slots] = seeds
+
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real nodes the written realization infects, ascending, and
+        their infection steps."""
+        source_node = self.tau * self.n
+        while True:
+            order = breadth_first_order(self.graph, source_node, return_predecessors=False)
+            clock = np.flatnonzero(order > source_node)
+            real = np.flatnonzero(order < self.n)
+            if real[-1] < clock[-1] or clock.size == self.limit:
+                break
+            del order, real
+            self._lay_out(self.graph.indptr[: source_node + 2], min(2 * clock.size, self.limit))
+        real = real[: np.searchsorted(real, clock[-1])]
+        step = np.full(self.n, -1, dtype=np.int32)
+        step[order[real]] = np.searchsorted(clock, real, side="right") - 1
+        reached = np.flatnonzero(step >= 0)
+        return reached, step[reached]
 
 
 def _first_passage(
-    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
+    g: LayeredGraph, cfg: SirConfig, chains: _DelayChains, realization_index: int,
+    cell_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes one realization infects, ascending, and their infection steps."""
-    graph, u = _transmission_graph(g, cfg, law, realization_index, cell_index)
-    # the graph's weights become delays in place. First success: the least k
-    # with (1 - rate)^k < 1 - u, which is <= tau exactly for the transmitting
-    # entries; 1 - u is exact for the generator's multiples of 2^-53. The
-    # self-loops are converted too, cheaper than gathering the rest, and the
-    # clip keeps every delay in [1, tau] (a -inf log_miss gives 1, not NaN).
-    np.subtract(1.0, u, out=u)
-    np.log(u, out=u)
-    np.divide(u, law[1], out=u)
-    np.floor(u, out=u)
-    u += 1.0
-    np.minimum(u, cfg.tau, out=u)
-    limit = np.inf if cfg.max_steps is None else cfg.max_steps
-    dist = dijkstra(graph, indices=g.n, limit=limit)[: g.n]
-    reached = np.flatnonzero(dist < np.inf)
-    return reached, dist[reached].astype(np.int32)
+    """The nodes one realization infects, ascending, and their infection steps:
+    the seeds and then the uniforms of the stream (master_seed, cell,
+    realization), read as breadth-first levels over ``chains``."""
+    rng = _stream(cfg.master_seed, cell_index, realization_index)
+    chains.write(rng, _choose_seeds(g, cfg.seeds, rng))
+    return chains.steps()
 
 
 def _step_series(cfg: SirConfig, num_layers: int, new: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -269,7 +400,7 @@ def run_sir(
     cell_index: int = 0,
 ) -> SimSummary:
     """One realization, fully determined by (graph, config, indices)."""
-    reached, t = _first_passage(g, cfg, _edge_law(g, cfg), realization_index, cell_index)
+    reached, t = _first_passage(g, cfg, _DelayChains(g, cfg), realization_index, cell_index)
     num_layers = g.num_layers
     new = np.bincount(t * num_layers + g.node_layer[reached])
     infected, ever = _step_series(cfg, num_layers, new)
@@ -286,13 +417,20 @@ def run_sir(
     )
 
 
+def _count_law(g: LayeredGraph, cfg: SirConfig) -> EdgeLaw | _DelayChains:
+    """What :func:`_final_counts` samples from for a cell's realizations:
+    the final-size law without a step cap, delay chains with one."""
+    return _edge_law(g, cfg) if cfg.max_steps is None else _DelayChains(g, cfg)
+
+
 def _final_counts(
-    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw, realization_index: int, cell_index: int
+    g: LayeredGraph, cfg: SirConfig, law: EdgeLaw | _DelayChains, realization_index: int,
+    cell_index: int
 ) -> tuple[int, ...]:
     """Per-layer ever-infected counts of one realization, the set :func:`run_sir`
     returns: without a step cap, the nodes the super-source reaches."""
     if cfg.max_steps is None:
-        graph = _transmission_graph(g, cfg, law, realization_index, cell_index)[0]
+        graph = _transmission_graph(g, cfg, law, realization_index, cell_index)
         reached = breadth_first_order(graph, g.n, return_predecessors=False)[1:]
     else:
         reached = _first_passage(g, cfg, law, realization_index, cell_index)[0]
@@ -361,7 +499,7 @@ def mean_cell_densities(
     gcc_sizes: tuple[int, tuple[int, ...]],
 ) -> tuple[np.ndarray, float]:
     """Mean per-layer and whole-network densities over cfg.realizations runs."""
-    law = _edge_law(g, cfg)
+    law = _count_law(g, cfg)
     divisors = _gcc_divisors(gcc_sizes)
     counts = np.array([_final_counts(g, cfg, law, r, cell_index) for r in range(cfg.realizations)])
     # a sum along axis 0 adds the realizations in run order, as a running sum would
@@ -439,11 +577,12 @@ class DynamicsResult:
 def _setting_counts(g: LayeredGraph, cfg: SirConfig, setting_index: int) -> np.ndarray:
     """One dynamics setting's infections over its realizations, counted by
     key step * num_layers + layer up to the last one."""
-    law = _edge_law(g, cfg)
+    chains = _DelayChains(g, cfg)
     new = np.zeros(0, dtype=np.int64)
     for r in range(cfg.realizations):
-        reached, t = _first_passage(g, cfg, law, r, setting_index)
+        reached, t = _first_passage(g, cfg, chains, r, setting_index)
         run_new = np.bincount(t * g.num_layers + g.node_layer[reached], minlength=new.size)
+        del reached, t  # not held through the next realization's search
         run_new[: new.size] += new
         new = run_new
     return new

@@ -37,7 +37,15 @@ adjacency's own rows, with self-loops for the entries that do not transmit
 and counts summed as the realizations run, they peak at 39.6 B and 43.8 B.
 tracemalloc sees only this process, so the dynamics budget passes workers=1,
 which keeps every realization in this process whatever the pool would do;
-the budgets are unchanged.
+the budgets are unchanged. Once the final-size law stopped gathering a
+log(1 - rate) per entry that no breadth-first readout reads, the cell peaks
+at 31.6 B. With infection times read as breadth-first levels over delay
+chains instead of Dijkstra distances, the dynamics setting peaks at 42.0 B:
+1-byte entry colors, one reused gathered-table buffer and zero-stride CSR
+data pay for the chain rows and the search's 8 B per expanded node.
+
+One run_sir call builds its own delay chains and is held to the dynamics
+budget: it peaks at 41.7 B with Dijkstra and at 41.9 B with the chains.
 """
 
 import tracemalloc
@@ -52,6 +60,7 @@ from interepi import (
     build_interdependent,
     dynamics,
     er_color_moments,
+    run_sir,
     load_graph,
     multi_threshold,
     structural_gcc_sizes,
@@ -156,4 +165,10 @@ def test_sweep_cell_peak_per_entry(strong_pair, traced):
 def test_dynamics_peak_per_entry(strong_pair, traced):
     g = strong_pair
     _, peak, _ = _measure(dynamics, g, [(0.16, 0.2)], _sir_config(), workers=1)
+    assert peak / g.adjacency()[1].size <= DYNAMICS_PEAK_PER_ENTRY
+
+
+def test_run_sir_peak_per_entry(strong_pair, traced):
+    g = strong_pair
+    _, peak, _ = _measure(run_sir, g, _sir_config(), 0)
     assert peak / g.adjacency()[1].size <= DYNAMICS_PEAK_PER_ENTRY

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 
@@ -22,14 +23,18 @@ from interepi import (
 import interepi.sir as sir_module
 from interepi.io import parse_config_text, run_experiment
 from interepi.sir import (
+    _CLOCK_START,
+    _DelayChains,
     _edge_law,
     _final_counts,
+    _first_passage,
     _setting_counts,
     mean_cell_densities,
     sweep_and_dynamics,
 )
 from oracles import (
     chain_plus_layer2,
+    first_passage_steps,
     percolation_ever_infected,
     single_layer_graph,
     two_layer_graph,
@@ -212,6 +217,80 @@ class TestFirstPassageSampler:
             for a, b in zip(capped.ever_infected, full.ever_infected):
                 assert set(a.tolist()) <= set(b.tolist())
         assert checked >= 5
+
+
+class TestDelayChains:
+    """The breadth-first readout over delay chains against the heapq
+    first-passage oracle, node for node and step for step, where the chain
+    layout has edge cases: a clock that must grow, no chain nodes, rates
+    that are exactly 0 or 1, and a cap at the seeds."""
+
+    @staticmethod
+    def check(g, cfg, realizations=5, cell=0):
+        chains = _DelayChains(g, cfg)
+        for r in range(realizations):
+            expected = first_passage_steps(g, cfg, r, cell)
+            reached, steps = _first_passage(g, cfg, chains, r, cell)
+            assert reached.tolist() == sorted(expected)
+            assert steps.tolist() == [expected[v] for v in sorted(expected)]
+        return chains
+
+    @staticmethod
+    def clock_nodes(chains, g, tau):
+        return chains.graph.shape[0] - tau * g.n - 1
+
+    @pytest.mark.parametrize("max_steps", [None, _CLOCK_START + 40, 3 * _CLOCK_START])
+    def test_path_longer_than_the_first_clock(self, max_steps):
+        # certain transmission infects path node i at step i, past the first
+        # clock's last node, so the first realization grows the clock
+        n = 2 * _CLOCK_START + 100
+        g = single_layer_graph(n, [(i, i + 1) for i in range(n - 1)])
+        cfg = SirConfig(rates=(1.0,), tau=2, seeds=SeedPolicy.explicit([(0, 0)]),
+                        max_steps=max_steps)
+        chains = self.check(g, cfg, realizations=2)
+        grown = self.clock_nodes(chains, g, 2)
+        assert grown > _CLOCK_START
+        if max_steps is not None:
+            assert grown <= max_steps + 2
+        infected = first_passage_steps(g, cfg, 0, 0)
+        assert len(infected) == (n if max_steps is None else min(n, max_steps + 1))
+
+    def test_tau_one_has_no_chain_nodes(self):
+        g = build_interdependent(
+            [ErLayerSpec(300, 1.5), ErLayerSpec(300, 4.0)], {(0, 1): 1.0}, master_seed=2
+        )
+        cfg = SirConfig(rates=(0.5, 0.7, 0.9), tau=1, seeds=SeedPolicy.in_layers([2, 2]),
+                        master_seed=3)
+        chains = self.check(g, cfg)
+        assert chains.targets.size == g.adjacency()[1].size + 1 + 4 + _CLOCK_START - 1
+
+    @pytest.mark.parametrize("max_steps", [None, 4])
+    def test_rates_exactly_zero_and_one(self, max_steps):
+        g = build_interdependent(
+            [ErLayerSpec(300, 1.5), ErLayerSpec(300, 4.0)], {(0, 1): 1.0}, master_seed=2
+        )
+        cfg = SirConfig(rates=(1.0, 0.0, 0.3), tau=4, seeds=SeedPolicy.in_layers([1, 1]),
+                        max_steps=max_steps, master_seed=5)
+        self.check(g, cfg)
+        summary = run_sir(g, cfg, 0)
+        assert summary.ever_counts[0] > 1  # rate 1 spreads the sparse layer's seed
+
+    def test_cap_at_the_seeds(self):
+        g = build_interdependent(
+            [ErLayerSpec(300, 1.5), ErLayerSpec(300, 4.0)], {(0, 1): 1.0}, master_seed=2
+        )
+        cfg = SirConfig(rates=(1.0, 1.0, 1.0), tau=3, seeds=SeedPolicy.uniform(3),
+                        max_steps=0, master_seed=6)
+        chains = self.check(g, cfg)
+        assert self.clock_nodes(chains, g, 3) == 2
+        reached, steps = _first_passage(g, cfg, chains, 0, 0)
+        assert reached.size == 3 and not steps.any()
+
+    def test_ids_past_int32_raise(self):
+        g = single_layer_graph(4, [(0, 1)])
+        cfg = SirConfig(rates=(0.5,), tau=2**30, seeds=SeedPolicy.explicit([(0, 0)]))
+        with pytest.raises(ValueError, match="exceed int32 node ids"):
+            run_sir(g, cfg)
 
 
 class TestSeedPolicies:
@@ -545,6 +624,32 @@ class TestDynamics:
                 ever[steps:, 2] += run.per_step_ever_total[-1]
             assert np.array_equal(result.infected[k], infected / cfg.realizations)
             assert np.array_equal(result.cumulative[k], ever / cfg.realizations)
+
+    # sha256 of every setting's shape and little-endian float64 bytes, in
+    # setting order, for the README's six settings on a weakly coupled pair;
+    # computed with the Dijkstra first-passage sampler, so any change of
+    # search keeps the series byte for byte
+    DYNAMICS_SHA256 = {
+        "infected": "549f1640b6537a2ae97a95965b7a2404ab03edfaa1cab24933dab7d75241b525",
+        "cumulative": "8b221370589e7d87240f0dea16f89d2dcc1ecc0648be884920d04dece250243f",
+    }
+
+    def test_series_bytes_are_pinned(self):
+        g = build_interdependent(
+            [ErLayerSpec(2000, 1.5), ErLayerSpec(2000, 6.0)], {(0, 1): 0.1}, master_seed=11
+        )
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=5, seeds=SeedPolicy.in_layers([1, 1]),
+                        realizations=10, master_seed=42001)
+        settings = [(0.05, 0.05), (0.05, 0.3), (0.3, 0.05), (0.3, 0.3), (0.6, 0.05), (0.6, 0.3)]
+        result = dynamics(g, settings, cfg, workers=1)
+        digests = {}
+        for name in self.DYNAMICS_SHA256:
+            h = hashlib.sha256()
+            for table in getattr(result, name):
+                h.update(np.asarray(table.shape, "<i8").tobytes())
+                h.update(table.astype("<f8").tobytes())
+            digests[name] = h.hexdigest()
+        assert digests == self.DYNAMICS_SHA256
 
     SETTINGS = [(0.05, 0.05), (0.3, 0.1), (0.6, 0.6)]
 
