@@ -28,7 +28,11 @@ per-target delay chains, tau - 1 extra nodes in front of each node, so that
 an edge with delay d is d breadth-first steps long; a clock chain from the
 super-source marks where each level starts, and t_v is v's level. Both read
 the same uniforms, so they infect the same nodes. The chains add (tau - 1)*n
-nodes and entries, built once per setting, cell or call.
+nodes and entries, built once per setting, cell or call. A timed
+realization turns its uniforms into transmissions and delays one layer
+block of entries at a time, against that layer's intra rate as a scalar,
+then fixes up the inter entries, whose positions are listed per color once
+per setting; it keeps no per-entry color or rate array.
 
 Randomness is counter-based: realization r of cell c under master seed s
 draws from the stream (s, c, r), seeds first and then one uniform per
@@ -44,6 +48,7 @@ count.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -94,6 +99,14 @@ class SirConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("tau", "realizations", "max_steps"):
+            value = getattr(self, name)
+            if value is None and name == "max_steps":
+                continue
+            # bool is an int subclass, and a numpy integer is not an int
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.tau < 1:
             raise ValueError("tau must be at least 1")
         if self.realizations < 1:
@@ -268,14 +281,23 @@ class _DelayChains:
     are built once per setting, cell or :func:`run_sir` call, never kept on
     the graph; a realization rewrites only the adjacency entries and the
     seed slots, in place.
+
+    Rows run in source order, so layer h's entries are one block, and every
+    intra entry in it has color h: a realization compares and divides each
+    block against layer h's scalars, then redoes the inter entries against
+    their own color's, from intp positions listed once per inter color (8 B
+    per inter entry). Its reused buffers are 8 B of uniforms and 1 B of
+    transmission flags per entry.
     """
 
     def __init__(self, g: LayeredGraph, cfg: SirConfig):
         self.keep, self.log_miss = _color_law(g, cfg)
         self.n, self.tau = g.n, cfg.tau
         indptr, self.adj, adj_color = g.adjacency()
-        # one byte per entry instead of four; the tables are gathered through it
-        self.colors = adj_color.astype(np.min_scalar_type(g.num_colors - 1))
+        bounds = indptr[g.offsets].tolist()
+        self.blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.inter = [(c, np.flatnonzero(adj_color == c))
+                      for c in range(g.num_layers, g.num_colors)]
         del adj_color
         self.source = np.repeat(np.arange(g.n, dtype=INDEX), np.diff(indptr))
         self.limit = np.inf if cfg.max_steps is None else cfg.max_steps + 2
@@ -295,7 +317,6 @@ class _DelayChains:
         # reused by every realization, allocated last: laying out the rows
         # copies the targets, and does not add to these
         self.uniform = np.empty(self.adj.size)
-        self.table = np.empty(self.adj.size)
         self.transmits = np.empty(self.adj.size, dtype=bool)
 
     def _check_ids(self, clock: int) -> None:
@@ -326,17 +347,24 @@ class _DelayChains:
         from the uniforms ``rng`` draws next, one per entry, and the seed
         slots at ``seeds``."""
         u = rng.random(out=self.uniform)
-        np.take(self.keep, self.colors, out=self.table, mode="clip")
-        np.less(u, self.table, out=self.transmits)
+        # each block against its layer's intra rate, then the inter entries
+        # against their colors'
+        for h, block in enumerate(self.blocks):
+            np.less(u[block], self.keep[h], out=self.transmits[block])
+        for c, pos in self.inter:
+            self.transmits[pos] = u[pos] < self.keep[c]
         # the first success is the least d with (1 - rate)^d < 1 - u, which
         # is <= tau exactly for the transmitting entries; 1 - u is exact for
         # the generator's multiples of 2^-53. The self-loops are converted
-        # too, cheaper than gathering the rest, and d - 1 is clipped to
+        # too, cheaper than selecting the rest, and d - 1 is clipped to
         # [0, tau - 1] (a -inf log(1 - rate) gives 0, not NaN)
         np.subtract(1.0, u, out=u)
         np.log(u, out=u)
-        np.take(self.log_miss, self.colors, out=self.table, mode="clip")
-        np.divide(u, self.table, out=u)
+        inter_quotients = [u[pos] / self.log_miss[c] for c, pos in self.inter]
+        for h, block in enumerate(self.blocks):
+            np.divide(u[block], self.log_miss[h], out=u[block])
+        for (_, pos), quotient in zip(self.inter, inter_quotients):
+            u[pos] = quotient
         np.floor(u, out=u)
         np.minimum(u, self.tau - 1, out=u)
         real = self.targets[: u.size]

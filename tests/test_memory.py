@@ -46,9 +46,21 @@ data pay for the chain rows and the search's 8 B per expanded node.
 
 One run_sir call builds its own delay chains and is held to the dynamics
 budget: it peaks at 41.7 B with Dijkstra and at 41.9 B with the chains.
+Once a realization compared and divided its uniforms one layer block at a
+time against scalars, and only the inter entries against their colors'
+rates, from intp positions listed once per setting, instead of gathering
+both rate tables through 1-byte entry colors, the dynamics setting peaks
+at 35.3 B (42.0 B) and run_sir at 35.2 B (41.9 B).
+
+The chains' nodes cost memory that grows with tau: 4 B of targets, 4 B of
+row pointers and 8 B inside breadth_first_order per chain node, 16.0 B
+measured between tau = 20 and 50. At tau = 20 the dynamics setting is held
+to the dynamics budget plus those 16 B per chain node; it peaks at 0.77 of
+that bound (0.83 with the gathered tables).
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +82,7 @@ from interepi.sir import mean_cell_densities
 
 BUILD_PEAK_PER_EDGE = 220
 CELL_PEAK_PER_ENTRY = 42
+CHAIN_NODE_BYTES = 16
 DYNAMICS_PEAK_PER_ENTRY = 46
 LOAD_PEAK_PER_EDGE = 90
 KEPT_PER_EDGE = 12
@@ -172,3 +185,11 @@ def test_run_sir_peak_per_entry(strong_pair, traced):
     g = strong_pair
     _, peak, _ = _measure(run_sir, g, _sir_config(), 0)
     assert peak / g.adjacency()[1].size <= DYNAMICS_PEAK_PER_ENTRY
+
+
+def test_dynamics_peak_at_larger_tau(strong_pair, traced):
+    g = strong_pair
+    tau = 20
+    _, peak, _ = _measure(dynamics, g, [(0.16, 0.2)], replace(_sir_config(), tau=tau), workers=1)
+    chain_nodes = (tau - 1) * g.n
+    assert peak <= DYNAMICS_PEAK_PER_ENTRY * g.adjacency()[1].size + CHAIN_NODE_BYTES * chain_nodes

@@ -7,11 +7,13 @@ import pytest
 from scipy.stats import chisquare
 
 from interepi import (
+    ColorTable,
     ErLayerSpec,
     NotTwoLayers,
     SeedPolicy,
     SirConfig,
     ZeroGcc,
+    build_graph,
     build_interdependent,
     dynamics,
     infection_density,
@@ -128,6 +130,34 @@ class TestRunSir:
             SirConfig(rates=(0.5,), tau=5, realizations=0)
         with pytest.raises(ValueError, match="max_steps"):
             SirConfig(rates=(0.5,), tau=5, max_steps=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("tau", 2.5), ("tau", True), ("tau", 3.0), ("realizations", 2.5),
+        ("realizations", np.bool_(True)), ("max_steps", 2.5), ("max_steps", False),
+    ])
+    def test_integer_fields_must_be_integers(self, name, value):
+        # a fractional tau used to run a fractional infectious period in
+        # sweeps and fail inside numpy in run_sir, and a bool ran as 0 or 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SirConfig(rates=(0.5,), **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            replace(SirConfig(rates=(0.5,)), **{name: value})
+
+    def test_numpy_integers_act_as_ints(self):
+        g = build_interdependent(
+            [ErLayerSpec(200, 1.5), ErLayerSpec(200, 5.0)], {(0, 1): 1.0}, master_seed=5
+        )
+        base = dict(rates=(0.3, 0.3, 0.4), seeds=SeedPolicy.in_layers([1, 1]), master_seed=9)
+        ints = SirConfig(**base, tau=3, realizations=3, max_steps=3)
+        numpy_ints = SirConfig(**base, tau=np.int64(3), realizations=np.int32(3),
+                               max_steps=np.int64(3))
+        assert numpy_ints == ints
+        assert all(type(v) is int for v in (numpy_ints.tau, numpy_ints.realizations,
+                                            numpy_ints.max_steps))
+        assert summaries_equal(run_sir(g, numpy_ints, 1), run_sir(g, ints, 1))
+        a = sweep_heatmap(g, [0.2], [0.4], replace(numpy_ints, max_steps=None), workers=1)
+        b = sweep_heatmap(g, [0.2], [0.4], replace(ints, max_steps=None), workers=1)
+        assert np.array_equal(a.density_whole, b.density_whole)
 
 
 class TestFirstPassageSampler:
@@ -285,6 +315,48 @@ class TestDelayChains:
         assert self.clock_nodes(chains, g, 3) == 2
         reached, steps = _first_passage(g, cfg, chains, 0, 0)
         assert reached.size == 3 and not steps.any()
+
+    # layer h's adjacency rows are one block of entries; its intra entries
+    # have color h and its inter entries one inter color each
+    THREE_LAYER_LAYOUTS = {
+        "all six colors": ((0, 1, 2), ((0, 1), (0, 2), (1, 2))),
+        "layer 1 without inter edges": ((0, 1, 2), ((0, 2),)),
+        "layer 1 without edges": ((0, 2), ((0, 2),)),
+        "layer 2 without intra edges": ((0, 1), ((0, 2), (1, 2))),
+    }
+
+    @staticmethod
+    def random_graph(sizes, intra_layers, inter_pairs, seed):
+        rng = np.random.default_rng(seed)
+        table = ColorTable(len(sizes))
+        edges = {}
+        for a, b in [(h, h) for h in intra_layers] + list(inter_pairs):
+            for _ in range(2 * max(sizes[a], sizes[b])):
+                ends = sorted([(a, int(rng.integers(sizes[a]))), (b, int(rng.integers(sizes[b])))])
+                if ends[0] != ends[1]:
+                    edges[tuple(ends)] = table.color_of(a, b)
+        return build_graph(sizes, [(x, y, c) for (x, y), c in edges.items()])
+
+    @pytest.mark.parametrize("layout", THREE_LAYER_LAYOUTS)
+    def test_layer_blocks_and_inter_colors(self, layout):
+        # a distinct rate per color, so an inter entry read with its block's
+        # intra rate, or an inter color left out, changes nodes or steps
+        intra_layers, inter_pairs = self.THREE_LAYER_LAYOUTS[layout]
+        g = self.random_graph((40, 30, 35), intra_layers, inter_pairs, seed=4)
+        assert g.num_colors == 6
+        assert set(np.unique(g.adjacency()[2]).tolist()) == {
+            g.colors.color_of(a, b) for a, b in [(h, h) for h in intra_layers] + list(inter_pairs)
+        }
+        cfg = SirConfig(rates=(0.35, 0.5, 0.25, 0.6, 0.3, 0.45), tau=4,
+                        seeds=SeedPolicy.uniform(3), master_seed=13)
+        self.check(g, cfg, realizations=25)
+        self.check(g, replace(cfg, max_steps=3), realizations=10, cell=2)
+
+    def test_one_layer_has_no_inter_colors(self):
+        g = self.random_graph((80,), (0,), (), seed=6)
+        cfg = SirConfig(rates=(0.3,), tau=3, seeds=SeedPolicy.uniform(2), master_seed=2)
+        chains = self.check(g, cfg, realizations=25)
+        assert chains.inter == []
 
     def test_ids_past_int32_raise(self):
         g = single_layer_graph(4, [(0, 1)])
