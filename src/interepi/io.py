@@ -350,7 +350,7 @@ _RUN_KEYS = {
     "dynamics.settings": ("dynamics_settings", _keyed(parse_settings), _in_unit,
                           "hold rates in [0, 1]"),
     "output.dir": ("out_dir", lambda name, value: value),
-    "master_seed": ("master_seed", _parse_int),
+    "master_seed": ("master_seed", _parse_int, lambda v: v >= 0, "be at least 0"),
 }
 # sim.seed_placement -> (the key that holds the placement's detail, the
 # detail's default, None where the placement requires the key, and the

@@ -403,6 +403,9 @@ inter.0.1.mean_degree = 0.5
         with pytest.raises(ConfigError):
             parse_config_text(BASE_CONFIG.replace("sweep.beta = 0:0.4:0.2",
                                                   "sweep.beta = 0:1.4:0.2"))
+        # a negative seed used to fail inside numpy, naming no key
+        with pytest.raises(ConfigError, match="master_seed must be at least 0"):
+            parse_config_text(BASE_CONFIG.replace("master_seed = 12", "master_seed = -1"))
 
     @pytest.mark.parametrize("key", ["layer.1.mean_degree", "inter.0.1.mean_degree"])
     def test_negative_mean_degree(self, key):

@@ -50,7 +50,11 @@ Once a realization compared and divided its uniforms one layer block at a
 time against scalars, and only the inter entries against their colors'
 rates, from intp positions listed once per setting, instead of gathering
 both rate tables through 1-byte entry colors, the dynamics setting peaks
-at 35.3 B (42.0 B) and run_sir at 35.2 B (41.9 B).
+at 35.3 B (42.0 B) and run_sir at 35.2 B (41.9 B). Once one writer served
+both readouts, the uncapped cell writing its transmit mask the same way
+into one search graph rewritten in place, instead of gathering a per-entry
+transmission probability and building a new graph per realization, the
+cell peaks at 24.0 B (31.6 B).
 
 The chains' nodes cost memory that grows with tau: 4 B of targets, 4 B of
 row pointers and 8 B inside breadth_first_order per chain node, 16.0 B

@@ -33,7 +33,7 @@ from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
 from interepi.graph import ColorMoments, build_graph_array
 import interepi.io as io_module
 from interepi.io import _format_columns
-from interepi.sir import _count_law, _DelayChains, _final_counts, _first_passage
+from interepi.sir import _final_counts, _Realizations
 from interepi.threshold import (
     ENTRY_BOUND,
     _epidemic,
@@ -564,12 +564,13 @@ def test_sampler_follows_the_stream_contract(case):
     new = np.zeros((last + 1, g.num_layers), dtype=np.int64)
     np.add.at(new, (times, g.node_layer[nodes]), 1)
     assert np.array_equal(summary.per_step_ever, np.cumsum(new, axis=0))
-    reached, t = _first_passage(g, cfg, _DelayChains(g, cfg), realization, cell)
+    reached, t = _Realizations(g, cfg, timed=True).steps(realization, cell)
     assert reached.tolist() == nodes.tolist() and t.tolist() == times.tolist()
     counts = np.bincount(g.node_layer[nodes], minlength=g.num_layers)
-    assert _final_counts(g, cfg, _count_law(g, cfg), realization, cell) == tuple(counts.tolist())
+    cell_realizations = _Realizations(g, cfg, timed=cfg.max_steps is not None)
+    assert _final_counts(cell_realizations, realization, cell) == tuple(counts.tolist())
     uncapped = replace(cfg, max_steps=None)
     counts = np.bincount(g.node_layer[list(first_passage_steps(g, uncapped, realization, cell))],
                          minlength=g.num_layers)
-    assert (_final_counts(g, uncapped, _count_law(g, uncapped), realization, cell)
+    assert (_final_counts(_Realizations(g, uncapped, timed=False), realization, cell)
             == tuple(counts.tolist()))

@@ -26,10 +26,8 @@ import interepi.sir as sir_module
 from interepi.io import parse_config_text, run_experiment
 from interepi.sir import (
     _CLOCK_START,
-    _DelayChains,
-    _edge_law,
     _final_counts,
-    _first_passage,
+    _Realizations,
     _setting_counts,
     mean_cell_densities,
     sweep_and_dynamics,
@@ -130,10 +128,15 @@ class TestRunSir:
             SirConfig(rates=(0.5,), tau=5, realizations=0)
         with pytest.raises(ValueError, match="max_steps"):
             SirConfig(rates=(0.5,), tau=5, max_steps=-1)
+        # a negative master seed used to pass until numpy refused it at the
+        # first realization
+        with pytest.raises(ValueError, match="master_seed must be >= 0"):
+            SirConfig(rates=(0.5,), master_seed=-1)
 
     @pytest.mark.parametrize("name, value", [
         ("tau", 2.5), ("tau", True), ("tau", 3.0), ("realizations", 2.5),
         ("realizations", np.bool_(True)), ("max_steps", 2.5), ("max_steps", False),
+        ("master_seed", True), ("master_seed", 2.5),
     ])
     def test_integer_fields_must_be_integers(self, name, value):
         # a fractional tau used to run a fractional infectious period in
@@ -147,13 +150,13 @@ class TestRunSir:
         g = build_interdependent(
             [ErLayerSpec(200, 1.5), ErLayerSpec(200, 5.0)], {(0, 1): 1.0}, master_seed=5
         )
-        base = dict(rates=(0.3, 0.3, 0.4), seeds=SeedPolicy.in_layers([1, 1]), master_seed=9)
-        ints = SirConfig(**base, tau=3, realizations=3, max_steps=3)
+        base = dict(rates=(0.3, 0.3, 0.4), seeds=SeedPolicy.in_layers([1, 1]))
+        ints = SirConfig(**base, tau=3, realizations=3, max_steps=3, master_seed=9)
         numpy_ints = SirConfig(**base, tau=np.int64(3), realizations=np.int32(3),
-                               max_steps=np.int64(3))
+                               max_steps=np.int64(3), master_seed=np.int64(9))
         assert numpy_ints == ints
         assert all(type(v) is int for v in (numpy_ints.tau, numpy_ints.realizations,
-                                            numpy_ints.max_steps))
+                                            numpy_ints.max_steps, numpy_ints.master_seed))
         assert summaries_equal(run_sir(g, numpy_ints, 1), run_sir(g, ints, 1))
         a = sweep_heatmap(g, [0.2], [0.4], replace(numpy_ints, max_steps=None), workers=1)
         b = sweep_heatmap(g, [0.2], [0.4], replace(ints, max_steps=None), workers=1)
@@ -186,10 +189,11 @@ class TestFirstPassageSampler:
         )
         for rates in ((0.1, 0.1, 0.05), (0.3, 0.3, 0.2), (1.0, 0.0, 1.0)):
             cfg = SirConfig(rates=rates, tau=5, seeds=SeedPolicy.in_layers([1, 1]), master_seed=17)
-            law = _edge_law(g, cfg)
+            realizations = _Realizations(g, cfg, timed=False)
             for cell in (0, 3):
                 for r in range(25):
-                    assert _final_counts(g, cfg, law, r, cell) == run_sir(g, cfg, r, cell).ever_counts
+                    assert (_final_counts(realizations, r, cell)
+                            == run_sir(g, cfg, r, cell).ever_counts)
 
     def test_sweep_equals_mean_of_run_sir_densities(self):
         g = build_interdependent(
@@ -257,10 +261,10 @@ class TestDelayChains:
 
     @staticmethod
     def check(g, cfg, realizations=5, cell=0):
-        chains = _DelayChains(g, cfg)
+        chains = _Realizations(g, cfg, timed=True)
         for r in range(realizations):
             expected = first_passage_steps(g, cfg, r, cell)
-            reached, steps = _first_passage(g, cfg, chains, r, cell)
+            reached, steps = chains.steps(r, cell)
             assert reached.tolist() == sorted(expected)
             assert steps.tolist() == [expected[v] for v in sorted(expected)]
         return chains
@@ -313,7 +317,7 @@ class TestDelayChains:
                         max_steps=0, master_seed=6)
         chains = self.check(g, cfg)
         assert self.clock_nodes(chains, g, 3) == 2
-        reached, steps = _first_passage(g, cfg, chains, 0, 0)
+        reached, steps = chains.steps(0, 0)
         assert reached.size == 3 and not steps.any()
 
     # layer h's adjacency rows are one block of entries; its intra entries
@@ -396,6 +400,31 @@ class TestSeedPolicies:
         for cfg in bad:
             with pytest.raises(ValueError):
                 run_sir(g, cfg, 0)
+
+    @pytest.mark.parametrize("placement, detail, message", [
+        # the first three used to give (1, 1), (0, 1) and (1, 1)
+        ("in_layers", [1.5, 1], "seed count must be an integer, got 1.5"),
+        ("explicit", [(0, 1.7)], "seed index must be an integer, got 1.7"),
+        ("in_layers", [True, 1], "seed count must be an integer, got True"),
+        ("explicit", [(0.0, 1)], "seed layer must be an integer, got 0.0"),
+        ("uniform", 2.5, "seed count must be an integer, got 2.5"),
+    ])
+    def test_counts_and_nodes_must_be_integers(self, placement, detail, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(SeedPolicy, placement)(detail)
+
+    def test_numpy_integers_act_as_ints(self):
+        policies = [
+            (SeedPolicy.uniform(np.int64(3)), SeedPolicy.uniform(3)),
+            (SeedPolicy.in_layers(np.array([2, 1])), SeedPolicy.in_layers([2, 1])),
+            (SeedPolicy.explicit(np.array([[1, 4]], dtype=np.int32)),
+             SeedPolicy.explicit([(1, 4)])),
+        ]
+        for numpy_ints, ints in policies:
+            assert numpy_ints == ints
+            values = [numpy_ints.count, *numpy_ints.per_layer,
+                      *(v for node in numpy_ints.nodes for v in node)]
+            assert all(type(v) is int for v in values)
 
     @pytest.mark.parametrize("node", [(0, 6), (1, 6), (2, 0), (-1, 0)])
     def test_explicit_seed_outside_its_layer(self, node):
@@ -513,6 +542,26 @@ class TestInfectionDensity:
         cfg = SirConfig(rates=(0.5, 0.5, 0.5), tau=1, seeds=SeedPolicy.explicit([(0, 0)]))
         with pytest.raises(ZeroGcc, match="^layer 1 has no edges; density undefined$"):
             mean_cell_densities(g, cfg, 0, structural_gcc_sizes(g))
+
+    def test_uncapped_cell_builds_one_search_graph(self, monkeypatch):
+        # its realizations rewrite one graph in place; each used to assemble
+        # its own csr_matrix
+        g = build_interdependent(
+            [ErLayerSpec(300, 1.5), ErLayerSpec(300, 4.0)], {(0, 1): 1.0}, master_seed=2
+        )
+        gcc_sizes = structural_gcc_sizes(g)
+        csr_matrix = sir_module.csr_matrix
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return csr_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(sir_module, "csr_matrix", counted)
+        cfg = SirConfig(rates=(0.3, 0.3, 0.2), tau=5, seeds=SeedPolicy.in_layers([1, 1]),
+                        realizations=5, master_seed=3)
+        mean_cell_densities(g, cfg, 0, gcc_sizes)
+        assert len(built) == 1
 
     def test_density_can_exceed_one(self):
         # two components in layer 0: gcc has 3 nodes, seeding both components
