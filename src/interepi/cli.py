@@ -105,19 +105,16 @@ def _config(args) -> ExperimentConfig:
 
 
 def _graph_summary_lines(g) -> list[str]:
-    moments = compute_moments(g)
     lines = [
         f"layers: {len(g.layer_sizes)}  sizes: {' '.join(str(s) for s in g.layer_sizes)}",
         f"edges: {g.num_edges}  colors: {g.num_colors}",
     ]
-    counts = g.edge_count_by_color()
-    for c in range(g.num_colors):
+    for c, edges in enumerate(g.edge_count_by_color().tolist()):
         members = g.colors.members(c)
         tag = f"layer {members[0]}" if len(members) == 1 else f"layers {members[0]}-{members[1]}"
-        lines.append(
-            f"color {c} ({tag}): edges={int(counts[c])} "
-            f"mean_restricted={moments.per_color[c].mean_restricted:.4f}"
-        )
+        # each edge adds one to the color degree of both its ends
+        mean = 2 * edges / sum(g.layer_sizes[l] for l in members)
+        lines.append(f"color {c} ({tag}): edges={edges} mean_restricted={mean:.4f}")
     try:
         lines.append(f"kappa(network) = {kappa(g):.4f}")
     except InterepiError:

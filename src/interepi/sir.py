@@ -27,16 +27,17 @@ up the inter entries, whose positions are listed per color once; it keeps
 no per-entry color or rate array. Each entry then points at its target when
 it transmits and back at its source otherwise, a self-loop that no search
 uses, in a graph on the network's own adjacency rows that every realization
-rewrites in place. Two readouts search that graph breadth-first, and the
-caller's need picks one. Final sizes (sweep cells without a step cap) are
-the nodes a super-source with edges to the seeds reaches. Infection times
-(:func:`run_sir`, dynamics, step-capped cells) go on to the delays: the
-entries point into per-target delay chains, tau - 1 extra nodes in front of
-each node, so that an edge with delay d is d breadth-first steps long; a
-clock chain from the super-source marks where each level starts, and t_v is
-v's level. Both read the same uniforms, so they infect the same nodes. The
-chains add (tau - 1)*n nodes and entries, which final sizes do without:
-searching the chains for them took 1.7 to 2.6 times as long.
+rewrites in place. Both readouts search one layout breadth-first from a
+super-source whose row lists a clock node, then the seeds. Infection times
+(:func:`run_sir`, dynamics, step-capped cells) read the delays: the entries
+point into per-target delay chains, tau - 1 extra nodes in front of each
+node, so that an edge with delay d is d breadth-first steps long; the clock
+node starts a chain that marks where each level starts, and t_v is v's
+level. Final sizes (sweep cells without a step cap) are the same layout
+with no chains and a one-node clock, the nodes the search reaches: the
+chains add (tau - 1)*n nodes and entries, and searching them for final
+sizes took 1.7 to 2.6 times as long. Both read the same uniforms, so they
+infect the same nodes.
 
 Randomness is counter-based: realization r of cell c under master seed s
 draws from the stream (s, c, r), seeds first and then one uniform per
@@ -166,12 +167,14 @@ def _stream(master_seed: int, cell_index: int, realization_index: int) -> np.ran
     )
 
 
-def check_seeds(g: LayeredGraph, policy: SeedPolicy) -> None:
-    """Raise ValueError unless ``policy`` can seed a realization on ``g``."""
+def check_seeds(g: LayeredGraph, policy: SeedPolicy) -> int:
+    """The number of seeds ``policy`` places on ``g``; ValueError unless it
+    can seed a realization there."""
     if policy.kind == "uniform":
         if not 1 <= policy.count <= g.n:
             raise ValueError(f"seed count {policy.count} outside [1, {g.n}]")
-    elif policy.kind == "per_layer":
+        return policy.count
+    if policy.kind == "per_layer":
         if len(policy.per_layer) != g.num_layers:
             raise ValueError("one seed count per layer required")
         for layer, (count, size) in enumerate(zip(policy.per_layer, g.layer_sizes)):
@@ -179,7 +182,8 @@ def check_seeds(g: LayeredGraph, policy: SeedPolicy) -> None:
                 raise ValueError(f"layer {layer} cannot seed {count} of {size}")
         if not any(policy.per_layer):
             raise ValueError("seed policy selects no nodes")
-    elif policy.kind == "explicit":
+        return sum(policy.per_layer)
+    if policy.kind == "explicit":
         if not policy.nodes:
             raise ValueError("explicit seed policy without nodes")
         sizes = g.layer_sizes
@@ -188,8 +192,8 @@ def check_seeds(g: LayeredGraph, policy: SeedPolicy) -> None:
                 raise ValueError(f"explicit seed {(layer, index)} outside layer sizes {sizes}")
         if len(set(policy.nodes)) != len(policy.nodes):
             raise ValueError("explicit seeds must be distinct")
-    else:
-        raise ValueError(f"unknown seed policy kind {policy.kind!r}")
+        return len(policy.nodes)
+    raise ValueError(f"unknown seed policy kind {policy.kind!r}")
 
 
 def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator) -> np.ndarray:
@@ -210,14 +214,6 @@ def _choose_seeds(g: LayeredGraph, policy: SeedPolicy, rng: np.random.Generator)
 _CLOCK_START = 256
 
 
-def _seed_count(policy: SeedPolicy) -> int:
-    if policy.kind == "uniform":
-        return policy.count
-    if policy.kind == "per_layer":
-        return sum(policy.per_layer)
-    return len(policy.nodes)
-
-
 class _Realizations:
     """The graph that one sweep cell, dynamics setting or :func:`run_sir`
     call searches for each of its realizations, kept with the buffers that
@@ -236,20 +232,20 @@ class _Realizations:
     never kept on the network; a realization rewrites only the adjacency
     entries and the seed slots, in place.
 
-    Without ``timed`` the graph has the n real nodes and the super-source n,
-    whose row lists the seeds; a transmitting entry points at its target.
-
-    With ``timed``, real nodes keep their ids 0..n-1 and chain node k*n + v
-    (k = 1..tau-1) means "v, k steps early": its one entry points to
+    Real nodes keep their ids 0..n-1 and are followed by a chain of length
+    (tau - 1)*n for infection times and 0 for final sizes: chain node k*n + v
+    (k = 1..tau-1) means "v, k steps early", and its one entry points to
     (k-1)*n + v. A transmitting entry u -> v with delay d points to
-    (d-1)*n + v, d breadth-first steps from v. Node tau*n is the
-    super-source: its row lists the clock node c_0 first, then the seeds, and
-    clock node c_i = tau*n + 1 + i points to c_{i+1}. A breadth-first search
-    discovers a level's nodes in the order it takes their parents, so c_t is
-    the first node of level t + 1, and a real node's infection step is the
-    number of clock nodes before it in the search order, minus one. With a
-    step cap the clock grows to at most max_steps + 2 nodes, and the nodes
-    past the last one are dropped.
+    (d-1)*n + v, d breadth-first steps from v; without a chain it points to
+    v. Node n + chain length is the super-source: its row lists the clock
+    node c_0 first, then the seeds, and clock node c_i, the super-source's id
+    plus 1 + i, points to c_{i+1}. A breadth-first search discovers a level's
+    nodes in the order it takes their parents, so c_t is the first node of
+    level t + 1, and a real node's infection step is the number of clock
+    nodes before it in the search order, minus one. Final sizes read no
+    steps, and their clock is c_0 alone, with an empty row. For times the
+    clock grows to at most max_steps + 2 nodes under a step cap, and the
+    nodes past the last one are dropped.
     """
 
     def __init__(self, g: LayeredGraph, cfg: SirConfig, timed: bool):
@@ -257,7 +253,7 @@ class _Realizations:
             raise ValueError(
                 f"{g.num_colors} colors need {g.num_colors} rates, got {len(cfg.rates)}"
             )
-        check_seeds(g, cfg.seeds)
+        seeds = check_seeds(g, cfg.seeds)
         # per color: the probability that one of an edge's tau trials
         # succeeds, and log(1 - rate), -inf at rate 1 and where 1 - rate
         # rounds to 1, so that such an entry's delay is 1
@@ -274,49 +270,45 @@ class _Realizations:
                       for c in range(g.num_layers, g.num_colors)]
         del adj_color
         self.source = np.repeat(np.arange(g.n, dtype=INDEX), np.diff(indptr))
-        if timed:
-            self.limit = np.inf if cfg.max_steps is None else cfg.max_steps + 2
-            clock = min(_CLOCK_START, self.limit)
-            chain_end = self.adj.size + (cfg.tau - 1) * g.n
-            self.seed_slots = slice(chain_end + 1, chain_end + 1 + _seed_count(cfg.seeds))
-            self._check_ids(clock)
-            # the rows of the real nodes, the chain nodes and the super-source
-            fixed_rows = np.concatenate(
-                [indptr, np.arange(self.adj.size + 1, chain_end + 1, dtype=INDEX),
-                 [self.seed_slots.stop]], dtype=INDEX)
-            self.targets = np.empty(self.seed_slots.stop, dtype=INDEX)
-            self.targets[self.adj.size : chain_end] = np.arange((cfg.tau - 1) * g.n, dtype=INDEX)
-            self.targets[chain_end] = self.tau * g.n + 1
-            self._lay_out(fixed_rows, clock)
-            del fixed_rows
-        else:
-            self.seed_slots = slice(self.adj.size, self.adj.size + _seed_count(cfg.seeds))
-            self.targets = np.empty(self.seed_slots.stop, dtype=INDEX)
-            rows = np.concatenate([indptr, [self.seed_slots.stop]], dtype=INDEX)
-            self.graph = csr_matrix((np.broadcast_to(1.0, self.targets.size), self.targets, rows),
-                                    shape=(g.n + 1, g.n + 1))
+        chain = (cfg.tau - 1) * g.n if timed else 0
+        self.source_node = g.n + chain
+        self.limit = np.inf if cfg.max_steps is None else cfg.max_steps + 2
+        clock = min(_CLOCK_START, self.limit) if timed else 1
+        chain_end = self.adj.size + chain
+        self.seed_slots = slice(chain_end + 1, chain_end + 1 + seeds)
+        # before the rows are allocated: past int32 ids they need not fit in memory
+        self._check_ids(clock)
+        # the rows of the real nodes, the chain nodes and the super-source
+        fixed_rows = np.concatenate(
+            [indptr, np.arange(self.adj.size + 1, chain_end + 1, dtype=INDEX),
+             [self.seed_slots.stop]], dtype=INDEX)
+        self.targets = np.empty(self.seed_slots.stop, dtype=INDEX)
+        self.targets[self.adj.size : chain_end] = np.arange(chain, dtype=INDEX)
+        self.targets[chain_end] = self.source_node + 1
+        self._lay_out(fixed_rows, clock)
+        del fixed_rows
         # reused by every realization, allocated last: laying out the rows
         # copies the targets, and does not add to these
         self.uniform = np.empty(self.adj.size)
         self.transmits = np.empty(self.adj.size, dtype=bool)
 
     def _check_ids(self, clock: int) -> None:
-        """Raise ValueError unless the timed graph with ``clock`` clock nodes
+        """Raise ValueError unless the graph with ``clock`` clock nodes
         numbers its nodes and entries in :data:`INDEX`."""
-        nodes = self.tau * self.n + 1 + clock
+        nodes = self.source_node + 1 + clock
         if max(nodes, self.seed_slots.stop + clock) > np.iinfo(INDEX).max:
             raise ValueError(f"{clock} clock steps at tau = {self.tau} over {self.n} nodes "
                              f"exceed {np.dtype(INDEX).name} node ids")
 
     def _lay_out(self, fixed_rows: np.ndarray, clock: int) -> None:
-        """The timed graph with ``clock`` clock nodes after the rows that
+        """The graph with ``clock`` clock nodes after the rows that
         ``fixed_rows`` points to, keeping the entries written in them."""
         self._check_ids(clock)
-        source_node = self.tau * self.n
         fixed = self.seed_slots.stop
         targets = np.empty(fixed + clock - 1, dtype=INDEX)
         targets[:fixed] = self.targets[:fixed]
-        targets[fixed:] = np.arange(source_node + 2, source_node + 1 + clock, dtype=INDEX)
+        targets[fixed:] = np.arange(self.source_node + 2, self.source_node + 1 + clock,
+                                    dtype=INDEX)
         ends = np.minimum(np.arange(1, clock + 1, dtype=INDEX), clock - 1)
         indptr = np.concatenate([fixed_rows, ends + fixed], dtype=INDEX)
         self.targets = targets
@@ -368,13 +360,14 @@ class _Realizations:
         if self.timed:
             return self.steps(realization_index, cell_index)[0]
         self._write(realization_index, cell_index)
-        return breadth_first_order(self.graph, self.n, return_predecessors=False)[1:]
+        # the super-source, then c_0, which leads its row; all others are real
+        return breadth_first_order(self.graph, self.source_node, return_predecessors=False)[2:]
 
     def steps(self, realization_index: int, cell_index: int) -> tuple[np.ndarray, np.ndarray]:
         """The real nodes a realization infects, ascending, and their
         infection steps, read as breadth-first levels over the timed graph."""
         self._write(realization_index, cell_index)
-        source_node = self.tau * self.n
+        source_node = self.source_node
         while True:
             order = breadth_first_order(self.graph, source_node, return_predecessors=False)
             clock = np.flatnonzero(order > source_node)
@@ -411,6 +404,11 @@ def run_sir(
     cell_index: int = 0,
 ) -> SimSummary:
     """One realization, fully determined by (graph, config, indices)."""
+    realization_index = _integer("realization_index", realization_index)
+    cell_index = _integer("cell_index", cell_index)
+    for name, index in (("realization_index", realization_index), ("cell_index", cell_index)):
+        if index < 0:
+            raise ValueError(f"{name} must be >= 0")
     reached, t = _Realizations(g, cfg, timed=True).steps(realization_index, cell_index)
     num_layers = g.num_layers
     new = np.bincount(t * num_layers + g.node_layer[reached])

@@ -22,6 +22,7 @@ from interepi import (
     SelfLoop,
     UnknownNode,
     build_interdependent,
+    compute_moments,
     er_color_moments,
     graphs_equal,
     load_graph,
@@ -602,6 +603,27 @@ class TestCli:
         ])
         assert rc == 0
         assert "density network" in capsys.readouterr().out
+
+    def test_info_prints_each_colors_mean_restricted_degree(self, tmp_path, capsys):
+        # 2 * edges / population, the compute_moments mean, over layers of
+        # unequal sizes so that an inter color's population is neither layer's
+        g = build_interdependent([ErLayerSpec(300, 1.5), ErLayerSpec(700, 4.0),
+                                  ErLayerSpec(450, 2.5)],
+                                 {(0, 1): 1.0, (0, 2): 0.5, (1, 2): 2.0}, master_seed=3)
+        graph_path = tmp_path / "g.edges"
+        write_graph(g, graph_path)
+        assert main(["info", "--graph", str(graph_path)]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("color ")]
+        counts = g.edge_count_by_color()
+        expected = []
+        for c, moments in enumerate(compute_moments(g).per_color):
+            members = g.colors.members(c)
+            tag = (f"layer {members[0]}" if len(members) == 1
+                   else f"layers {members[0]}-{members[1]}")
+            expected.append(f"color {c} ({tag}): edges={counts[c]} "
+                            f"mean_restricted={moments.mean_restricted:.4f}")
+        assert printed == expected
 
     def test_empirical_threshold_route(self, tmp_path):
         g = chain_plus_layer2()

@@ -54,7 +54,10 @@ at 35.3 B (42.0 B) and run_sir at 35.2 B (41.9 B). Once one writer served
 both readouts, the uncapped cell writing its transmit mask the same way
 into one search graph rewritten in place, instead of gathering a per-entry
 transmission probability and building a new graph per realization, the
-cell peaks at 24.0 B (31.6 B).
+cell peaks at 24.0 B (31.6 B). It stays at 24.0 B at (0.16, 0.16, 0.2),
+(0.05, 0.05, 0.05) and (0.3, 0.3, 0.3) once the final-size graph is the
+timed layout with no chains, its super-source row led by a one-node clock,
+and the dynamics setting and run_sir stay at 35.2 B.
 
 The chains' nodes cost memory that grows with tau: 4 B of targets, 4 B of
 row pointers and 8 B inside breadth_first_order per chain node, 16.0 B

@@ -29,6 +29,7 @@ from interepi.sir import (
     _final_counts,
     _Realizations,
     _setting_counts,
+    check_seeds,
     mean_cell_densities,
     sweep_and_dynamics,
 )
@@ -158,9 +159,23 @@ class TestRunSir:
         assert all(type(v) is int for v in (numpy_ints.tau, numpy_ints.realizations,
                                             numpy_ints.max_steps, numpy_ints.master_seed))
         assert summaries_equal(run_sir(g, numpy_ints, 1), run_sir(g, ints, 1))
+        assert summaries_equal(run_sir(g, ints, np.int64(1), np.int32(2)), run_sir(g, ints, 1, 2))
         a = sweep_heatmap(g, [0.2], [0.4], replace(numpy_ints, max_steps=None), workers=1)
         b = sweep_heatmap(g, [0.2], [0.4], replace(ints, max_steps=None), workers=1)
         assert np.array_equal(a.density_whole, b.density_whole)
+
+    @pytest.mark.parametrize("indices, message", [
+        # True used to run realization 1, 1.5 and the negatives to fail
+        # inside numpy without naming the argument
+        (dict(realization_index=True), "realization_index must be an integer, got True"),
+        (dict(realization_index=1.5), "realization_index must be an integer, got 1.5"),
+        (dict(realization_index=-1), "realization_index must be >= 0"),
+        (dict(cell_index=-2), "cell_index must be >= 0"),
+    ])
+    def test_indices_must_be_nonnegative_integers(self, indices, message):
+        cfg = SirConfig(rates=(0.5, 0.5, 0.5), tau=3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sir(chain_plus_layer2(), cfg, **indices)
 
 
 class TestFirstPassageSampler:
@@ -362,6 +377,26 @@ class TestDelayChains:
         chains = self.check(g, cfg, realizations=25)
         assert chains.inter == []
 
+    def test_one_layout_for_both_readouts(self):
+        # the final-size graph is the timed layout with no chain: the n real
+        # nodes, the super-source n and one clock node with an empty row
+        g = build_interdependent(
+            [ErLayerSpec(300, 1.5), ErLayerSpec(300, 4.0)], {(0, 1): 1.0}, master_seed=2
+        )
+        entries = g.adjacency()[1].size
+        cfg = SirConfig(rates=(0.3, 0.3, 0.2), tau=5, seeds=SeedPolicy.in_layers([2, 1]))
+        final = _Realizations(g, cfg, timed=False)
+        assert final.graph.shape == (g.n + 2, g.n + 2)
+        assert final.source_node == g.n
+        assert final.targets.size == entries + 1 + 3
+        assert final.graph.indptr[g.n + 1] == final.graph.indptr[g.n + 2]
+        # a step cap of 2 needs at most 2 + 2 clock nodes
+        for max_steps, clock in ((None, _CLOCK_START), (2, 4)):
+            times = _Realizations(g, replace(cfg, max_steps=max_steps), timed=True)
+            assert times.graph.shape[0] == cfg.tau * g.n + 1 + clock
+            assert times.source_node == cfg.tau * g.n
+            assert times.targets.size == entries + (cfg.tau - 1) * g.n + 1 + 3 + clock - 1
+
     def test_ids_past_int32_raise(self):
         g = single_layer_graph(4, [(0, 1)])
         cfg = SirConfig(rates=(0.5,), tau=2**30, seeds=SeedPolicy.explicit([(0, 0)]))
@@ -388,6 +423,12 @@ class TestSeedPolicies:
         s = run_sir(g, cfg, 0)
         assert s.ever_counts == (0, 1)
         assert s.ever_infected[1].tolist() == [4]
+
+    def test_check_seeds_counts_the_seeds(self):
+        g = chain_plus_layer2()
+        assert check_seeds(g, SeedPolicy.uniform(5)) == 5
+        assert check_seeds(g, SeedPolicy.in_layers([2, 1])) == 3
+        assert check_seeds(g, SeedPolicy.explicit([(0, 1), (1, 4)])) == 2
 
     def test_validation(self):
         g = chain_plus_layer2()
