@@ -43,26 +43,39 @@ def _distinct_pairs(
     """The first m distinct pairs, in draw order, among uniform draws of
     (a, b) in [0, n_u) x [0, n_v), taken in batches of 2 * (m - accepted) + 64.
     With ``same_layer`` self-loops are skipped and pairs kept as (min, max).
-    Each batch's first draw of every pair comes from :func:`first_occurrences`."""
-    chunks, count = [np.empty((0, 2), dtype=np.int64)], 0
+    A batch keeps only the int64 keys a * n_v + b of its draws; each key's
+    first draw comes from :func:`first_occurrences`, keys accepted before are
+    dropped, and the pairs are taken back from the accepted keys. Draws are
+    :data:`INDEX`, the values int64 draws give below 2**31, so a side of
+    2**31 nodes or more is a ValueError."""
+    if max(n_u, n_v) > np.iinfo(INDEX).max:
+        raise ValueError(f"{max(n_u, n_v)} nodes exceed the int32 index range")
+    chunks, count = [np.empty(0, dtype=np.int64)], 0
     # sorted keys of the accepted pairs, above a sentinel that no key reaches
     seen = np.array([np.iinfo(np.int64).max])
     while count < m:
         batch = 2 * (m - count) + 64
-        a = rng.integers(0, n_u, size=batch)
-        b = rng.integers(0, n_v, size=batch)
+        a = rng.integers(0, n_u, size=batch, dtype=INDEX)
+        b = rng.integers(0, n_v, size=batch, dtype=INDEX)
         if same_layer:
             keep = a != b
             a, b = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-        keys = a * n_v + b
+            del keep
+        keys = a.astype(np.int64)
+        keys *= n_v
+        keys += b
+        del a, b
         first = first_occurrences(keys)
-        fresh = keys[first]
-        first = np.sort(first[seen[np.searchsorted(seen, fresh)] != fresh])[: m - count]
-        chunks.append(np.column_stack([a[first], b[first]]))
-        count += len(first)
-        taken = np.sort(keys[first])
+        fresh = keys.take(first)
+        del keys
+        new = seen.take(np.searchsorted(seen, fresh)) != fresh
+        first, fresh = first[new], fresh[new]
+        chunks.append(fresh.take(np.argsort(first)[: m - count]))
+        count += len(chunks[-1])
+        del first, fresh
+        taken = np.sort(chunks[-1])
         seen = np.insert(seen, np.searchsorted(seen, taken), taken)
-    return np.concatenate(chunks)
+    return np.column_stack(np.divmod(np.concatenate(chunks), n_v))
 
 
 def gen_er_layer(n: int, mean_degree: float, rng: RngLike) -> np.ndarray:
@@ -245,6 +258,27 @@ class ErLayerSpec:
 LayerSpec = Union[ErLayerSpec, PowerLawSpec]
 
 
+def pair_means(
+    inter_means: Mapping[tuple[int, int], float], num_layers: int
+) -> dict[tuple[int, int], float]:
+    """``inter_means`` keyed by layer pairs (i, j), i < j, from keys in either
+    order. ValueError names a key with an undeclared layer, a key (i, i), or
+    a pair keyed in both orders."""
+    means: dict[tuple[int, int], float] = {}
+    for key, mean in inter_means.items():
+        i, j = key
+        for layer in (i, j):
+            if not 0 <= layer < num_layers:
+                raise ValueError(f"inter_means key {key} names undeclared layer {layer}")
+        if i == j:
+            raise ValueError(f"inter_means key {key} pairs layer {i} with itself")
+        pair = (min(i, j), max(i, j))
+        if pair in means:
+            raise ValueError(f"inter_means keys {pair} and {pair[::-1]} set the same layer pair")
+        means[pair] = mean
+    return means
+
+
 def build_interdependent(
     layers: Sequence[LayerSpec],
     inter_means: Mapping[tuple[int, int], float],
@@ -253,24 +287,31 @@ def build_interdependent(
     """Generate every layer and interconnection and assemble the full graph.
 
     Layer i draws from stream (master_seed, 0, i); the interconnection of the
-    pair (i, j) from (master_seed, 1, i, j). Missing pairs get no edges.
+    pair (i, j) from (master_seed, 1, i, j). Missing pairs get no edges, and
+    :func:`pair_means` checks the keys of ``inter_means``.
     """
+    means = pair_means(inter_means, len(layers))
     sizes = [spec.n for spec in layers]
     parts = []  # (layer_u, a, layer_v, b, color) rows per layer and layer pair
     for i, spec in enumerate(layers):
         rng = child_rng(master_seed, 0, i)
         if isinstance(spec, ErLayerSpec):
-            pairs = gen_er_layer(spec.n, spec.mean_degree, rng)
+            parts.append(_rows(i, i, i, gen_er_layer(spec.n, spec.mean_degree, rng)))
         else:
-            pairs = gen_powerlaw_layer(spec, rng)
-        parts.append(np.insert(pairs.astype(INDEX), [0, 1, 2], (i, i, i), axis=1))
+            parts.append(_rows(i, i, i, gen_powerlaw_layer(spec, rng)))
     colors = ColorTable(len(layers))
     for color in range(len(layers), colors.num_colors):
         i, j = colors.members(color)
-        mean = inter_means.get((i, j), inter_means.get((j, i), 0.0))
+        mean = means.get((i, j), 0.0)
         if mean == 0.0:
             continue
         rng = child_rng(master_seed, 1, i, j)
-        pairs = gen_er_interlayer(sizes[i], sizes[j], mean, rng)
-        parts.append(np.insert(pairs.astype(INDEX), [0, 1, 2], (i, j, color), axis=1))
-    return build_graph_array(sizes, np.concatenate(parts or [np.empty((0, 5), dtype=INDEX)]))
+        parts.append(_rows(i, j, color, gen_er_interlayer(sizes[i], sizes[j], mean, rng)))
+    rows = np.concatenate(parts or [np.empty((0, 5), dtype=INDEX)])
+    del parts
+    return build_graph_array(sizes, rows)
+
+
+def _rows(layer_u: int, layer_v: int, color: int, pairs: np.ndarray) -> np.ndarray:
+    """(layer_u, a, layer_v, b, color) :data:`INDEX` rows of (m, 2) local pairs."""
+    return np.insert(pairs.astype(INDEX), [0, 1, 2], (layer_u, layer_v, color), axis=1)

@@ -103,7 +103,8 @@ class LayeredGraph:
     """Validated edge-colored interdependent network.
 
     Construct through :func:`build_graph`; the constructor trusts its inputs,
-    the canonical edges: flat ids (u < v), sorted lexicographically. A graph
+    the canonical edges as the rows (edges_u, edges_v) of one (2, m) array of
+    flat ids, u < v, the columns sorted lexicographically. A graph
     keeps its layers and its adjacency alone: CSR with neighbor lists grouped
     by color within each node, the order the SIR inner loop consumes. Every
     array it keeps, the layer offsets and CSR index pointer included, is
@@ -116,7 +117,7 @@ class LayeredGraph:
     that reads a view more than once takes it once.
     """
 
-    def __init__(self, layer_sizes: Sequence[int], edges_u: np.ndarray, edges_v: np.ndarray):
+    def __init__(self, layer_sizes: Sequence[int], ends: np.ndarray):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.colors = ColorTable(len(self.layer_sizes))
         self.n = sum(self.layer_sizes)
@@ -124,29 +125,33 @@ class LayeredGraph:
         self.node_layer = np.repeat(
             np.arange(len(self.layer_sizes), dtype=INDEX), self.layer_sizes
         )
-        edges_u = np.asarray(edges_u, dtype=INDEX)
-        edges_v = np.asarray(edges_v, dtype=INDEX)
+        ends = np.asarray(ends, dtype=INDEX)
+        flat = ends.ravel()
 
         # the entries u -> v then v -> u in (source, color) order, ties in list
-        # order: a key packs source * C + color above the entry's position, so
-        # one unstable sort orders them and the mask leaves the positions; the
-        # colors come first, so their temporaries never coexist with the key
-        m = len(edges_u)
+        # order: an unsigned key packs source * C + color above the entry's
+        # half (0 for u -> v) and its neighbor's position in flat (m + i for
+        # u -> v, i for v -> u), which order ties as the list does, so one
+        # unstable sort orders them and the mask leaves the neighbor's
+        # position; the colors come first and the position runs are written a
+        # half at a time, so no full-length temporary coexists with the key
+        m = ends.shape[1]
         shift = (2 * m - 1).bit_length()
-        colors = self._layer_colors(self.node_layer.take(edges_u), self.node_layer.take(edges_v))
-        key = np.concatenate([edges_u, edges_v], dtype=np.int64)
+        colors = self._layer_colors(*self.node_layer.take(ends)).view(np.uint32)
+        key = flat.astype(np.uint64)
         key *= self.num_colors
         key[:m] += colors
         key[m:] += colors
         del colors
-        key <<= shift
-        key |= np.arange(2 * m, dtype=np.int64)
+        key <<= shift + 1
+        key[:m] |= np.arange(m, 2 * m, dtype=np.uint64)
+        key[m:] |= np.arange(1 << shift, (1 << shift) + m, dtype=np.uint64)
         key.sort()
         key &= (1 << shift) - 1
-        self._adj = np.concatenate([edges_v, edges_u])[key]
+        self._adj = flat.take(key.view(np.int64))
         del key
-        deg = np.bincount(edges_u, minlength=self.n)
-        deg += np.bincount(edges_v, minlength=self.n)
+        deg = np.bincount(ends[0], minlength=self.n)
+        deg += np.bincount(ends[1], minlength=self.n)
         self._indptr = np.zeros(self.n + 1, dtype=INDEX)
         np.cumsum(deg, out=self._indptr[1:])
 
@@ -313,8 +318,9 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     pair keys are int64. ValueError when the layers hold 2**31 nodes or more,
     or the rows 2**30 edges or more, which :data:`INDEX` cannot number, and when
     n * C * 2**b > 2**63 (C colors, b = (2m - 1).bit_length()), which the
-    int64 adjacency sort key (source * C + color) << b | position cannot
-    hold: two layers of about 1.4e9 nodes and 1e9 edges, or more layers.
+    uint64 adjacency sort key (source * C + color) << (b + 1) | half << b |
+    position cannot hold: two layers of about 1.4e9 nodes and 1e9 edges, or
+    more layers.
     """
     sizes = [int(s) for s in layer_sizes]
     if not sizes or any(s < 1 for s in sizes):
@@ -345,7 +351,7 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
     keys = np.minimum(ends[0], ends[1]).astype(np.int64)
     keys *= n
     keys += np.maximum(ends[0], ends[1])
-    del layer, ends
+    del layer, ends, lay
     bad = bad_layer[0] | bad_idx[0] | bad_layer[1] | bad_idx[1] | loop | mismatch
     canonical = np.sort(keys)
     if (canonical[1:] == canonical[:-1]).any():
@@ -374,10 +380,10 @@ def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredG
             raise
     del keys, bad, bad_layer, bad_idx, loop, mismatch
     # the sorted keys are the canonical (u, v) order
-    lo = (canonical // n).astype(INDEX)
-    hi = (canonical % n).astype(INDEX)
+    ends = np.empty((2, m), dtype=INDEX)
+    np.divmod(canonical, n, out=(ends[0], ends[1]), casting="unsafe")
     del canonical
-    return LayeredGraph(sizes, lo, hi)
+    return LayeredGraph(sizes, ends)
 
 
 def first_occurrences(keys: np.ndarray) -> np.ndarray:

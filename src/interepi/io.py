@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, GraphValidationError, ParseError
-from .generate import ErLayerSpec, LayerSpec, PowerLawSpec, build_interdependent
+from .generate import ErLayerSpec, LayerSpec, PowerLawSpec, build_interdependent, pair_means
 from .graph import (
     INDEX,
     ColorTable,
@@ -428,7 +428,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         raw[key] = value
 
     layer_fields: dict[int, dict[str, str]] = {}
-    inter_fields: dict[tuple[int, int], str] = {}
+    inter_fields: dict[tuple[int, int], list[str]] = {}  # the keys of each layer pair
     unknown = []
     for key in raw:
         if key in _KEYS:
@@ -439,8 +439,8 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
             continue
         m = _INTER_KEY.match(key)
         if m:
-            i, j = int(m.group(1)), int(m.group(2))
-            inter_fields[(min(i, j), max(i, j))] = raw[key]
+            i, j = sorted(map(int, m.groups()))
+            inter_fields.setdefault((i, j), []).append(key)
             continue
         unknown.append(key)
     if unknown:
@@ -486,10 +486,14 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 name: read(f"layer.{i}.{name}", fields[name]) if name in fields else default
                 for name, (read, default) in keys.items()
             }))
-        for (i, j), value in inter_fields.items():
+        for (i, j), keys in inter_fields.items():
+            if i == j:
+                raise ConfigError(f"{keys[0]}: an interconnection joins two different layers")
+            if len(keys) > 1:
+                raise ConfigError(f"{' and '.join(keys)} both set the layer pair ({i}, {j})")
             if j >= len(indices):
                 raise ConfigError(f"inter.{i}.{j} references undeclared layer {j}")
-            cfg.inter_means[(i, j)] = _parse_mean(f"inter.{i}.{j}.mean_degree", value)
+            cfg.inter_means[(i, j)] = _parse_mean(keys[0], raw[keys[0]])
 
     cfg.items = tuple(sorted(raw.items()))
     return with_overrides(cfg, {})
@@ -511,8 +515,9 @@ def model_moments(cfg: ExperimentConfig) -> tuple[MomentSet, tuple[int, ...]]:
     colors = ColorTable(len(sizes))
     moments = [er_color_moments(spec.mean_degree, spec.n) if isinstance(spec, ErLayerSpec)
                else powerlaw_color_moments(spec, spec.n) for spec in cfg.layers]
+    means = pair_means(cfg.inter_means, len(sizes))
     for i, j in map(colors.members, range(len(sizes), colors.num_colors)):
-        mean = cfg.inter_means.get((i, j), cfg.inter_means.get((j, i), 0.0))
+        mean = means.get((i, j), 0.0)
         moments.append(er_color_moments(mean, sizes[i] + sizes[j]))
     return MomentSet(tuple(moments)), sizes
 

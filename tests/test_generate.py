@@ -93,7 +93,9 @@ LAYER_CASES = [
     for mean in (0.0, 0.7, 1.5, 6.0)
     for seed in (0, 1, 2)
     if round(n * mean / 2) <= n * (n - 1) // 2
-] + [(7, 6.0, seed) for seed in range(5)]  # complete: all 21 pairs
+] + [(7, 6.0, seed) for seed in range(5)] + [  # complete: all 21 pairs
+    (2**31 - 1, 2 * m / (2**31 - 1), m) for m in (1, 2, 3)  # m edges at the top of int32
+]
 
 INTER_CASES = [
     (n1, n2, mean, seed)
@@ -101,7 +103,9 @@ INTER_CASES = [
     for mean in (0.0, 0.1, 1.5, 4.0)
     for seed in (0, 1, 2)
     if round(mean * (n1 + n2) / 2) <= n1 * n2
-] + [(4, 4, 4.0, seed) for seed in range(5)] + [(3, 5, 3.75, seed) for seed in range(5)]  # complete
+] + [(4, 4, 4.0, seed) for seed in range(5)] + [(3, 5, 3.75, seed) for seed in range(5)] + [  # complete
+    (2**31 - 1, 3, 2 * m / (2**31 + 2), m) for m in (1, 2, 3)  # m edges at the top of int32
+]
 
 
 class TestErAgainstSequential:
@@ -125,6 +129,30 @@ class TestErAgainstSequential:
         assert len(gen_er_layer(7, 6.0, child_rng(0, 0))) == 21
         assert len(gen_er_interlayer(4, 4, 4.0, child_rng(0, 0))) == 16
         assert len(gen_er_interlayer(3, 5, 3.75, child_rng(0, 0))) == 15
+
+    def test_top_of_range_cases_ask_for_their_edges(self):
+        top = [case for case in LAYER_CASES if case[0] == 2**31 - 1]
+        assert [round(n * mean / 2) for n, mean, _ in top] == [1, 2, 3]
+        top = [case for case in INTER_CASES if case[0] == 2**31 - 1]
+        assert [round(mean * (n1 + n2) / 2) for n1, n2, mean, _ in top] == [1, 2, 3]
+
+
+class TestIndexRange:
+    """Pairs are drawn as int32, so a side of 2**31 nodes is refused before
+    any draw, in the words build_graph_array refuses such a graph with."""
+
+    def test_layer(self):
+        rng = child_rng(0, 0)
+        with pytest.raises(ValueError, match="2147483648 nodes exceed the int32 index range"):
+            gen_er_layer(2**31, 2 / 2**31, rng)
+        assert rng.bit_generator.state == child_rng(0, 0).bit_generator.state
+
+    @pytest.mark.parametrize("n1,n2", [(2**31, 1), (1, 2**31)])
+    def test_interlayer(self, n1, n2):
+        rng = child_rng(0, 1)
+        with pytest.raises(ValueError, match="2147483648 nodes exceed the int32 index range"):
+            gen_er_interlayer(n1, n2, 2 / (2**31 + 1), rng)
+        assert rng.bit_generator.state == child_rng(0, 1).bit_generator.state
 
 
 @settings(max_examples=80, deadline=None)
@@ -255,6 +283,22 @@ class TestComposition:
             mask_b = b.edge_colors == color
             assert np.array_equal(a.edges_u[mask_a], b.edges_u[mask_b])
             assert np.array_equal(a.edges_v[mask_a], b.edges_v[mask_b])
+
+    @pytest.mark.parametrize("inter,match", [
+        ({(0, 5): 1.0}, r"\(0, 5\) names undeclared layer 5"),
+        ({(-1, 0): 1.0}, r"\(-1, 0\) names undeclared layer -1"),
+        ({(1, 1): 1.0}, r"\(1, 1\) pairs layer 1 with itself"),
+        ({(0, 1): 1.0, (1, 0): 2.0}, r"keys \(0, 1\) and \(1, 0\) set the same layer pair"),
+    ])
+    def test_inter_means_keys_checked(self, inter, match):
+        layers = [ErLayerSpec(50, 2.0), ErLayerSpec(50, 2.0)]
+        with pytest.raises(ValueError, match=match):
+            build_interdependent(layers, inter, master_seed=1)
+
+    def test_inter_means_key_order_free(self):
+        layers = [ErLayerSpec(50, 2.0), ErLayerSpec(50, 2.0)]
+        assert graphs_equal(build_interdependent(layers, {(1, 0): 1.5}, master_seed=1),
+                            build_interdependent(layers, {(0, 1): 1.5}, master_seed=1))
 
     def test_measured_moments_match_model(self):
         layers = [ErLayerSpec(2000, 1.5), ErLayerSpec(2000, 6.0)]

@@ -116,8 +116,9 @@ def test_first_occurrences_match_unique(size, high):
 
 
 class TestAdjacencyKeyBound:
-    """The adjacency sort key (source * C + color) << b | position must fit in
-    int64; rows broadcast from one row hold no memory for their length."""
+    """The adjacency sort key (source * C + color) << (b + 1) | half << b |
+    position must fit in uint64, that is n * C * 2**b <= 2**63; rows
+    broadcast from one row hold no memory for their length."""
 
     @staticmethod
     def _rows(m):

@@ -32,8 +32,10 @@ from interepi import (
     write_graph,
 )
 from interepi.io import (
+    ExperimentConfig,
     analytic_frontier,
     load_network,
+    model_moments,
     with_overrides,
     write_dynamics_csv,
     write_frontier_csv,
@@ -417,6 +419,32 @@ inter.0.1.mean_degree = 0.5
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
             parse_config_text(BASE_CONFIG + "\nmaster_seed = 3\n")
+
+    def test_inter_key_of_one_layer(self):
+        # was accepted and ignored
+        with pytest.raises(ConfigError, match=r"inter\.1\.1\.mean_degree"):
+            parse_config_text(BASE_CONFIG + "\ninter.1.1.mean_degree = 2.0\n")
+
+    def test_inter_pair_keyed_in_both_orders(self):
+        # the line that came last won
+        with pytest.raises(ConfigError, match=r"inter\.0\.1\.mean_degree and inter\.1\.0\.mean_degree"):
+            parse_config_text(BASE_CONFIG + "\ninter.1.0.mean_degree = 2.0\n")
+
+    def test_inter_pair_keyed_in_reverse_order(self):
+        cfg = parse_config_text(BASE_CONFIG.replace("inter.0.1.", "inter.1.0."))
+        assert cfg.inter_means == {(0, 1): 1.0}
+
+    def test_model_moments_checks_inter_keys_as_generation_does(self):
+        layers = [ErLayerSpec(120, 1.5), ErLayerSpec(120, 5.0)]
+        for inter in ({(0, 5): 1.0}, {(1, 1): 1.0}, {(0, 1): 1.0, (1, 0): 2.0}):
+            cfg = ExperimentConfig(source="generate", layers=layers, inter_means=inter)
+            with pytest.raises(ValueError) as exc:
+                model_moments(cfg)
+            with pytest.raises(ValueError) as want:
+                build_interdependent(layers, inter, 0)
+            assert str(exc.value) == str(want.value)
+        flipped = ExperimentConfig(source="generate", layers=layers, inter_means={(1, 0): 1.0})
+        assert model_moments(flipped) == model_moments(parse_config_text(BASE_CONFIG))
 
     def test_grid_parse(self):
         assert parse_grid("0:0.1:0.05") == (0.0, 0.05, 0.1)
@@ -1070,6 +1098,19 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert "bogus.key" in record["message"]
+
+    @pytest.mark.parametrize("extra,keys", [
+        ("inter.1.1.mean_degree = 2.0", ["inter.1.1.mean_degree"]),
+        ("inter.1.0.mean_degree = 2.0", ["inter.0.1.mean_degree", "inter.1.0.mean_degree"]),
+    ])
+    def test_inter_key_error_exit_code(self, tmp_path, capsys, extra, keys):
+        # info exited 0 on both configs
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(BASE_CONFIG + extra + "\n")
+        assert main(["info", "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert all(key in record["message"] for key in keys)
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         rc = main(["info", "--graph", str(tmp_path / "missing.edges")])

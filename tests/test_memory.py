@@ -16,6 +16,18 @@ adjacency, the edge lists and colors being views computed on request, it
 keeps 11.1 B per edge (8 B per edge plus 8 B per node), built or loaded, and
 the peaks are 92.3 B (build) and 67.6 B (load).
 
+ER pairs were drawn as int64, and each batch held the draws, their min/max
+copies and the dedup's sort arrays at once: gen_er_layer(10000, 6.0) peaked
+at 146 B per edge, and build_interdependent at 121.0 B per edge on the weakly
+coupled pair (the same layers, interconnection 0.1: 38 500 edges). With int32
+draws freed once each batch's int64 keys are formed, the keys freed once the
+batch's distinct keys are gathered, the layer and pair rows released before
+the graph is assembled, and the adjacency gathered from one (2, m) block of
+canonical ends with its sort key's positions written half at a time,
+gen_er_layer peaks at 66.1 B per edge, build_interdependent at 55.6 B
+(strong) and 56.6 B (weak), and load_graph at 55.6 B. Each set-up budget is
+its measured peak plus about 8%.
+
 write_graph formats about 4096 edges at a time, so its peak is one chunk's whatever
 the edge count: about 693 KiB when every field went through a Python int and
 "%d", 327-329 KiB with one fixed-width byte matrix per chunk (the 2 500 and
@@ -69,6 +81,7 @@ that bound (0.83 with the gathered tables).
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from interepi import (
@@ -77,8 +90,10 @@ from interepi import (
     SeedPolicy,
     SirConfig,
     build_interdependent,
+    child_rng,
     dynamics,
     er_color_moments,
+    gen_er_layer,
     run_sir,
     load_graph,
     multi_threshold,
@@ -87,11 +102,13 @@ from interepi import (
 )
 from interepi.sir import mean_cell_densities
 
-BUILD_PEAK_PER_EDGE = 220
+BUILD_PEAK_PER_EDGE = 60
+WEAK_BUILD_PEAK_PER_EDGE = 61
+GEN_LAYER_PEAK_PER_EDGE = 72
 CELL_PEAK_PER_ENTRY = 42
 CHAIN_NODE_BYTES = 16
 DYNAMICS_PEAK_PER_ENTRY = 46
-LOAD_PEAK_PER_EDGE = 90
+LOAD_PEAK_PER_EDGE = 60
 KEPT_PER_EDGE = 12
 KEPT_PER_FRONTIER_POINT = 80
 
@@ -131,6 +148,18 @@ def test_build_interdependent(traced):
     assert g.num_edges == 52_500
     assert peak / g.num_edges <= BUILD_PEAK_PER_EDGE
     assert kept / g.num_edges <= KEPT_PER_EDGE
+
+
+def test_build_interdependent_weak_pair(traced):
+    g, peak, _ = _measure(build_interdependent, LAYERS, {(0, 1): 0.1}, 7)
+    assert g.num_edges == 38_500
+    assert peak / g.num_edges <= WEAK_BUILD_PEAK_PER_EDGE
+
+
+def test_gen_er_layer(traced):
+    pairs, peak, _ = _measure(gen_er_layer, 10_000, 6.0, child_rng(7, 0, 1))
+    assert pairs.shape == (30_000, 2) and pairs.dtype == np.int64
+    assert peak / len(pairs) <= GEN_LAYER_PEAK_PER_EDGE
 
 
 def test_load_graph(traced, tmp_path):

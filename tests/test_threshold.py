@@ -231,9 +231,7 @@ class TestThinning:
         num, den = [], []
         for _ in range(200):
             keep = rng.random(g.num_edges) < r[g.edge_colors]
-            thinned = LayeredGraph(
-                g.layer_sizes, g.edges_u[keep], g.edges_v[keep]
-            )
+            thinned = LayeredGraph(g.layer_sizes, np.stack([g.edges_u[keep], g.edges_v[keep]]))
             table = colored_cross_moments(thinned)
             num.append(table.second[layer, color, out])
             den.append(table.mean[layer, color])
