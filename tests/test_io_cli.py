@@ -1171,6 +1171,61 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+class TestGraphRouteBytes:
+    """The outputs of the routes that measure a graph file, on generated
+    graphs of unequal layers: sha256 of the `threshold --graph` CSV, and the
+    `classify` state lines."""
+
+    TWO = ([ErLayerSpec(3000, 2.0), ErLayerSpec(7000, 4.0)], {(0, 1): 0.8}, 5)
+    THREE = ([ErLayerSpec(300, 1.5), ErLayerSpec(700, 4.0), ErLayerSpec(450, 2.5)],
+             {(0, 1): 1.0, (0, 2): 0.5, (1, 2): 2.0}, 3)
+    THRESHOLD_SHA256 = {
+        ("TWO", "--grid-step 0.05"):
+            "a8a5248e3e6d428bbb8edcb2db81965ccafbef38dcc25acfd0edd258aa38a23f",
+        ("TWO", "--grid-step 0.01 --tie-intra --refine 1e-4"):
+            "70ac3b9d5c82a77c246e246d11d18eac8cd429b806614cf9443d0ea74bfbd4e4",
+        ("THREE", "--grid-step 0.1"):
+            "34c16569f28b8d1cd5f97be251cc675daf3ea4abf49c9d2e5cf594e99f76ff5d",
+        ("THREE", "--grid-step 0.1 --tie-intra --refine 1e-4"):
+            "71499212271867671c095b3d5211822c7f6bace0e83a00868b7044f5fb140976",
+    }
+    # layer 0 alone is epidemic from beta 0.129 (kappa 3), layer 1 from 0.056 (kappa 5)
+    CLASSIFY_STATES = {
+        ("0.02", "0.02"): "infection-free",
+        ("0.05", "0"): "infection-free",
+        ("0.06", "0.1"): "mixed",
+        ("0.08", "0.01"): "mixed",
+        ("0.1", "0.3"): "mixed",
+        ("0.12", "0.05"): "mixed",
+        ("0", "1"): "mixed",
+        ("0.2", "0"): "epidemic",
+        ("0.2", "0.2"): "epidemic",
+        ("0.5", "0.5"): "epidemic",
+    }
+
+    @pytest.fixture(scope="class")
+    def graph_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("graphs")
+        for name in ("TWO", "THREE"):
+            write_graph(build_interdependent(*getattr(self, name)), root / f"{name}.edges")
+        return root
+
+    @pytest.mark.parametrize("graph,flags", sorted(THRESHOLD_SHA256))
+    def test_threshold_of_a_graph_file_keeps_its_bytes(self, graph_files, tmp_path, capsys,
+                                                       graph, flags):
+        out = tmp_path / "f.csv"
+        assert main(["threshold", "--graph", str(graph_files / f"{graph}.edges"),
+                     *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.THRESHOLD_SHA256[graph, flags]
+
+    def test_classify_state_lines(self, graph_files, capsys):
+        for (beta, alpha), state in self.CLASSIFY_STATES.items():
+            assert main(["classify", "--graph", str(graph_files / "TWO.edges"),
+                         "--beta", beta, "--alpha", alpha]) == 0
+            line = capsys.readouterr().out.splitlines()[-1]
+            assert line == f"state at beta={float(beta)} alpha={float(alpha)}: {state}"
+
+
 def test_readme_python_quick_start_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
