@@ -23,15 +23,12 @@ from .errors import (
     ZeroGcc,
 )
 from .graph import (
-    ColorMoments,
     ColorTable,
     ComponentResult,
     Coupling,
     LayeredGraph,
-    MomentSet,
     build_graph,
     classify_coupling,
-    compute_moments,
     giant_component,
     graphs_equal,
     kappa,
@@ -47,7 +44,9 @@ from .generate import (
     sample_powerlaw_degrees,
 )
 from .threshold import (
+    ColorMoments,
     FrontierSet,
+    MomentSet,
     NetworkState,
     ThresholdResult,
     Transmissibilities,

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     WiringFailed,
 )
-from .graph import classify_coupling, compute_moments, kappa
+from .graph import classify_coupling, kappa
 from .io import (
     SEED_PLACEMENTS,
     ExperimentConfig,
@@ -39,7 +39,7 @@ from .io import (
     write_sweep_csv,
 )
 from .sir import dynamics, infection_density, run_sir, structural_gcc_sizes, sweep_heatmap
-from .threshold import classify_state
+from .threshold import classify_state, colored_cross_moments, independent_colors
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -152,7 +152,7 @@ def cmd_threshold(args) -> int:
     out = args.out or "frontier.csv"
     write_frontier_csv(out, frontier)
     print(f"wrote {out} ({len(frontier)} frontier tuples, grid step {cfg.grid_step}, "
-          f"{frontier.evaluations} Jacobians)")
+          f"{frontier.evaluations} evaluations)")
     return 0
 
 
@@ -220,7 +220,8 @@ def cmd_classify(args) -> int:
         pass
     if args.beta is not None:
         beta, alpha = parse_rate("--beta", args.beta), parse_rate("--alpha", args.alpha)
-        state = classify_state(compute_moments(g), g.layer_sizes, (beta, beta, alpha), cfg.tau)
+        table = independent_colors(colored_cross_moments(g), g.layer_sizes)
+        state = classify_state(table, (beta, beta, alpha), cfg.tau)
         print(f"state at beta={beta} alpha={alpha}: {state.value}")
     return 0
 

@@ -405,55 +405,6 @@ def graphs_equal(a: LayeredGraph, b: LayeredGraph) -> bool:
     )
 
 
-# ---------------------------------------------------------------------------
-# Degree moments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ColorMoments:
-    """First and second degree moments of one color, averaged over the
-    ``population_restricted`` nodes of its incident layer(s) only."""
-
-    mean_restricted: float
-    second_restricted: float
-    population_restricted: int
-
-    def ratio_restricted(self) -> float:
-        """(<y^2> - <y>) / <y>, the size-biased excess degree; 0 for an empty color."""
-        if self.mean_restricted == 0:
-            return 0.0
-        return (self.second_restricted - self.mean_restricted) / self.mean_restricted
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Per-color degree moments of a layered graph (or of a model)."""
-
-    per_color: tuple[ColorMoments, ...]
-
-    @property
-    def num_colors(self) -> int:
-        return len(self.per_color)
-
-
-def compute_moments(g: LayeredGraph) -> MomentSet:
-    """Measure the degree moments of every color over its own layer(s)."""
-    deg = g.color_degrees().astype(float)
-    out = []
-    for c in range(g.num_colors):
-        pop = sum(g.layer_sizes[l] for l in g.colors.members(c))
-        total = deg[c].sum()
-        total_sq = (deg[c] ** 2).sum()
-        out.append(
-            ColorMoments(
-                mean_restricted=total / pop,
-                second_restricted=total_sq / pop,
-                population_restricted=pop,
-            )
-        )
-    return MomentSet(per_color=tuple(out))
-
-
 def kappa(g: LayeredGraph, layer: Optional[int] = None) -> float:
     """Mean degree of a random edge endpoint, <k^2>/<k>, for the scoped subgraph.
 

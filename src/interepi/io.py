@@ -25,16 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, GraphValidationError, ParseError
 from .generate import ErLayerSpec, LayerSpec, PowerLawSpec, build_interdependent, pair_means
-from .graph import (
-    INDEX,
-    ColorTable,
-    LayeredGraph,
-    MomentSet,
-    build_graph_array,
-    compute_moments,
-    int64_array,
-    local_rows,
-)
+from .graph import INDEX, ColorTable, LayeredGraph, build_graph_array, int64_array, local_rows
 from .sir import (
     DynamicsResult,
     SeedPolicy,
@@ -45,9 +36,12 @@ from .sir import (
 )
 from .threshold import (
     FrontierSet,
+    MomentSet,
+    colored_cross_moments,
     er_color_moments,
-    multi_threshold,
-    multi_threshold_empirical,
+    frontier,
+    independent_colors,
+    moment_table,
     powerlaw_color_moments,
 )
 
@@ -541,16 +535,16 @@ def analytic_frontier(
     takes the colored degree moments measured on each layer of the config's
     network, ``graph`` (built or loaded if not passed). Otherwise a generated
     network gives the model moments of its layer specs, and a graph file the
-    measured per-color moments of ``graph``, colors taken as independent."""
-    options = dict(tie_intra=cfg.tie_intra, refine_tol=cfg.refine_tol or None)
+    moments measured on ``graph`` with its colors taken as independent."""
     if cfg.source == "generate" and not empirical:
-        moments, layer_sizes = model_moments(cfg)
+        table = moment_table(*model_moments(cfg))
     else:
         graph = load_network(cfg) if graph is None else graph
-        if empirical:
-            return multi_threshold_empirical(graph, cfg.tau, cfg.grid_step, **options)
-        moments, layer_sizes = compute_moments(graph), graph.layer_sizes
-    return multi_threshold(moments, layer_sizes, cfg.tau, cfg.grid_step, **options)
+        table = colored_cross_moments(graph)
+        if not empirical:
+            table = independent_colors(table, graph.layer_sizes)
+    return frontier(table, cfg.tau, cfg.grid_step, tie_intra=cfg.tie_intra,
+                    refine_tol=cfg.refine_tol or None)
 
 
 def sir_config(

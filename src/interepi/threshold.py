@@ -13,9 +13,10 @@ One builder makes every Jacobian, for any layer count, over types (color c,
 arrival layer h): an edge's far end lies in the layer it arrives at, whose
 nodes have their own moments (multitype branching, as in Allard et al.
 2009, PRE 79, and Leicht & D'Souza 2009). It reads one per-layer table of
-colored degree moments, from per-color model moments with colors
-independent (``multi_threshold``) or measured on a graph
-(``multi_threshold_empirical``).
+colored degree moments (``DegreeTable``), which ``frontier`` searches: from
+per-color model moments with colors independent (``moment_table``), measured
+on a graph (``colored_cross_moments``), or measured with its colors made
+independent (``independent_colors``).
 
 The Jacobian is linear in the transmissibilities, column by column:
 J(R) = B diag(R), where B is the Jacobian at R = 1 and each type's column
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyColor, KappaAtMostOne, LengthMismatch, NonConvergence
 from .generate import PowerLawSpec
-from .graph import ColorMoments, ColorTable, LayeredGraph, MomentSet
+from .graph import ColorTable, LayeredGraph
 
 RateTuple = tuple[float, ...]
 
@@ -127,6 +128,27 @@ def powerlaw_moments(spec: PowerLawSpec) -> tuple[float, float]:
     return mean, (second - mean) / mean
 
 
+@dataclass(frozen=True)
+class ColorMoments:
+    """First and second degree moments of one color, averaged over the
+    ``population_restricted`` nodes of its incident layer(s) only."""
+
+    mean_restricted: float
+    second_restricted: float
+    population_restricted: int
+
+
+@dataclass(frozen=True)
+class MomentSet:
+    """Per-color degree moments of a model, the input of ``moment_table``."""
+
+    per_color: tuple[ColorMoments, ...]
+
+    @property
+    def num_colors(self) -> int:
+        return len(self.per_color)
+
+
 def er_color_moments(mean: float, population: int) -> ColorMoments:
     """ColorMoments of a Poisson-degree color restricted to ``population`` nodes."""
     second = mean * (mean + 1.0)
@@ -198,6 +220,30 @@ def colored_cross_moments(g: LayeredGraph) -> DegreeTable:
     return DegreeTable(mean, second)
 
 
+def independent_colors(table: DegreeTable, layer_sizes: Sequence[int]) -> DegreeTable:
+    """The table of independent colors with ``table``'s means, as
+    ``moment_table`` spreads per-color moments over a color's own nodes.
+
+    Each off-diagonal second moment is the product of its two means. An inter
+    color's factorial moment is pooled over its layers i and j,
+    (n_i F_i + n_j F_j) / (n_i + n_j), and scaled on layer h by
+    f^2 = (pop / (2 n_h))^2; an intra color keeps its own.
+    """
+    colors = ColorTable(len(layer_sizes))
+    diag = range(colors.num_colors)
+    factorial = table.second[:, diag, diag]
+    for c in range(len(layer_sizes), colors.num_colors):
+        pair = colors.members(c)
+        pop = sum(layer_sizes[h] for h in pair)
+        pooled = sum(layer_sizes[h] * factorial[h, c] for h in pair) / pop
+        for h in pair:
+            f = pop / (2 * layer_sizes[h])
+            factorial[h, c] = f * f * pooled
+    second = table.mean[:, :, None] * table.mean[:, None, :]
+    second[:, diag, diag] = factorial
+    return DegreeTable(table.mean, second)
+
+
 def _type_base(table: DegreeTable) -> tuple[np.ndarray, np.ndarray]:
     """The Jacobian B at R = 1 over types (color c, arrival layer h), and each
     type's color.
@@ -266,6 +312,10 @@ def perron_roots(jacs: np.ndarray) -> np.ndarray:
 # degree moments, below 2^31 on any graph with int32 node indices, while two
 # entries of 7.3e298 overflowed float64 in the elimination's products.
 ENTRY_BOUND = 2.0**32
+# The most grid lines, and the most rates on one line, a frontier search
+# takes: two layers untied at grid step 1/2047 search 2048^2 = 2^22 lines and
+# peak at 268 MiB (tracemalloc), three tied at 0.01 search 101^3 lines.
+MAX_GRID_LINES = 2**22
 
 
 def _check_entries(jacs: np.ndarray) -> None:
@@ -561,75 +611,75 @@ def _jacobians_of_rates(
     return jacobians
 
 
-def _check_search(grid_step: float, refine_tol: Optional[float]) -> None:
-    if not 0.0 < grid_step <= 0.5:
-        raise DomainError("grid step must be in (0, 0.5]")
-    if refine_tol is not None and not 0.0 <= refine_tol < math.inf:
-        raise DomainError(f"refine_tol must be None or finite and >= 0, got {refine_tol}")
-
-
-def multi_threshold(
-    m: MomentSet,
-    layer_sizes: Sequence[int],
+def frontier(
+    table: DegreeTable,
     tau: int,
     grid_step: float = 0.01,
     *,
     tie_intra: bool = False,
     refine_tol: Optional[float] = None,
 ) -> FrontierSet:
-    """Multidimensional epidemic threshold of independent colors with these
-    per-color moments (``moment_table``), any layer count.
+    """Multidimensional epidemic threshold of a degree table, any layer count.
 
     ``tie_intra`` searches with all intra-layer rates equal (the usual
     beta / alpha convention), which reduces the grid dimension by one;
     the returned tuples are always full length. A positive ``refine_tol``
     bisects each frontier point along the searched axis down to that
-    resolution; None or 0 leaves the grid points.
+    resolution; None or 0 leaves the grid points. Raises DomainError for a
+    search of more than ``MAX_GRID_LINES`` lines, or of lines longer than
+    that, and EmptyColor for a table without edges.
     """
-    _check_search(grid_step, refine_tol)
-    groups = _tie_groups(m.num_colors, len(layer_sizes), tie_intra)
-    return _frontier_search(*_type_base(moment_table(m, layer_sizes)), tau, grid_step, groups,
-                            refine_tol)
-
-
-def multi_threshold_empirical(
-    g: LayeredGraph,
-    tau: int,
-    grid_step: float = 0.01,
-    *,
-    tie_intra: bool = False,
-    refine_tol: Optional[float] = None,
-) -> FrontierSet:
-    """Frontier of the table measured on a graph (``colored_cross_moments``)."""
-    _check_search(grid_step, refine_tol)
-    table = colored_cross_moments(g)
+    if not 0.0 < grid_step <= 0.5:
+        raise DomainError("grid step must be in (0, 0.5]")
+    if refine_tol is not None and not 0.0 <= refine_tol < math.inf:
+        raise DomainError(f"refine_tol must be None or finite and >= 0, got {refine_tol}")
+    num_layers, num_colors = table.mean.shape
+    groups = _tie_groups(num_colors, num_layers, tie_intra)
+    k = int(math.floor(1.0 / grid_step + 1e-9))
+    size = k + 1 + (round(k * grid_step, 12) < 1.0 - 1e-12)  # len(_grid_values(grid_step))
+    lines = size ** (len(groups) - 1)
+    if max(lines, size) > MAX_GRID_LINES:
+        raise DomainError(f"grid step {grid_step} over {len(groups)} searched axes gives "
+                          f"{lines} lines of {size} rates, more than {MAX_GRID_LINES}")
     if not table.mean.any():
-        raise EmptyColor("graph has no edges on any color")
-    groups = _tie_groups(g.num_colors, g.num_layers, tie_intra)
+        raise EmptyColor("no edges on any color")
     return _frontier_search(*_type_base(table), tau, grid_step, groups, refine_tol)
+
+
+def multi_threshold(m: MomentSet, layer_sizes: Sequence[int], tau: int, grid_step: float = 0.01,
+                    *, tie_intra: bool = False, refine_tol: Optional[float] = None) -> FrontierSet:
+    """The ``frontier`` of independent colors with these per-color moments
+    (``moment_table``)."""
+    return frontier(moment_table(m, layer_sizes), tau, grid_step, tie_intra=tie_intra,
+                    refine_tol=refine_tol)
+
+
+def multi_threshold_empirical(g: LayeredGraph, tau: int, grid_step: float = 0.01, *,
+                              tie_intra: bool = False,
+                              refine_tol: Optional[float] = None) -> FrontierSet:
+    """The ``frontier`` of the table measured on a graph (``colored_cross_moments``)."""
+    return frontier(colored_cross_moments(g), tau, grid_step, tie_intra=tie_intra,
+                    refine_tol=refine_tol)
 
 
 # ---------------------------------------------------------------------------
 # Three-state classification
 # ---------------------------------------------------------------------------
 
-def classify_state(
-    m: MomentSet,
-    layer_sizes: Sequence[int],
-    rates: Sequence[float],
-    tau: int,
-) -> NetworkState:
+def classify_state(table: DegreeTable, rates: Sequence[float], tau: int) -> NetworkState:
     """Infection-free / mixed / epidemic at the given rates.
 
-    A layer is epidemic when its own percolated branching factor
-    R_c (<y^2>-<y>)/<y> reaches 1; the whole network when theta does.
-    Epidemic requires both for every layer; infection-free requires
-    neither anywhere; everything in between is mixed.
+    Layer h is epidemic when its own percolated branching factor
+    R_h E_h[x_h (x_h - 1)] / E_h[x_h] reaches 1, and a layer without edges
+    never is; the whole network is when theta does. Epidemic requires both
+    for every layer; infection-free requires neither anywhere; everything in
+    between is mixed.
     """
     t = Transmissibilities.from_rates(rates, tau)
-    whole = _epidemic(jacobian_closed_form(m, layer_sizes, t)[None])[0]
-    layer_epi = [t.values[c] * m.per_color[c].ratio_restricted() >= 1.0
-                 for c in range(len(layer_sizes))]
+    whole = _epidemic(jacobian_from_cross_moments(table, t)[None])[0]
+    mean, second = table.mean, table.second
+    layer_epi = [bool(mean[h, h]) and t.values[h] * (second[h, h, h] / mean[h, h]) >= 1.0
+                 for h in range(len(mean))]
     if whole and all(layer_epi):
         return NetworkState.EPIDEMIC
     if not whole and not any(layer_epi):

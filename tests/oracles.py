@@ -31,7 +31,7 @@ from interepi import (
     structural_gcc_sizes,
 )
 from interepi.sir import _stream
-from interepi.threshold import _epidemic, _grid_values
+from interepi.threshold import DegreeTable, _epidemic, _grid_values
 
 # ---------------------------------------------------------------------------
 # Connected components by O(n^3) transitive closure
@@ -285,6 +285,36 @@ def epidemic_indicator(m, layer_sizes, rates, tau) -> tuple[float, bool]:
     """theta of the closed-form Jacobian at these rates, and ``_epidemic`` of it."""
     jac = jacobian_closed_form(m, layer_sizes, Transmissibilities.from_rates(rates, tau))
     return spectral_radius(jac), bool(_epidemic(jac[None])[0])
+
+
+# ---------------------------------------------------------------------------
+# The table of independent colors, one color at a time
+# ---------------------------------------------------------------------------
+
+def per_color_table(g: LayeredGraph) -> DegreeTable:
+    """The degree table of ``g`` with its colors taken as independent, by way
+    of each color's own moments.
+
+    A color's mean <y> and second moment <y^2> are taken over the pop nodes
+    of its own layer(s). On a member layer h of k, each degree factor scales
+    by f = pop / (k n_h), so the mean is f <y> and the factorial moment
+    f^2 (<y^2> - <y>); a cross moment of two colors is their means' product.
+    """
+    deg = g.color_degrees().astype(float)
+    mean = np.zeros((g.num_layers, g.num_colors))
+    factorial = np.zeros_like(mean)
+    for c in range(g.num_colors):
+        members = g.colors.members(c)
+        pop = sum(g.layer_sizes[h] for h in members)
+        first, second = deg[c].sum() / pop, (deg[c] ** 2).sum() / pop
+        for h in members:
+            f = pop / (len(members) * g.layer_sizes[h])
+            mean[h, c] = f * first
+            factorial[h, c] = f * f * (second - first)
+    table = mean[:, :, None] * mean[:, None, :]
+    for c in range(g.num_colors):
+        table[:, c, c] = factorial[:, c]
+    return DegreeTable(mean, table)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import interepi as ie
-from interepi.graph import ColorMoments
+from interepi.threshold import moment_table
 from oracles import (
     cardano_radius_3x3,
     dominates,
@@ -43,7 +43,7 @@ def random_moment_set(rng):
         p = weights / weights.sum()
         mean = float((ks * p).sum())
         second = float((ks * ks * p).sum())
-        return ColorMoments(mean, second, pop)
+        return ie.ColorMoments(mean, second, pop)
 
     n1 = int(rng.integers(50, 500))
     n2 = int(rng.integers(50, 500))
@@ -241,8 +241,9 @@ def test_07_mixed_state_reproduction(er_weak_graph):
             ie.er_color_moments(0.1, 10000),
         ))
         sizes = (5000, 5000)
-        assert ie.classify_state(m, sizes, mixed_rates, tau) is ie.NetworkState.MIXED
-        assert ie.classify_state(m, sizes, epidemic_rates, tau) is ie.NetworkState.EPIDEMIC
+        table = moment_table(m, sizes)
+        assert ie.classify_state(table, mixed_rates, tau) is ie.NetworkState.MIXED
+        assert ie.classify_state(table, epidemic_rates, tau) is ie.NetworkState.EPIDEMIC
 
         def layer_densities(rates):
             cfg = ie.SirConfig(

@@ -13,7 +13,7 @@ from interepi import (
     WiringFailed,
     build_interdependent,
     child_rng,
-    compute_moments,
+    colored_cross_moments,
     gen_er_interlayer,
     gen_er_layer,
     gen_powerlaw_layer,
@@ -303,10 +303,11 @@ class TestComposition:
     def test_measured_moments_match_model(self):
         layers = [ErLayerSpec(2000, 1.5), ErLayerSpec(2000, 6.0)]
         g = build_interdependent(layers, {(0, 1): 1.5}, master_seed=21)
-        m = compute_moments(g)
-        assert m.per_color[0].mean_restricted == pytest.approx(1.5, rel=0.02)
-        assert m.per_color[1].mean_restricted == pytest.approx(6.0, rel=0.02)
-        assert m.per_color[2].mean_restricted == pytest.approx(1.5, rel=0.02)
+        mean = colored_cross_moments(g).mean
+        assert mean[0, 0] == pytest.approx(1.5, rel=0.02)
+        assert mean[1, 1] == pytest.approx(6.0, rel=0.02)
+        # equal layers: each one's inter mean is the mean over both
+        assert mean[:, 2] == pytest.approx([1.5, 1.5], rel=0.02)
 
 
 class TestPinnedArrays:

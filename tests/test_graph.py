@@ -14,7 +14,7 @@ from interepi import (
     build_interdependent,
     child_rng,
     classify_coupling,
-    compute_moments,
+    colored_cross_moments,
     gen_er_layer,
     giant_component,
     graphs_equal,
@@ -220,39 +220,39 @@ class TestMoments:
         deg0 = g.color_degrees()[0]
         assert sorted(deg0[:6].tolist()) == [1, 1, 2, 2, 3, 3]
         assert deg0[6:].tolist() == [0] * 6
-        m = compute_moments(g)
-        assert m.per_color[0].mean_restricted == pytest.approx(2.0)
-        assert m.per_color[0].second_restricted == pytest.approx(14 / 3)
+        table = colored_cross_moments(g)
+        assert table.mean[0, 0] == pytest.approx(2.0)
+        # E[x^2] = 14/3, so the factorial moment E[x (x - 1)] is 14/3 - 2
+        assert table.second[0, 0, 0] == pytest.approx(14 / 3 - 2.0)
 
     def test_single_edge_layer_of_two(self):
         g = single_layer_graph(2, [(0, 1)])
-        cm = compute_moments(g).per_color[0]
-        assert cm.mean_restricted == pytest.approx(1.0)
-        assert cm.second_restricted == pytest.approx(1.0)
+        table = colored_cross_moments(g)
+        assert table.mean[0, 0] == pytest.approx(1.0)
+        assert table.second[0, 0, 0] == 0.0  # E[x^2] = 1 = E[x]
 
     def test_er_layer_sample_mean(self):
         pairs = gen_er_layer(2000, 6.0, child_rng(0, 1))
         g = single_layer_graph(2000, pairs.tolist())
-        cm = compute_moments(g).per_color[0]
-        assert cm.mean_restricted == pytest.approx(6.0, rel=0.05)
+        assert colored_cross_moments(g).mean[0, 0] == pytest.approx(6.0, rel=0.05)
 
     def test_restricted_mean_counts_edge_ends(self):
         # each color-c edge puts two ends among the color's own layer(s)
         g = chain_plus_layer2()
-        m = compute_moments(g)
-        for cm, edges in zip(m.per_color, g.edge_count_by_color()):
-            assert cm.mean_restricted * cm.population_restricted == pytest.approx(2 * edges)
+        ends = colored_cross_moments(g).mean.T @ np.array(g.layer_sizes)
+        assert ends == pytest.approx(2 * g.edge_count_by_color())
 
     def test_inter_color_population(self):
+        # an inter edge puts one end in each of its layers of six nodes
         g = chain_plus_layer2()
-        m = compute_moments(g)
-        assert m.per_color[2].population_restricted == 12
+        edges = g.edge_count_by_color()[2]
+        assert colored_cross_moments(g).mean[:, 2] * 6 == pytest.approx([edges, edges])
 
     def test_empty_color_zero_moments(self):
         g = two_layer_graph(2, 2, [(0, 1)], [], [])
-        m = compute_moments(g)
-        assert m.per_color[1].mean_restricted == 0.0
-        assert m.per_color[2].second_restricted == 0.0
+        table = colored_cross_moments(g)
+        assert table.mean[1, 1] == 0.0
+        assert np.all(table.second[:, 2, 2] == 0.0)
 
 
 class TestKappa:

@@ -22,7 +22,6 @@ from interepi import (
     SelfLoop,
     UnknownNode,
     build_interdependent,
-    compute_moments,
     er_color_moments,
     graphs_equal,
     load_graph,
@@ -620,7 +619,7 @@ class TestCli:
         assert rc == 0
         summary = capsys.readouterr().out
         assert re.fullmatch(r"wrote \S+ \(\d+ frontier tuples, grid step 0.05, "
-                            r"[1-9]\d* Jacobians\)\n", summary), summary
+                            r"[1-9]\d* evaluations\)\n", summary), summary
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "beta_1,beta_2,beta_3,theta"
         assert len(lines) > 2
@@ -633,8 +632,8 @@ class TestCli:
         assert "density network" in capsys.readouterr().out
 
     def test_info_prints_each_colors_mean_restricted_degree(self, tmp_path, capsys):
-        # 2 * edges / population, the compute_moments mean, over layers of
-        # unequal sizes so that an inter color's population is neither layer's
+        # 2 * edges / population, over layers of unequal sizes so that an
+        # inter color's population is neither layer's
         g = build_interdependent([ErLayerSpec(300, 1.5), ErLayerSpec(700, 4.0),
                                   ErLayerSpec(450, 2.5)],
                                  {(0, 1): 1.0, (0, 2): 0.5, (1, 2): 2.0}, master_seed=3)
@@ -645,12 +644,13 @@ class TestCli:
                    if line.startswith("color ")]
         counts = g.edge_count_by_color()
         expected = []
-        for c, moments in enumerate(compute_moments(g).per_color):
+        for c, edges in enumerate(counts):
             members = g.colors.members(c)
             tag = (f"layer {members[0]}" if len(members) == 1
                    else f"layers {members[0]}-{members[1]}")
-            expected.append(f"color {c} ({tag}): edges={counts[c]} "
-                            f"mean_restricted={moments.mean_restricted:.4f}")
+            population = sum(g.layer_sizes[h] for h in members)
+            expected.append(f"color {c} ({tag}): edges={edges} "
+                            f"mean_restricted={2 * edges / population:.4f}")
         assert printed == expected
 
     def test_empirical_threshold_route(self, tmp_path):
@@ -873,6 +873,37 @@ class TestCli:
                    "--out", str(tmp_path / "f.csv")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
+
+    def test_grid_beyond_the_bound_exits_2(self, tmp_path, capsys):
+        # untied, as without a config, three layers at the default step 0.01
+        # exited 1 with numpy's traceback for a 392 GiB array
+        path = tmp_path / "three.edges"
+        write_graph(build_interdependent([ErLayerSpec(n, 2.0) for n in (60, 90, 120)],
+                                         {(0, 1): 0.5, (1, 2): 0.5}, master_seed=1), path)
+        out = tmp_path / "f.csv"
+        for flags, message in [
+            ((), "grid step 0.01 over 6 searched axes gives 10510100501 lines of 101 rates"),
+            (("--tie-intra", "--grid-step", "1e-9"),
+             "grid step 1e-09 over 4 searched axes gives 1000000003000000003000000001 lines "
+             "of 1000000001 rates"),
+        ]:
+            assert main(["threshold", "--graph", str(path), *flags, "--out", str(out)]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record == {"error": "DomainError",
+                              "message": f"{message}, more than 4194304"}
+            assert not out.exists()
+        # tied at 0.01, 101^3 lines, still runs
+        assert main(["threshold", "--graph", str(path), "--tie-intra", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("empirical", [(), ("--empirical",)])
+    def test_threshold_of_an_edgeless_graph_exits_3(self, tmp_path, capsys, empirical):
+        # without --empirical an edgeless file wrote an empty frontier
+        path = tmp_path / "g.edges"
+        path.write_text("#layers 3 4\n")
+        assert main(["threshold", "--graph", str(path), *empirical,
+                     "--out", str(tmp_path / "f.csv")]) == 3
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "EmptyColor", "message": "no edges on any color"}
 
     def test_classify_reads_the_config_tau(self, tmp_path, capsys):
         graph = self._graph(tmp_path)

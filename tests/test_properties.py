@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from interepi import (
+    ColorMoments,
     ColorTable,
     MomentSet,
     SeedPolicy,
     SirConfig,
     Transmissibilities,
     build_graph,
-    compute_moments,
+    colored_cross_moments,
     er_color_moments,
     giant_component,
     graphs_equal,
@@ -30,7 +31,7 @@ from interepi import (
     write_graph,
 )
 from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
-from interepi.graph import ColorMoments, build_graph_array
+from interepi.graph import build_graph_array
 import interepi.io as io_module
 from interepi.io import _format_columns
 from interepi.sir import _final_counts, _Realizations
@@ -40,6 +41,7 @@ from interepi.threshold import (
     _frontier_search,
     _grid_values,
     _tie_groups,
+    independent_colors,
 )
 from oracles import (
     brute_force_component_labels,
@@ -48,6 +50,7 @@ from oracles import (
     epidemic_indicator,
     exhaustive_frontier,
     first_passage_steps,
+    per_color_table,
     random_layered_graph,
     sequential_parse_graph,
     sequential_validate,
@@ -306,15 +309,33 @@ def test_color_degrees_count_edge_ends(data):
 @given(layered_graphs())
 def test_moment_relation_and_kappa_bound(data):
     g, _ = data
-    m = compute_moments(g)
-    for cm, edges in zip(m.per_color, g.edge_count_by_color()):
-        assert abs(cm.mean_restricted * cm.population_restricted - 2 * edges) < 1e-9
-        assert cm.second_restricted >= cm.mean_restricted**2 - 1e-12  # Jensen
+    table = colored_cross_moments(g)
+    ends = table.mean.T @ np.array(g.layer_sizes)
+    assert np.all(np.abs(ends - 2 * g.edge_count_by_color()) < 1e-9)
+    # Jensen: E[x^2] = E[x (x - 1)] + E[x] >= E[x]^2 on every layer
+    for h in range(g.num_layers):
+        squares = np.diagonal(table.second[h]) + table.mean[h]
+        assert np.all(squares >= table.mean[h] ** 2 - 1e-12)
     try:
         k = kappa(g)
     except NoEdgesInScope:
         return
     assert k >= 2 * g.num_edges / g.n - 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(layered_graphs(max_nodes=45))
+@example((_graph_of_pairs([3, 7, 5], [(0, 1), (0, 3), (4, 9)]), None))
+@example((_graph_of_pairs([4, 9], []), None))
+def test_independent_colors_match_the_per_color_route(data):
+    # the table measured by layer and projected agrees with the one built
+    # from each color's moments over its own nodes; the examples leave
+    # layer 2 with colors 2, 4 and 5 edgeless, and every color
+    g, _ = data
+    table = independent_colors(colored_cross_moments(g), g.layer_sizes)
+    want = per_color_table(g)
+    np.testing.assert_allclose(table.mean, want.mean, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(table.second, want.second, rtol=1e-14, atol=0.0)
 
 
 @settings(max_examples=100, deadline=None)

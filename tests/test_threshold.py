@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from interepi import (
+    ColorMoments,
     ColorTable,
     DomainError,
     EmptyColor,
@@ -13,6 +14,7 @@ from interepi import (
     KappaAtMostOne,
     LayeredGraph,
     LengthMismatch,
+    MomentSet,
     NetworkState,
     NonConvergence,
     PowerLawSpec,
@@ -32,13 +34,15 @@ from interepi import (
     spectral_radius,
     transmissibility,
 )
-from interepi.graph import ColorMoments, MomentSet
 import interepi.threshold as threshold_module
 from interepi.threshold import (
+    DegreeTable,
     _epidemic,
     _frontier_search,
     _grid_values,
     _type_base,
+    frontier,
+    independent_colors,
     jacobian_from_cross_moments,
     moment_table,
 )
@@ -106,9 +110,14 @@ class TestSingleLayerThreshold:
 
 class TestModelMoments:
     def test_er_ratio(self):
-        # a Poisson degree has <y^2> - <y> = <y>^2, so its excess ratio is its mean
+        # a Poisson degree has <y^2> - <y> = <y>^2, so its excess ratio is its
+        # mean; an edgeless color has no ratio and zero moments
         for mean in (6.0, 0.0, 1.5):
-            assert er_color_moments(mean, 100).ratio_restricted() == mean
+            table = moment_table(MomentSet((er_color_moments(mean, 100),)), (100,))
+            if mean:
+                assert table.second[0, 0, 0] / table.mean[0, 0] == mean
+            else:
+                assert table.mean[0, 0] == table.second[0, 0, 0] == 0.0
 
     def test_degenerate_point_mass(self):
         # y_max == y_min: single-point distribution
@@ -338,12 +347,11 @@ class TestJacobianEmpirical:
     def test_gap_to_closed_form_reported(self, capsys):
         # the closed form assumes independent colored degrees; on a concrete
         # graph the measured cross-moments differ -- report, don't assert
-        from interepi import compute_moments
-
         g = chain_plus_layer2()
         t = Transmissibilities((1.0,) * 3)
         emp = empirical_jacobian(g, t)
-        closed = jacobian_closed_form(compute_moments(g), g.layer_sizes, t)
+        closed = jacobian_from_cross_moments(
+            independent_colors(colored_cross_moments(g), g.layer_sizes), t)
         gap = np.abs(emp - closed).max()
         print(f"independence-assumption gap (12-node example): {gap:.4f}")
         assert np.isfinite(gap)
@@ -542,6 +550,39 @@ class TestMultiThreshold:
             multi_threshold(m, sizes, tau=5, grid_step=0.05, refine_tol=tol)
         with pytest.raises(DomainError):
             multi_threshold_empirical(chain_plus_layer2(), tau=5, grid_step=0.1, refine_tol=tol)
+
+    @pytest.mark.parametrize("num_layers,step,tie_intra,lines,size", [
+        (3, 0.01, False, 101**5, 101),  # asked numpy for 392 GiB
+        (2, 1e-9, False, (10**9 + 1) ** 2, 10**9 + 1),
+        (2, 1e-9, True, 10**9 + 1, 10**9 + 1),
+        (1, 1e-9, False, 1, 10**9 + 1),  # one line, built as a list of 1e9 rates
+        (2, 1 / 2048, False, 2049**2, 2049),
+    ])
+    def test_grid_beyond_the_bound_raises_before_the_search(
+        self, monkeypatch, num_layers, step, tie_intra, lines, size
+    ):
+        for name in ("_frontier_search", "_grid_values"):
+            monkeypatch.setattr(threshold_module, name, lambda *args: pytest.fail("grid built"))
+        num_colors = ColorTable(num_layers).num_colors
+        table = DegreeTable(np.ones((num_layers, num_colors)),
+                            np.ones((num_layers, num_colors, num_colors)))
+        axes = len(threshold_module._tie_groups(num_colors, num_layers, tie_intra))
+        with pytest.raises(DomainError) as exc:
+            frontier(table, 5, step, tie_intra=tie_intra)
+        assert str(exc.value) == (f"grid step {step} over {axes} searched axes gives {lines} "
+                                  f"lines of {size} rates, more than 4194304")
+
+    @pytest.mark.parametrize("num_layers,step,tie_intra", [
+        (2, 1 / 2047, False),  # 2048^2 = 2^22 lines, the bound
+        (3, 0.01, True),  # 101^3 lines
+        (1, 1 / 4194303, False),  # one line of 2^22 rates
+    ])
+    def test_grid_within_the_bound_is_searched(self, monkeypatch, num_layers, step, tie_intra):
+        monkeypatch.setattr(threshold_module, "_frontier_search", lambda *args: "searched")
+        num_colors = ColorTable(num_layers).num_colors
+        table = DegreeTable(np.ones((num_layers, num_colors)),
+                            np.ones((num_layers, num_colors, num_colors)))
+        assert frontier(table, 5, step, tie_intra=tie_intra) == "searched"
 
     def test_er_frontier_tied(self):
         m, sizes = er_set(1.5, 6.0, 1.5)
@@ -822,7 +863,8 @@ class TestArrivalLayers:
         sizes = (100, 100, 100)
         m = MomentSet((er_color_moments(1.0, 100),) * 3 + (er_color_moments(0.5, 200),) * 3)
         tau = 1  # R = rate
-        at = {rate: classify_state(m, sizes, (rate,) * 6, tau) for rate in (0.4, 0.6, 1.0)}
+        table = moment_table(m, sizes)
+        at = {rate: classify_state(table, (rate,) * 6, tau) for rate in (0.4, 0.6, 1.0)}
         # a layer alone needs R <y_intra> = R >= 1; the network R 2 >= 1
         assert at == {0.4: NetworkState.INFECTION_FREE, 0.6: NetworkState.MIXED,
                       1.0: NetworkState.EPIDEMIC}
@@ -844,18 +886,24 @@ class TestGrid:
 
 class TestClassifyState:
     def test_zero_rates_infection_free(self):
-        m, sizes = er_set(1.5, 6.0, 0.1)
-        assert classify_state(m, sizes, (0.0, 0.0, 0.0), 5) is NetworkState.INFECTION_FREE
+        table = moment_table(*er_set(1.5, 6.0, 0.1))
+        assert classify_state(table, (0.0, 0.0, 0.0), 5) is NetworkState.INFECTION_FREE
 
     def test_weakly_coupled_mixed(self):
         # beta between the layer thresholds: dense layer epidemic
         # (R(0.128)*6 = 2.97 >= 1), sparse layer not (R(0.128)*1.5 = 0.74)
-        m, sizes = er_set(1.5, 6.0, 0.1)
-        assert classify_state(m, sizes, (0.128, 0.128, 0.01), 5) is NetworkState.MIXED
+        table = moment_table(*er_set(1.5, 6.0, 0.1))
+        assert classify_state(table, (0.128, 0.128, 0.01), 5) is NetworkState.MIXED
 
     def test_strongly_coupled_epidemic_at_ones(self):
-        m, sizes = er_set(1.5, 6.0, 1.5)
-        assert classify_state(m, sizes, (1.0, 1.0, 1.0), 5) is NetworkState.EPIDEMIC
+        table = moment_table(*er_set(1.5, 6.0, 1.5))
+        assert classify_state(table, (1.0, 1.0, 1.0), 5) is NetworkState.EPIDEMIC
+
+    def test_edgeless_layer_is_never_epidemic(self):
+        # layer 0 has no intra edges (mean 0): the network is epidemic, it is not
+        table = moment_table(*er_set(0.0, 6.0, 1.5))
+        assert table.mean[0, 0] == table.second[0, 0, 0] == 0.0
+        assert classify_state(table, (1.0, 1.0, 1.0), 5) is NetworkState.MIXED
 
     def test_layer_boundary_consistent_with_single_layer_threshold(self):
         # the per-layer criterion R(beta) * ratio >= 1 must cross within one
@@ -875,4 +923,6 @@ class TestClassifyState:
     def test_colors_must_fit_the_layers(self):
         m, _ = er_set(1.5, 6.0, 1.5)
         with pytest.raises(LengthMismatch):
-            classify_state(m, (10000,), (0.1, 0.1, 0.1), 5)
+            classify_state(moment_table(m, (10000,)), (0.1, 0.1, 0.1), 5)
+        with pytest.raises(LengthMismatch):
+            classify_state(moment_table(m, (5000, 5000)), (0.1, 0.1), 5)
