@@ -1257,6 +1257,68 @@ class TestGraphRouteBytes:
             assert line == f"state at beta={float(beta)} alpha={float(alpha)}: {state}"
 
 
+class TestModelRouteBytes:
+    """The outputs of the route that reads a generated network's layer specs:
+    sha256 of the `threshold --config` CSV on the desk configs, tied at their
+    own grid step and untied at 0.05, on unequal ER and power-law layers, and
+    on three layers with a missing pair."""
+
+    TWO = ("network.source = generate\n"
+           "layer.0.type = er\nlayer.0.n = 3000\nlayer.0.mean_degree = 2.0\n"
+           "layer.1.type = powerlaw\nlayer.1.n = 7000\nlayer.1.gamma = 2.5\n"
+           "inter.0.1.mean_degree = 0.8\n")
+    THREE = ("network.source = generate\n"
+             "layer.0.type = er\nlayer.0.n = 300\nlayer.0.mean_degree = 1.5\n"
+             "layer.1.type = er\nlayer.1.n = 700\nlayer.1.mean_degree = 4.0\n"
+             "layer.2.type = powerlaw\nlayer.2.n = 450\nlayer.2.gamma = 2.9\n"
+             "inter.0.1.mean_degree = 1.0\ninter.0.2.mean_degree = 0.5\n"
+             "analysis.grid_step = 0.1\n")
+    THRESHOLD_SHA256 = {
+        ("er-strong-desk", "tied", ""):
+            "a500865b33c8cbb4bffc552c217bb8d789f875c29dd4a89ae943e765b73d9586",
+        ("er-strong-desk", "tied", "--refine 1e-4"):
+            "816ba14cb03b721dda45d921a02ce2dc418893752fc14349101c167bdcdf7b1e",
+        ("er-strong-desk", "untied", "--grid-step 0.05"):
+            "ec42c766c9fe1ae4d7f15eae0c9840882f9153bbaaecd022eec5ed8d24a251ad",
+        ("er-weak-desk", "tied", ""):
+            "380b25c29e8ce5bad86bb49dd7016cc907f2005633bc1430b6465bed55115c37",
+        ("er-weak-desk", "untied", "--grid-step 0.05"):
+            "a9b90dbd49bb9328ded1020e86a3c7179574d23b37c96dc717c385f181762329",
+        ("sf-desk", "tied", ""):
+            "72f6b35ca448546d009e111630f7252c8ff7a33cb4f4bccad0e9df8cd9f7893a",
+        ("sf-desk", "untied", "--grid-step 0.05"):
+            "9d060899ec5117f53a2417b7b2ed753c79395e6794fe35c2036cb64d09908920",
+        ("TWO", "tied", ""):
+            "5fad9971bb98d6c6d5813fc5855065a95bb0bcf4583608d242c2b876aee0b19f",
+        ("TWO", "untied", "--grid-step 0.05"):
+            "defeea2838a821a357a910f66507c87bfb824ec3bcef7c99017fa5f922f74240",
+        ("THREE", "tied", ""):
+            "0c22fac49738f997ef1ecdd3ec2e65bdb55a6077c66ae967869e12fab315ac11",
+    }
+
+    @pytest.fixture(scope="class")
+    def configs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("configs")
+        desk = Path(__file__).resolve().parents[1] / "configs"
+        texts = {name: (desk / f"{name}.cfg").read_text(encoding="utf-8")
+                 for name in ("er-strong-desk", "er-weak-desk", "sf-desk")}
+        texts.update(TWO=self.TWO, THREE=self.THREE)
+        for name, text in texts.items():
+            (root / f"{name}-tied.cfg").write_text(text)
+            untied = text.replace("analysis.tie_intra = true", "")
+            (root / f"{name}-untied.cfg").write_text(untied + "\nanalysis.tie_intra = false\n")
+        return root
+
+    @pytest.mark.parametrize("name,tie,flags", sorted(THRESHOLD_SHA256))
+    def test_threshold_of_a_config_keeps_its_bytes(self, configs, tmp_path, capsys,
+                                                   name, tie, flags):
+        out = tmp_path / "f.csv"
+        assert main(["threshold", "--config", str(configs / f"{name}-{tie}.cfg"),
+                     *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            self.THRESHOLD_SHA256[name, tie, flags]
+
+
 def test_readme_python_quick_start_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
