@@ -44,20 +44,18 @@ from .generate import (
     sample_powerlaw_degrees,
 )
 from .threshold import (
-    ColorMoments,
+    DegreeTable,
     FrontierSet,
-    MomentSet,
     NetworkState,
     ThresholdResult,
     Transmissibilities,
     classify_state,
     colored_cross_moments,
-    er_color_moments,
+    frontier,
     jacobian_closed_form,
     multi_threshold,
     multi_threshold_empirical,
     perron_roots,
-    powerlaw_color_moments,
     powerlaw_moments,
     single_layer_threshold,
     spectral_radius,

@@ -35,14 +35,13 @@ from .sir import (
     sweep_and_dynamics,
 )
 from .threshold import (
+    DegreeTable,
     FrontierSet,
-    MomentSet,
     colored_cross_moments,
-    er_color_moments,
     frontier,
     independent_colors,
-    moment_table,
-    powerlaw_color_moments,
+    independent_table,
+    powerlaw_moments,
 )
 
 MANIFEST_NAME = "manifest"
@@ -503,17 +502,37 @@ def parse_config(path: Union[str, os.PathLike]) -> ExperimentConfig:
 # Model moments from a config
 # ---------------------------------------------------------------------------
 
-def model_moments(cfg: ExperimentConfig) -> tuple[MomentSet, tuple[int, ...]]:
-    """The per-color moment set implied by generator specs, and the layer sizes."""
+def model_moments(cfg: ExperimentConfig) -> tuple[DegreeTable, tuple[int, ...]]:
+    """The table of independent colors implied by generator specs, and the
+    layer sizes.
+
+    A color's mean m and second moment are over the pop nodes of its own
+    layer(s): m (m + 1) for an ER color (a missing pair has m = 0), and the
+    continuous ``powerlaw_moments`` for a power-law layer. An inter color's
+    pop m edge ends lie half in each of its layers, so on member layer h of
+    k each degree factor scales by f = pop / (k n_h): mean f m and factorial
+    moment f^2 (second - m), exact for ER coupling and 1 for equal layers.
+    """
     sizes = tuple(spec.n for spec in cfg.layers)
     colors = ColorTable(len(sizes))
-    moments = [er_color_moments(spec.mean_degree, spec.n) if isinstance(spec, ErLayerSpec)
-               else powerlaw_color_moments(spec, spec.n) for spec in cfg.layers]
-    means = pair_means(cfg.inter_means, len(sizes))
-    for i, j in map(colors.members, range(len(sizes), colors.num_colors)):
-        mean = means.get((i, j), 0.0)
-        moments.append(er_color_moments(mean, sizes[i] + sizes[j]))
-    return MomentSet(tuple(moments)), sizes
+    pairs = pair_means(cfg.inter_means, len(sizes))
+    mean = np.zeros((len(sizes), colors.num_colors))
+    factorial = np.zeros_like(mean)
+    for c in range(colors.num_colors):
+        members = colors.members(c)
+        spec = cfg.layers[c] if c < len(sizes) else None
+        if isinstance(spec, PowerLawSpec):
+            m, ratio = powerlaw_moments(spec)
+            second = (ratio + 1.0) * m
+        else:
+            m = pairs.get(members, 0.0) if spec is None else spec.mean_degree
+            second = m * (m + 1.0)
+        pop = sum(sizes[h] for h in members)
+        for h in members:
+            f = pop / (len(members) * sizes[h])
+            mean[h, c] = f * m
+            factorial[h, c] = f * f * (second - m)
+    return independent_table(mean, factorial), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +556,7 @@ def analytic_frontier(
     network gives the model moments of its layer specs, and a graph file the
     moments measured on ``graph`` with its colors taken as independent."""
     if cfg.source == "generate" and not empirical:
-        table = moment_table(*model_moments(cfg))
+        table = model_moments(cfg)[0]
     else:
         graph = load_network(cfg) if graph is None else graph
         table = colored_cross_moments(graph)

@@ -13,8 +13,8 @@ One builder makes every Jacobian, for any layer count, over types (color c,
 arrival layer h): an edge's far end lies in the layer it arrives at, whose
 nodes have their own moments (multitype branching, as in Allard et al.
 2009, PRE 79, and Leicht & D'Souza 2009). It reads one per-layer table of
-colored degree moments (``DegreeTable``), which ``frontier`` searches: from
-per-color model moments with colors independent (``moment_table``), measured
+colored degree moments (``DegreeTable``), which ``frontier`` searches: filled
+from generator specs with colors independent (``io.model_moments``), measured
 on a graph (``colored_cross_moments``), or measured with its colors made
 independent (``independent_colors``).
 
@@ -128,82 +128,33 @@ def powerlaw_moments(spec: PowerLawSpec) -> tuple[float, float]:
     return mean, (second - mean) / mean
 
 
-@dataclass(frozen=True)
-class ColorMoments:
-    """First and second degree moments of one color, averaged over the
-    ``population_restricted`` nodes of its incident layer(s) only."""
-
-    mean_restricted: float
-    second_restricted: float
-    population_restricted: int
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Per-color degree moments of a model, the input of ``moment_table``."""
-
-    per_color: tuple[ColorMoments, ...]
-
-    @property
-    def num_colors(self) -> int:
-        return len(self.per_color)
-
-
-def er_color_moments(mean: float, population: int) -> ColorMoments:
-    """ColorMoments of a Poisson-degree color restricted to ``population`` nodes."""
-    second = mean * (mean + 1.0)
-    return ColorMoments(
-        mean_restricted=mean,
-        second_restricted=second,
-        population_restricted=population,
-    )
-
-
-def powerlaw_color_moments(spec: PowerLawSpec, population: int) -> ColorMoments:
-    mean, ratio = powerlaw_moments(spec)
-    second = (ratio + 1.0) * mean
-    return ColorMoments(
-        mean_restricted=mean,
-        second_restricted=second,
-        population_restricted=population,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Jacobians
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeTable:
     """Colored degree moments over each layer's own nodes, colors numbered by
     ``ColorTable``: ``mean[h, c]`` is E_h[x_c], shape (L, C), and
     ``second[h, c, c']`` is E_h[x_c x_c'], shape (L, C, C), with the factorial
-    moment E_h[x_c (x_c - 1)] on the diagonal."""
+    moment E_h[x_c (x_c - 1)] on the diagonal. Tables are equal when both
+    arrays are."""
 
     mean: np.ndarray
     second: np.ndarray
 
+    def __eq__(self, other):
+        return (isinstance(other, DegreeTable) and np.array_equal(self.mean, other.mean)
+                and np.array_equal(self.second, other.second))
 
-def moment_table(m: MomentSet, layer_sizes: Sequence[int]) -> DegreeTable:
-    """The table of independent colors with these per-color moments.
 
-    A color's moments are over its own layer(s). An inter color's pop * mean
-    edge ends lie half in each of its layers, so on layer h each degree factor
-    scales by f = pop / (2 n_h): exact for ER coupling, 1 for equal layers.
-    """
-    colors = ColorTable(len(layer_sizes))
-    if m.num_colors != colors.num_colors:
-        raise LengthMismatch(f"{len(layer_sizes)} layers have {colors.num_colors} colors")
-    mean = np.zeros((len(layer_sizes), m.num_colors))
-    factorial = np.zeros_like(mean)
-    for c, cm in enumerate(m.per_color):
-        members = colors.members(c)
-        for h in members:
-            f = cm.population_restricted / (len(members) * layer_sizes[h])
-            mean[h, c] = f * cm.mean_restricted
-            factorial[h, c] = f * f * (cm.second_restricted - cm.mean_restricted)
+def independent_table(mean: np.ndarray, factorial: np.ndarray) -> DegreeTable:
+    """The table of independent colors with these means and factorial
+    moments, both (L, C): each cross moment of two colors is the product of
+    their means."""
     second = mean[:, :, None] * mean[:, None, :]
-    second[:, range(m.num_colors), range(m.num_colors)] = factorial
+    diag = range(mean.shape[1])
+    second[:, diag, diag] = factorial
     return DegreeTable(mean, second)
 
 
@@ -221,11 +172,10 @@ def colored_cross_moments(g: LayeredGraph) -> DegreeTable:
 
 
 def independent_colors(table: DegreeTable, layer_sizes: Sequence[int]) -> DegreeTable:
-    """The table of independent colors with ``table``'s means, as
-    ``moment_table`` spreads per-color moments over a color's own nodes.
+    """The ``independent_table`` with ``table``'s means, as ``io.model_moments``
+    spreads a color's moments over its own nodes.
 
-    Each off-diagonal second moment is the product of its two means. An inter
-    color's factorial moment is pooled over its layers i and j,
+    An inter color's factorial moment is pooled over its layers i and j,
     (n_i F_i + n_j F_j) / (n_i + n_j), and scaled on layer h by
     f^2 = (pop / (2 n_h))^2; an intra color keeps its own.
     """
@@ -239,9 +189,7 @@ def independent_colors(table: DegreeTable, layer_sizes: Sequence[int]) -> Degree
         for h in pair:
             f = pop / (2 * layer_sizes[h])
             factorial[h, c] = f * f * pooled
-    second = table.mean[:, :, None] * table.mean[:, None, :]
-    second[:, diag, diag] = factorial
-    return DegreeTable(table.mean, second)
+    return independent_table(table.mean, factorial)
 
 
 def _type_base(table: DegreeTable) -> tuple[np.ndarray, np.ndarray]:
@@ -278,10 +226,18 @@ def jacobian_from_cross_moments(table: DegreeTable, t: Transmissibilities) -> np
     return base * np.asarray(t.values)[type_color]
 
 
-def jacobian_closed_form(m: MomentSet, layer_sizes: Sequence[int],
+def _check_sizes(table: DegreeTable, layer_sizes: Sequence[int]) -> None:
+    if len(layer_sizes) != len(table.mean):
+        raise LengthMismatch(f"{len(layer_sizes)} layer sizes for {len(table.mean)} layers")
+
+
+def jacobian_closed_form(table: DegreeTable, layer_sizes: Sequence[int],
                          t: Transmissibilities) -> np.ndarray:
-    """The Jacobian of independent colors with these per-color moments (``moment_table``)."""
-    return jacobian_from_cross_moments(moment_table(m, layer_sizes), t)
+    """``jacobian_from_cross_moments`` once ``layer_sizes`` fits the table: the
+    benchmark's call shape on ``io.model_moments``'s result, kept until the
+    benchmark calls ``jacobian_from_cross_moments`` (ROADMAP item 3)."""
+    _check_sizes(table, layer_sizes)
+    return jacobian_from_cross_moments(table, t)
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +602,14 @@ def frontier(
     return _frontier_search(*_type_base(table), tau, grid_step, groups, refine_tol)
 
 
-def multi_threshold(m: MomentSet, layer_sizes: Sequence[int], tau: int, grid_step: float = 0.01,
-                    *, tie_intra: bool = False, refine_tol: Optional[float] = None) -> FrontierSet:
-    """The ``frontier`` of independent colors with these per-color moments
-    (``moment_table``)."""
-    return frontier(moment_table(m, layer_sizes), tau, grid_step, tie_intra=tie_intra,
-                    refine_tol=refine_tol)
+def multi_threshold(table: DegreeTable, layer_sizes: Sequence[int], tau: int,
+                    grid_step: float = 0.01, *, tie_intra: bool = False,
+                    refine_tol: Optional[float] = None) -> FrontierSet:
+    """``frontier`` once ``layer_sizes`` fits the table: the benchmark's call
+    shape on ``io.model_moments``'s result, kept until the benchmark calls
+    ``frontier`` (ROADMAP item 3)."""
+    _check_sizes(table, layer_sizes)
+    return frontier(table, tau, grid_step, tie_intra=tie_intra, refine_tol=refine_tol)
 
 
 def multi_threshold_empirical(g: LayeredGraph, tau: int, grid_step: float = 0.01, *,

@@ -21,12 +21,14 @@ from interepi import (
     LayeredGraph,
     LengthMismatch,
     ParseError,
+    PowerLawSpec,
     SelfLoop,
     SirConfig,
     Transmissibilities,
     UnknownNode,
     build_graph,
     jacobian_closed_form,
+    powerlaw_moments,
     spectral_radius,
     structural_gcc_sizes,
 )
@@ -281,9 +283,9 @@ def dominates(t1, t2) -> bool:
     return all(a <= b for a, b in zip(t1, t2)) and any(a < b for a, b in zip(t1, t2))
 
 
-def epidemic_indicator(m, layer_sizes, rates, tau) -> tuple[float, bool]:
+def epidemic_indicator(table, layer_sizes, rates, tau) -> tuple[float, bool]:
     """theta of the closed-form Jacobian at these rates, and ``_epidemic`` of it."""
-    jac = jacobian_closed_form(m, layer_sizes, Transmissibilities.from_rates(rates, tau))
+    jac = jacobian_closed_form(table, layer_sizes, Transmissibilities.from_rates(rates, tau))
     return spectral_radius(jac), bool(_epidemic(jac[None])[0])
 
 
@@ -291,30 +293,61 @@ def epidemic_indicator(m, layer_sizes, rates, tau) -> tuple[float, bool]:
 # The table of independent colors, one color at a time
 # ---------------------------------------------------------------------------
 
-def per_color_table(g: LayeredGraph) -> DegreeTable:
-    """The degree table of ``g`` with its colors taken as independent, by way
-    of each color's own moments.
+def er_color(mean: float, pop: int) -> tuple[float, float, int]:
+    """(mean, second, pop) of a Poisson-degree color over ``pop`` nodes:
+    <y^2> = <y> (<y> + 1)."""
+    return mean, mean * (mean + 1.0), pop
 
-    A color's mean <y> and second moment <y^2> are taken over the pop nodes
-    of its own layer(s). On a member layer h of k, each degree factor scales
-    by f = pop / (k n_h), so the mean is f <y> and the factorial moment
-    f^2 (<y^2> - <y>); a cross moment of two colors is their means' product.
+
+def powerlaw_color(spec: PowerLawSpec, pop: int) -> tuple[float, float, int]:
+    """(mean, second, pop) of a power-law color over ``pop`` nodes, from its
+    mean and moment ratio (<y^2> - <y>) / <y>."""
+    mean, ratio = powerlaw_moments(spec)
+    return mean, (ratio + 1.0) * mean, pop
+
+
+def color_table(colors, layer_sizes) -> DegreeTable:
+    """The degree table of independent colors with these per-color moments,
+    one (mean <y>, second moment <y^2>, pop) triple per color.
+
+    A color's moments are taken over the pop nodes of its own layer(s). On a
+    member layer h of k, each degree factor scales by f = pop / (k n_h), so
+    the mean is f <y> and the factorial moment f^2 (<y^2> - <y>); a cross
+    moment of two colors is their means' product.
     """
-    deg = g.color_degrees().astype(float)
-    mean = np.zeros((g.num_layers, g.num_colors))
+    table = ColorTable(len(layer_sizes))
+    if len(colors) != table.num_colors:
+        raise LengthMismatch(f"{len(layer_sizes)} layers have {table.num_colors} colors")
+    mean = np.zeros((len(layer_sizes), len(colors)))
     factorial = np.zeros_like(mean)
-    for c in range(g.num_colors):
-        members = g.colors.members(c)
-        pop = sum(g.layer_sizes[h] for h in members)
-        first, second = deg[c].sum() / pop, (deg[c] ** 2).sum() / pop
+    for c, (first, second, pop) in enumerate(colors):
+        members = table.members(c)
         for h in members:
-            f = pop / (len(members) * g.layer_sizes[h])
+            f = pop / (len(members) * layer_sizes[h])
             mean[h, c] = f * first
             factorial[h, c] = f * f * (second - first)
-    table = mean[:, :, None] * mean[:, None, :]
+    cross = mean[:, :, None] * mean[:, None, :]
+    for c in range(len(colors)):
+        cross[:, c, c] = factorial[:, c]
+    return DegreeTable(mean, cross)
+
+
+def per_color_table(g: LayeredGraph) -> DegreeTable:
+    """The degree table of ``g`` with its colors taken as independent, by way
+    of each color's own moments over the nodes of its layer(s)."""
+    deg = g.color_degrees().astype(float)
+    colors = []
     for c in range(g.num_colors):
-        table[:, c, c] = factorial[:, c]
-    return DegreeTable(mean, table)
+        pop = sum(g.layer_sizes[h] for h in g.colors.members(c))
+        colors.append((deg[c].sum() / pop, (deg[c] ** 2).sum() / pop, pop))
+    return color_table(colors, g.layer_sizes)
+
+
+def er_set(m1, m2, m3, n1=5000, n2=5000):
+    """The table of two ER layers of means m1 and m2 on n1 and n2 nodes, coupled
+    by an ER inter color of mean m3, and the layer sizes."""
+    sizes = (n1, n2)
+    return color_table([er_color(m1, n1), er_color(m2, n2), er_color(m3, n1 + n2)], sizes), sizes
 
 
 # ---------------------------------------------------------------------------

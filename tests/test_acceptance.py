@@ -12,12 +12,15 @@ import pytest
 from scipy.integrate import quad
 
 import interepi as ie
-from interepi.threshold import moment_table
 from oracles import (
     cardano_radius_3x3,
+    color_table,
     dominates,
     epidemic_indicator,
+    er_color,
+    er_set,
     exhaustive_frontier,
+    powerlaw_color,
     quiet_layer_density_bound,
 )
 
@@ -43,11 +46,11 @@ def random_moment_set(rng):
         p = weights / weights.sum()
         mean = float((ks * p).sum())
         second = float((ks * ks * p).sum())
-        return ie.ColorMoments(mean, second, pop)
+        return mean, second, pop
 
     n1 = int(rng.integers(50, 500))
     n2 = int(rng.integers(50, 500))
-    return ie.MomentSet((color(n1), color(n2), color(n1 + n2))), (n1, n2)
+    return color_table([color(n1), color(n2), color(n1 + n2)], (n1, n2)), (n1, n2)
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +126,7 @@ def test_03_powerlaw_moments_vs_quadrature():
 
 def test_04_jacobian_spectral_oracle():
     with criterion(4, "jacobian-spectral-oracle"):
-        m = ie.MomentSet((
-            ie.er_color_moments(1.5, 5000),
-            ie.er_color_moments(6.0, 5000),
-            ie.er_color_moments(1.5, 10000),
-        ))
+        m, _ = er_set(1.5, 6.0, 1.5)
         jac = ie.jacobian_closed_form(
             m, (5000, 5000), ie.Transmissibilities((1.0, 1.0, 1.0))
         )
@@ -190,11 +189,7 @@ def test_05_monotonicity_and_frontier_properties():
 def test_06_boundary_agreement_er_strong(er_strong_graph):
     with criterion(6, "analytic-simulation-boundary-agreement"):
         g, gcc = er_strong_graph
-        m = ie.MomentSet((
-            ie.er_color_moments(1.5, 5000),
-            ie.er_color_moments(6.0, 5000),
-            ie.er_color_moments(1.5, 10000),
-        ))
+        m, _ = er_set(1.5, 6.0, 1.5)
         front = ie.multi_threshold(m, (5000, 5000), tau=5, grid_step=0.0025, tie_intra=True)
         pts = front.points
         assert len(pts) >= 10
@@ -235,13 +230,7 @@ def test_07_mixed_state_reproduction(er_weak_graph):
             ie.single_layer_threshold(ie.kappa(g, layer), tau).beta for layer in (0, 1)
         )
         mixed_rates, epidemic_rates = (beta, beta, alpha), (0.30, 0.30, alpha)
-        m = ie.MomentSet((
-            ie.er_color_moments(1.5, 5000),
-            ie.er_color_moments(6.0, 5000),
-            ie.er_color_moments(0.1, 10000),
-        ))
-        sizes = (5000, 5000)
-        table = moment_table(m, sizes)
+        table, _ = er_set(1.5, 6.0, 0.1)
         assert ie.classify_state(table, mixed_rates, tau) is ie.NetworkState.MIXED
         assert ie.classify_state(table, epidemic_rates, tau) is ie.NetworkState.EPIDEMIC
 
@@ -275,11 +264,11 @@ def test_08_scale_free_near_zero_threshold():
     with criterion(8, "scale-free-near-zero-threshold"):
         sf1 = ie.PowerLawSpec(gamma=2.9, y_min=1, n=1500)
         sf2 = ie.PowerLawSpec(gamma=2.1, y_min=1, n=1500)
-        m = ie.MomentSet((
-            ie.powerlaw_color_moments(sf1, 1500),
-            ie.powerlaw_color_moments(sf2, 1500),
-            ie.er_color_moments(6.0, 3000),
-        ))
+        m = color_table([
+            powerlaw_color(sf1, 1500),
+            powerlaw_color(sf2, 1500),
+            er_color(6.0, 3000),
+        ], (1500, 1500))
         front = ie.multi_threshold(m, (1500, 1500), tau=5, grid_step=0.005, tie_intra=True)
         assert len(front) > 0
         assert all(p[0] <= 0.05 and p[2] <= 0.05 for p in front.points)

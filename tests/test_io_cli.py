@@ -16,13 +16,11 @@ from interepi import (
     DomainError,
     DuplicateEdge,
     ErLayerSpec,
-    MomentSet,
     ParseError,
     PowerLawSpec,
     SelfLoop,
     UnknownNode,
     build_interdependent,
-    er_color_moments,
     graphs_equal,
     load_graph,
     multi_threshold,
@@ -46,7 +44,7 @@ from interepi.cli import main
 from interepi.io import parse_grid, parse_settings
 from interepi.sir import DynamicsResult, SweepResult
 from interepi.threshold import FrontierSet, multi_threshold_empirical
-from oracles import chain_plus_layer2
+from oracles import chain_plus_layer2, color_table, er_color
 
 
 BASE_CONFIG = """
@@ -720,10 +718,10 @@ class TestCli:
             + "inter.0.2.mean_degree = 1.0\ninter.1.2.mean_degree = 0.5\n"
             "analysis.grid_step = 0.1\n")
         assert main(["threshold", "--config", str(cfg_path), "--out", str(out)]) == 0
-        m = MomentSet((er_color_moments(3.0, 50), er_color_moments(2.0, 60),
-                       er_color_moments(1.0, 70), er_color_moments(0.0, 110),
-                       er_color_moments(1.0, 120), er_color_moments(0.5, 130)))
-        write_frontier_csv(expected, multi_threshold(m, (50, 60, 70), 5, 0.1, tie_intra=True))
+        sizes = (50, 60, 70)
+        m = color_table([er_color(3.0, 50), er_color(2.0, 60), er_color(1.0, 70),
+                         er_color(0.0, 110), er_color(1.0, 120), er_color(0.5, 130)], sizes)
+        write_frontier_csv(expected, multi_threshold(m, sizes, 5, 0.1, tie_intra=True))
         assert out.read_bytes() == expected.read_bytes()
         assert out.read_text().startswith("beta_1,beta_2,beta_3,beta_4,beta_5,beta_6,theta\n")
 

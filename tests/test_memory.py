@@ -86,13 +86,11 @@ import pytest
 
 from interepi import (
     ErLayerSpec,
-    MomentSet,
     SeedPolicy,
     SirConfig,
     build_interdependent,
     child_rng,
     dynamics,
-    er_color_moments,
     gen_er_layer,
     run_sir,
     load_graph,
@@ -101,6 +99,7 @@ from interepi import (
     write_graph,
 )
 from interepi.sir import mean_cell_densities
+from oracles import er_set
 
 BUILD_PEAK_PER_EDGE = 60
 WEAK_BUILD_PEAK_PER_EDGE = 61
@@ -186,8 +185,7 @@ def test_kept_frontier_bytes_per_point(traced):
     # twenty frontiers kept at once, as a benchmark keeps its repetitions'
     # outputs, so numpy's small-buffer cache and the float and tuple free
     # lists weigh little against what the frontiers hold
-    moments = MomentSet((er_color_moments(1.5, 10_000), er_color_moments(6.0, 10_000),
-                         er_color_moments(1.5, 20_000)))
+    moments, _ = er_set(1.5, 6.0, 1.5, 10_000, 10_000)
 
     def frontiers():
         return [multi_threshold(moments, (10_000, 10_000), 5, 0.01) for _ in range(20)]

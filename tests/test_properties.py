@@ -9,20 +9,21 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from interepi import (
-    ColorMoments,
     ColorTable,
-    MomentSet,
+    ErLayerSpec,
+    ExperimentConfig,
+    PowerLawSpec,
     SeedPolicy,
     SirConfig,
     Transmissibilities,
     build_graph,
     colored_cross_moments,
-    er_color_moments,
     giant_component,
     graphs_equal,
     jacobian_closed_form,
     kappa,
     load_graph,
+    model_moments,
     perron_roots,
     run_sir,
     spectral_radius,
@@ -45,12 +46,15 @@ from interepi.threshold import (
 )
 from oracles import (
     brute_force_component_labels,
+    color_table,
     dominates,
     entry_colors,
     epidemic_indicator,
+    er_color,
     exhaustive_frontier,
     first_passage_steps,
     per_color_table,
+    powerlaw_color,
     random_layered_graph,
     sequential_parse_graph,
     sequential_validate,
@@ -338,6 +342,45 @@ def test_independent_colors_match_the_per_color_route(data):
     np.testing.assert_allclose(table.second, want.second, rtol=1e-14, atol=0.0)
 
 
+@st.composite
+def model_configs(draw):
+    # 1-3 ER or power-law layers of unequal sizes; each layer pair keyed in
+    # either order with a mean, keyed with mean 0, or missing
+    sizes = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True))
+    layers = [
+        ErLayerSpec(n, draw(st.floats(0.0, 20.0))) if draw(st.booleans())
+        else PowerLawSpec(gamma=draw(st.sampled_from([2.0, 3.0]) | st.floats(1.1, 4.0)),
+                          y_min=draw(st.integers(1, 3)), n=n)
+        for n in sizes
+    ]
+    colors, inter = ColorTable(len(sizes)), {}
+    for i, j in map(colors.members, range(len(sizes), colors.num_colors)):
+        mean = draw(st.none() | st.just(0.0) | st.floats(0.0, 20.0))
+        if mean is not None:
+            inter[(j, i) if draw(st.booleans()) else (i, j)] = mean
+    return ExperimentConfig(source="generate", layers=layers, inter_means=inter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_configs())
+def test_model_table_is_the_per_color_oracle_bit_for_bit(cfg):
+    # each color's (mean, second, pop) over its own layers, spread by the
+    # oracle: the table and every bit of it
+    sizes = tuple(spec.n for spec in cfg.layers)
+    colors = ColorTable(len(sizes))
+    means = {(min(key), max(key)): mean for key, mean in cfg.inter_means.items()}
+    want = color_table(
+        [er_color(spec.mean_degree, spec.n) if isinstance(spec, ErLayerSpec)
+         else powerlaw_color(spec, spec.n) for spec in cfg.layers]
+        + [er_color(means.get(pair, 0.0), sizes[pair[0]] + sizes[pair[1]])
+           for pair in map(colors.members, range(len(sizes), colors.num_colors))],
+        sizes)
+    table, got_sizes = model_moments(cfg)
+    assert got_sizes == sizes
+    assert np.array_equal(table.mean, want.mean)
+    assert np.array_equal(table.second, want.second)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(0, 1), min_size=1, max_size=5),
@@ -358,11 +401,11 @@ def moment_pairs(draw):
         p = weights / weights.sum()
         mean = float((ks * p).sum())
         second = float((ks**2 * p).sum())
-        return ColorMoments(mean, second, pop)
+        return mean, second, pop
 
     n1 = draw(st.integers(50, 500))
     n2 = draw(st.integers(50, 500))
-    m = MomentSet((color(n1), color(n2), color(n1 + n2)))
+    m = color_table([color(n1), color(n2), color(n1 + n2)], (n1, n2))
     lo = tuple(draw(st.lists(st.floats(0, 1), min_size=3, max_size=3)))
     bump = tuple(draw(st.lists(st.floats(0, 1), min_size=3, max_size=3)))
     hi = tuple(min(1.0, a + d) for a, d in zip(lo, bump))
@@ -381,12 +424,8 @@ def test_theta_monotone_in_rates(data):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.1, 8.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_thinning_identities(mean, r1, r2):
-    m = MomentSet((
-        er_color_moments(mean, 100),
-        er_color_moments(mean, 100),
-        er_color_moments(mean, 200),
-    ))
     sizes = (100, 100)
+    m = color_table([er_color(mean, 100), er_color(mean, 100), er_color(mean, 200)], sizes)
     base = jacobian_closed_form(m, sizes, Transmissibilities((1.0,) * 3))
     # Poisson: a layer-0 node's excess degree of either of its colors is the mean
     assert np.allclose(base[0], [mean, 0.0, 0.0, mean], rtol=1e-12)

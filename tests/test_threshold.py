@@ -1,20 +1,20 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from interepi import (
-    ColorMoments,
     ColorTable,
     DomainError,
     EmptyColor,
     ErLayerSpec,
+    ExperimentConfig,
     KappaAtMostOne,
     LayeredGraph,
     LengthMismatch,
-    MomentSet,
     NetworkState,
     NonConvergence,
     PowerLawSpec,
@@ -22,13 +22,13 @@ from interepi import (
     build_interdependent,
     classify_state,
     colored_cross_moments,
-    er_color_moments,
     jacobian_closed_form,
     kappa,
+    model_moments,
     multi_threshold,
     multi_threshold_empirical,
+    parse_config,
     perron_roots,
-    powerlaw_color_moments,
     powerlaw_moments,
     single_layer_threshold,
     spectral_radius,
@@ -44,21 +44,19 @@ from interepi.threshold import (
     frontier,
     independent_colors,
     jacobian_from_cross_moments,
-    moment_table,
 )
 from oracles import (
     cardano_radius_3x3,
     chain_plus_layer2,
+    color_table,
     dominates,
     epidemic_indicator,
+    er_color,
+    er_set,
     exhaustive_frontier,
+    powerlaw_color,
     two_layer_graph,
 )
-
-
-def er_set(m1, m2, m3, n1=5000, n2=5000):
-    moments = (er_color_moments(m1, n1), er_color_moments(m2, n2), er_color_moments(m3, n1 + n2))
-    return MomentSet(moments), (n1, n2)
 
 
 class TestTransmissibility:
@@ -113,7 +111,8 @@ class TestModelMoments:
         # a Poisson degree has <y^2> - <y> = <y>^2, so its excess ratio is its
         # mean; an edgeless color has no ratio and zero moments
         for mean in (6.0, 0.0, 1.5):
-            table = moment_table(MomentSet((er_color_moments(mean, 100),)), (100,))
+            net = ExperimentConfig(source="generate", layers=[ErLayerSpec(100, mean)])
+            table, _ = model_moments(net)
             if mean:
                 assert table.second[0, 0, 0] / table.mean[0, 0] == mean
             else:
@@ -212,8 +211,7 @@ class TestThinning:
         # ends on every node (f = 20 / (2 * 10) = 1). Types: (0, 0), (1, 1),
         # (2, 0), (2, 1); a layer-0 node sends color 0 to layer 0 and color 2 to
         # layer 1, a layer-1 node color 1 to layer 1 and color 2 to layer 0.
-        m = MomentSet((ColorMoments(6.0, 48.0, 10), ColorMoments(6.0, 48.0, 10),
-                       ColorMoments(6.0, 48.0, 20)))
+        m = color_table([(6.0, 48.0, 10), (6.0, 48.0, 10), (6.0, 48.0, 20)], (10, 10))
         jac = jacobian_closed_form(m, (10, 10), Transmissibilities((0.5, 0.5, 0.5)))
         expected = [[3.5, 0.0, 0.0, 3.0], [0.0, 3.5, 3.0, 0.0],
                     [3.0, 0.0, 0.0, 3.5], [0.0, 3.0, 3.5, 0.0]]
@@ -293,9 +291,9 @@ class TestJacobianClosedForm:
         # inter mean 1.5 over 10 + 30 nodes is 30 edges: 3 ends per layer-0
         # node and 1 per layer-1 node (f = 40 / 20 = 2 and 40 / 60 = 2/3), and
         # Poisson factorial moments f^2 (<y^2> - <y>) = f^2 1.5^2 = 9 and 1
-        m = MomentSet((er_color_moments(2.0, 10), er_color_moments(4.0, 30),
-                       er_color_moments(1.5, 40)))
-        table = moment_table(m, (10, 30))
+        layers = [ErLayerSpec(10, 2.0), ErLayerSpec(30, 4.0)]
+        net = ExperimentConfig(source="generate", layers=layers, inter_means={(0, 1): 1.5})
+        table, _ = model_moments(net)
         assert table.mean == pytest.approx(np.array([[2.0, 0.0, 3.0], [0.0, 4.0, 1.0]]))
         assert table.second == pytest.approx(np.array([
             [[4.0, 0.0, 6.0], [0.0, 0.0, 0.0], [6.0, 0.0, 9.0]],
@@ -326,6 +324,49 @@ class TestJacobianClosedForm:
             jacobian_closed_form(m, (5000,), Transmissibilities((1.0,) * 3))
         with pytest.raises(LengthMismatch):
             jacobian_closed_form(m, (5000, 5000), Transmissibilities((1.0,) * 2))
+
+
+class TestDegreeTable:
+    def test_equal_tables_compare_equal(self):
+        # a dataclass's generated == compares tuples of arrays, which raises
+        # "truth value of an array ... is ambiguous" for two tables built apart
+        a, b = er_set(1.5, 6.0, 1.5)[0], er_set(1.5, 6.0, 1.5)[0]
+        assert a is not b and a.mean is not b.mean
+        assert a == b and not a != b
+
+    def test_unequal_tables_compare_unequal(self):
+        table = er_set(1.5, 6.0, 1.5)[0]
+        assert table != er_set(1.5, 6.0, 0.1)[0]  # second moments differ
+        assert table != er_set(1.5, 6.0, 1.5, 5000, 6000)[0]
+        assert table != DegreeTable(table.mean, table.second[:1])  # shapes differ
+        assert table != (table.mean, table.second)
+
+
+class TestBenchmarkCallShape:
+    """The benchmark passes ``model_moments``'s (table, sizes) to
+    ``multi_threshold`` and ``jacobian_closed_form``; the benchmark's own
+    tests run only its ``run-cli`` workload, so that call shape is checked
+    here."""
+
+    CONFIG = Path(__file__).resolve().parents[1] / "configs" / "er-strong-desk.cfg"
+
+    def test_calls_agree_with_the_table_functions(self):
+        moments, sizes = model_moments(parse_config(self.CONFIG))
+        assert multi_threshold(moments, sizes, 5, 0.05, tie_intra=True) == \
+            frontier(moments, 5, 0.05, tie_intra=True)
+        for rates in [(0.0, 0.0, 0.0), (0.04, 0.04, 0.0), (0.1, 0.2, 0.3), (1.0, 1.0, 1.0)]:
+            t = Transmissibilities.from_rates(rates, 5)
+            assert np.array_equal(jacobian_closed_form(moments, sizes, t),
+                                  jacobian_from_cross_moments(moments, t))
+
+    @pytest.mark.parametrize("sizes", [(5000,), (5000, 5000, 5000), ()])
+    def test_wrong_length_layer_sizes_raise(self, sizes):
+        moments, _ = model_moments(parse_config(self.CONFIG))
+        t = Transmissibilities((1.0,) * 3)
+        with pytest.raises(LengthMismatch):
+            multi_threshold(moments, sizes, 5, 0.05)
+        with pytest.raises(LengthMismatch):
+            jacobian_closed_form(moments, sizes, t)
 
 
 class TestJacobianEmpirical:
@@ -452,11 +493,7 @@ class TestEpidemicIndicator:
     def test_boundary_inclusive(self):
         # inter-only spreading with ratio 2: R * 2 crosses 1 at R = 0.5,
         # i.e. beta = 0.5 at tau = 1; the >= convention makes that epidemic
-        m = MomentSet((
-            ColorMoments(1.0, 2.0, 500),
-            ColorMoments(1.0, 2.0, 500),
-            ColorMoments(1.0, 3.0, 1000),
-        ))
+        m = color_table([(1.0, 2.0, 500), (1.0, 2.0, 500), (1.0, 3.0, 1000)], (500, 500))
         theta, epidemic = epidemic_indicator(m, (500, 500), (0.0, 0.0, 0.5), 1)
         assert theta == pytest.approx(1.0, abs=1e-10)
         assert epidemic
@@ -759,7 +796,7 @@ class TestLineSearch:
 
     def test_confirming_loop_corrects_candidates(self, monkeypatch):
         m, sizes = er_set(1.5, 6.0, 1.5)
-        base, type_color = _type_base(moment_table(m, sizes))  # the last color on two columns
+        base, type_color = _type_base(m)  # the last color on two columns
         cases = [(self.BASE, range(3), 1, 0.25, self.GROUPS),
                  (base, type_color, 5, 0.05, self.GROUPS)]
         expected = [_frontier_search(*case, None) for case in cases]
@@ -812,8 +849,8 @@ class TestArrivalLayers:
         # (its layer's kappa), whatever the coupling
         layers = [ErLayerSpec(n, mean) for n, mean in zip(sizes, means)]
         g = build_interdependent(layers, {(0, 1): 1.5}, master_seed=4)
-        m = MomentSet((er_color_moments(means[0], sizes[0]), er_color_moments(means[1], sizes[1]),
-                       er_color_moments(1.5, sum(sizes))))
+        m = color_table([er_color(means[0], sizes[0]), er_color(means[1], sizes[1]),
+                         er_color(1.5, sum(sizes))], sizes)
         closed = multi_threshold(m, sizes, self.TAU, self.STEP, tie_intra=True)
         assert self.beta_at_alpha0(closed) == self.grid_threshold(max(means) + 1.0)
         empirical = multi_threshold_empirical(g, self.TAU, self.STEP, tie_intra=True)
@@ -823,8 +860,8 @@ class TestArrivalLayers:
     def test_alpha_zero_of_power_law_model_moments(self):
         # the sf-desk model: kappa - 1 is each layer's moment ratio
         specs = [PowerLawSpec(gamma=2.9, y_min=1, n=1500), PowerLawSpec(gamma=2.1, y_min=1, n=1500)]
-        m = MomentSet((powerlaw_color_moments(specs[0], 1500),
-                       powerlaw_color_moments(specs[1], 1500), er_color_moments(6.0, 3000)))
+        m = color_table([powerlaw_color(specs[0], 1500), powerlaw_color(specs[1], 1500),
+                         er_color(6.0, 3000)], (1500, 1500))
         front = multi_threshold(m, (1500, 1500), self.TAU, self.STEP, tie_intra=True)
         dense = max(powerlaw_moments(spec)[1] for spec in specs) + 1.0
         assert self.beta_at_alpha0(front) == self.grid_threshold(dense)
@@ -839,9 +876,9 @@ class TestArrivalLayers:
         sizes, step = self.THREE_LAYERS, 0.4
         layers = [ErLayerSpec(n, mean) for n, mean in zip(sizes, self.THREE_MEANS)]
         g = build_interdependent(layers, self.THREE_INTER, master_seed=9)
-        m = MomentSet(tuple(er_color_moments(mean, n) for n, mean in zip(sizes, self.THREE_MEANS))
-                      + tuple(er_color_moments(mean, sizes[i] + sizes[j])
-                              for (i, j), mean in self.THREE_INTER.items()))
+        m = color_table([er_color(mean, n) for n, mean in zip(sizes, self.THREE_MEANS)]
+                        + [er_color(mean, sizes[i] + sizes[j])
+                           for (i, j), mean in self.THREE_INTER.items()], sizes)
         vals = _grid_values(step)
         grid = list(map(tuple, np.array(np.meshgrid(*[vals] * 6)).reshape(6, -1).T.tolist()))
         routes = [(multi_threshold(m, sizes, 5, step),
@@ -861,14 +898,13 @@ class TestArrivalLayers:
         # equal ER layers with equal inter means: every type's row sums to
         # R (<y_intra> + 2 <y_inter>) with all R equal, so theta is that sum
         sizes = (100, 100, 100)
-        m = MomentSet((er_color_moments(1.0, 100),) * 3 + (er_color_moments(0.5, 200),) * 3)
+        table = color_table([er_color(1.0, 100)] * 3 + [er_color(0.5, 200)] * 3, sizes)
         tau = 1  # R = rate
-        table = moment_table(m, sizes)
         at = {rate: classify_state(table, (rate,) * 6, tau) for rate in (0.4, 0.6, 1.0)}
         # a layer alone needs R <y_intra> = R >= 1; the network R 2 >= 1
         assert at == {0.4: NetworkState.INFECTION_FREE, 0.6: NetworkState.MIXED,
                       1.0: NetworkState.EPIDEMIC}
-        assert spectral_radius(jacobian_closed_form(m, sizes, Transmissibilities((0.5,) * 6))) \
+        assert spectral_radius(jacobian_closed_form(table, sizes, Transmissibilities((0.5,) * 6))) \
             == pytest.approx(0.5 * (1.0 + 2 * 0.5), abs=1e-12)
 
 
@@ -886,34 +922,36 @@ class TestGrid:
 
 class TestClassifyState:
     def test_zero_rates_infection_free(self):
-        table = moment_table(*er_set(1.5, 6.0, 0.1))
+        table = er_set(1.5, 6.0, 0.1)[0]
         assert classify_state(table, (0.0, 0.0, 0.0), 5) is NetworkState.INFECTION_FREE
 
     def test_weakly_coupled_mixed(self):
         # beta between the layer thresholds: dense layer epidemic
         # (R(0.128)*6 = 2.97 >= 1), sparse layer not (R(0.128)*1.5 = 0.74)
-        table = moment_table(*er_set(1.5, 6.0, 0.1))
+        table = er_set(1.5, 6.0, 0.1)[0]
         assert classify_state(table, (0.128, 0.128, 0.01), 5) is NetworkState.MIXED
 
     def test_strongly_coupled_epidemic_at_ones(self):
-        table = moment_table(*er_set(1.5, 6.0, 1.5))
+        table = er_set(1.5, 6.0, 1.5)[0]
         assert classify_state(table, (1.0, 1.0, 1.0), 5) is NetworkState.EPIDEMIC
 
     def test_edgeless_layer_is_never_epidemic(self):
         # layer 0 has no intra edges (mean 0): the network is epidemic, it is not
-        table = moment_table(*er_set(0.0, 6.0, 1.5))
+        table = er_set(0.0, 6.0, 1.5)[0]
         assert table.mean[0, 0] == table.second[0, 0, 0] == 0.0
         assert classify_state(table, (1.0, 1.0, 1.0), 5) is NetworkState.MIXED
 
     def test_layer_boundary_consistent_with_single_layer_threshold(self):
-        # the per-layer criterion R(beta) * ratio >= 1 must cross within one
-        # grid step of the closed-form single-layer threshold at kappa=7
-        m, sizes = er_set(1.5, 6.0, 0.1)
+        # with only the dense layer's rate on, its own criterion R(beta) * 6 >= 1
+        # leaves the network infection-free below it and mixed from it on: the
+        # first such beta lies within one grid step of the closed-form
+        # single-layer threshold at kappa = 7
+        table, _ = er_set(1.5, 6.0, 0.1)
         step = 0.005
         crossing = None
         for k in range(201):
             beta = k * step
-            if transmissibility(beta, 5) * 6.0 >= 1.0:
+            if classify_state(table, (0.0, beta, 0.0), 5) is not NetworkState.INFECTION_FREE:
                 crossing = beta
                 break
         expected = single_layer_threshold(7.0, 5).beta
@@ -921,8 +959,10 @@ class TestClassifyState:
         assert abs(crossing - expected) <= step
 
     def test_colors_must_fit_the_layers(self):
+        # one rate per color: a one-layer table has one color, a two-layer table three
+        one_layer = color_table([er_color(1.5, 10000)], (10000,))
+        with pytest.raises(LengthMismatch):
+            classify_state(one_layer, (0.1, 0.1, 0.1), 5)
         m, _ = er_set(1.5, 6.0, 1.5)
         with pytest.raises(LengthMismatch):
-            classify_state(moment_table(m, (10000,)), (0.1, 0.1, 0.1), 5)
-        with pytest.raises(LengthMismatch):
-            classify_state(moment_table(m, (5000, 5000)), (0.1, 0.1), 5)
+            classify_state(m, (0.1, 0.1), 5)
