@@ -159,7 +159,10 @@ def _powerlaw_draw(spec: PowerLawSpec, u: np.ndarray) -> np.ndarray:
 
 def sample_powerlaw_degrees(spec: PowerLawSpec, rng: RngLike) -> np.ndarray:
     """IID degrees on [y_min, y_max] with p(y) ~ y^-gamma, sum forced even by
-    resampling one randomly chosen entry."""
+    resampling one randomly chosen entry. Raises WiringFailed before any draw
+    when no even sum exists: an odd y_min = y_max on an odd n."""
+    if spec.y_min == spec.y_max and spec.n * spec.y_min % 2:
+        raise WiringFailed(f"{spec.n} degrees of {spec.y_min} have no even sum")
     rng = as_rng(rng)
     deg = _powerlaw_draw(spec, rng.random(spec.n))
     if deg.sum() % 2 == 1:

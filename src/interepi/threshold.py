@@ -6,8 +6,9 @@ Jacobian whose Perron root theta decides whether the diffusion network grows
 a giant component (theta >= 1). On top of that sits the multidimensional
 threshold: the Pareto-minimal set of rate tuples on the epidemic boundary,
 found on a rate grid line by line: each line's crossing comes from the
-pivots of I - J that move along the line, and is confirmed on the grid with
-the arithmetic of the epidemic test.
+pivots of I - J that move along the line, and is confirmed on the grid, and
+bisected off it, with the arithmetic of the epidemic test on the line's
+pivots eliminated once.
 
 One builder makes every Jacobian, for any layer count, over types (color c,
 arrival layer h): an edge's far end lies in the layer it arrives at, whose
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +66,12 @@ def transmissibility(beta: float, tau: int) -> float:
     if tau < 1:
         raise DomainError("tau must be at least 1")
     return 1.0 - (1.0 - beta) ** tau
+
+
+def _transmissibilities(rates: np.ndarray, tau: int) -> np.ndarray:
+    """``transmissibility`` of each rate, scalar by scalar (numpy's vectorized
+    power may differ from it in the last place)."""
+    return np.array([transmissibility(b, tau) for b in rates.tolist()])
 
 
 @dataclass(frozen=True)
@@ -342,18 +349,21 @@ class FrontierSet:
     They are held as one read-only (N, C) array ``rates`` and their thetas
     as ``theta``; ``points`` and ``thetas`` give them as tuples.
     ``evaluations`` counts the crossing roots and confirming pivots the line
-    search evaluated, the Jacobians the refinement tested and the thetas
+    search evaluated, the pivot tests the refinement ran and the thetas
     reported; it is a diagnostic and takes no part in equality.
     """
 
     rates: np.ndarray
     theta: np.ndarray
     grid_step: float
-    num_colors: int
     evaluations: int
 
     def __post_init__(self):
         self.rates.flags.writeable = self.theta.flags.writeable = False
+
+    @property
+    def num_colors(self) -> int:
+        return self.rates.shape[1]
 
     @property
     def points(self) -> tuple[RateTuple, ...]:
@@ -467,11 +477,14 @@ def _frontier_search(
     exactly while x rho(K) < 1: the block at x = 1 gives K, and the least
     grid R >= 1/rho(K) the candidate. Each candidate is confirmed with
     ``_epidemic``'s arithmetic (epidemic at its index, not one below) and
-    stepped where rounding disagrees, until none steps. ``evaluations``
-    counts the roots rho(K), the confirming tests, each ``refine_tol``
-    round's Jacobians and the thetas. The rate grid is never held whole. Raises ValueError for an
-    entry of ``base`` above ``ENTRY_BOUND``; every Jacobian of the search is
-    at most ``base``.
+    stepped where rounding disagrees, until none steps. A ``refine_tol``
+    bisects each kept line with the same test on its eliminated pivots, down
+    to that width or to float resolution, and the thetas are the Perron roots
+    of J at each line's R. ``evaluations`` counts the roots rho(K), the
+    confirming tests, each ``refine_tol`` round's tests and the thetas. The
+    rate grid is never held whole. Raises ValueError for an entry of
+    ``base`` above ``ENTRY_BOUND``; every Jacobian of the search is at most
+    ``base``.
     """
     _check_entries(base)
     type_color = np.asarray(type_color)
@@ -481,7 +494,7 @@ def _frontier_search(
     size = len(vals)
     shape = (size,) * (len(groups) - 1)
     lines = np.indices(shape).reshape(len(shape), math.prod(shape)).T
-    r = np.array([transmissibility(b, tau) for b in vals.tolist()])
+    r = _transmissibilities(vals, tau)
     t = np.ones((num_colors, len(lines)))  # each line's R, with R_g = 1
     for axis, colors in enumerate(groups[:-1]):
         t[list(colors)] = r[lines[:, axis]]
@@ -493,9 +506,11 @@ def _frontier_search(
     at = _candidates(r, _block_root([row[p:] for row in a[p:]]))
     evaluations = len(live)
 
-    def epidemic_at(pos: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # the live lines at positions pos, with the last k columns at x = r[idx]
-        moving = _entries(base, range(p, num_types), [r[idx]] * (num_types - p))
+    def epidemic_at(pos: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # the live lines at positions pos, with the last k columns at R_g = x
+        nonlocal evaluations
+        evaluations += len(pos)
+        moving = _entries(base, range(p, num_types), [x] * (num_types - p))
         m = [[v[pos] if isinstance(v, np.ndarray) else v for v in row[:p]] + moving[i]
              for i, row in enumerate(a)]
         _, kept = _eliminate(m, range(num_types), range(p, num_types), np.arange(len(pos)))
@@ -504,9 +519,8 @@ def _frontier_search(
     pending = np.arange(len(live))
     while pending.size:
         i = at[pending]
-        epidemic = epidemic_at(np.r_[pending, pending],
-                               np.r_[np.minimum(i, size - 1), np.maximum(i - 1, 0)])
-        evaluations += 2 * len(pending)
+        idx = np.r_[np.minimum(i, size - 1), np.maximum(i - 1, 0)]
+        epidemic = epidemic_at(np.r_[pending, pending], r[idx])
         up, down = epidemic[:len(i)] | (i == size), epidemic[len(i):] & (i > 0)
         step = (~up).astype(int) - (up & down)
         at[pending] += step
@@ -514,57 +528,38 @@ def _frontier_search(
     hi = np.zeros(len(lines), dtype=int)
     hi[live] = at
 
-    jacobians = _jacobians_of_rates(base, tau, type_color)
-
-    def jacobians_at(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += len(last)
-        return jacobians(_rates_at(lines[rows], last, groups, vals, num_colors))
-
     crossing = np.append(vals, np.inf)[hi]
     rows = np.flatnonzero(_undominated(crossing.reshape(shape), 0.0))
     last = crossing[rows]
     if refine_tol:
-        below = vals[np.maximum(hi[rows] - 1, 0)]
-        while (live := np.flatnonzero(last - below > refine_tol)).size:
-            mid = 0.5 * (below[live] + last[live])
-            up = _epidemic(jacobians_at(rows[live], mid))
-            last[live[up]] = mid[up]
-            below[live[~up]] = mid[~up]
+        # a line crossing at index 0 has below == last and is never bisected,
+        # so every bisected row is live; one whose midpoint rounds to an end
+        # has reached float resolution and ends
+        pos, below = np.searchsorted(live, rows), vals[np.maximum(hi[rows] - 1, 0)]
+        mid = 0.5 * (below + last)
+        while (pending := np.flatnonzero((last - below > refine_tol) & (below < mid)
+                                         & (mid < last))).size:
+            up = epidemic_at(pos[pending], _transmissibilities(mid[pending], tau))
+            last[pending[up]] = mid[pending[up]]
+            below[pending[~up]] = mid[pending[~up]]
+            mid = 0.5 * (below + last)
         crossing = np.full(len(lines), np.inf)
         crossing[rows] = last
         keep = _undominated(crossing.reshape(shape), refine_tol).ravel()[rows]
         rows, last = rows[keep], last[keep]
 
-    theta = perron_roots(jacobians_at(rows, last))
+    r_rows = t[:, rows].T  # each kept line's R, with R_g at its crossing
+    r_rows[:, -1] = _transmissibilities(last, tau)
+    theta = perron_roots(base * r_rows[:, None, type_color])
+    evaluations += len(rows)
     rates = _rates_at(lines[rows], last, groups, vals, num_colors)
     order = np.lexsort(rates.T[::-1])
     return FrontierSet(
         rates=rates[order],
         theta=theta[order],
         grid_step=grid_step,
-        num_colors=num_colors,
         evaluations=evaluations,
     )
-
-
-def _jacobians_of_rates(
-    base: np.ndarray, tau: int, type_color: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The Jacobians J(R) = base * diag(R(rates)[type_color]) of rate rows,
-    (N, C) -> (N, T, T).
-
-    Each distinct rate is mapped once by ``transmissibility``, so the rows get
-    the scalar route's values bit for bit (numpy's vectorized power may
-    differ from it in the last place).
-    """
-
-    def jacobians(rates: np.ndarray) -> np.ndarray:
-        distinct, where = np.unique(rates, return_inverse=True)
-        r = np.array([transmissibility(b, tau) for b in distinct.tolist()])
-        return base * r[where].reshape(rates.shape)[:, None, type_color]
-
-    return jacobians
 
 
 def frontier(

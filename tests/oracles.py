@@ -31,9 +31,16 @@ from interepi import (
     powerlaw_moments,
     spectral_radius,
     structural_gcc_sizes,
+    transmissibility,
 )
 from interepi.sir import _stream
-from interepi.threshold import DegreeTable, _epidemic, _grid_values
+from interepi.threshold import (
+    DegreeTable,
+    _epidemic,
+    _frontier_search,
+    _grid_values,
+    _undominated,
+)
 
 # ---------------------------------------------------------------------------
 # Connected components by O(n^3) transitive closure
@@ -385,6 +392,50 @@ def exhaustive_frontier(theta_fn, num_colors: int, grid_step: float) -> set:
         undominated = ~(le & lt).any(axis=1)
         keep += [tuple(vals[j] for j in idx) for idx in chunk[:, undominated, 0].T]
     return set(keep)
+
+
+# ---------------------------------------------------------------------------
+# Refined frontier by bisection on full Jacobians
+# ---------------------------------------------------------------------------
+
+def refined_frontier(base, type_color, tau, grid_step, groups, refine_tol):
+    """(rates, thetas) of ``_frontier_search`` with ``refine_tol``, point by
+    point from its grid frontier.
+
+    Each grid point's searched rate (the last color's) is bisected between
+    the grid value below it and itself with ``_epidemic`` on the full
+    Jacobian base * R[type_color], R by scalar ``transmissibility``, while
+    the bracket is wider than ``refine_tol`` and its midpoint lies strictly
+    inside it. A point goes when the line one grid step down a leading axis
+    crosses at most ``refine_tol`` higher (``_undominated``); the thetas are
+    ``spectral_radius`` of the kept points' Jacobians.
+    """
+    vals = _grid_values(grid_step)
+    (searched,) = groups[-1]
+
+    def jacobian(rates):
+        return base * np.array([transmissibility(b, tau) for b in rates])[type_color]
+
+    crossing = np.full((len(vals),) * (len(groups) - 1), np.inf)
+    points = []
+    for point in _frontier_search(base, type_color, tau, grid_step, groups, None).points:
+        rates = list(point)
+        last = point[searched]
+        below = vals[max(vals.index(last) - 1, 0)]
+        while last - below > refine_tol and below < 0.5 * (below + last) < last:
+            rates[searched] = mid = 0.5 * (below + last)
+            if _epidemic(jacobian(rates)[None])[0]:
+                last = mid
+            else:
+                below = mid
+        rates[searched] = last
+        prefix = tuple(vals.index(point[colors[0]]) for colors in groups[:-1])
+        crossing[prefix] = last
+        points.append((prefix, tuple(rates)))
+    keep = _undominated(crossing, refine_tol)
+    kept = sorted(rates for prefix, rates in points if keep[prefix])
+    thetas = [spectral_radius(jacobian(rates)) for rates in kept]
+    return np.array(kept, dtype=float).reshape(-1, type_color[-1] + 1), np.array(thetas)
 
 
 # ---------------------------------------------------------------------------

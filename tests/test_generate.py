@@ -203,6 +203,14 @@ class TestPowerLawSampling:
         assert deg.max() <= spec.y_max  # nobody above the natural cutoff
         assert deg.sum() % 2 == 0
 
+    @pytest.mark.parametrize("y_min,n", [(1, 4), (2, 3)])
+    def test_point_mass_with_an_even_sum(self, y_min, n):
+        # y_max = y_min at gamma = 50; an odd y_min on odd n has no even sum
+        # (test_io_cli's power-law exit 4 test, in a child process)
+        spec = PowerLawSpec(gamma=50.0, y_min=y_min, n=n)
+        assert spec.y_max == y_min
+        assert sample_powerlaw_degrees(spec, child_rng(0, 0)).tolist() == [y_min] * n
+
     @pytest.mark.parametrize("gamma", [2.9, 2.1])
     def test_empirical_mean_near_analytic(self, gamma):
         spec = PowerLawSpec(gamma=gamma, y_min=1, n=1500)

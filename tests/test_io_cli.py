@@ -528,7 +528,7 @@ class TestRunExperiment:
 def _frontier(rates, theta):
     rates = np.asarray(rates, dtype=float).reshape(-1, 3)
     return FrontierSet(rates=rates, theta=np.asarray(theta, dtype=float), grid_step=0.01,
-                       num_colors=3, evaluations=0)
+                       evaluations=0)
 
 
 class TestCsvWriters:
@@ -821,6 +821,40 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert "--refine" in record["message"]
+
+    @staticmethod
+    def _cli(*args):
+        # a child process with a timeout: both callers once never returned
+        src = Path(interepi.__file__).resolve().parents[1]
+        return subprocess.run([sys.executable, "-m", "interepi.cli", *args],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+
+    def test_refine_below_the_float_spacing_returns(self, tmp_path):
+        # the bisection's midpoint rounds to one end at float resolution, where
+        # the line ends instead of stopping the bracket from shrinking
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "er-strong-desk.cfg"
+        out = tmp_path / "f.csv"
+        proc = self._cli("threshold", "--config", str(cfg), "--grid-step", "0.05",
+                         "--refine", "1e-17", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "(2 frontier tuples, grid step 0.05, " in proc.stdout
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_power_law_layer_without_an_even_degree_sum_exits_4(self, tmp_path):
+        # three nodes of degree 1 (y_min = y_max = 1) have no even degree sum;
+        # the model route needs none, so the spec itself is valid
+        layer = "layer.0.type = er\nlayer.0.n = 120\nlayer.0.mean_degree = 1.5"
+        assert layer in BASE_CONFIG
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(BASE_CONFIG.replace(layer, "layer.0.type = powerlaw\nlayer.0.n = 3\n"
+                                           "layer.0.gamma = 50\nlayer.0.y_min = 1"))
+        proc = self._cli("generate", "--config", str(cfg), "--out", str(tmp_path / "g.edges"))
+        assert proc.returncode == 4, proc.stderr
+        assert json.loads(proc.stderr.strip()) == {
+            "error": "WiringFailed", "message": "3 degrees of 1 have no even sum"}
+        assert not (tmp_path / "g.edges").exists()
+        assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 0
 
     @staticmethod
     def _graph(tmp_path):

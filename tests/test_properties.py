@@ -56,6 +56,7 @@ from oracles import (
     per_color_table,
     powerlaw_color,
     random_layered_graph,
+    refined_frontier,
     sequential_parse_graph,
     sequential_validate,
     stacked_epidemic,
@@ -496,6 +497,20 @@ def test_frontier_search_matches_exhaustive_scan(search):
         assert up == 0 or vals[up - 1] < last
         assert full([*[point[g[0]] for g in groups[:-1]], vals[up]]) in grid
         assert all(point[k] == last for k in searched)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frontier_searches(), st.sampled_from([1e-3, 1e-12]))
+@example((np.array([[2.0, 7.5], [5.2, 0.1]]), [0, 1], 7, ((0,), (1,)), 0.09, None), 1e-3)
+def test_refinement_matches_the_bisection_oracle(search, refine_tol):
+    # bisected on each line's eliminated pivots, the refined rates and thetas
+    # keep the bits of a bisection on full Jacobians; in the example the two
+    # grid points' refined crossings lie within refine_tol and merge
+    base, type_color, tau, groups, step, _ = search
+    front = _frontier_search(base, type_color, tau, step, groups, refine_tol)
+    rates, thetas = refined_frontier(base, type_color, tau, step, groups, refine_tol)
+    assert front.rates.shape == rates.shape and front.rates.tobytes() == rates.tobytes()
+    assert front.theta.shape == thetas.shape and front.theta.tobytes() == thetas.tobytes()
 
 
 @st.composite

@@ -739,6 +739,7 @@ class TestMultiThreshold:
         m, sizes = er_set(1.5, 6.0, 1.5)
         front = multi_threshold(m, sizes, tau=5, grid_step=0.05)
         assert front.rates.shape == (len(front), 3) and front.theta.shape == (len(front),)
+        assert front.num_colors == 3
         assert front.points == tuple(map(tuple, front.rates.tolist()))
         assert front.thetas == tuple(front.theta.tolist())
         with pytest.raises(ValueError):
