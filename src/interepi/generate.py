@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import MeanDegreeTooLarge, WiringFailed
-from .graph import INDEX, ColorTable, LayeredGraph, build_graph_array, first_occurrences
+from .graph import INDEX, ColorTable, LayeredGraph, canonical_ends, first_occurrences
 
 RngLike = Union[int, np.random.Generator]
 
@@ -295,13 +295,13 @@ def build_interdependent(
     """
     means = pair_means(inter_means, len(layers))
     sizes = [spec.n for spec in layers]
-    parts = []  # (layer_u, a, layer_v, b, color) rows per layer and layer pair
+    parts = []  # (layer_u, a, layer_v, b) rows per layer and layer pair
     for i, spec in enumerate(layers):
         rng = child_rng(master_seed, 0, i)
         if isinstance(spec, ErLayerSpec):
-            parts.append(_rows(i, i, i, gen_er_layer(spec.n, spec.mean_degree, rng)))
+            parts.append(_rows(i, i, gen_er_layer(spec.n, spec.mean_degree, rng)))
         else:
-            parts.append(_rows(i, i, i, gen_powerlaw_layer(spec, rng)))
+            parts.append(_rows(i, i, gen_powerlaw_layer(spec, rng)))
     colors = ColorTable(len(layers))
     for color in range(len(layers), colors.num_colors):
         i, j = colors.members(color)
@@ -309,12 +309,14 @@ def build_interdependent(
         if mean == 0.0:
             continue
         rng = child_rng(master_seed, 1, i, j)
-        parts.append(_rows(i, j, color, gen_er_interlayer(sizes[i], sizes[j], mean, rng)))
-    rows = np.concatenate(parts or [np.empty((0, 5), dtype=INDEX)])
+        parts.append(_rows(i, j, gen_er_interlayer(sizes[i], sizes[j], mean, rng)))
+    rows = np.concatenate(parts or [np.empty((0, 4), dtype=INDEX)])
     del parts
-    return build_graph_array(sizes, rows)
+    ends = canonical_ends(sizes, rows)
+    del rows
+    return LayeredGraph(sizes, ends)
 
 
-def _rows(layer_u: int, layer_v: int, color: int, pairs: np.ndarray) -> np.ndarray:
-    """(layer_u, a, layer_v, b, color) :data:`INDEX` rows of (m, 2) local pairs."""
-    return np.insert(pairs.astype(INDEX), [0, 1, 2], (layer_u, layer_v, color), axis=1)
+def _rows(layer_u: int, layer_v: int, pairs: np.ndarray) -> np.ndarray:
+    """(layer_u, a, layer_v, b) :data:`INDEX` rows of (m, 2) local pairs."""
+    return np.insert(pairs.astype(INDEX), [0, 1], (layer_u, layer_v), axis=1)

@@ -102,12 +102,11 @@ class ColorTable:
 class LayeredGraph:
     """Validated edge-colored interdependent network.
 
-    Construct through :func:`build_graph`; the constructor trusts its inputs,
-    the canonical edges as the rows (edges_u, edges_v) of one (2, m) array of
-    flat ids, u < v, the columns sorted lexicographically. A graph
-    keeps its layers and its adjacency alone: CSR with neighbor lists grouped
-    by color within each node, the order the SIR inner loop consumes. Every
-    array it keeps, the layer offsets and CSR index pointer included, is
+    The constructor trusts its inputs, the canonical edges that
+    :func:`canonical_ends` returns (:func:`build_graph` validates triples). A
+    graph keeps its layers and its adjacency alone: CSR with neighbor lists
+    grouped by color within each node, the order the SIR inner loop consumes.
+    Every array it keeps, the layer offsets and CSR index pointer included, is
     :data:`INDEX`, 8 B per edge plus 8 B per node.
 
     The edge lists and colors are read-only :data:`INDEX` views computed on
@@ -291,9 +290,9 @@ def local_rows(g: LayeredGraph, nodes: slice) -> np.ndarray:
 
 def build_graph(layer_sizes: Sequence[int], edges: Iterable[EdgeRef]) -> LayeredGraph:
     """Validate ((layer, idx), (layer, idx), color) triples and assemble a
-    :class:`LayeredGraph`, with the checks and errors of :func:`build_graph_array`."""
-    rows = [(lu, iu, lv, iv, c) for (lu, iu), (lv, iv), c in edges]
-    return build_graph_array(layer_sizes, int64_array(rows))
+    :class:`LayeredGraph`, with the checks and errors of :func:`canonical_ends`."""
+    rows = int64_array([(lu, iu, lv, iv, c) for (lu, iu), (lv, iv), c in edges]).reshape(-1, 5)
+    return LayeredGraph(layer_sizes, canonical_ends(layer_sizes, rows[:, :4], rows[:, 4]))
 
 
 def int64_array(values: Sequence) -> np.ndarray:
@@ -305,85 +304,82 @@ def int64_array(values: Sequence) -> np.ndarray:
         return np.clip(np.array(values, dtype=object), -(2**63), 2**63 - 1).astype(np.int64)
 
 
-def build_graph_array(layer_sizes: Sequence[int], edges: np.ndarray) -> LayeredGraph:
-    """Validate (m, 5) integer rows (layer_u, index_u, layer_v, index_v, color)
-    and assemble a :class:`LayeredGraph`.
+def canonical_ends(
+    layer_sizes: Sequence[int], rows: np.ndarray, colors: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Validate (m, 4) integer rows (layer_u, index_u, layer_v, index_v), and
+    their colors when given, into the canonical ends of a :class:`LayeredGraph`:
+    one (2, m) :data:`INDEX` array of flat ids, u < v, columns sorted.
 
     The checks are vectorized, and the first offending row in input order
     raises. Within a row they run as UnknownNode (u's layer and index, then
-    v's), SelfLoop, CrossLayerColorMismatch, then DuplicateEdge (an earlier
-    row has the same pair in either orientation). Messages name the row, and
-    the error's ``row`` is its index. Rows are read as int64 unless they are
-    int32; endpoints are :data:`INDEX` once unknown ones are masked, and only
-    pair keys are int64. ValueError when the layers hold 2**31 nodes or more,
-    or the rows 2**30 edges or more, which :data:`INDEX` cannot number, and when
-    n * C * 2**b > 2**63 (C colors, b = (2m - 1).bit_length()), which the
-    uint64 adjacency sort key (source * C + color) << (b + 1) | half << b |
-    position cannot hold: two layers of about 1.4e9 nodes and 1e9 edges, or
-    more layers.
+    v's), SelfLoop, CrossLayerColorMismatch (with ``colors`` only), then
+    DuplicateEdge (an earlier row has the same pair in either orientation).
+    Messages name the row, and the error's ``row`` is its index. Rows are read
+    as int64 unless they are int32; only pair keys are int64. ValueError when
+    the layers hold 2**31 nodes or more, or the rows 2**30 edges or more,
+    which :data:`INDEX` cannot number, and when n * C * 2**b > 2**63 (C
+    colors, b = (2m - 1).bit_length()), which the uint64 adjacency sort key
+    (source * C + color) << (b + 1) | half << b | position cannot hold: two
+    layers of about 1.4e9 nodes and 1e9 edges, or more layers.
     """
     sizes = [int(s) for s in layer_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("layer sizes must be positive")
-    edges = np.asarray(edges)
-    edges = edges.reshape(-1, 5).astype(INDEX if edges.dtype == INDEX else np.int64, copy=False)
-    n, m = sum(sizes), len(edges)
+    rows = np.asarray(rows)
+    rows = rows.reshape(-1, 4).astype(INDEX if rows.dtype == INDEX else np.int64, copy=False)
+    n, m = sum(sizes), len(rows)
     if max(n, 2 * m) > np.iinfo(INDEX).max:
         raise ValueError(f"{n} nodes and {m} edges exceed the int32 index range")
     num_colors = len(sizes) * (len(sizes) + 1) // 2
     if (n * num_colors) << (2 * m - 1).bit_length() > 2**63:
         raise ValueError(f"{n} nodes, {num_colors} colors and {m} edges overflow the sort key")
     offsets = np.concatenate(([0], np.cumsum(sizes)), dtype=INDEX)
-    colors = ColorTable(len(sizes)).color_matrix()
-    bad_layer, bad_idx, layer, ends = [], [], [], []
-    for col in (0, 2):
-        lay, idx = edges[:, col], edges[:, col + 1]
-        no_layer = (lay < 0) | (lay >= len(sizes))
-        lay = np.where(no_layer, 0, lay)
-        no_node = ~no_layer & ((idx < 0) | (idx >= np.asarray(sizes)[lay]))
+    table = ColorTable(len(sizes)).color_matrix()
+    bad = np.zeros(m, dtype=bool)
+    ends = np.empty((2, m), dtype=INDEX)
+    for end, lay, idx in zip(ends, rows.T[0::2], rows.T[1::2]):
+        bad |= (lay < 0) | (lay >= len(sizes))
+        lay = np.where(bad, 0, lay)
+        bad |= (idx < 0) | (idx >= np.diff(offsets)[lay])
         # an unknown endpoint, or an earlier row, raises before its key is read
-        ends.append(offsets[lay] + np.where(no_layer | no_node, 0, idx).astype(INDEX, copy=False))
-        bad_layer.append(no_layer)
-        bad_idx.append(no_node)
-        layer.append(lay)
-    mismatch = edges[:, 4] != colors[layer[0], layer[1]]
-    loop = ends[0] == ends[1]
-    keys = np.minimum(ends[0], ends[1]).astype(np.int64)
+        np.add(offsets[lay], np.where(bad, 0, idx), out=end, casting="unsafe")
+    del lay
+    bad |= ends[0] == ends[1]
+    if colors is not None:
+        bad |= np.asarray(colors) != table[tuple(np.searchsorted(offsets[1:], ends, "right"))]
+    keys = np.minimum(ends[0], ends[1], dtype=np.int64)
     keys *= n
     keys += np.maximum(ends[0], ends[1])
-    del layer, ends, lay
-    bad = bad_layer[0] | bad_idx[0] | bad_layer[1] | bad_idx[1] | loop | mismatch
-    canonical = np.sort(keys)
-    if (canonical[1:] == canonical[:-1]).any():
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
         repeat = np.ones_like(bad)  # rows whose key an earlier row has
-        repeat[first_occurrences(keys)] = False
+        unsorted = np.minimum(ends[0], ends[1], dtype=np.int64) * n + np.maximum(*ends)
+        repeat[first_occurrences(unsorted)] = False
         bad |= repeat
     if bad.any():
         i = int(np.argmax(bad))
-        lu, iu, lv, iv, c = edges[i].tolist()
+        lu, iu, lv, iv = rows[i].tolist()
         try:
-            for lay, node, no_layer, no_node in zip((lu, lv), (iu, iv), bad_layer, bad_idx):
-                if no_layer[i]:
+            for lay, node in ((lu, iu), (lv, iv)):
+                if not 0 <= lay < len(sizes):
                     raise UnknownNode(f"layer {lay} not declared")
-                if no_node[i]:
+                if not 0 <= node < sizes[lay]:
                     raise UnknownNode(f"node ({lay}, {node}) outside layer of size {sizes[lay]}")
-            if loop[i]:
+            if (lu, iu) == (lv, iv):
                 raise SelfLoop(f"self-loop at ({lu}, {iu})")
-            if mismatch[i]:
+            if colors is not None and colors[i] != table[lu, lv]:
                 raise CrossLayerColorMismatch(
-                    f"edge ({lu},{iu})-({lv},{iv}) carries color {c}, "
-                    f"layer pair requires {colors[lu, lv]}"
+                    f"edge ({lu},{iu})-({lv},{iv}) carries color {colors[i]}, "
+                    f"layer pair requires {table[lu, lv]}"
                 )
             raise DuplicateEdge(f"duplicate edge ({lu},{iu})-({lv},{iv})")
         except GraphValidationError as exc:
             exc.row = i
             raise
-    del keys, bad, bad_layer, bad_idx, loop, mismatch
     # the sorted keys are the canonical (u, v) order
-    ends = np.empty((2, m), dtype=INDEX)
-    np.divmod(canonical, n, out=(ends[0], ends[1]), casting="unsafe")
-    del canonical
-    return LayeredGraph(sizes, ends)
+    np.divmod(keys, n, out=(ends[0], ends[1]), casting="unsafe")
+    return ends
 
 
 def first_occurrences(keys: np.ndarray) -> np.ndarray:

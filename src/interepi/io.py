@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, GraphValidationError, ParseError
 from .generate import ErLayerSpec, LayerSpec, PowerLawSpec, build_interdependent, pair_means
-from .graph import INDEX, ColorTable, LayeredGraph, build_graph_array, int64_array, local_rows
+from .graph import INDEX, ColorTable, LayeredGraph, canonical_ends, int64_array, local_rows
 from .sir import (
     DynamicsResult,
     SeedPolicy,
@@ -112,46 +112,35 @@ def load_graph(path: Union[str, os.PathLike]) -> LayeredGraph:
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         text = fh.read()
         read = _loadtxt(text, fh) if fh.seekable() else None
-    layer_sizes, values = read or _parse_lines(text)
+    layer_sizes, rows = read or _parse_lines(text)
     del text, read
-    rows = np.empty((len(values), 5), dtype=values.dtype)
-    rows[:, :4] = values
-    del values
-    rows[:, 4] = ColorTable(len(layer_sizes)).color_matrix()[rows[:, 0], rows[:, 2]]
     try:
-        return build_graph_array(layer_sizes, rows)
+        ends = canonical_ends(layer_sizes, rows)
     except GraphValidationError as exc:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             edges = (no for no, line in enumerate(fh, 1) if line.strip()[:1] not in ("", "#"))
             raise type(exc)(f"line {next(islice(edges, exc.row, None))}: {exc}") from None
+    del rows
+    return LayeredGraph(layer_sizes, ends)
 
 
 def _loadtxt(text: str, fh: TextIO) -> Optional[tuple[list[int], np.ndarray]]:
     """Layer sizes and (m, 4) edge rows read by np.loadtxt, or None unless it
-    reads them as :func:`_parse_lines` would: an ASCII file whose every '#'
-    starts a comment line and whose one valid ``#layers`` header precedes the
-    edges, read without error or warning into four :data:`INDEX` columns of
-    declared layers (a field beyond int32 is an error)."""
+    reads them as :func:`_parse_lines` would: an ASCII file whose first line
+    is its one valid ``#layers`` header and whose other lines hold no '#',
+    read without error or warning into four :data:`INDEX` columns of declared
+    layers (a field beyond int32 is an error)."""
     if not text.isascii():
         return None
-    header, end, at = "", 0, text.find("#")
-    while at >= 0:
-        start = text.rfind("\n", 0, at) + 1
-        if text[start:at].strip() or not header and text[end:start].strip():
-            return None  # a '#' after a field, or an edge line before the header
-        end = text.find("\n", at) + 1 or len(text)
-        if text[at:end].split()[0] == "#layers":
-            header += text[at:end]
-        at = text.find("#", end)
     try:
-        layer_sizes, _ = _parse_lines(header)
+        layer_sizes, _ = _parse_lines(text.partition("\n")[0])
     except ParseError:
         return None
     fh.seek(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            values = np.loadtxt(fh, dtype=INDEX, comments="#", ndmin=2)
+            values = np.loadtxt(fh, dtype=INDEX, comments=None, skiprows=1, ndmin=2)
         except (ValueError, OverflowError, Warning):
             return None
     layers = values[:, 0:3:2]

@@ -431,9 +431,10 @@ def _final_counts(
 ) -> tuple[int, ...]:
     """Per-layer ever-infected counts of one realization, the set :func:`run_sir`
     returns."""
-    g = realizations.g
     reached = realizations.reached(realization_index, cell_index)
-    return tuple(np.bincount(g.node_layer[reached], minlength=g.num_layers).tolist())
+    # how many reached flat ids lie below each layer's upper bound, n for the last
+    below = [np.count_nonzero(reached < bound) for bound in realizations.g.offsets[1:-1].tolist()]
+    return tuple(np.diff([0, *below, reached.size]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +521,7 @@ def _worker_count(workers: Optional[int]) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     return workers

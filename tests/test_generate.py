@@ -139,7 +139,7 @@ class TestErAgainstSequential:
 
 class TestIndexRange:
     """Pairs are drawn as int32, so a side of 2**31 nodes is refused before
-    any draw, in the words build_graph_array refuses such a graph with."""
+    any draw, in the words canonical_ends refuses such a graph with."""
 
     def test_layer(self):
         rng = child_rng(0, 0)

@@ -22,7 +22,7 @@ from interepi import (
     load_graph,
     write_graph,
 )
-from interepi.graph import build_graph_array, first_occurrences
+from interepi.graph import canonical_ends, first_occurrences
 from oracles import (
     brute_force_component_labels,
     chain_plus_layer2,
@@ -122,22 +122,22 @@ class TestAdjacencyKeyBound:
 
     @staticmethod
     def _rows(m):
-        return np.broadcast_to(np.zeros(5, dtype=np.int32), (m, 5))
+        return np.broadcast_to(np.zeros(4, dtype=np.int32), (m, 4))
 
     def test_two_huge_layers(self):
         n = 2**30 - 1
         with pytest.raises(ValueError, match="overflow the sort key"):
-            build_graph_array([n, n], self._rows(2**30 - 1))
+            canonical_ends([n, n], self._rows(2**30 - 1))
 
     def test_many_layers(self):
         # 2**16 one-node layers have 2**15 * (2**16 + 1) colors, so n * C is
         # just above 2**47 and b = 16 bits, from 16 385 edges, overflows
         with pytest.raises(ValueError, match="overflow the sort key"):
-            build_graph_array([1] * 2**16, self._rows(16_385))
+            canonical_ends([1] * 2**16, self._rows(16_385))
 
     def test_index_range_checked_first(self):
         with pytest.raises(ValueError, match="int32 index range"):
-            build_graph_array([2**31], self._rows(1))
+            canonical_ends([2**31], self._rows(1))
 
 
 class TestBuildGraphErrorOrder:

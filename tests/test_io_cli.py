@@ -274,12 +274,13 @@ class TestGraphFiles:
         assert (exc.value.line_no, exc.value.reason) == (line_no, reason)
 
     def test_plain_files_are_read_by_loadtxt(self, tmp_path, monkeypatch):
-        # the line reader checks the #layers header alone; np.loadtxt reads
-        # the edge lines of a write_graph file and of one with comment lines
+        # the line reader checks the first line, the #layers header, alone;
+        # np.loadtxt reads the edge lines of a write_graph file and of one
+        # with blank lines
         real = io_module._parse_lines
 
         def header_only(text):
-            assert all(line.lstrip().startswith("#") for line in text.split("\n") if line.strip())
+            assert "\n" not in text and text.split()[0] == "#layers"
             return real(text)
 
         monkeypatch.setattr(io_module, "_parse_lines", header_only)
@@ -287,8 +288,28 @@ class TestGraphFiles:
         path = tmp_path / "g.edges"
         write_graph(g, path)
         assert graphs_equal(load_graph(path), g)
-        path.write_text("# made by hand\n\n  #layers 2 2\n# a\n0 0 1 1\n\n  # b\n1 0 1 1\n")
+        path.write_text("  #layers 2 2\n\n0 0 1 1\n  \n1 0 1 1\n")
         assert load_graph(path).edge_list() == [((0, 0), (1, 1), 2), ((1, 0), (1, 1), 1)]
+
+    @pytest.mark.parametrize("text", [
+        "# made by hand\n#layers 2 2\n0 0 1 1\n1 0 1 1\n",
+        "#layers 2 2\n0 0 1 1\n  # b\n1 0 1 1\n",
+        "\n#layers 2 2\n0 0 1 1\n1 0 1 1\n",
+    ])
+    def test_other_files_are_read_line_by_line(self, tmp_path, monkeypatch, text):
+        # a comment line, or a header that is not the first line, leaves the
+        # whole file to the line reader, which reads the same edges
+        real, read = io_module._parse_lines, []
+
+        def record(text):
+            read.append(text)
+            return real(text)
+
+        monkeypatch.setattr(io_module, "_parse_lines", record)
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        assert load_graph(path).edge_list() == [((0, 0), (1, 1), 2), ((1, 0), (1, 1), 1)]
+        assert read[-1] == text
 
 
 class TestConfigParsing:

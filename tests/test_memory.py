@@ -25,8 +25,11 @@ batch's distinct keys are gathered, the layer and pair rows released before
 the graph is assembled, and the adjacency gathered from one (2, m) block of
 canonical ends with its sort key's positions written half at a time,
 gen_er_layer peaks at 66.1 B per edge, build_interdependent at 55.6 B
-(strong) and 56.6 B (weak), and load_graph at 55.6 B. Each set-up budget is
-its measured peak plus about 8%.
+(strong) and 56.6 B (weak), and load_graph at 55.6 B. Once the validator
+took (m, 4) endpoint rows and returned the canonical ends, so that the rows
+are released before the adjacency sort, build_interdependent peaks at 40.1 B
+(strong) and 54.7 B (weak, bound by gen_er_layer's dense layer), and
+load_graph at 38.3 B. Each set-up budget is its measured peak plus about 8%.
 
 write_graph formats about 4096 edges at a time, so its peak is one chunk's whatever
 the edge count: about 693 KiB when every field went through a Python int and
@@ -101,13 +104,13 @@ from interepi import (
 from interepi.sir import mean_cell_densities
 from oracles import er_set
 
-BUILD_PEAK_PER_EDGE = 60
-WEAK_BUILD_PEAK_PER_EDGE = 61
+BUILD_PEAK_PER_EDGE = 43
+WEAK_BUILD_PEAK_PER_EDGE = 59
 GEN_LAYER_PEAK_PER_EDGE = 72
 CELL_PEAK_PER_ENTRY = 42
 CHAIN_NODE_BYTES = 16
 DYNAMICS_PEAK_PER_ENTRY = 46
-LOAD_PEAK_PER_EDGE = 60
+LOAD_PEAK_PER_EDGE = 41
 KEPT_PER_EDGE = 12
 KEPT_PER_FRONTIER_POINT = 80
 

@@ -32,7 +32,7 @@ from interepi import (
     write_graph,
 )
 from interepi.errors import GraphValidationError, NoEdgesInScope, ParseError
-from interepi.graph import build_graph_array
+from interepi.graph import LayeredGraph, canonical_ends
 import interepi.io as io_module
 from interepi.io import _format_columns
 from interepi.sir import _final_counts, _Realizations
@@ -157,8 +157,8 @@ def test_structural_gcc_sizes_match_brute_force(data, strip_layer_0):
     g, pairs = data
     if strip_layer_0:
         # leave layer 0 without an intra-layer edge
-        rows = np.column_stack([g.local_edges(), g.edge_colors])
-        g = build_graph_array(g.layer_sizes, rows[g.edge_colors != 0])
+        rows = g.local_edges()[g.edge_colors != 0]
+        g = LayeredGraph(g.layer_sizes, canonical_ends(g.layer_sizes, rows))
         pairs = [(a, b) for a, b in pairs if not g.node_layer[a] == g.node_layer[b] == 0]
     whole, per_layer = structural_gcc_sizes(g)
     assert whole == np.bincount(brute_force_component_labels(g.n, pairs)).max()
@@ -272,6 +272,9 @@ _LINE = (
     st.integers(0, 10),
     st.sampled_from(["\n", "\r\n"]),
 )
+# a comment line between edges, and one before the header
+@example(["2", "2"], ["0 0 1 1", "# note", "1 0 1 1"], 0, "\n")
+@example(["2", "2"], ["# note", "0 0 1 1"], 1, "\n")
 def test_load_graph_matches_line_by_line_parse(tmp_path_factory, sizes, lines, at, newline):
     lines.insert(min(at, len(lines)), " ".join(["#layers", *sizes]))
     path = tmp_path_factory.mktemp("parse") / "g.edges"

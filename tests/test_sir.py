@@ -708,6 +708,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             sweep_heatmap(self.graph(), [0.1], [0.1], cfg, workers=workers)
 
+    @pytest.mark.parametrize("workers", [2.5, 1.5, True, "2"])
+    def test_workers_not_an_integer_raise(self, pool_recorder, workers):
+        # three cells, so a pool would start; no task runs
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=1)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            sweep_heatmap(self.graph(), [0.1, 0.2, 0.3], [0.1], cfg, workers=workers)
+        assert pool_recorder == []
+
     def test_pool_asks_for_at_most_one_process_per_cell(self, pool_recorder):
         g = self.graph()
         cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=3, master_seed=4)
@@ -855,6 +863,13 @@ class TestDynamics:
         cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=1)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             dynamics(chain_plus_layer2(), [(0.1, 0.1)], cfg, workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, 1.5, True, "2"])
+    def test_workers_not_an_integer_raise(self, pool_recorder, workers):
+        cfg = SirConfig(rates=(0.0, 0.0, 0.0), tau=2, realizations=1)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            dynamics(chain_plus_layer2(), [(0.1, 0.1)] * 3, cfg, workers=workers)
+        assert pool_recorder == []
 
     def test_integral_identity(self):
         g = chain_plus_layer2()
